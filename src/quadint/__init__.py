@@ -31,8 +31,7 @@ from .radical import ContextMismatch, RadicalElement, RingContext, SingularPoint
 from .verifier import (
     CheckResult,
     VerificationReport,
+    __version__,
     poisson_bracket,
     run_report,
 )
-
-__version__ = "0.1.0"

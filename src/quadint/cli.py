@@ -18,6 +18,7 @@ import numpy as np
 
 from .catalog import ParamDomain, build_context
 from .dynamics import (
+    INTEGRATORS,
     PhaseState,
     SimConfig,
     scan_singularity,
@@ -208,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--alt-ly", action="store_true",
         help="debug variant: build with l_y = z*py - x*pz (expected to fail)",
     )
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="integrate one trajectory to CSV")
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q0", required=True, help="x,y,z")
     p.add_argument("--p0", required=True, help="px,py,pz")
     p.add_argument("--t-end", type=float, default=100.0)
-    p.add_argument("--integrator", choices=("adaptive", "leapfrog"), default="adaptive")
+    p.add_argument("--integrator", choices=INTEGRATORS, default="adaptive")
     p.add_argument("--rel-tol", type=float, default=1e-12)
     p.add_argument("--abs-tol", type=float, default=1e-14)
     p.add_argument("--fixed-step", type=float, default=1e-3)

@@ -10,6 +10,7 @@ particle, isotropic oscillator) independently of the potential.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -205,6 +206,10 @@ class PhaseState:
     t: float
     q: np.ndarray
     p: np.ndarray
+    # force at q, carried from the step that produced this state so the
+    # next step with the same force need not evaluate it again (FSAL);
+    # None means unknown
+    f: tuple | None = None
 
     @staticmethod
     def make(t, q, p) -> "PhaseState":
@@ -212,9 +217,65 @@ class PhaseState:
                           np.asarray(p, dtype=float).copy())
 
 
-def _rhs(force, y):
-    f = force(y[:3])
-    return (y[3], y[4], y[5], f[0], f[1], f[2])
+def _dp54_source() -> str:
+    """Source of one unrolled Dormand-Prince 5(4) attempt.
+
+    The generated ``_dp54(force, y, f0, h, atol, rtol)`` takes the packed
+    state y = (q, p) and the force f0 at q (stage 1), and returns
+    (y5, y5 - y4, force at the 7th stage, scaled RMS error).  Every
+    weighted stage sum is written out in tableau order from 0.0, zero
+    weights included, so the result is bit for bit what summing the
+    tableau rows term by term gives.  Because _DP_A[6] == _DP_B5[:6], the
+    7th stage state is y5, its force is the 1st stage of the next step,
+    and y5 reuses that stage's sum.
+    """
+    if _DP_A[6] != _DP_B5[:6]:
+        raise AssertionError("DP54 tableau is not FSAL")
+
+    def state(s, j):
+        return f"y{j}" if s == 0 else f"s{s}_{j}"
+
+    def slope(s, j):                      # k_s[j]: dq/dt = p, dp/dt = force
+        return state(s, j + 3) if j < 3 else f"f{s}_{j - 3}"
+
+    def weighted(coeffs, j):
+        return " + ".join(["0.0"] + [f"{c!r}*{slope(s, j)}" for s, c in enumerate(coeffs)])
+
+    lines = [
+        "def _dp54(force, y, f0, h, atol, rtol):",
+        "    y0, y1, y2, y3, y4, y5 = y",
+        "    f0_0, f0_1, f0_2 = f0",
+    ]
+    for s in range(1, 7):
+        for j in range(6):
+            total = weighted(_DP_A[s], j)
+            if s == 6:                    # y5 continues this sum
+                lines.append(f"    w{j} = {total}")
+                total = f"w{j}"
+            lines.append(f"    s{s}_{j} = y{j} + h * ({total})")
+        lines.append(f"    f{s} = force(({state(s, 0)}, {state(s, 1)}, {state(s, 2)}))")
+        lines.append(f"    f{s}_0, f{s}_1, f{s}_2 = f{s}")
+    for j in range(6):
+        lines.append(f"    z{j} = y{j} + h * (w{j} + {_DP_B5[6]!r}*{slope(6, j)})")
+        lines.append(f"    e{j} = z{j} - (y{j} + h * ({weighted(_DP_B4, j)}))")
+        # same as max(abs(y0), abs(y5)): the first unless the second is larger
+        lines.append(f"    a{j} = abs(y{j})")
+        lines.append(f"    b{j} = abs(z{j})")
+        lines.append(f"    r{j} = e{j} / (atol + rtol * (b{j} if b{j} > a{j} else a{j}))")
+    zs = ", ".join(f"z{j}" for j in range(6))
+    es = ", ".join(f"e{j}" for j in range(6))
+    acc = " + ".join(["0.0"] + [f"r{j}**2" for j in range(6)])
+    lines.append(f"    return ({zs}), ({es}), f6, _sqrt(({acc}) / 6.0)")
+    return "\n".join(lines)
+
+
+@functools.cache
+def _dp54_kernel():
+    """The generated DP54 attempt, compiled on first use so that importing
+    the package does not pay for it."""
+    ns = {"_sqrt": math.sqrt}
+    exec(_dp54_source(), ns)
+    return ns["_dp54"]
 
 
 def dp54_step(force, y0, h: float):
@@ -225,23 +286,7 @@ def dp54_step(force, y0, h: float):
     States are 6-tuples of floats.
     """
     y0 = tuple(y0)
-    ks = [_rhs(force, y0)]
-    for i in range(1, 7):
-        row = _DP_A[i]
-        yi = tuple(
-            y0[j] + h * sum(aij * k[j] for aij, k in zip(row, ks))
-            for j in range(6)
-        )
-        ks.append(_rhs(force, yi))
-    y5 = tuple(
-        y0[j] + h * sum(bi * k[j] for bi, k in zip(_DP_B5, ks))
-        for j in range(6)
-    )
-    y4 = tuple(
-        y0[j] + h * sum(bi * k[j] for bi, k in zip(_DP_B4, ks))
-        for j in range(6)
-    )
-    err = tuple(a - b for a, b in zip(y5, y4))
+    y5, err, _, _ = _dp54_kernel()(force, y0, force(y0[:3]), h, 1.0, 1.0)
     return y5, err
 
 
@@ -258,20 +303,24 @@ class AdaptiveStepper:
         self.h_max = h_max
         self.safety = safety
         self._err_prev = 1.0
+        self._attempt = _dp54_kernel()
 
     def step(self, state: PhaseState, h_cap: float | None = None):
-        """Advance one accepted step; returns (state', h_used, err_est)."""
-        y0 = (*state.q, *state.p)
+        """Advance one accepted step; returns (state', h_used, err_est).
+
+        The new state carries the force at its q (FSAL), so a step from it
+        costs 6 force evaluations per attempt instead of 7.
+        """
+        y0 = state.q.tolist() + state.p.tolist()
+        f0 = state.f
         while True:
             h = self.h if h_cap is None else min(self.h, h_cap)
             if h < self.h_min:
                 raise StepFailure(f"step size {h:g} below floor {self.h_min:g}")
-            y5, diff = dp54_step(self.force, y0, h)
-            acc = 0.0
-            for j in range(6):
-                sc = self.abs_tol + self.rel_tol * max(abs(y0[j]), abs(y5[j]))
-                acc += (diff[j] / sc) ** 2
-            err = math.sqrt(acc / 6.0)
+            if f0 is None:
+                f0 = self.force(y0[:3])
+            y5, diff, f5, err = self._attempt(self.force, y0, f0, h,
+                                              self.abs_tol, self.rel_tol)
             if err <= 1.0 or h <= self.h_min:
                 # PI controller (Gustafsson): orders 0.7/5 and 0.4/5
                 e = max(err, 1e-10)
@@ -279,7 +328,7 @@ class AdaptiveStepper:
                 self._err_prev = e
                 self.h = min(max(self.h * min(max(factor, 0.2), 5.0), self.h_min),
                              self.h_max)
-                new = PhaseState(state.t + h, np.array(y5[:3]), np.array(y5[3:]))
+                new = PhaseState(state.t + h, np.array(y5[:3]), np.array(y5[3:]), f5)
                 return new, h, math.sqrt(sum(d * d for d in diff))
             self.h = max(h * max(0.2, self.safety * err**-0.2), self.h_min)
             if self.h >= h and h_cap is None:
@@ -287,14 +336,24 @@ class AdaptiveStepper:
 
 
 def step_leapfrog(state: PhaseState, h: float, force) -> PhaseState:
-    """One velocity-Verlet (kick-drift-kick) step; symplectic, reversible."""
-    p_half = state.p + 0.5 * h * np.asarray(force(state.q))
+    """One velocity-Verlet (kick-drift-kick) step; symplectic, reversible.
+
+    The start-of-step force comes from ``state.f`` when set, and the new
+    state carries its end-of-step force, so a run costs one force
+    evaluation per step.
+    """
+    f0 = state.f if state.f is not None else force(state.q)
+    p_half = state.p + 0.5 * h * np.asarray(f0)
     q_new = state.q + h * p_half
-    p_new = p_half + 0.5 * h * np.asarray(force(q_new))
-    return PhaseState(state.t + h, q_new, p_new)
+    f1 = force(q_new)
+    p_new = p_half + 0.5 * h * np.asarray(f1)
+    return PhaseState(state.t + h, q_new, p_new, f1)
 
 
 # -- simulation harness ------------------------------------------------
+
+
+INTEGRATORS = ("adaptive", "leapfrog")
 
 
 @dataclass
@@ -312,10 +371,13 @@ class SimConfig:
     sample_interval: float = 1.0
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"unknown integrator {self.integrator!r}; "
+                             f"expected one of {', '.join(INTEGRATORS)}")
+        for name in ("rel_tol", "abs_tol", "fixed_step", "t_end", "sample_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         _check_param_domain(_exact(self.a), _exact(self.b))
 
 
@@ -380,8 +442,11 @@ def simulate(config: SimConfig, initial: PhaseState):
     """Integrate to t_end or a stop condition, sampling conserved quantities.
 
     Failures are classified in the returned RunOutcome, not raised, except
-    for an initial condition already inside the singularity cutoff.
+    for a non-finite initial condition (ValueError) or one already inside
+    the singularity cutoff (SingularPoint).
     """
+    if not (np.isfinite(initial.q).all() and np.isfinite(initial.p).all()):
+        raise ValueError(f"non-finite initial state q = {initial.q}, p = {initial.p}")
     force = compile_force(config.a, config.b, config.w0, config.u_floor)
     integrals = IntegralEvaluator(config.a, config.b, config.w0)
     force._u_checked(initial.q)  # reject ICs on/near the singular lines

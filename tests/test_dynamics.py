@@ -2,10 +2,12 @@
 and the simulation/scan harness."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from quadint import dynamics
 from quadint.catalog import ParamDomain
 from quadint.dynamics import (
     AdaptiveStepper,
@@ -159,6 +161,185 @@ def test_leapfrog_bounded_energy_oscillator():
         worst = max(worst, abs(e - e0))
     # symplectic: energy error stays O(h^2) without secular growth
     assert worst < 1e-4
+
+
+# -- generated DP54 kernel, FSAL and Verlet force reuse -----------------
+#
+# _rhs and _dp54_loop are the term-by-term form of the Dormand-Prince step
+# that the generated kernel unrolls; they are the reference the kernel must
+# match bit for bit.
+
+
+def _rhs(force, y):
+    f = force(y[:3])
+    return (y[3], y[4], y[5], f[0], f[1], f[2])
+
+
+def _dp54_loop(force, y0, h: float):
+    y0 = tuple(y0)
+    ks = [_rhs(force, y0)]
+    for i in range(1, 7):
+        row = dynamics._DP_A[i]
+        yi = tuple(
+            y0[j] + h * sum(aij * k[j] for aij, k in zip(row, ks))
+            for j in range(6)
+        )
+        ks.append(_rhs(force, yi))
+    y5 = tuple(
+        y0[j] + h * sum(bi * k[j] for bi, k in zip(dynamics._DP_B5, ks))
+        for j in range(6)
+    )
+    y4 = tuple(
+        y0[j] + h * sum(bi * k[j] for bi, k in zip(dynamics._DP_B4, ks))
+        for j in range(6)
+    )
+    err = tuple(a - b for a, b in zip(y5, y4))
+    return y5, err
+
+
+def _error_norm(y0, y5, diff, abs_tol, rel_tol):
+    """Scaled RMS error the step controller compares with 1."""
+    acc = 0.0
+    for j in range(6):
+        sc = abs_tol + rel_tol * max(abs(y0[j]), abs(y5[j]))
+        acc += (diff[j] / sc) ** 2
+    return math.sqrt(acc / 6.0)
+
+
+def _bits(values):
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _kernel_states(rng, n=40):
+    """Seeded states on and off the invariant axes, with exact zeros and -0.0."""
+    states = [
+        (0.0, 0.0, 0.5, 0.0, 0.0, 0.4),
+        (-0.0, 0.0, 0.5, 0.0, -0.0, 0.4),
+        (-0.0, -0.0, 0.5, -0.0, -0.0, 0.4),
+        (1.0, -0.0, 0.0, 0.3, 0.0, -0.0),
+        (0.0, -0.0, -0.0, -0.0, 0.0, 0.0),
+    ]
+    while len(states) < n:
+        y = list(rng.uniform(-0.5, 0.5, 6))
+        for j in rng.choice(6, size=rng.integers(0, 4), replace=False):
+            y[j] = rng.choice((0.0, -0.0))
+        states.append(tuple(float(v) for v in y))
+    return states
+
+
+@pytest.mark.parametrize("name", ["oscillator", "free", "force_field"])
+def test_dp54_kernel_matches_loop_oracle_bitwise(name, force):
+    fn = {"oscillator": _oscillator, "free": _free, "force_field": force}[name]
+
+    def logged(log):
+        def f(q):
+            log.append(_bits([float(v) for v in q]))
+            return fn(q)
+        return f
+
+    rng = np.random.default_rng(20261017)
+    for y0 in _kernel_states(rng):
+        for h in (1e-3, 0.0371, 0.2, -0.05):
+            stages, ref_stages = [], []
+            y5, err = dp54_step(logged(stages), y0, h)
+            # the loop is fed numpy scalars, as the stepper once passed
+            # (*q, *p): their sums are plain left-to-right on every Python
+            ref5, ref_err = _dp54_loop(logged(ref_stages),
+                                       tuple(np.float64(v) for v in y0), h)
+            # every stage state, signed zeros included, and both solutions
+            assert stages == ref_stages, (y0, h)
+            assert _bits(y5) == _bits(ref5), (y0, h)
+            assert _bits(err) == _bits(ref_err), (y0, h)
+            # FSAL: the 7th stage force is the force at y5; and the
+            # controller's error norm
+            _, _, last, norm = dynamics._dp54_kernel()(fn, y0, fn(y0[:3]), h, 1e-14, 1e-12)
+            assert _bits(last) == _bits(fn(y5[:3])), (y0, h)
+            assert _bits([norm]) == _bits([_error_norm(y0, ref5, ref_err, 1e-14, 1e-12)])
+
+
+class _Counting:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.fixture
+def attempts(monkeypatch):
+    """Counts the DP54 attempts of steppers created while it is active."""
+    counter = _Counting(dynamics._dp54_kernel())
+    monkeypatch.setattr(dynamics, "_dp54_kernel", lambda: counter)
+    return counter
+
+
+def test_dp54_force_calls_per_attempt(attempts):
+    counting = _Counting(_oscillator)
+    # h_init = 1 is far above what rel_tol 1e-12 allows: the first step
+    # is rejected several times before one attempt is accepted
+    stepper = AdaptiveStepper(counting, rel_tol=1e-12, abs_tol=1e-14, h_init=1.0)
+    state = PhaseState.make(0.0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    state, _, _ = stepper.step(state)
+    assert attempts.calls >= 2
+    assert counting.calls == 1 + 6 * attempts.calls   # k1 once, reused on rejection
+    for _ in range(50):
+        counting.calls = attempts.calls = 0
+        state, _, _ = stepper.step(state)
+        assert counting.calls == 6 * attempts.calls    # k1 from the previous step
+
+
+def test_fsal_stepping_bitwise_equals_recomputed(force):
+    ic = PhaseState.make(
+        0.0,
+        (0.5416740406778552, 0.16171926281771937, -0.2856766602871327),
+        (0.012557794994664626, 0.011920233993246529, 0.04119174256386531),
+    )
+    fsal = AdaptiveStepper(force, rel_tol=1e-12, abs_tol=1e-14)
+    fresh = AdaptiveStepper(force, rel_tol=1e-12, abs_tol=1e-14)
+    a = b = ic
+    for _ in range(200):
+        a, ha, _ = fsal.step(a, h_cap=0.3)
+        b, hb, _ = fresh.step(PhaseState(b.t, b.q, b.p), h_cap=0.3)
+        assert a.f is not None
+        assert ha == hb and a.t == b.t
+        assert _bits(a.q.tolist() + a.p.tolist()) == _bits(b.q.tolist() + b.p.tolist())
+
+
+def test_leapfrog_reuses_end_of_step_force(force):
+    counting = _Counting(force)
+    a = b = PhaseState.make(0.0, (0.0, 0.0, 0.5), (0.0, 0.0, 0.4))
+    for _ in range(100):
+        a = step_leapfrog(a, 1e-3, counting)
+        b = step_leapfrog(PhaseState(b.t, b.q, b.p), 1e-3, force)
+        assert _bits(a.q.tolist() + a.p.tolist()) == _bits(b.q.tolist() + b.p.tolist())
+    assert counting.calls == 1 + 100
+
+
+# -- input validation ----------------------------------------------------
+
+
+def test_config_rejects_unknown_integrator():
+    with pytest.raises(ValueError, match="integrator"):
+        SimConfig(integrator="rk4typo")
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "fixed_step", "t_end",
+                                  "sample_interval"])
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+def test_config_rejects_bad_positive_field(name, value):
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**{name: value})
+
+
+@pytest.mark.parametrize("q0, p0", [
+    ((math.nan, 0.0, 0.5), (0.0, 0.0, 0.4)),
+    ((0.0, 0.0, 0.5), (0.0, math.inf, 0.4)),
+])
+def test_simulate_rejects_non_finite_initial_state(q0, p0):
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate(SimConfig(t_end=1.0), PhaseState.make(0.0, q0, p0))
 
 
 # -- conserved quantities ----------------------------------------------
