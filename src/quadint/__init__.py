@@ -21,8 +21,8 @@ from .dynamics import (
     PhaseState,
     SimConfig,
     compile_force,
+    compile_system,
     distance_to_singular_lines,
-    eval_integrals,
     scan_singularity,
     simulate,
     step_leapfrog,

@@ -88,30 +88,15 @@ def compile_poly_group(polys, variables=(X, Y, Z, PX, PY, PZ)):
     return ns["_eval"]
 
 
-class CompiledPoly:
-    """Single specialized polynomial as a fast binary64 evaluator."""
-
-    __slots__ = ("_fn", "_nvars")
-
-    def __init__(self, p: Polynomial, variables=(X, Y, Z, PX, PY, PZ)):
-        self._fn = compile_poly_group([p], variables)
-        self._nvars = len(variables)
-
-    def __call__(self, vals) -> float:
-        return self._fn(*vals[: self._nvars])[0]
-
-
 class ForceField:
     """Potential, force and u-evaluators for fixed (a, b, w0).
 
     One fused generated function evaluates u and its gradient together.
     """
 
-    __slots__ = ("a", "b", "w0", "u_floor", "_eval")
+    __slots__ = ("w0", "u_floor", "_eval")
 
-    def __init__(self, a, b, w0, u_floor, fused_eval):
-        self.a = float(a)
-        self.b = float(b)
+    def __init__(self, w0, u_floor, fused_eval):
         self.w0 = float(w0)
         self.u_floor = u_floor
         self._eval = fused_eval
@@ -145,7 +130,7 @@ def compile_force(a: float, b: float, w0: float, u_floor: float = 1e-10) -> Forc
     fused = compile_poly_group(
         [u] + [u.diff(v) for v in COORDS], variables=(X, Y, Z)
     )
-    return ForceField(a, b, w0, u_floor, fused)
+    return ForceField(w0, u_floor, fused)
 
 
 class IntegralEvaluator:
@@ -154,31 +139,23 @@ class IntegralEvaluator:
     def __init__(self, a: float, b: float, w0: float):
         ctx = build_context()
         subs = {A: _exact(a), B: _exact(b), W0: _exact(w0)}
-        self.u_of = CompiledPoly(ctx.u.specialize(subs))
-        self.kinetic = CompiledPoly(ctx.H.A.specialize(subs))
-        self.x1_lead = CompiledPoly(ctx.x1_leading.specialize(subs))
-        self.x2_lead = CompiledPoly(ctx.x2_leading.specialize(subs))
-        self.m1_num = CompiledPoly(ctx.m1_numerator.specialize(subs))
-        self.m2_num = CompiledPoly(ctx.m2_numerator.specialize(subs))
+        polys = (ctx.u, ctx.H.A, ctx.x1_leading, ctx.m1_numerator, ctx.x2_leading, ctx.m2_numerator)
+        self._eval = compile_poly_group([f.specialize(subs) for f in polys])
         self.w0 = float(w0)
 
     def __call__(self, q, p) -> tuple[float, float, float]:
-        vals = (q[0], q[1], q[2], p[0], p[1], p[2])
-        uval = self.u_of(vals)
+        uval, kinetic, x1_lead, m1_num, x2_lead, m2_num = self._eval(
+            q[0], q[1], q[2], p[0], p[1], p[2])
         if uval <= 0.0:
             raise SingularPoint(f"u = {uval!r} at q = {tuple(q)}")
         rs = 1.0 / math.sqrt(uval)
-        h = self.kinetic(vals) + self.w0 * rs
-        x1 = self.x1_lead(vals) + self.m1_num(vals) * rs
-        x2 = self.x2_lead(vals) + self.m2_num(vals) * rs
-        return h, x1, x2
-
-    def u(self, q) -> float:
-        return self.u_of((q[0], q[1], q[2], 0.0, 0.0, 0.0))
+        return kinetic + self.w0 * rs, x1_lead + m1_num * rs, x2_lead + m2_num * rs
 
 
-def eval_integrals(state: "PhaseState", a: float, b: float, w0: float):
-    return IntegralEvaluator(a, b, w0)(state.q, state.p)
+@functools.cache
+def compile_system(a, b, w0, u_floor) -> tuple[ForceField, IntegralEvaluator]:
+    """Force field and integral evaluator for one parameter set, compiled once per process."""
+    return compile_force(a, b, w0, u_floor), IntegralEvaluator(a, b, w0)
 
 
 # -- integrators -------------------------------------------------------
@@ -306,10 +283,10 @@ class AdaptiveStepper:
         self._attempt = _dp54_kernel()
 
     def step(self, state: PhaseState, h_cap: float | None = None):
-        """Advance one accepted step; returns (state', h_used, err_est).
-
-        The new state carries the force at its q (FSAL), so a step from it
-        costs 6 force evaluations per attempt instead of 7.
+        """Advance one accepted step; returns (state', h_used, err), where err
+        is the controller's scaled RMS error (a non-finite one at the floor
+        raises StepFailure).  The new state carries the force at its q
+        (FSAL), so a step from it costs 6 force evaluations per attempt, not 7.
         """
         y0 = state.q.tolist() + state.p.tolist()
         f0 = state.f
@@ -319,9 +296,9 @@ class AdaptiveStepper:
                 raise StepFailure(f"step size {h:g} below floor {self.h_min:g}")
             if f0 is None:
                 f0 = self.force(y0[:3])
-            y5, diff, f5, err = self._attempt(self.force, y0, f0, h,
-                                              self.abs_tol, self.rel_tol)
-            if err <= 1.0 or h <= self.h_min:
+            y5, _, f5, err = self._attempt(self.force, y0, f0, h,
+                                           self.abs_tol, self.rel_tol)
+            if err <= 1.0 or h <= self.h_min and math.isfinite(err):
                 # PI controller (Gustafsson): orders 0.7/5 and 0.4/5
                 e = max(err, 1e-10)
                 factor = self.safety * e**-0.14 * self._err_prev**0.08
@@ -329,7 +306,9 @@ class AdaptiveStepper:
                 self.h = min(max(self.h * min(max(factor, 0.2), 5.0), self.h_min),
                              self.h_max)
                 new = PhaseState(state.t + h, np.array(y5[:3]), np.array(y5[3:]), f5)
-                return new, h, math.sqrt(sum(d * d for d in diff))
+                return new, h, err
+            if h <= self.h_min:
+                raise StepFailure(f"error estimate {err!r} at the step size floor {h:g}")
             self.h = max(h * max(0.2, self.safety * err**-0.2), self.h_min)
             if self.h >= h and h_cap is None:
                 self.h = 0.5 * h
@@ -374,10 +353,12 @@ class SimConfig:
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}; "
                              f"expected one of {', '.join(INTEGRATORS)}")
-        for name in ("rel_tol", "abs_tol", "fixed_step", "t_end", "sample_interval"):
+        for name in ("rel_tol", "abs_tol", "fixed_step", "t_end", "sample_interval", "r_max"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.u_floor) and self.u_floor >= 0):
+            raise ValueError(f"u_floor must be finite and non-negative, got {self.u_floor!r}")
         _check_param_domain(_exact(self.a), _exact(self.b))
 
 
@@ -420,14 +401,21 @@ class RunOutcome:
     detail: str = ""
 
 
+@functools.cache
+def _line_frames(a: float, b: float):
+    """(point, unit direction) of each singular line as float arrays."""
+    frames = []
+    for line in singular_lines(a, b):
+        d = np.array([float(v) for v in line.direction])
+        frames.append((np.array([float(v) for v in line.point]), d / np.linalg.norm(d)))
+    return tuple(frames)
+
+
 def distance_to_singular_lines(q, a: float, b: float) -> float:
     """Minimum Euclidean distance from q to the two singular lines."""
     best = math.inf
     q = np.asarray(q, dtype=float)
-    for line in singular_lines(float(a), float(b)):
-        p0 = np.array([float(v) for v in line.point])
-        d = np.array([float(v) for v in line.direction])
-        d /= np.linalg.norm(d)
+    for p0, d in _line_frames(float(a), float(b)):
         r = q - p0
         perp = r - np.dot(r, d) * d
         best = min(best, float(np.linalg.norm(perp)))
@@ -447,44 +435,46 @@ def simulate(config: SimConfig, initial: PhaseState):
     """
     if not (np.isfinite(initial.q).all() and np.isfinite(initial.p).all()):
         raise ValueError(f"non-finite initial state q = {initial.q}, p = {initial.p}")
-    force = compile_force(config.a, config.b, config.w0, config.u_floor)
-    integrals = IntegralEvaluator(config.a, config.b, config.w0)
-    force._u_checked(initial.q)  # reject ICs on/near the singular lines
+    force, integrals = compile_system(config.a, config.b, config.w0, config.u_floor)
+    u0 = force._u_checked(initial.q)  # reject ICs on/near the singular lines
 
-    def sample_row(st: PhaseState):
+    def sample_row(st: PhaseState, uval: float):
         h, x1, x2 = integrals(st.q, st.p)
-        uval = integrals.u(st.q)
         ds = distance_to_singular_lines(st.q, config.a, config.b)
         return (st.t, st.q[0], st.q[1], st.q[2], st.p[0], st.p[1], st.p[2],
                 h, x1, x2, uval, ds)
 
-    rows = [sample_row(initial)]
+    if config.integrator == "leapfrog":
+        def advance(st: PhaseState, cap: float) -> PhaseState:
+            return step_leapfrog(st, min(config.fixed_step, cap), force)
+    else:
+        stepper = AdaptiveStepper(force, config.rel_tol, config.abs_tol)
+
+        def advance(st: PhaseState, cap: float) -> PhaseState:
+            return stepper.step(st, h_cap=cap)[0]
+
+    rows = [sample_row(initial, u0)]
     h0, x10, x20 = rows[0][7], rows[0][8], rows[0][9]
     min_u = rows[0][10]
     max_q = float(np.linalg.norm(initial.q))
     drift = [0.0, 0.0, 0.0]
 
     state = initial
-    stepper = AdaptiveStepper(force, config.rel_tol, config.abs_tol)
     next_sample = initial.t + config.sample_interval
     classification = "completed"
     detail = ""
     try:
         while state.t < config.t_end - 1e-12:
-            cap = min(next_sample, config.t_end) - state.t
-            if config.integrator == "leapfrog":
-                h = min(config.fixed_step, cap)
-                state = step_leapfrog(state, h, force)
-            else:
-                state, _, _ = stepper.step(state, h_cap=cap)
-            min_u = min(min_u, force.u(state.q))
+            state = advance(state, min(next_sample, config.t_end) - state.t)
+            uval = force.u(state.q)
+            min_u = min(min_u, uval)
             max_q = max(max_q, float(np.linalg.norm(state.q)))
             if max_q > config.r_max:
                 classification = "escape"
                 detail = f"|q| = {max_q:.3g} exceeded r_max at t = {state.t:.6g}"
                 break
             if state.t >= next_sample - 1e-12:
-                row = sample_row(state)
+                row = sample_row(state, uval)
                 rows.append(row)
                 drift[0] = max(drift[0], _rel_drift(row[7], h0))
                 drift[1] = max(drift[1], _rel_drift(row[8], x10))
@@ -511,12 +501,10 @@ SCAN_HEADER = "idx,x0,y0,z0,px0,py0,pz0,E,min_u,min_dsing,class"
 def _scan_one(config: SimConfig, idx: int, ic):
     q0, p0 = ic
     state = PhaseState.make(0.0, q0, p0)
-    integrals = IntegralEvaluator(config.a, config.b, config.w0)
-    energy = integrals(state.q, state.p)[0]
     record, outcome = simulate(config, state)
     min_dsing = min(row[11] for row in record.rows)
     return (
-        idx, *state.q, *state.p, energy,
+        idx, *state.q, *state.p, record.rows[0][7],
         outcome.min_u, min_dsing, outcome.classification,
     )
 
@@ -531,6 +519,8 @@ def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     if config.w0 >= 0:
         raise ParamDomain("singularity scan requires w0 < 0")
     ics = list(initial_conditions)
+    # compiled here once, so forked workers inherit it
+    compile_system(config.a, config.b, config.w0, config.u_floor)
     if jobs > 1 and len(ics) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -2,13 +2,16 @@
 and the simulation/scan harness."""
 
 import math
+import signal
 import struct
 
 import numpy as np
 import pytest
 
 from quadint import dynamics
-from quadint.catalog import ParamDomain
+from quadint.algebra import A, B
+from quadint.algebra import W0 as W0_VAR
+from quadint.catalog import ParamDomain, build_context
 from quadint.dynamics import (
     AdaptiveStepper,
     IntegralEvaluator,
@@ -16,6 +19,8 @@ from quadint.dynamics import (
     SimConfig,
     TrajectoryRecord,
     compile_force,
+    compile_poly_group,
+    compile_system,
     distance_to_singular_lines,
     dp54_step,
     scan_singularity,
@@ -317,6 +322,24 @@ def test_leapfrog_reuses_end_of_step_force(force):
     assert counting.calls == 1 + 100
 
 
+def test_stepper_returns_accepted_attempt_error(monkeypatch):
+    kernel = dynamics._dp54_kernel()
+    errs = []
+
+    def logged(*args):
+        out = kernel(*args)
+        errs.append(out[3])
+        return out
+
+    monkeypatch.setattr(dynamics, "_dp54_kernel", lambda: logged)
+    stepper = AdaptiveStepper(_oscillator, rel_tol=1e-12, abs_tol=1e-14, h_init=1.0)
+    state = PhaseState.make(0.0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    for _ in range(20):
+        errs.clear()
+        state, _, err = stepper.step(state)
+        assert _bits([err]) == _bits([errs[-1]]) and err <= 1.0
+
+
 # -- input validation ----------------------------------------------------
 
 
@@ -325,9 +348,15 @@ def test_config_rejects_unknown_integrator():
         SimConfig(integrator="rk4typo")
 
 
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "fixed_step", "t_end",
-                                  "sample_interval"])
-@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+_BAD_FIELDS = [
+    (name, value)
+    for name in ("rel_tol", "abs_tol", "fixed_step", "t_end", "sample_interval", "r_max")
+    for value in (0.0, -1e-3, math.nan, math.inf)
+] + [("u_floor", value) for value in (-1e-3, math.nan, math.inf)]
+
+
+@pytest.mark.parametrize("name, value", _BAD_FIELDS,
+                         ids=[f"{value}-{name}" for name, value in _BAD_FIELDS])
 def test_config_rejects_bad_positive_field(name, value):
     with pytest.raises(ValueError, match=name):
         SimConfig(**{name: value})
@@ -340,6 +369,73 @@ def test_config_rejects_bad_positive_field(name, value):
 def test_simulate_rejects_non_finite_initial_state(q0, p0):
     with pytest.raises(ValueError, match="non-finite"):
         simulate(SimConfig(t_end=1.0), PhaseState.make(0.0, q0, p0))
+
+
+def test_non_finite_attempt_is_step_failure():
+    # every attempt from this state has a NaN error (the stage forces at
+    # |q| ~ 1e142 are NaN); accepting one at the step-size floor used to
+    # turn h into NaN and hang the stepper
+    def timeout(signum, frame):
+        raise TimeoutError("simulate did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        _, outcome = simulate(SimConfig(t_end=5.0),
+                              PhaseState.make(0.0, (0.5, 0.2, -0.3), (1e154, 0.0, 0.0)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert outcome.classification == "step-failure"
+    assert outcome.t_final == 0.0
+
+
+# -- one compiled system per parameter set -------------------------------
+
+
+def test_compile_system_is_cached():
+    assert compile_system(A0, B0, W0, 1e-10) is compile_system(A0, B0, W0, 1e-10)
+    assert compile_system(A0, B0, W0, 1e-10) is not compile_system(A0, B0, 1.0, 1e-10)
+
+
+def test_serial_scan_compiles_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compile_poly_group(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "compile_poly_group", counting)
+    compile_system.cache_clear()
+    ics = [((0.5, 0.2, -0.3), (0.1, 0.1, 0.1)),
+           ((0.4, 0.1, -0.2), (0.0, 0.05, 0.0)),
+           ((0.3, -0.1, 0.2), (0.05, 0.0, 0.1))]
+    scan_singularity(SimConfig(t_end=1.0), ics)
+    assert len(calls) <= 2
+
+
+def test_grouped_integrals_match_single_polynomials_bitwise(force):
+    """The one generated group gives every value that compiling each
+    polynomial on its own gives, and its u is the force field's u."""
+    ctx = build_context()
+    subs = {A: dynamics._exact(A0), B: dynamics._exact(B0), W0_VAR: dynamics._exact(W0)}
+    single = [compile_poly_group([f.specialize(subs)]) for f in (
+        ctx.u, ctx.H.A, ctx.x1_leading, ctx.m1_numerator, ctx.x2_leading, ctx.m2_numerator)]
+    ev = dynamics.IntegralEvaluator(A0, B0, W0)
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        q = rng.uniform(-1.5, 1.5, size=3)
+        p = rng.uniform(-0.8, 0.8, size=3)
+        for j in rng.choice(6, size=rng.integers(0, 3), replace=False):
+            (q if j < 3 else p)[j % 3] = 0.0
+        uval, kinetic, x1_lead, m1_num, x2_lead, m2_num = (
+            fn(*q, *p)[0] for fn in single)
+        assert _bits([uval]) == _bits([force.u(q)])
+        if uval <= 0.0:
+            continue
+        rs = 1.0 / math.sqrt(uval)
+        ref = (kinetic + W0 * rs, x1_lead + m1_num * rs, x2_lead + m2_num * rs)
+        assert _bits(ev(q, p)) == _bits(ref), (q, p)
 
 
 # -- conserved quantities ----------------------------------------------
@@ -495,3 +591,15 @@ def test_scan_table_shape_and_order():
         assert row[10] in ("completed", "singularity-approach", "escape",
                            "step-failure")
         assert row[8] > 0  # min u along the run
+
+
+def test_scan_pool_rows_equal_serial_rows():
+    cfg = SimConfig(t_end=2.0)
+    ics = [((0.5, 0.2, -0.3), (0.1, 0.1, 0.1)),
+           ((0.4, 0.1, -0.2), (0.0, 0.05, 0.0)),
+           ((0.3, -0.1, 0.2), (0.05, 0.0, 0.1))]
+
+    def bits(rows):
+        return [(r[0], _bits([float(v) for v in r[1:10]]), r[10]) for r in rows]
+
+    assert bits(scan_singularity(cfg, ics, jobs=2)) == bits(scan_singularity(cfg, ics, jobs=1))
