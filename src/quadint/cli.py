@@ -130,7 +130,9 @@ def cmd_simulate(args) -> int:
         f"t_final: {outcome.t_final:.6g}\n"
         f"relative drift H: {outcome.drift_H:.3e}  X1: {outcome.drift_X1:.3e}  "
         f"X2: {outcome.drift_X2:.3e}\n"
-        f"min u: {outcome.min_u:.6g}  max |q|: {outcome.max_q:.6g}"
+        f"min u: {outcome.min_u:.6g}  max |q|: {outcome.max_q:.6g}\n"
+        f"steps: {outcome.steps}  rejected: {outcome.rejected}  "
+        f"floor-accepted: {outcome.floor_accepted}"
         + (f"\ndetail: {outcome.detail}" if outcome.detail else "")
     )
     if args.strict and outcome.classification != "completed":

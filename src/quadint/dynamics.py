@@ -31,6 +31,14 @@ class StepFailure(Exception):
     """Adaptive step size hit its floor."""
 
 
+class EvaluationOverflow(ValueError):
+    """A generated evaluator overflowed binary64 at this state: a monomial
+    reached +-inf (``-inf + inf in fsum``) or the sum itself overflowed."""
+
+    def __init__(self, q, exc):
+        super().__init__(f"evaluation overflowed at q = {tuple(q)}: {exc}")
+
+
 def _exact(v) -> Fraction:
     # binary64 inputs are converted exactly; 0.25 -> 1/4 etc.
     return v if isinstance(v, Fraction) else Fraction(v)
@@ -92,20 +100,32 @@ class ForceField:
     """Potential, force and u-evaluators for fixed (a, b, w0).
 
     One fused generated function evaluates u and its gradient together.
+    Every call of the force keeps the u it computed in ``last_u``, so a
+    caller that knows where the force was last evaluated need not evaluate
+    u there again.  The slot is shared by all users of the object: read it
+    right after the call, on the calling thread (forked scan workers each
+    have their own copy).
     """
 
-    __slots__ = ("w0", "u_floor", "_eval")
+    __slots__ = ("w0", "u_floor", "_eval", "last_u")
 
     def __init__(self, w0, u_floor, fused_eval):
         self.w0 = float(w0)
         self.u_floor = u_floor
         self._eval = fused_eval
+        self.last_u = math.nan
 
     def u(self, q) -> float:
-        return self._eval(q[0], q[1], q[2])[0]
+        try:
+            return self._eval(q[0], q[1], q[2])[0]
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationOverflow(q, exc) from exc
 
     def _u_checked(self, q) -> float:
+        q = [float(v) for v in q]
         uval = self.u(q)
+        if not math.isfinite(uval):       # e.g. inf * 0.0 in a monomial
+            raise EvaluationOverflow(q, f"u = {uval!r}")
         if uval <= self.u_floor:
             raise SingularPoint(f"u = {uval!r} at q = {tuple(q)}")
         return uval
@@ -114,10 +134,14 @@ class ForceField:
         return self.w0 / math.sqrt(self._u_checked(q))
 
     def __call__(self, q):
-        """Force -grad V = (w0/2) u^(-3/2) grad u."""
-        uval, gx, gy, gz = self._eval(q[0], q[1], q[2])
+        """Force -grad V = (w0/2) u^(-3/2) grad u; u is kept in ``last_u``."""
+        try:
+            uval, gx, gy, gz = self._eval(q[0], q[1], q[2])
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationOverflow(q, exc) from exc
         if uval <= self.u_floor:
             raise SingularPoint(f"u = {uval!r} at q = {tuple(q)}")
+        self.last_u = uval
         pref = 0.5 * self.w0 * uval**-1.5
         return (pref * gx, pref * gy, pref * gz)
 
@@ -144,8 +168,11 @@ class IntegralEvaluator:
         self.w0 = float(w0)
 
     def __call__(self, q, p) -> tuple[float, float, float]:
-        uval, kinetic, x1_lead, m1_num, x2_lead, m2_num = self._eval(
-            q[0], q[1], q[2], p[0], p[1], p[2])
+        try:
+            uval, kinetic, x1_lead, m1_num, x2_lead, m2_num = self._eval(
+                q[0], q[1], q[2], p[0], p[1], p[2])
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationOverflow(q, exc) from exc
         if uval <= 0.0:
             raise SingularPoint(f"u = {uval!r} at q = {tuple(q)}")
         rs = 1.0 / math.sqrt(uval)
@@ -268,7 +295,11 @@ def dp54_step(force, y0, h: float):
 
 
 class AdaptiveStepper:
-    """Embedded Runge-Kutta 5(4) with proportional-integral step control."""
+    """Embedded Runge-Kutta 5(4) with proportional-integral step control.
+
+    ``rejected`` counts rejected attempts and ``floor_accepted`` the
+    attempts accepted at the step-size floor with an error above 1.
+    """
 
     def __init__(self, force, rel_tol=1e-12, abs_tol=1e-14,
                  h_init=1e-3, h_min=1e-12, h_max=1.0, safety=0.9):
@@ -281,12 +312,18 @@ class AdaptiveStepper:
         self.safety = safety
         self._err_prev = 1.0
         self._attempt = _dp54_kernel()
+        self.rejected = 0
+        self.floor_accepted = 0
 
     def step(self, state: PhaseState, h_cap: float | None = None):
         """Advance one accepted step; returns (state', h_used, err), where err
         is the controller's scaled RMS error (a non-finite one at the floor
         raises StepFailure).  The new state carries the force at its q
         (FSAL), so a step from it costs 6 force evaluations per attempt, not 7.
+
+        When it returns, the last force call was the 7th stage of the
+        accepted attempt, which is at the new state's q: a ForceField's
+        ``last_u`` is u there.
         """
         y0 = state.q.tolist() + state.p.tolist()
         f0 = state.f
@@ -299,6 +336,8 @@ class AdaptiveStepper:
             y5, _, f5, err = self._attempt(self.force, y0, f0, h,
                                            self.abs_tol, self.rel_tol)
             if err <= 1.0 or h <= self.h_min and math.isfinite(err):
+                if err > 1.0:
+                    self.floor_accepted += 1
                 # PI controller (Gustafsson): orders 0.7/5 and 0.4/5
                 e = max(err, 1e-10)
                 factor = self.safety * e**-0.14 * self._err_prev**0.08
@@ -309,6 +348,7 @@ class AdaptiveStepper:
                 return new, h, err
             if h <= self.h_min:
                 raise StepFailure(f"error estimate {err!r} at the step size floor {h:g}")
+            self.rejected += 1
             self.h = max(h * max(0.2, self.safety * err**-0.2), self.h_min)
             if self.h >= h and h_cap is None:
                 self.h = 0.5 * h
@@ -319,14 +359,28 @@ def step_leapfrog(state: PhaseState, h: float, force) -> PhaseState:
 
     The start-of-step force comes from ``state.f`` when set, and the new
     state carries its end-of-step force, so a run costs one force
-    evaluation per step.
+    evaluation per step.  When it returns, the last force call was at the
+    new state's q: a ForceField's ``last_u`` is u there.
+
+    The arithmetic is on Python floats, component by component in the
+    order of the array form ``p + (0.5*h)*f``, ``q + h*p``, so the bits
+    are those of the numpy kick-drift-kick.
     """
-    f0 = state.f if state.f is not None else force(state.q)
-    p_half = state.p + 0.5 * h * np.asarray(f0)
-    q_new = state.q + h * p_half
-    f1 = force(q_new)
-    p_new = p_half + 0.5 * h * np.asarray(f1)
-    return PhaseState(state.t + h, q_new, p_new, f1)
+    x, y, z = state.q.tolist()
+    px, py, pz = state.p.tolist()
+    f0 = state.f if state.f is not None else force((x, y, z))
+    kick = 0.5 * h
+    px = px + kick * f0[0]
+    py = py + kick * f0[1]
+    pz = pz + kick * f0[2]
+    x = x + h * px
+    y = y + h * py
+    z = z + h * pz
+    f1 = force((x, y, z))
+    px = px + kick * f1[0]
+    py = py + kick * f1[1]
+    pz = pz + kick * f1[2]
+    return PhaseState(state.t + h, np.array((x, y, z)), np.array((px, py, pz)), f1)
 
 
 # -- simulation harness ------------------------------------------------
@@ -399,6 +453,9 @@ class RunOutcome:
     max_q: float
     t_final: float
     detail: str = ""
+    steps: int = 0                         # accepted steps
+    rejected: int = 0                      # rejected DP54 attempts
+    floor_accepted: int = 0                # DP54 steps accepted at h_min with error > 1
 
 
 @functools.cache
@@ -426,12 +483,24 @@ def _rel_drift(val: float, ref: float) -> float:
     return abs(val - ref) / max(abs(ref), 1e-3)
 
 
+def _norm_check(max_q: float) -> float:
+    """The |q| estimate at and above which np.linalg.norm must decide max_q.
+
+    math.hypot and the norm's BLAS dot differ by a few ulps, far inside
+    1e-12; below |q| ~ 1e-140 the norm's squares lose precision to
+    underflow, so there every step is checked.
+    """
+    return max_q * (1.0 - 1e-12) if max_q > 1e-140 else 0.0
+
+
 def simulate(config: SimConfig, initial: PhaseState):
     """Integrate to t_end or a stop condition, sampling conserved quantities.
 
     Failures are classified in the returned RunOutcome, not raised, except
-    for a non-finite initial condition (ValueError) or one already inside
-    the singularity cutoff (SingularPoint).
+    for a non-finite initial condition or one whose evaluation overflows
+    (ValueError), or one already inside the singularity cutoff
+    (SingularPoint).  An evaluation that overflows mid-run is classified
+    ``step-failure``.
     """
     if not (np.isfinite(initial.q).all() and np.isfinite(initial.p).all()):
         raise ValueError(f"non-finite initial state q = {initial.q}, p = {initial.p}")
@@ -439,11 +508,12 @@ def simulate(config: SimConfig, initial: PhaseState):
     u0 = force._u_checked(initial.q)  # reject ICs on/near the singular lines
 
     def sample_row(st: PhaseState, uval: float):
-        h, x1, x2 = integrals(st.q, st.p)
+        q, p = st.q.tolist(), st.p.tolist()
+        h, x1, x2 = integrals(q, p)
         ds = distance_to_singular_lines(st.q, config.a, config.b)
-        return (st.t, st.q[0], st.q[1], st.q[2], st.p[0], st.p[1], st.p[2],
-                h, x1, x2, uval, ds)
+        return (st.t, *q, *p, h, x1, x2, uval, ds)
 
+    stepper = None
     if config.integrator == "leapfrog":
         def advance(st: PhaseState, cap: float) -> PhaseState:
             return step_leapfrog(st, min(config.fixed_step, cap), force)
@@ -457,18 +527,24 @@ def simulate(config: SimConfig, initial: PhaseState):
     h0, x10, x20 = rows[0][7], rows[0][8], rows[0][9]
     min_u = rows[0][10]
     max_q = float(np.linalg.norm(initial.q))
+    q_check = _norm_check(max_q)
     drift = [0.0, 0.0, 0.0]
 
     state = initial
+    steps = 0
     next_sample = initial.t + config.sample_interval
     classification = "completed"
     detail = ""
     try:
         while state.t < config.t_end - 1e-12:
             state = advance(state, min(next_sample, config.t_end) - state.t)
-            uval = force.u(state.q)
+            steps += 1
+            # both integrators end a step with a force call at state.q
+            uval = force.last_u
             min_u = min(min_u, uval)
-            max_q = max(max_q, float(np.linalg.norm(state.q)))
+            if math.hypot(*state.q.tolist()) >= q_check:
+                max_q = max(max_q, float(np.linalg.norm(state.q)))
+                q_check = _norm_check(max_q)
             if max_q > config.r_max:
                 classification = "escape"
                 detail = f"|q| = {max_q:.3g} exceeded r_max at t = {state.t:.6g}"
@@ -483,7 +559,7 @@ def simulate(config: SimConfig, initial: PhaseState):
     except SingularPoint as exc:
         classification = "singularity-approach"
         detail = str(exc)
-    except StepFailure as exc:
+    except (StepFailure, EvaluationOverflow) as exc:
         classification = "step-failure"
         detail = str(exc)
 
@@ -491,6 +567,9 @@ def simulate(config: SimConfig, initial: PhaseState):
         classification=classification,
         drift_H=drift[0], drift_X1=drift[1], drift_X2=drift[2],
         min_u=min_u, max_q=max_q, t_final=state.t, detail=detail,
+        steps=steps,
+        rejected=stepper.rejected if stepper else 0,
+        floor_accepted=stepper.floor_accepted if stepper else 0,
     )
     return TrajectoryRecord(rows), outcome
 

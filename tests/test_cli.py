@@ -120,6 +120,19 @@ def test_simulate_free_motion_when_w0_zero(tmp_path, capsys):
         assert row[3] == pytest.approx(0.3 * t, abs=1e-10)
 
 
+def test_simulate_prints_step_counts(capsys, tmp_path):
+    code, out, _ = run(
+        [
+            "simulate", "--q0", "0.5,0.2,-0.3", "--p0", "0.1,0.1,0.1",
+            "--integrator", "leapfrog", "--fixed-step", "0.01",
+            "--t-end", "1", "--out", str(tmp_path / "x.csv"),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert "steps: 100  rejected: 0  floor-accepted: 0" in out
+
+
 def test_simulate_rejects_singular_ic(capsys, tmp_path):
     code, _, err = run(
         [

@@ -1,9 +1,12 @@
 """Integrator validation against closed-form systems, force-field checks,
 and the simulation/scan harness."""
 
+import contextlib
+import functools
 import math
 import signal
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -603,3 +606,171 @@ def test_scan_pool_rows_equal_serial_rows():
         return [(r[0], _bits([float(v) for v in r[1:10]]), r[10]) for r in rows]
 
     assert bits(scan_singularity(cfg, ics, jobs=2)) == bits(scan_singularity(cfg, ics, jobs=1))
+
+
+# -- u from the step's own force call, float Verlet, step counts ----------
+
+
+def _leapfrog_numpy(state, h, force):
+    """The array kick-drift-kick that the float step_leapfrog must match."""
+    f0 = state.f if state.f is not None else force(state.q)
+    p_half = state.p + 0.5 * h * np.asarray(f0)
+    q_new = state.q + h * p_half
+    f1 = force(q_new)
+    p_new = p_half + 0.5 * h * np.asarray(f1)
+    return PhaseState(state.t + h, q_new, p_new, f1)
+
+
+_OFF_AXIS = (
+    (0.5416740406778552, 0.16171926281771937, -0.2856766602871327),
+    (0.012557794994664626, 0.011920233993246529, 0.04119174256386531),
+)
+
+
+@pytest.mark.parametrize("name", ["force_field", "oscillator"])
+def test_float_leapfrog_matches_numpy_kick_drift_kick_bitwise(name, force):
+    fn = {"force_field": force, "oscillator": _oscillator}[name]
+    start = {
+        "force_field": PhaseState.make(0.0, *_OFF_AXIS),
+        "oscillator": PhaseState.make(0.0, (-0.0, 0.3, 0.0), (0.0, -0.0, -0.4)),
+    }[name]
+    for h in (1e-2, -0.0371):
+        a = b = start
+        for _ in range(500):
+            a = step_leapfrog(a, h, fn)
+            b = _leapfrog_numpy(b, h, fn)
+            assert a.t == b.t
+            assert _bits(a.q.tolist() + a.p.tolist()) == _bits(b.q.tolist() + b.p.tolist())
+            assert _bits(a.f) == _bits([float(v) for v in b.f])
+
+
+def test_last_u_is_u_at_the_new_state(force):
+    state = PhaseState.make(0.0, *_OFF_AXIS)
+    for _ in range(200):
+        state = step_leapfrog(state, 1e-2, force)
+        assert _bits([force.last_u]) == _bits([force.u(state.q)])
+    # h_init = 1 makes the first steps reject; the last force call of a
+    # step is still at the accepted state
+    stepper = AdaptiveStepper(force, rel_tol=1e-12, abs_tol=1e-14, h_init=1.0)
+    state = PhaseState.make(0.0, *_OFF_AXIS)
+    for _ in range(200):
+        state, _, _ = stepper.step(state, h_cap=0.3)
+        assert _bits([force.last_u]) == _bits([force.u(state.q)])
+    assert stepper.rejected > 0
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(t_end=20.0),
+    SimConfig(t_end=5.0, integrator="leapfrog", fixed_step=1e-2),
+], ids=["adaptive", "leapfrog"])
+def test_run_extrema_equal_replay_bitwise(config, monkeypatch):
+    """min u and max |q| of a run equal force.u and np.linalg.norm at
+    every state it stepped through."""
+    states = []
+
+    def recording(step):
+        def wrapper(*args, **kwargs):
+            out = step(*args, **kwargs)
+            states.append(out[0] if isinstance(out, tuple) else out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "step_leapfrog", recording(step_leapfrog))
+    monkeypatch.setattr(AdaptiveStepper, "step", recording(AdaptiveStepper.step))
+    initial = PhaseState.make(0.0, *_OFF_AXIS)
+    _, outcome = simulate(config, initial)
+    assert outcome.classification == "completed"
+    assert len(states) == outcome.steps > 100
+    force, _ = compile_system(config.a, config.b, config.w0, config.u_floor)
+    replay = [initial] + states
+    min_u = min(force.u(st.q) for st in replay)
+    max_q = max(float(np.linalg.norm(st.q)) for st in replay)
+    assert _bits([outcome.min_u, outcome.max_q]) == _bits([min_u, max_q])
+
+
+@pytest.fixture
+def fused_calls(monkeypatch):
+    """Counts calls of the fused u + grad u evaluator that simulate uses."""
+    force, _ = compile_system(A0, B0, W0, 1e-10)
+    counter = _Counting(force._eval)
+    monkeypatch.setattr(force, "_eval", counter)
+    return counter
+
+
+def test_leapfrog_run_evaluates_force_once_per_step(fused_calls):
+    _, outcome = simulate(SimConfig(t_end=3.0, integrator="leapfrog", fixed_step=1e-2),
+                          PhaseState.make(0.0, *_OFF_AXIS))
+    assert outcome.steps == 300
+    # the initial u check and the first step's start force
+    assert fused_calls.calls == outcome.steps + 2
+
+
+def test_adaptive_run_evaluates_force_six_times_per_attempt(fused_calls, attempts):
+    _, outcome = simulate(SimConfig(t_end=3.0), PhaseState.make(0.0, *_OFF_AXIS))
+    assert attempts.calls == outcome.steps + outcome.rejected
+    assert fused_calls.calls == 6 * attempts.calls + 2
+
+
+def test_step_counts_are_deterministic():
+    ic = PhaseState.make(0.0, *_OFF_AXIS)
+
+    def counts(config):
+        _, outcome = simulate(config, ic)
+        return outcome.steps, outcome.rejected, outcome.floor_accepted
+
+    adaptive = SimConfig(t_end=5.0, rel_tol=1e-10)
+    assert counts(adaptive) == counts(adaptive)
+    assert counts(adaptive)[0] > 0 and counts(adaptive)[2] == 0
+    leapfrog = SimConfig(t_end=1.0, integrator="leapfrog", fixed_step=1e-2)
+    assert counts(leapfrog) == counts(leapfrog) == (100, 0, 0)
+
+
+def test_floor_accepted_steps_are_counted(monkeypatch):
+    # a step-size floor of 1/16 is far above what rel_tol 1e-12 allows, so
+    # every step is accepted at the floor over tolerance; 1/16 is exact in
+    # binary, so the sample caps never fall below the floor
+    monkeypatch.setattr(dynamics, "AdaptiveStepper",
+                        functools.partial(AdaptiveStepper, h_init=1 / 16, h_min=1 / 16))
+    _, outcome = simulate(SimConfig(t_end=2.0), PhaseState.make(0.0, *_OFF_AXIS))
+    assert outcome.classification == "completed"
+    assert outcome.steps == 32
+    assert outcome.floor_accepted == outcome.steps
+    assert outcome.rejected == 0
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    def timeout(signum, frame):
+        raise TimeoutError("simulate did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("config, p0", [
+    (SimConfig(t_end=5.0), (1e90, 0.0, 1e90)),
+    (SimConfig(t_end=5.0, integrator="leapfrog"), (1e90, 0.0, 1e90)),
+    # the force survives here; the integrals of a sample row overflow
+    (SimConfig(t_end=5.0, r_max=1e300), (1e100, 1e100, 0.0)),
+], ids=["adaptive", "leapfrog", "integrals"])
+def test_evaluator_overflow_is_step_failure(config, p0):
+    with _alarm(30), warnings.catch_warnings():
+        warnings.simplefilter("error")   # no numpy overflow warnings either
+        _, outcome = simulate(config, PhaseState.make(0.0, (0.5, 0.2, -0.3), p0))
+    assert outcome.classification == "step-failure"
+    assert "in fsum" in outcome.detail
+
+
+@pytest.mark.parametrize("q0", [
+    (1e90, 0.0, 1e90),      # -inf + inf in fsum
+    (1e200, 0.0, 0.0),      # a monomial is inf * 0.0, so u is NaN
+])
+def test_initial_state_evaluation_overflow_rejected(q0):
+    with pytest.raises(ValueError, match="overflowed"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate(SimConfig(t_end=1.0), PhaseState.make(0.0, q0, (0.0, 0.0, 0.0)))
