@@ -132,7 +132,7 @@ def cmd_simulate(args) -> int:
         f"X2: {outcome.drift_X2:.3e}\n"
         f"min u: {outcome.min_u:.6g}  max |q|: {outcome.max_q:.6g}\n"
         f"steps: {outcome.steps}  rejected: {outcome.rejected}  "
-        f"floor-accepted: {outcome.floor_accepted}"
+        f"floor-accepted: {outcome.floor_accepted}  force-evals: {outcome.force_evals}"
         + (f"\ndetail: {outcome.detail}" if outcome.detail else "")
     )
     if args.strict and outcome.classification != "completed":

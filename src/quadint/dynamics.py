@@ -3,9 +3,11 @@ with conservation monitoring and singularity-proximity tracking.
 
 All numeric evaluators are compiled from the exact catalog polynomials
 specialized at the chosen (a, b, w0); every term is evaluated in binary64
-with compensated summation.  The integrators take an abstract force
-callable so they can be validated against closed-form systems (free
-particle, isotropic oscillator) independently of the potential.
+with compensated summation.  The per-step integrators take an abstract
+force callable so they can be validated against closed-form systems (free
+particle, isotropic oscillator) independently of the potential;
+``simulate`` runs the same generated step code with the compiled force
+inlined, one call per sample interval.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .radical import SingularPoint
 
 
 class StepFailure(Exception):
-    """Adaptive step size hit its floor."""
+    """No step can be taken: the adaptive step size hit its floor, or a
+    step does not advance t."""
 
 
 class EvaluationOverflow(ValueError):
@@ -55,51 +58,74 @@ def _term_exprs(p: Polynomial, order: dict[int, int], powers_used: set) -> str:
             if k:
                 if i not in order:
                     raise ValueError(f"unspecialized variable index {i}")
-                name = f"{_SLOT_NAMES[order[i]]}_{k}"
+                name = f"_{_SLOT_NAMES[order[i]]}{k}"
                 powers_used.add((order[i], k))
                 factors.append(name)
         exprs.append("*".join(factors))
     return "(" + ", ".join(exprs) + ("," if len(exprs) == 1 else "") + ")"
 
 
-def compile_poly_group(polys, variables=(X, Y, Z, PX, PY, PZ)):
-    """Generate a function evaluating several polynomials at once.
+def _poly_group_lines(polys, variables, args, outs) -> list[str]:
+    """Source lines that set each name in ``outs`` to its polynomial at the
+    point whose coordinates are the expressions ``args`` (one per variable).
 
-    Each polynomial is summed term-by-term in binary64 with math.fsum
-    (exactly rounded, i.e. stronger than compensated summation); monomial
-    powers are shared across the group.  The returned function takes one
-    float per variable and returns a tuple of values.
+    Each polynomial is summed term-by-term in binary64 with ``_fsum``
+    (math.fsum: exactly rounded, i.e. stronger than compensated summation);
+    monomial powers are shared across the group.
     """
     order = {v: i for i, v in enumerate(variables)}
     powers: set = set()
     bodies = [_term_exprs(p, order, powers) for p in polys]
-    args = ", ".join(_SLOT_NAMES[: len(variables)])
-    lines = [f"def _eval({args}, _fsum=_fsum):"]
     max_pow: dict[int, int] = {}
     for slot, k in powers:
         max_pow[slot] = max(max_pow.get(slot, 0), k)
+    lines = []
     for slot in sorted(max_pow):
         name = _SLOT_NAMES[slot]
-        lines.append(f"    {name}_1 = {name}")
+        lines.append(f"_{name}1 = {args[slot]}")
         for k in range(2, max_pow[slot] + 1):
-            lines.append(f"    {name}_{k} = {name}_{k - 1} * {name}")
-    rets = []
-    for i, body in enumerate(bodies):
-        if body == "()":
-            rets.append("0.0")
-        else:
-            lines.append(f"    _t{i} = _fsum({body})")
-            rets.append(f"_t{i}")
-    lines.append("    return (" + ", ".join(rets) + ("," if len(rets) == 1 else "") + ")")
-    ns = {"_fsum": math.fsum}
-    exec("\n".join(lines), ns)
-    return ns["_eval"]
+            lines.append(f"_{name}{k} = _{name}{k - 1} * {args[slot]}")
+    for out, body in zip(outs, bodies):
+        lines.append(f"{out} = " + ("0.0" if body == "()" else f"_fsum({body})"))
+    return lines
+
+
+def _compile(lines, name, **names):
+    """Execute generated source and return the function ``name`` it defines."""
+    ns = {
+        "_fsum": math.fsum, "_sqrt": math.sqrt, "_hypot": math.hypot,
+        "_isfinite": math.isfinite, "_inf": math.inf, "_array": np.array,
+        "_PhaseState": PhaseState, "_StepFailure": StepFailure,
+        "_SingularPoint": SingularPoint, "_EvaluationOverflow": EvaluationOverflow,
+        **names,
+    }
+    exec(compile("\n".join(lines), f"<generated {name}>", "exec"), ns)
+    return ns[name]
+
+
+def _indent(lines, depth=1):
+    return ["    " * depth + line for line in lines]
+
+
+def compile_poly_group(polys, variables=(X, Y, Z, PX, PY, PZ)):
+    """Generate a function evaluating several polynomials at once.
+
+    The returned function takes one float per variable and returns a tuple
+    of values, each summed as ``_poly_group_lines`` describes.
+    """
+    args = _SLOT_NAMES[: len(variables)]
+    outs = [f"_t{i}" for i in range(len(polys))]
+    lines = [f"def _eval({', '.join(args)}, _fsum=_fsum):"]
+    lines += _indent(_poly_group_lines(polys, variables, args, outs))
+    lines.append("    return (" + ", ".join(outs) + ("," if len(outs) == 1 else "") + ")")
+    return _compile(lines, "_eval")
 
 
 class ForceField:
     """Potential, force and u-evaluators for fixed (a, b, w0).
 
-    One fused generated function evaluates u and its gradient together.
+    One fused generated function evaluates u and its gradient together,
+    from ``polys`` = (u, du/dx, du/dy, du/dz) specialised at (a, b).
     Every call of the force keeps the u it computed in ``last_u``, so a
     caller that knows where the force was last evaluated need not evaluate
     u there again.  The slot is shared by all users of the object: read it
@@ -107,12 +133,13 @@ class ForceField:
     have their own copy).
     """
 
-    __slots__ = ("w0", "u_floor", "_eval", "last_u")
+    __slots__ = ("w0", "u_floor", "polys", "_eval", "last_u")
 
-    def __init__(self, w0, u_floor, fused_eval):
+    def __init__(self, w0, u_floor, polys):
         self.w0 = float(w0)
         self.u_floor = u_floor
-        self._eval = fused_eval
+        self.polys = tuple(polys)
+        self._eval = compile_poly_group(self.polys, variables=(X, Y, Z))
         self.last_u = math.nan
 
     def u(self, q) -> float:
@@ -148,13 +175,8 @@ class ForceField:
 
 def compile_force(a: float, b: float, w0: float, u_floor: float = 1e-10) -> ForceField:
     _check_param_domain(_exact(a), _exact(b))
-    ctx = build_context()
-    subs = {A: _exact(a), B: _exact(b)}
-    u = ctx.u.specialize(subs)
-    fused = compile_poly_group(
-        [u] + [u.diff(v) for v in COORDS], variables=(X, Y, Z)
-    )
-    return ForceField(w0, u_floor, fused)
+    u = build_context().u.specialize({A: _exact(a), B: _exact(b)})
+    return ForceField(w0, u_floor, [u] + [u.diff(v) for v in COORDS])
 
 
 class IntegralEvaluator:
@@ -177,12 +199,6 @@ class IntegralEvaluator:
             raise SingularPoint(f"u = {uval!r} at q = {tuple(q)}")
         rs = 1.0 / math.sqrt(uval)
         return kinetic + self.w0 * rs, x1_lead + m1_num * rs, x2_lead + m2_num * rs
-
-
-@functools.cache
-def compile_system(a, b, w0, u_floor) -> tuple[ForceField, IntegralEvaluator]:
-    """Force field and integral evaluator for one parameter set, compiled once per process."""
-    return compile_force(a, b, w0, u_floor), IntegralEvaluator(a, b, w0)
 
 
 # -- integrators -------------------------------------------------------
@@ -221,14 +237,50 @@ class PhaseState:
                           np.asarray(p, dtype=float).copy())
 
 
-def _dp54_source() -> str:
-    """Source of one unrolled Dormand-Prince 5(4) attempt.
+# -- generated integrator source -----------------------------------------
+#
+# The DP54 attempt, its step-size controller and the velocity-Verlet step
+# are each emitted by one function below, around a force site: either a
+# call ``force((x, y, z))`` of any force callable, which gives the per-step
+# API (dp54_step, AdaptiveStepper.step, step_leapfrog), or the compiled
+# system's u + grad u inlined, which gives the inter-sample kernels that
+# simulate runs.  In the emitted code, t is the time and y0..y5 the state
+# (q, p) of the last accepted step, and f0_0..f0_2 the force at its q; a
+# step leaves its result in the same names.
 
-    The generated ``_dp54(force, y, f0, h, atol, rtol)`` takes the packed
-    state y = (q, p) and the force f0 at q (stage 1), and returns
-    (y5, y5 - y4, force at the 7th stage, scaled RMS error).  Every
-    weighted stage sum is written out in tableau order from 0.0, zero
-    weights included, so the result is bit for bit what summing the
+
+def _call_site(q, f: str) -> list[str]:
+    """Force at the point q (three expressions) by a call of ``force``:
+    binds f to the returned object and f_0, f_1, f_2 to its components."""
+    return [f"{f}_0, {f}_1, {f}_2 = {f} = force(({', '.join(q)}))"]
+
+
+def _inline_site(force: ForceField):
+    """Force site with the fused u + grad u of ``force`` inlined: binds u
+    and f_0, f_1, f_2, and raises what ForceField.__call__ raises."""
+    def site(q, f: str) -> list[str]:
+        evaluate = _poly_group_lines(force.polys, (X, Y, Z), q, ("u", "g0", "g1", "g2"))
+        point = f"({', '.join(q)})"
+        return [
+            "try:",
+            *_indent(evaluate),
+            "except (ValueError, OverflowError) as exc:",
+            f"    raise _EvaluationOverflow({point}, exc) from exc",
+            "if u <= _U_FLOOR:",
+            f'    raise _SingularPoint(f"u = {{u!r}} at q = {{{point}}}")',
+            "pref = 0.5 * _W0 * u**-1.5",
+            *(f"{f}_{j} = pref * g{j}" for j in range(3)),
+        ]
+    return site
+
+
+def _dp54_attempt_lines(site) -> list[str]:
+    """One Dormand-Prince 5(4) attempt of step h from y0..y5 and the stage-1
+    force f0_*: sets z0..z5 (y5), e0..e5 (y5 - y4), the 7th-stage force f6
+    and err, the scaled RMS error for tolerances atol and rtol.
+
+    Every weighted stage sum is written out in tableau order from 0.0,
+    zero weights included, so the result is bit for bit what summing the
     tableau rows term by term gives.  Because _DP_A[6] == _DP_B5[:6], the
     7th stage state is y5, its force is the 1st stage of the next step,
     and y5 reuses that stage's sum.
@@ -245,41 +297,153 @@ def _dp54_source() -> str:
     def weighted(coeffs, j):
         return " + ".join(["0.0"] + [f"{c!r}*{slope(s, j)}" for s, c in enumerate(coeffs)])
 
-    lines = [
-        "def _dp54(force, y, f0, h, atol, rtol):",
-        "    y0, y1, y2, y3, y4, y5 = y",
-        "    f0_0, f0_1, f0_2 = f0",
-    ]
+    lines = []
     for s in range(1, 7):
         for j in range(6):
             total = weighted(_DP_A[s], j)
             if s == 6:                    # y5 continues this sum
-                lines.append(f"    w{j} = {total}")
+                lines.append(f"w{j} = {total}")
                 total = f"w{j}"
-            lines.append(f"    s{s}_{j} = y{j} + h * ({total})")
-        lines.append(f"    f{s} = force(({state(s, 0)}, {state(s, 1)}, {state(s, 2)}))")
-        lines.append(f"    f{s}_0, f{s}_1, f{s}_2 = f{s}")
+            lines.append(f"s{s}_{j} = y{j} + h * ({total})")
+        lines += site([state(s, j) for j in range(3)], f"f{s}")
     for j in range(6):
-        lines.append(f"    z{j} = y{j} + h * (w{j} + {_DP_B5[6]!r}*{slope(6, j)})")
-        lines.append(f"    e{j} = z{j} - (y{j} + h * ({weighted(_DP_B4, j)}))")
+        lines.append(f"z{j} = y{j} + h * (w{j} + {_DP_B5[6]!r}*{slope(6, j)})")
+        lines.append(f"e{j} = z{j} - (y{j} + h * ({weighted(_DP_B4, j)}))")
         # same as max(abs(y0), abs(y5)): the first unless the second is larger
-        lines.append(f"    a{j} = abs(y{j})")
-        lines.append(f"    b{j} = abs(z{j})")
-        lines.append(f"    r{j} = e{j} / (atol + rtol * (b{j} if b{j} > a{j} else a{j}))")
-    zs = ", ".join(f"z{j}" for j in range(6))
-    es = ", ".join(f"e{j}" for j in range(6))
+        lines.append(f"a{j} = abs(y{j})")
+        lines.append(f"b{j} = abs(z{j})")
+        lines.append(f"r{j} = e{j} / (atol + rtol * (b{j} if b{j} > a{j} else a{j}))")
     acc = " + ".join(["0.0"] + [f"r{j}**2" for j in range(6)])
-    lines.append(f"    return ({zs}), ({es}), f6, _sqrt(({acc}) / 6.0)")
-    return "\n".join(lines)
+    lines.append(f"err = _sqrt(({acc}) / 6.0)")
+    return lines
+
+
+def _dp54_step_lines(attempt: list[str]) -> list[str]:
+    """One accepted adaptive step from t, y0..y5, f0_*: attempts of
+    h = min(h_ctl, cap) until one is accepted, with proportional-integral
+    control of h_ctl (Gustafsson).  An attempt accepted at the floor h_min
+    with err > 1 counts in floor_accepted and a rejected one in rejected.
+    A step below the floor, one that does not advance t, or a non-finite
+    err at the floor raises StepFailure."""
+    return [
+        "while True:",
+        "    h = cap if cap < h_ctl else h_ctl",
+        "    if h < h_min:",
+        "        raise _StepFailure(f'step size {h:g} below floor {h_min:g}')",
+        "    t_new = t + h",
+        "    if t_new == t:",
+        "        raise _StepFailure(f'step size {h:g} does not advance t = {t!r}')",
+        *_indent(attempt),
+        "    if err <= 1.0 or h <= h_min and _isfinite(err):",
+        "        if err > 1.0:",
+        "            floor_accepted += 1",
+        "        # PI controller (Gustafsson): orders 0.7/5 and 0.4/5",
+        "        e = max(err, 1e-10)",
+        "        factor = safety * e**-0.14 * err_prev**0.08",
+        "        err_prev = e",
+        "        h_ctl = min(max(h_ctl * min(max(factor, 0.2), 5.0), h_min), h_max)",
+        "        break",
+        "    if h <= h_min:",
+        "        raise _StepFailure(f'error estimate {err!r} at the step size floor {h:g}')",
+        "    rejected += 1",
+        "    h_ctl = max(h * max(0.2, safety * err**-0.2), h_min)",
+        "    if h_ctl >= h:",
+        "        h_ctl = 0.5 * h",
+        "t = t_new",
+        "y0, y1, y2, y3, y4, y5 = z0, z1, z2, z3, z4, z5",
+        "f0_0, f0_1, f0_2 = f6_0, f6_1, f6_2",
+    ]
+
+
+def _leapfrog_step_lines(site) -> list[str]:
+    """One velocity-Verlet (kick-drift-kick) step of h from t, y0..y5,
+    f0_*; raises StepFailure if it does not advance t.  The arithmetic is
+    component by component in the order of the array form
+    ``p + (0.5*h)*f``, ``q + h*p``, so the bits are those of the numpy
+    kick-drift-kick."""
+    return [
+        "t_new = t + h",
+        "if t_new == t:",
+        "    raise _StepFailure(f'step size {h:g} does not advance t = {t!r}')",
+        "kick = 0.5 * h",
+        *(f"y{j + 3} = y{j + 3} + kick * f0_{j}" for j in range(3)),
+        *(f"y{j} = y{j} + h * y{j + 3}" for j in range(3)),
+        *site(("y0", "y1", "y2"), "f0"),
+        *(f"y{j + 3} = y{j + 3} + kick * f0_{j}" for j in range(3)),
+        "t = t_new",
+    ]
+
+
+# the state an inter-sample kernel takes and returns: time, q, p, force
+# and u at q, accepted steps, min u, then the adaptive controller's state
+_KERNEL_STATE = "t, y0, y1, y2, y3, y4, y5, f0_0, f0_1, f0_2, u, steps, min_u"
+_ADAPTIVE_STATE = "h_ctl, err_prev, rejected, floor_accepted"
+
+
+def _compile_kernel(force: ForceField, integrator: str):
+    """The inter-sample kernel of one integrator with ``force`` inlined.
+
+    ``run(state, t_stop, t_sample, t_last, q_check, *params)`` steps from
+    ``state`` (see _KERNEL_STATE) with steps capped at t_stop, while
+    t < t_last, and returns after the first step at which t >= t_sample or
+    hypot(q) >= q_check.  params are (atol, rtol, h_min, h_max, safety) for
+    the adaptive integrator and (fixed_step,) for leapfrog.  It returns (None,
+    state'), or (exc, state') if a step raised SingularPoint, StepFailure
+    or EvaluationOverflow; then t, the counts and min u in state' are those
+    of the last accepted step.
+    """
+    site = _inline_site(force)
+    if integrator == "adaptive":
+        state = f"{_KERNEL_STATE}, {_ADAPTIVE_STATE}"
+        params = "atol, rtol, h_min, h_max, safety"
+        step = _dp54_step_lines(_dp54_attempt_lines(site))
+    else:
+        state, params = _KERNEL_STATE, "h_fix"
+        step = ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)]
+    lines = [
+        f"def _run(state, t_stop, t_sample, t_last, q_check, {params}):",
+        f"    {state} = state",
+        "    try:",
+        "        while t < t_last:",
+        "            cap = t_stop - t",
+        *_indent(step, 3),
+        "            steps += 1",
+        "            if u < min_u:",
+        "                min_u = u",
+        "            if _hypot(y0, y1, y2) >= q_check or t >= t_sample:",
+        "                break",
+        "    except (_SingularPoint, _StepFailure, _EvaluationOverflow) as exc:",
+        f"        return exc, ({state})",
+        f"    return None, ({state})",
+    ]
+    return _compile(lines, "_run", _W0=force.w0, _U_FLOOR=force.u_floor)
+
+
+@functools.cache
+def compile_system(a, b, w0, u_floor):
+    """(force field, integral evaluator, {integrator: kernel}) for one
+    parameter set, compiled once per process; see _compile_kernel."""
+    force = compile_force(a, b, w0, u_floor)
+    integrals = IntegralEvaluator(a, b, w0)
+    return force, integrals, {name: _compile_kernel(force, name) for name in INTEGRATORS}
 
 
 @functools.cache
 def _dp54_kernel():
-    """The generated DP54 attempt, compiled on first use so that importing
-    the package does not pay for it."""
-    ns = {"_sqrt": math.sqrt}
-    exec(_dp54_source(), ns)
-    return ns["_dp54"]
+    """The generated DP54 attempt for any force callable, compiled on first
+    use so that importing the package does not pay for it.
+
+    ``_dp54(force, y, f0, h, atol, rtol)`` takes the packed state y = (q, p)
+    and the force f0 at q (stage 1), and returns (y5, y5 - y4, force at the
+    7th stage, scaled RMS error).
+    """
+    return _compile([
+        "def _dp54(force, y, f0, h, atol, rtol):",
+        "    y0, y1, y2, y3, y4, y5 = y",
+        "    f0_0, f0_1, f0_2 = f0",
+        *_indent(_dp54_attempt_lines(_call_site)),
+        "    return (z0, z1, z2, z3, z4, z5), (e0, e1, e2, e3, e4, e5), f6, err",
+    ], "_dp54")
 
 
 def dp54_step(force, y0, h: float):
@@ -292,6 +456,36 @@ def dp54_step(force, y0, h: float):
     y0 = tuple(y0)
     y5, err, _, _ = _dp54_kernel()(force, y0, force(y0[:3]), h, 1.0, 1.0)
     return y5, err
+
+
+@functools.cache
+def _adaptive_step():
+    """AdaptiveStepper.step: the controller of _dp54_step_lines around the
+    stepper's attempt function, compiled on first use."""
+    attempt = [
+        "(z0, z1, z2, z3, z4, z5), _, f6, err = attempt("
+        "force, (y0, y1, y2, y3, y4, y5), (f0_0, f0_1, f0_2), h, atol, rtol)",
+        "f6_0, f6_1, f6_2 = f6",
+    ]
+    return _compile([
+        "def step(self, state, h_cap):",
+        "    force, attempt = self.force, self._attempt",
+        "    atol, rtol, safety = self.abs_tol, self.rel_tol, self.safety",
+        "    h_min, h_max = self.h_min, self.h_max",
+        "    cap = _inf if h_cap is None else h_cap",
+        "    t = state.t",
+        "    y0, y1, y2 = state.q.tolist()",
+        "    y3, y4, y5 = state.p.tolist()",
+        "    f0_0, f0_1, f0_2 = state.f if state.f is not None else force((y0, y1, y2))",
+        "    h_ctl, err_prev = self.h, self._err_prev",
+        "    rejected, floor_accepted = self.rejected, self.floor_accepted",
+        "    try:",
+        *_indent(_dp54_step_lines(attempt), 2),
+        "    finally:",
+        "        self.h, self._err_prev = h_ctl, err_prev",
+        "        self.rejected, self.floor_accepted = rejected, floor_accepted",
+        "    return _PhaseState(t, _array((y0, y1, y2)), _array((y3, y4, y5)), f6), h, err",
+    ], "step")
 
 
 class AdaptiveStepper:
@@ -318,40 +512,30 @@ class AdaptiveStepper:
     def step(self, state: PhaseState, h_cap: float | None = None):
         """Advance one accepted step; returns (state', h_used, err), where err
         is the controller's scaled RMS error (a non-finite one at the floor
-        raises StepFailure).  The new state carries the force at its q
-        (FSAL), so a step from it costs 6 force evaluations per attempt, not 7.
+        raises StepFailure, as does a step that does not advance t).  The
+        new state carries the force at its q (FSAL), so a step from it
+        costs 6 force evaluations per attempt, not 7.
 
         When it returns, the last force call was the 7th stage of the
         accepted attempt, which is at the new state's q: a ForceField's
         ``last_u`` is u there.
         """
-        y0 = state.q.tolist() + state.p.tolist()
-        f0 = state.f
-        while True:
-            h = self.h if h_cap is None else min(self.h, h_cap)
-            if h < self.h_min:
-                raise StepFailure(f"step size {h:g} below floor {self.h_min:g}")
-            if f0 is None:
-                f0 = self.force(y0[:3])
-            y5, _, f5, err = self._attempt(self.force, y0, f0, h,
-                                           self.abs_tol, self.rel_tol)
-            if err <= 1.0 or h <= self.h_min and math.isfinite(err):
-                if err > 1.0:
-                    self.floor_accepted += 1
-                # PI controller (Gustafsson): orders 0.7/5 and 0.4/5
-                e = max(err, 1e-10)
-                factor = self.safety * e**-0.14 * self._err_prev**0.08
-                self._err_prev = e
-                self.h = min(max(self.h * min(max(factor, 0.2), 5.0), self.h_min),
-                             self.h_max)
-                new = PhaseState(state.t + h, np.array(y5[:3]), np.array(y5[3:]), f5)
-                return new, h, err
-            if h <= self.h_min:
-                raise StepFailure(f"error estimate {err!r} at the step size floor {h:g}")
-            self.rejected += 1
-            self.h = max(h * max(0.2, self.safety * err**-0.2), self.h_min)
-            if self.h >= h and h_cap is None:
-                self.h = 0.5 * h
+        return _adaptive_step()(self, state, h_cap)
+
+
+@functools.cache
+def _leapfrog_step():
+    """step_leapfrog: _leapfrog_step_lines around a force call, compiled on
+    first use."""
+    return _compile([
+        "def step_leapfrog(state, h, force):",
+        "    t = state.t",
+        "    y0, y1, y2 = state.q.tolist()",
+        "    y3, y4, y5 = state.p.tolist()",
+        "    f0_0, f0_1, f0_2 = f0 = state.f if state.f is not None else force((y0, y1, y2))",
+        *_indent(_leapfrog_step_lines(_call_site)),
+        "    return _PhaseState(t, _array((y0, y1, y2)), _array((y3, y4, y5)), f0)",
+    ], "step_leapfrog")
 
 
 def step_leapfrog(state: PhaseState, h: float, force) -> PhaseState:
@@ -360,27 +544,10 @@ def step_leapfrog(state: PhaseState, h: float, force) -> PhaseState:
     The start-of-step force comes from ``state.f`` when set, and the new
     state carries its end-of-step force, so a run costs one force
     evaluation per step.  When it returns, the last force call was at the
-    new state's q: a ForceField's ``last_u`` is u there.
-
-    The arithmetic is on Python floats, component by component in the
-    order of the array form ``p + (0.5*h)*f``, ``q + h*p``, so the bits
-    are those of the numpy kick-drift-kick.
+    new state's q: a ForceField's ``last_u`` is u there.  A step that does
+    not advance t raises StepFailure.
     """
-    x, y, z = state.q.tolist()
-    px, py, pz = state.p.tolist()
-    f0 = state.f if state.f is not None else force((x, y, z))
-    kick = 0.5 * h
-    px = px + kick * f0[0]
-    py = py + kick * f0[1]
-    pz = pz + kick * f0[2]
-    x = x + h * px
-    y = y + h * py
-    z = z + h * pz
-    f1 = force((x, y, z))
-    px = px + kick * f1[0]
-    py = py + kick * f1[1]
-    pz = pz + kick * f1[2]
-    return PhaseState(state.t + h, np.array((x, y, z)), np.array((px, py, pz)), f1)
+    return _leapfrog_step()(state, h, force)
 
 
 # -- simulation harness ------------------------------------------------
@@ -456,6 +623,10 @@ class RunOutcome:
     steps: int = 0                         # accepted steps
     rejected: int = 0                      # rejected DP54 attempts
     floor_accepted: int = 0                # DP54 steps accepted at h_min with error > 1
+    # fused u + grad u evaluations: those of the accepted and rejected
+    # attempts and the 2 at the initial state; an attempt cut short by a
+    # singularity approach or a step failure is not counted
+    force_evals: int = 0
 
 
 @functools.cache
@@ -504,53 +675,54 @@ def simulate(config: SimConfig, initial: PhaseState):
     """
     if not (np.isfinite(initial.q).all() and np.isfinite(initial.p).all()):
         raise ValueError(f"non-finite initial state q = {initial.q}, p = {initial.p}")
-    force, integrals = compile_system(config.a, config.b, config.w0, config.u_floor)
+    force, integrals, kernels = compile_system(config.a, config.b, config.w0, config.u_floor)
     u0 = force._u_checked(initial.q)  # reject ICs on/near the singular lines
 
-    def sample_row(st: PhaseState, uval: float):
-        q, p = st.q.tolist(), st.p.tolist()
+    def sample_row(t, q, p, uval):
         h, x1, x2 = integrals(q, p)
-        ds = distance_to_singular_lines(st.q, config.a, config.b)
-        return (st.t, *q, *p, h, x1, x2, uval, ds)
+        ds = distance_to_singular_lines(q, config.a, config.b)
+        return (t, *q, *p, h, x1, x2, uval, ds)
 
-    stepper = None
     if config.integrator == "leapfrog":
-        def advance(st: PhaseState, cap: float) -> PhaseState:
-            return step_leapfrog(st, min(config.fixed_step, cap), force)
+        params, control = (config.fixed_step,), ()
     else:
         stepper = AdaptiveStepper(force, config.rel_tol, config.abs_tol)
+        params = (stepper.abs_tol, stepper.rel_tol, stepper.h_min, stepper.h_max, stepper.safety)
+        control = (stepper.h, stepper._err_prev, stepper.rejected, stepper.floor_accepted)
+    run = kernels[config.integrator]
 
-        def advance(st: PhaseState, cap: float) -> PhaseState:
-            return stepper.step(st, h_cap=cap)[0]
-
-    rows = [sample_row(initial, u0)]
+    q0, p0 = initial.q.tolist(), initial.p.tolist()
+    rows = [sample_row(initial.t, q0, p0, u0)]
     h0, x10, x20 = rows[0][7], rows[0][8], rows[0][9]
-    min_u = rows[0][10]
     max_q = float(np.linalg.norm(initial.q))
-    q_check = _norm_check(max_q)
+    # an initial state beyond r_max escapes after its first step
+    q_check = _norm_check(max_q) if max_q <= config.r_max else 0.0
     drift = [0.0, 0.0, 0.0]
 
-    state = initial
-    steps = 0
+    # the kernel state (_KERNEL_STATE) at q0: the force there (the second
+    # of the 2 evaluations at q0), u0, no steps yet, min u = u0
+    state = (initial.t, *q0, *p0, *force(q0), u0, 0, u0, *control)
+    t = initial.t
+    t_last = config.t_end - 1e-12
     next_sample = initial.t + config.sample_interval
     classification = "completed"
     detail = ""
     try:
-        while state.t < config.t_end - 1e-12:
-            state = advance(state, min(next_sample, config.t_end) - state.t)
-            steps += 1
-            # both integrators end a step with a force call at state.q
-            uval = force.last_u
-            min_u = min(min_u, uval)
-            if math.hypot(*state.q.tolist()) >= q_check:
-                max_q = max(max_q, float(np.linalg.norm(state.q)))
+        while t < t_last:
+            exc, state = run(state, min(next_sample, config.t_end), next_sample - 1e-12,
+                             t_last, q_check, *params)
+            t, q, p = state[0], state[1:4], state[4:7]
+            if exc is not None:
+                raise exc
+            if math.hypot(*q) >= q_check:
+                max_q = max(max_q, float(np.linalg.norm(q)))
                 q_check = _norm_check(max_q)
             if max_q > config.r_max:
                 classification = "escape"
-                detail = f"|q| = {max_q:.3g} exceeded r_max at t = {state.t:.6g}"
+                detail = f"|q| = {max_q:.3g} exceeded r_max at t = {t:.6g}"
                 break
-            if state.t >= next_sample - 1e-12:
-                row = sample_row(state, uval)
+            if t >= next_sample - 1e-12:
+                row = sample_row(t, q, p, state[10])
                 rows.append(row)
                 drift[0] = max(drift[0], _rel_drift(row[7], h0))
                 drift[1] = max(drift[1], _rel_drift(row[8], x10))
@@ -563,13 +735,15 @@ def simulate(config: SimConfig, initial: PhaseState):
         classification = "step-failure"
         detail = str(exc)
 
+    steps, min_u = state[11], state[12]
+    rejected, floor_accepted = state[15:17] if control else (0, 0)
     outcome = RunOutcome(
         classification=classification,
         drift_H=drift[0], drift_X1=drift[1], drift_X2=drift[2],
-        min_u=min_u, max_q=max_q, t_final=state.t, detail=detail,
-        steps=steps,
-        rejected=stepper.rejected if stepper else 0,
-        floor_accepted=stepper.floor_accepted if stepper else 0,
+        min_u=min_u, max_q=max_q, t_final=t, detail=detail,
+        steps=steps, rejected=rejected, floor_accepted=floor_accepted,
+        # 6 per DP54 attempt or 1 per Verlet step, and the 2 at q0
+        force_evals=(6 * (steps + rejected) if control else steps) + 2,
     )
     return TrajectoryRecord(rows), outcome
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, artifacts, manifests, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -131,6 +132,22 @@ def test_simulate_prints_step_counts(capsys, tmp_path):
     )
     assert code == 0
     assert "steps: 100  rejected: 0  floor-accepted: 0" in out
+
+
+def test_simulate_prints_force_evals(capsys, tmp_path):
+    code, out, _ = run(
+        [
+            "simulate", "--q0", "0.5,0.2,-0.3", "--p0", "0.1,0.1,0.1",
+            "--t-end", "1", "--out", str(tmp_path / "x.csv"),
+        ],
+        capsys,
+    )
+    assert code == 0
+    counts = re.search(r"steps: (\d+)  rejected: (\d+)  floor-accepted: \d+  "
+                       r"force-evals: (\d+)", out)
+    steps, rejected, evals = (int(v) for v in counts.groups())
+    # 6 per DP54 attempt, and the initial u check and force
+    assert steps > 0 and evals == 6 * (steps + rejected) + 2
 
 
 def test_simulate_rejects_singular_ic(capsys, tmp_path):

@@ -2,6 +2,7 @@
 and the simulation/scan harness."""
 
 import contextlib
+import dataclasses
 import functools
 import math
 import signal
@@ -17,9 +18,12 @@ from quadint.algebra import W0 as W0_VAR
 from quadint.catalog import ParamDomain, build_context
 from quadint.dynamics import (
     AdaptiveStepper,
+    EvaluationOverflow,
     IntegralEvaluator,
     PhaseState,
+    RunOutcome,
     SimConfig,
+    StepFailure,
     TrajectoryRecord,
     compile_force,
     compile_poly_group,
@@ -659,56 +663,105 @@ def test_last_u_is_u_at_the_new_state(force):
     assert stepper.rejected > 0
 
 
+def _replay(config, initial):
+    """simulate's run, step by step through the per-step API (AdaptiveStepper.step,
+    step_leapfrog) with a force field that counts its fused evaluations.
+
+    Returns (rows, outcome, calls).  min u is force.u and max |q| is
+    np.linalg.norm at every accepted state; force_evals counts the
+    evaluations up to the last accepted step plus those of the attempts
+    rejected since, which is every evaluation when the run completes.
+    """
+    force = compile_force(config.a, config.b, config.w0, config.u_floor)
+    counting = _Counting(force._eval)
+    force._eval = counting
+    plain = compile_force(config.a, config.b, config.w0, config.u_floor)
+    integrals = IntegralEvaluator(config.a, config.b, config.w0)
+
+    def row(st):
+        q, p = st.q.tolist(), st.p.tolist()
+        return (st.t, *q, *p, *integrals(q, p), plain.u(q),
+                distance_to_singular_lines(st.q, config.a, config.b))
+
+    u0 = force._u_checked(initial.q)
+    rows = [row(initial)]
+    min_u, max_q = u0, float(np.linalg.norm(initial.q))
+    drift = [0.0, 0.0, 0.0]
+    stepper = AdaptiveStepper(force, config.rel_tol, config.abs_tol)
+    state = PhaseState(initial.t, initial.q, initial.p, force(initial.q.tolist()))
+    steps, evals, rejected = 0, counting.calls, 0
+    next_sample = initial.t + config.sample_interval
+    classification, detail = "completed", ""
+    try:
+        while state.t < config.t_end - 1e-12:
+            cap = min(next_sample, config.t_end) - state.t
+            if config.integrator == "leapfrog":
+                state = step_leapfrog(state, min(config.fixed_step, cap), force)
+            else:
+                state = stepper.step(state, h_cap=cap)[0]
+            steps, evals, rejected = steps + 1, counting.calls, stepper.rejected
+            min_u = min(min_u, plain.u(state.q))
+            max_q = max(max_q, float(np.linalg.norm(state.q)))
+            if max_q > config.r_max:
+                classification = "escape"
+                detail = f"|q| = {max_q:.3g} exceeded r_max at t = {state.t:.6g}"
+                break
+            if state.t >= next_sample - 1e-12:
+                rows.append(row(state))
+                for i in range(3):
+                    drift[i] = max(drift[i], abs(rows[-1][7 + i] - rows[0][7 + i])
+                                   / max(abs(rows[0][7 + i]), 1e-3))
+                next_sample += config.sample_interval
+    except SingularPoint as exc:
+        classification, detail = "singularity-approach", str(exc)
+    except (StepFailure, EvaluationOverflow) as exc:
+        classification, detail = "step-failure", str(exc)
+    outcome = RunOutcome(
+        classification, *drift, min_u, max_q, state.t, detail, steps,
+        stepper.rejected, stepper.floor_accepted,
+        evals + 6 * (stepper.rejected - rejected))
+    return rows, outcome, counting.calls
+
+
+def _outcome_bits(outcome):
+    return [_bits([v]) if isinstance(v, float) else v
+            for v in dataclasses.astuple(outcome)]
+
+
 @pytest.mark.parametrize("config", [
     SimConfig(t_end=20.0),
     SimConfig(t_end=5.0, integrator="leapfrog", fixed_step=1e-2),
 ], ids=["adaptive", "leapfrog"])
-def test_run_extrema_equal_replay_bitwise(config, monkeypatch):
+def test_run_extrema_equal_replay_bitwise(config):
     """min u and max |q| of a run equal force.u and np.linalg.norm at
-    every state it stepped through."""
-    states = []
-
-    def recording(step):
-        def wrapper(*args, **kwargs):
-            out = step(*args, **kwargs)
-            states.append(out[0] if isinstance(out, tuple) else out)
-            return out
-        return wrapper
-
-    monkeypatch.setattr(dynamics, "step_leapfrog", recording(step_leapfrog))
-    monkeypatch.setattr(AdaptiveStepper, "step", recording(AdaptiveStepper.step))
+    every state it stepped through, and its rows and force evaluation
+    count equal those of a replay through the per-step API."""
     initial = PhaseState.make(0.0, *_OFF_AXIS)
-    _, outcome = simulate(config, initial)
+    record, outcome = simulate(config, initial)
+    rows, replayed, calls = _replay(config, initial)
     assert outcome.classification == "completed"
-    assert len(states) == outcome.steps > 100
-    force, _ = compile_system(config.a, config.b, config.w0, config.u_floor)
-    replay = [initial] + states
-    min_u = min(force.u(st.q) for st in replay)
-    max_q = max(float(np.linalg.norm(st.q)) for st in replay)
-    assert _bits([outcome.min_u, outcome.max_q]) == _bits([min_u, max_q])
+    assert outcome.steps == replayed.steps > 100
+    assert _bits([outcome.min_u, outcome.max_q]) == _bits([replayed.min_u, replayed.max_q])
+    assert [_bits(r) for r in record.rows] == [_bits(r) for r in rows]
+    assert outcome.force_evals == calls
+    assert _outcome_bits(outcome) == _outcome_bits(replayed)
 
 
-@pytest.fixture
-def fused_calls(monkeypatch):
-    """Counts calls of the fused u + grad u evaluator that simulate uses."""
-    force, _ = compile_system(A0, B0, W0, 1e-10)
-    counter = _Counting(force._eval)
-    monkeypatch.setattr(force, "_eval", counter)
-    return counter
-
-
-def test_leapfrog_run_evaluates_force_once_per_step(fused_calls):
-    _, outcome = simulate(SimConfig(t_end=3.0, integrator="leapfrog", fixed_step=1e-2),
-                          PhaseState.make(0.0, *_OFF_AXIS))
+def test_leapfrog_run_evaluates_force_once_per_step():
+    config = SimConfig(t_end=3.0, integrator="leapfrog", fixed_step=1e-2)
+    _, outcome = simulate(config, PhaseState.make(0.0, *_OFF_AXIS))
+    _, _, calls = _replay(config, PhaseState.make(0.0, *_OFF_AXIS))
     assert outcome.steps == 300
     # the initial u check and the first step's start force
-    assert fused_calls.calls == outcome.steps + 2
+    assert outcome.force_evals == calls == outcome.steps + 2
 
 
-def test_adaptive_run_evaluates_force_six_times_per_attempt(fused_calls, attempts):
-    _, outcome = simulate(SimConfig(t_end=3.0), PhaseState.make(0.0, *_OFF_AXIS))
+def test_adaptive_run_evaluates_force_six_times_per_attempt(attempts):
+    config = SimConfig(t_end=3.0)
+    _, outcome = simulate(config, PhaseState.make(0.0, *_OFF_AXIS))
+    _, _, calls = _replay(config, PhaseState.make(0.0, *_OFF_AXIS))
     assert attempts.calls == outcome.steps + outcome.rejected
-    assert fused_calls.calls == 6 * attempts.calls + 2
+    assert outcome.force_evals == calls == 6 * attempts.calls + 2
 
 
 def test_step_counts_are_deterministic():
@@ -774,3 +827,89 @@ def test_initial_state_evaluation_overflow_rejected(q0):
     with pytest.raises(ValueError, match="overflowed"), warnings.catch_warnings():
         warnings.simplefilter("error")
         simulate(SimConfig(t_end=1.0), PhaseState.make(0.0, q0, (0.0, 0.0, 0.0)))
+
+
+# -- the inter-sample kernel against the per-step API ----------------------
+
+
+def _scan_draw(seed, n):
+    """The first n initial conditions ``quadint scan --seed <seed>`` draws."""
+    rng = np.random.default_rng(seed)
+    return [(tuple(rng.uniform(-0.5, 0.5, 3)), tuple(rng.uniform(-0.4, 0.4, 3)))
+            for _ in range(n)]
+
+
+_SCAN_CONFIG = dict(t_end=50.0, rel_tol=1e-10, u_floor=1e-3)
+_Q = (0.5, 0.2, -0.3)
+# (id, config, ic, classification); the singularity approaches and the
+# overflows raise partway through a sample interval
+_KERNEL_CASES = [
+    *((f"floor-{k}-{integ}", SimConfig(integrator=integ, **_SCAN_CONFIG), ic,
+       "singularity-approach")
+      for k, ic in enumerate(_scan_draw(0, 4)) for integ in ("adaptive", "leapfrog")),
+    ("step-failure-1e154", SimConfig(t_end=5.0), (_Q, (1e154, 0.0, 0.0)), "step-failure"),
+    *((f"overflow-{integ}", SimConfig(t_end=5.0, integrator=integ), (_Q, (1e90, 0.0, 1e90)),
+       "step-failure") for integ in ("adaptive", "leapfrog")),
+    *((f"escape-{integ}", SimConfig(w0=1.0, t_end=500.0, r_max=5.0, integrator=integ),
+       (_Q, (1.0, 1.0, 1.0)), "escape") for integ in ("adaptive", "leapfrog")),
+    # an initial |q| beyond r_max escapes after the first step
+    *((f"beyond-r_max-{integ}", SimConfig(t_end=5.0, r_max=0.1, integrator=integ), _OFF_AXIS,
+       "escape") for integ in ("adaptive", "leapfrog")),
+    *((f"partial-interval-{integ}",
+       SimConfig(t_end=2.5, sample_interval=0.7, integrator=integ, fixed_step=1e-2),
+       _OFF_AXIS, "completed") for integ in ("adaptive", "leapfrog")),
+]
+
+
+@pytest.mark.parametrize("config, ic, classification", [case[1:] for case in _KERNEL_CASES],
+                         ids=[case[0] for case in _KERNEL_CASES])
+def test_kernel_outcome_equals_per_step_replay(config, ic, classification):
+    """Every outcome field, detail text included, and every record row of
+    the inlined kernel equal a replay through the per-step API, also when
+    a step raises partway through a sample interval."""
+    initial = PhaseState.make(0.0, *ic)
+    with _alarm(120), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record, outcome = simulate(config, initial)
+        rows, replayed, calls = _replay(config, initial)
+    assert outcome.classification == classification
+    assert _outcome_bits(outcome) == _outcome_bits(replayed)
+    assert [_bits(r) for r in record.rows] == [_bits(r) for r in rows]
+    # the attempt cut short by an exception, and only that one, is left
+    # out of force_evals
+    assert outcome.force_evals <= calls <= outcome.force_evals + 6
+
+
+@pytest.mark.parametrize("t0, config", [
+    # t + 1.0 rounds to t: the sample time does not move, and the step
+    # capped at it is 0
+    (1e17, SimConfig(t_end=1e17 + 64, integrator="leapfrog")),
+    (1e17, SimConfig(t_end=1e17 + 64)),
+    (1.0, SimConfig(t_end=2.0, sample_interval=1e-17, integrator="leapfrog")),
+    # sample times move, but every adaptive step size up to h_max is
+    # below half an ulp of t
+    (1e17, SimConfig(t_end=1e17 + 4096, sample_interval=1024.0)),
+], ids=["leapfrog", "adaptive", "tiny-interval", "adaptive-h-below-ulp"])
+def test_step_that_does_not_advance_t_is_step_failure(t0, config):
+    with _alarm(30):
+        record, outcome = simulate(config, PhaseState.make(t0, (0.0, 0.0, 0.5), (0.0, 0.0, 0.4)))
+    assert outcome.classification == "step-failure"
+    assert outcome.t_final == t0 and outcome.steps == 0
+    assert len(record.rows) == 1
+
+
+def test_kernels_are_generated_with_the_system(monkeypatch):
+    generated = []
+    compile_kernel = dynamics._compile_kernel
+
+    def counting(force, integrator):
+        generated.append(integrator)
+        return compile_kernel(force, integrator)
+
+    monkeypatch.setattr(dynamics, "_compile_kernel", counting)
+    compile_system.cache_clear()
+    kernels = compile_system(A0, B0, W0, 1e-10)[2]
+    assert sorted(kernels) == sorted(generated) == sorted(dynamics.INTEGRATORS)
+    for integrator in dynamics.INTEGRATORS:
+        simulate(SimConfig(t_end=1.0, integrator=integrator), PhaseState.make(0.0, *_OFF_AXIS))
+    assert len(generated) == len(dynamics.INTEGRATORS)
