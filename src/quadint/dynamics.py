@@ -1,13 +1,27 @@
 """Numerical integration of Hamilton's equations for V = w0/sqrt(u),
 with conservation monitoring and singularity-proximity tracking.
 
-All numeric evaluators are compiled from the exact catalog polynomials
-specialized at the chosen (a, b, w0); every term is evaluated in binary64
-with compensated summation.  The per-step integrators take an abstract
-force callable so they can be validated against closed-form systems (free
-particle, isotropic oscillator) independently of the potential;
-``simulate`` runs the same generated step code with the compiled force
-inlined, one call per sample interval.
+u and its gradient are evaluated in factored form: u = F+ F-, where
+F+- = (y -+ k)^2 + (c x +- s z)^2 is the squared distance to singular
+line +-, with c = sqrt(1-a), s = sqrt(a) and k = 3 sqrt(a(1-a)) b.  Near a
+line this keeps the digits that summing the expanded quartic cancels away
+(tests/test_catalog.py checks the identity exactly).  One generated block
+gives u, grad u and the squared line distance min(F+, F-) to the force,
+to ``simulate``'s inlined kernels and to the integral evaluator, so they
+all use the same u, bit for bit; the rest of H, X1, X2 is compiled from
+the exact catalog polynomials and summed with math.fsum.  The per-step
+integrators take an abstract force callable so they can be validated
+against closed-form systems (free particle, isotropic oscillator)
+independently of the potential; ``simulate`` runs the same generated step
+code with the factored force inlined, one call per sample interval, and
+takes min u, min distance to a line and max |q| over every accepted step.
+
+Portability: no record field depends on a BLAS kernel.  The block and
+the integrators are plain IEEE arithmetic, sqrt is correctly rounded, and
+math.fsum and math.hypot are CPython's own code.  ``u**-1.5`` in the force
+and the step controller's exponents ``**-0.14``, ``**0.08`` and ``**-0.2``
+still go through the C library's ``pow``, so records are bit-identical
+across hosts only where that ``pow`` agrees.
 """
 
 from __future__ import annotations
@@ -19,13 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import A, B, COORDS, MOMENTA, PX, PY, PZ, W0, X, Y, Z, Polynomial
-from .catalog import (
-    ParamDomain,
-    _check_param_domain,
-    build_context,
-    singular_lines,
-)
+from .algebra import A, B, PX, PY, PZ, W0, X, Y, Z, Polynomial
+from .catalog import ParamDomain, _check_param_domain, build_context
 from .radical import SingularPoint
 
 
@@ -35,8 +44,9 @@ class StepFailure(Exception):
 
 
 class EvaluationOverflow(ValueError):
-    """A generated evaluator overflowed binary64 at this state: a monomial
-    reached +-inf (``-inf + inf in fsum``) or the sum itself overflowed."""
+    """A generated evaluator overflowed binary64 at this state: u is not
+    finite, or a monomial of an integral reached +-inf (``-inf + inf in
+    fsum``) or their sum overflowed."""
 
     def __init__(self, q, exc):
         super().__init__(f"evaluation overflowed at q = {tuple(q)}: {exc}")
@@ -65,31 +75,6 @@ def _term_exprs(p: Polynomial, order: dict[int, int], powers_used: set) -> str:
     return "(" + ", ".join(exprs) + ("," if len(exprs) == 1 else "") + ")"
 
 
-def _poly_group_lines(polys, variables, args, outs) -> list[str]:
-    """Source lines that set each name in ``outs`` to its polynomial at the
-    point whose coordinates are the expressions ``args`` (one per variable).
-
-    Each polynomial is summed term-by-term in binary64 with ``_fsum``
-    (math.fsum: exactly rounded, i.e. stronger than compensated summation);
-    monomial powers are shared across the group.
-    """
-    order = {v: i for i, v in enumerate(variables)}
-    powers: set = set()
-    bodies = [_term_exprs(p, order, powers) for p in polys]
-    max_pow: dict[int, int] = {}
-    for slot, k in powers:
-        max_pow[slot] = max(max_pow.get(slot, 0), k)
-    lines = []
-    for slot in sorted(max_pow):
-        name = _SLOT_NAMES[slot]
-        lines.append(f"_{name}1 = {args[slot]}")
-        for k in range(2, max_pow[slot] + 1):
-            lines.append(f"_{name}{k} = _{name}{k - 1} * {args[slot]}")
-    for out, body in zip(outs, bodies):
-        lines.append(f"{out} = " + ("0.0" if body == "()" else f"_fsum({body})"))
-    return lines
-
-
 def _compile(lines, name, **names):
     """Execute generated source and return the function ``name`` it defines."""
     ns = {
@@ -107,54 +92,112 @@ def _indent(lines, depth=1):
     return ["    " * depth + line for line in lines]
 
 
-def compile_poly_group(polys, variables=(X, Y, Z, PX, PY, PZ)):
-    """Generate a function evaluating several polynomials at once.
+def compile_poly_group(polys):
+    """Generate a function evaluating several polynomials in (x, y, z, px,
+    py, pz) at once.
 
     The returned function takes one float per variable and returns a tuple
-    of values, each summed as ``_poly_group_lines`` describes.
+    of values.  Each polynomial is summed term-by-term in binary64 with
+    ``_fsum`` (math.fsum: exactly rounded, i.e. stronger than compensated
+    summation); monomial powers are shared across the group.
     """
-    args = _SLOT_NAMES[: len(variables)]
+    order = {v: i for i, v in enumerate((X, Y, Z, PX, PY, PZ))}
+    powers: set = set()
+    bodies = [_term_exprs(p, order, powers) for p in polys]
+    max_pow: dict[int, int] = {}
+    for slot, k in powers:
+        max_pow[slot] = max(max_pow.get(slot, 0), k)
+    lines = [f"def _eval({', '.join(_SLOT_NAMES)}, _fsum=_fsum):"]
+    for slot in sorted(max_pow):
+        name = _SLOT_NAMES[slot]
+        lines.append(f"    _{name}1 = {name}")
+        for k in range(2, max_pow[slot] + 1):
+            lines.append(f"    _{name}{k} = _{name}{k - 1} * {name}")
     outs = [f"_t{i}" for i in range(len(polys))]
-    lines = [f"def _eval({', '.join(args)}, _fsum=_fsum):"]
-    lines += _indent(_poly_group_lines(polys, variables, args, outs))
+    for out, body in zip(outs, bodies):
+        lines.append(f"    {out} = " + ("0.0" if body == "()" else f"_fsum({body})"))
     lines.append("    return (" + ", ".join(outs) + ("," if len(outs) == 1 else "") + ")")
     return _compile(lines, "_eval")
+
+
+def _factored_lines(q, line_constants) -> list[str]:
+    """Source lines that set u, g0, g1, g2 and d2 at the point q (three
+    expressions), for ``line_constants`` = (c, s, k).
+
+    u = F+ F- with F+- = (y -+ k)^2 + (c x +- s z)^2, grad u = 2 (g0, g1, g2)
+    from grad u = F- grad F+ + F+ grad F-, and d2 = min(F+, F-), the squared
+    distance to the nearer singular line.  On the x- and z-axes F+ == F- bit
+    for bit, so the transverse components of g are exactly 0.0.
+    """
+    x, y, z = q
+    c, s, k = (repr(v) for v in line_constants)
+    return [
+        f"_cx = {c} * {x}",
+        f"_sz = {s} * {z}",
+        "_lp = _cx + _sz",
+        "_lm = _cx - _sz",
+        f"_yp = {y} - {k}",
+        f"_ym = {y} + {k}",
+        "_fp = _yp * _yp + _lp * _lp",
+        "_fm = _ym * _ym + _lm * _lm",
+        "u = _fp * _fm",
+        f"g0 = {c} * (_fm * _lp + _fp * _lm)",
+        "g1 = _fm * _yp + _fp * _ym",
+        f"g2 = {s} * (_fm * _lp - _fp * _lm)",
+        "d2 = _fp if _fp < _fm else _fm",
+    ]
+
+
+@functools.cache
+def _factored_block(a, b):
+    """The line constants (c, s, k) = (sqrt(1-a), sqrt(a), 3 sqrt(a(1-a)) b)
+    of (a, b), and _factored_lines compiled as ``_eval(x, y, z)`` returning
+    (u, g0, g1, g2, d2); computed once per process for each (a, b)."""
+    _check_param_domain(_exact(a), _exact(b))
+    a, b = float(a), float(b)
+    consts = (math.sqrt(1.0 - a), math.sqrt(a), 3.0 * math.sqrt(a * (1.0 - a)) * b)
+    body = _factored_lines(("x", "y", "z"), consts)
+    return consts, _compile(["def _eval(x, y, z):", *_indent(body),
+                             "    return u, g0, g1, g2, d2"], "_eval")
+
+
+def _check_u(uval, q, u_floor):
+    """Raise what a force site raises for u at q: EvaluationOverflow if u is
+    not finite, SingularPoint if u <= u_floor."""
+    if not uval < math.inf:
+        raise EvaluationOverflow(q, f"u = {uval!r}")
+    if uval <= u_floor:
+        raise SingularPoint(f"u = {uval!r} at q = {tuple(q)}")
 
 
 class ForceField:
     """Potential, force and u-evaluators for fixed (a, b, w0).
 
-    One fused generated function evaluates u and its gradient together,
-    from ``polys`` = (u, du/dx, du/dy, du/dz) specialised at (a, b).
-    Every call of the force keeps the u it computed in ``last_u``, so a
-    caller that knows where the force was last evaluated need not evaluate
-    u there again.  The slot is shared by all users of the object: read it
-    right after the call, on the calling thread (forked scan workers each
-    have their own copy).
+    ``_eval`` is the factored block of _factored_lines at
+    ``line_constants``.  Every call of the force keeps the u it computed
+    in ``last_u`` and the squared distance to the nearer singular line in
+    ``last_d2``, so a caller that knows where the force was last evaluated
+    need not evaluate them there again.  The slots are shared by all users
+    of the object: read them right after the call, on the calling thread
+    (forked scan workers each have their own copy).
     """
 
-    __slots__ = ("w0", "u_floor", "polys", "_eval", "last_u")
+    __slots__ = ("w0", "u_floor", "line_constants", "_eval", "last_u", "last_d2")
 
-    def __init__(self, w0, u_floor, polys):
+    def __init__(self, w0, u_floor, line_constants, evaluate):
         self.w0 = float(w0)
         self.u_floor = u_floor
-        self.polys = tuple(polys)
-        self._eval = compile_poly_group(self.polys, variables=(X, Y, Z))
-        self.last_u = math.nan
+        self.line_constants = line_constants
+        self._eval = evaluate
+        self.last_u = self.last_d2 = math.nan
 
     def u(self, q) -> float:
-        try:
-            return self._eval(q[0], q[1], q[2])[0]
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationOverflow(q, exc) from exc
+        return self._eval(q[0], q[1], q[2])[0]
 
     def _u_checked(self, q) -> float:
         q = [float(v) for v in q]
         uval = self.u(q)
-        if not math.isfinite(uval):       # e.g. inf * 0.0 in a monomial
-            raise EvaluationOverflow(q, f"u = {uval!r}")
-        if uval <= self.u_floor:
-            raise SingularPoint(f"u = {uval!r} at q = {tuple(q)}")
+        _check_u(uval, q, self.u_floor)
         return uval
 
     def potential(self, q) -> float:
@@ -162,41 +205,37 @@ class ForceField:
 
     def __call__(self, q):
         """Force -grad V = (w0/2) u^(-3/2) grad u; u is kept in ``last_u``."""
-        try:
-            uval, gx, gy, gz = self._eval(q[0], q[1], q[2])
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationOverflow(q, exc) from exc
-        if uval <= self.u_floor:
-            raise SingularPoint(f"u = {uval!r} at q = {tuple(q)}")
-        self.last_u = uval
-        pref = 0.5 * self.w0 * uval**-1.5
-        return (pref * gx, pref * gy, pref * gz)
+        uval, g0, g1, g2, d2 = self._eval(q[0], q[1], q[2])
+        _check_u(uval, q, self.u_floor)
+        self.last_u, self.last_d2 = uval, d2
+        pref = self.w0 * uval**-1.5
+        return (pref * g0, pref * g1, pref * g2)
 
 
 def compile_force(a: float, b: float, w0: float, u_floor: float = 1e-10) -> ForceField:
-    _check_param_domain(_exact(a), _exact(b))
-    u = build_context().u.specialize({A: _exact(a), B: _exact(b)})
-    return ForceField(w0, u_floor, [u] + [u.diff(v) for v in COORDS])
+    return ForceField(w0, u_floor, *_factored_block(a, b))
 
 
 class IntegralEvaluator:
-    """Numeric H, X1, X2 from the exact catalog forms at fixed (a, b, w0)."""
+    """Numeric H, X1, X2 at fixed (a, b, w0): u from the factored block,
+    the rest from the exact catalog forms."""
 
     def __init__(self, a: float, b: float, w0: float):
         ctx = build_context()
         subs = {A: _exact(a), B: _exact(b), W0: _exact(w0)}
-        polys = (ctx.u, ctx.H.A, ctx.x1_leading, ctx.m1_numerator, ctx.x2_leading, ctx.m2_numerator)
+        polys = (ctx.H.A, ctx.x1_leading, ctx.m1_numerator, ctx.x2_leading, ctx.m2_numerator)
         self._eval = compile_poly_group([f.specialize(subs) for f in polys])
+        self._u = _factored_block(a, b)[1]
         self.w0 = float(w0)
 
     def __call__(self, q, p) -> tuple[float, float, float]:
+        uval = self._u(q[0], q[1], q[2])[0]
+        _check_u(uval, q, 0.0)
         try:
-            uval, kinetic, x1_lead, m1_num, x2_lead, m2_num = self._eval(
+            kinetic, x1_lead, m1_num, x2_lead, m2_num = self._eval(
                 q[0], q[1], q[2], p[0], p[1], p[2])
         except (ValueError, OverflowError) as exc:
             raise EvaluationOverflow(q, exc) from exc
-        if uval <= 0.0:
-            raise SingularPoint(f"u = {uval!r} at q = {tuple(q)}")
         rs = 1.0 / math.sqrt(uval)
         return kinetic + self.w0 * rs, x1_lead + m1_num * rs, x2_lead + m2_num * rs
 
@@ -256,19 +295,17 @@ def _call_site(q, f: str) -> list[str]:
 
 
 def _inline_site(force: ForceField):
-    """Force site with the fused u + grad u of ``force`` inlined: binds u
-    and f_0, f_1, f_2, and raises what ForceField.__call__ raises."""
+    """Force site with the factored block of ``force`` inlined: binds u, d2
+    and f_0, f_1, f_2, and raises what _check_u raises."""
     def site(q, f: str) -> list[str]:
-        evaluate = _poly_group_lines(force.polys, (X, Y, Z), q, ("u", "g0", "g1", "g2"))
         point = f"({', '.join(q)})"
         return [
-            "try:",
-            *_indent(evaluate),
-            "except (ValueError, OverflowError) as exc:",
-            f"    raise _EvaluationOverflow({point}, exc) from exc",
+            *_factored_lines(q, force.line_constants),
+            "if not u < _inf:",
+            f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}")',
             "if u <= _U_FLOOR:",
             f'    raise _SingularPoint(f"u = {{u!r}} at q = {{{point}}}")',
-            "pref = 0.5 * _W0 * u**-1.5",
+            "pref = _W0 * u**-1.5",
             *(f"{f}_{j} = pref * g{j}" for j in range(3)),
         ]
     return site
@@ -374,23 +411,26 @@ def _leapfrog_step_lines(site) -> list[str]:
     ]
 
 
-# the state an inter-sample kernel takes and returns: time, q, p, force
-# and u at q, accepted steps, min u, then the adaptive controller's state
-_KERNEL_STATE = "t, y0, y1, y2, y3, y4, y5, f0_0, f0_1, f0_2, u, steps, min_u"
+# the state an inter-sample kernel takes and returns: time, q, p, force,
+# u and d2 at q, accepted steps, min u, min d2, max |q|, then the adaptive
+# controller's state
+_KERNEL_STATE = ("t, y0, y1, y2, y3, y4, y5, f0_0, f0_1, f0_2, u, d2, "
+                 "steps, min_u, min_d2, max_q")
 _ADAPTIVE_STATE = "h_ctl, err_prev, rejected, floor_accepted"
 
 
 def _compile_kernel(force: ForceField, integrator: str):
     """The inter-sample kernel of one integrator with ``force`` inlined.
 
-    ``run(state, t_stop, t_sample, t_last, q_check, *params)`` steps from
+    ``run(state, t_stop, t_sample, t_last, r_max, *params)`` steps from
     ``state`` (see _KERNEL_STATE) with steps capped at t_stop, while
     t < t_last, and returns after the first step at which t >= t_sample or
-    hypot(q) >= q_check.  params are (atol, rtol, h_min, h_max, safety) for
+    max |q| > r_max.  min u, min d2 and max |q| = hypot(q) are taken over
+    every accepted step.  params are (atol, rtol, h_min, h_max, safety) for
     the adaptive integrator and (fixed_step,) for leapfrog.  It returns (None,
     state'), or (exc, state') if a step raised SingularPoint, StepFailure
-    or EvaluationOverflow; then t, the counts and min u in state' are those
-    of the last accepted step.
+    or EvaluationOverflow; then t, the counts and the extrema in state' are
+    those of the last accepted step.
     """
     site = _inline_site(force)
     if integrator == "adaptive":
@@ -401,7 +441,7 @@ def _compile_kernel(force: ForceField, integrator: str):
         state, params = _KERNEL_STATE, "h_fix"
         step = ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)]
     lines = [
-        f"def _run(state, t_stop, t_sample, t_last, q_check, {params}):",
+        f"def _run(state, t_stop, t_sample, t_last, r_max, {params}):",
         f"    {state} = state",
         "    try:",
         "        while t < t_last:",
@@ -410,7 +450,12 @@ def _compile_kernel(force: ForceField, integrator: str):
         "            steps += 1",
         "            if u < min_u:",
         "                min_u = u",
-        "            if _hypot(y0, y1, y2) >= q_check or t >= t_sample:",
+        "            if d2 < min_d2:",
+        "                min_d2 = d2",
+        "            r = _hypot(y0, y1, y2)",
+        "            if r > max_q:",
+        "                max_q = r",
+        "            if max_q > r_max or t >= t_sample:",
         "                break",
         "    except (_SingularPoint, _StepFailure, _EvaluationOverflow) as exc:",
         f"        return exc, ({state})",
@@ -422,7 +467,8 @@ def _compile_kernel(force: ForceField, integrator: str):
 @functools.cache
 def compile_system(a, b, w0, u_floor):
     """(force field, integral evaluator, {integrator: kernel}) for one
-    parameter set, compiled once per process; see _compile_kernel."""
+    parameter set, compiled once per process around one factored block;
+    see _factored_block and _compile_kernel."""
     force = compile_force(a, b, w0, u_floor)
     integrals = IntegralEvaluator(a, b, w0)
     return force, integrals, {name: _compile_kernel(force, name) for name in INTEGRATORS}
@@ -617,51 +663,27 @@ class RunOutcome:
     drift_X1: float
     drift_X2: float
     min_u: float
+    min_dsing: float                       # min distance to a line, same states as min_u
     max_q: float
     t_final: float
     detail: str = ""
     steps: int = 0                         # accepted steps
     rejected: int = 0                      # rejected DP54 attempts
     floor_accepted: int = 0                # DP54 steps accepted at h_min with error > 1
-    # fused u + grad u evaluations: those of the accepted and rejected
+    # factored u + grad u evaluations: those of the accepted and rejected
     # attempts and the 2 at the initial state; an attempt cut short by a
     # singularity approach or a step failure is not counted
     force_evals: int = 0
 
 
-@functools.cache
-def _line_frames(a: float, b: float):
-    """(point, unit direction) of each singular line as float arrays."""
-    frames = []
-    for line in singular_lines(a, b):
-        d = np.array([float(v) for v in line.direction])
-        frames.append((np.array([float(v) for v in line.point]), d / np.linalg.norm(d)))
-    return tuple(frames)
-
-
 def distance_to_singular_lines(q, a: float, b: float) -> float:
-    """Minimum Euclidean distance from q to the two singular lines."""
-    best = math.inf
-    q = np.asarray(q, dtype=float)
-    for p0, d in _line_frames(float(a), float(b)):
-        r = q - p0
-        perp = r - np.dot(r, d) * d
-        best = min(best, float(np.linalg.norm(perp)))
-    return best
+    """Minimum Euclidean distance from q to the two singular lines:
+    sqrt(min(F+, F-)) from the factored block."""
+    return math.sqrt(_factored_block(a, b)[1](float(q[0]), float(q[1]), float(q[2]))[4])
 
 
 def _rel_drift(val: float, ref: float) -> float:
     return abs(val - ref) / max(abs(ref), 1e-3)
-
-
-def _norm_check(max_q: float) -> float:
-    """The |q| estimate at and above which np.linalg.norm must decide max_q.
-
-    math.hypot and the norm's BLAS dot differ by a few ulps, far inside
-    1e-12; below |q| ~ 1e-140 the norm's squares lose precision to
-    underflow, so there every step is checked.
-    """
-    return max_q * (1.0 - 1e-12) if max_q > 1e-140 else 0.0
 
 
 def simulate(config: SimConfig, initial: PhaseState):
@@ -676,12 +698,12 @@ def simulate(config: SimConfig, initial: PhaseState):
     if not (np.isfinite(initial.q).all() and np.isfinite(initial.p).all()):
         raise ValueError(f"non-finite initial state q = {initial.q}, p = {initial.p}")
     force, integrals, kernels = compile_system(config.a, config.b, config.w0, config.u_floor)
-    u0 = force._u_checked(initial.q)  # reject ICs on/near the singular lines
+    q0, p0 = initial.q.tolist(), initial.p.tolist()
+    u0 = force._u_checked(q0)  # reject ICs on/near the singular lines
 
-    def sample_row(t, q, p, uval):
+    def sample_row(t, q, p, uval, d2):
         h, x1, x2 = integrals(q, p)
-        ds = distance_to_singular_lines(q, config.a, config.b)
-        return (t, *q, *p, h, x1, x2, uval, ds)
+        return (t, *q, *p, h, x1, x2, uval, math.sqrt(d2))
 
     if config.integrator == "leapfrog":
         params, control = (config.fixed_step,), ()
@@ -691,17 +713,18 @@ def simulate(config: SimConfig, initial: PhaseState):
         control = (stepper.h, stepper._err_prev, stepper.rejected, stepper.floor_accepted)
     run = kernels[config.integrator]
 
-    q0, p0 = initial.q.tolist(), initial.p.tolist()
-    rows = [sample_row(initial.t, q0, p0, u0)]
+    # the force at q0 is the second of the 2 evaluations there
+    f0 = force(q0)
+    d2 = force.last_d2
+    rows = [sample_row(initial.t, q0, p0, u0, d2)]
     h0, x10, x20 = rows[0][7], rows[0][8], rows[0][9]
-    max_q = float(np.linalg.norm(initial.q))
     # an initial state beyond r_max escapes after its first step
-    q_check = _norm_check(max_q) if max_q <= config.r_max else 0.0
+    max_q = math.hypot(*q0)
     drift = [0.0, 0.0, 0.0]
 
-    # the kernel state (_KERNEL_STATE) at q0: the force there (the second
-    # of the 2 evaluations at q0), u0, no steps yet, min u = u0
-    state = (initial.t, *q0, *p0, *force(q0), u0, 0, u0, *control)
+    # the kernel state (_KERNEL_STATE) at q0: no steps yet, and the
+    # extrema are those of q0
+    state = (initial.t, *q0, *p0, *f0, u0, d2, 0, u0, d2, max_q, *control)
     t = initial.t
     t_last = config.t_end - 1e-12
     next_sample = initial.t + config.sample_interval
@@ -710,19 +733,16 @@ def simulate(config: SimConfig, initial: PhaseState):
     try:
         while t < t_last:
             exc, state = run(state, min(next_sample, config.t_end), next_sample - 1e-12,
-                             t_last, q_check, *params)
-            t, q, p = state[0], state[1:4], state[4:7]
+                             t_last, config.r_max, *params)
+            t, q, p, max_q = state[0], state[1:4], state[4:7], state[15]
             if exc is not None:
                 raise exc
-            if math.hypot(*q) >= q_check:
-                max_q = max(max_q, float(np.linalg.norm(q)))
-                q_check = _norm_check(max_q)
             if max_q > config.r_max:
                 classification = "escape"
                 detail = f"|q| = {max_q:.3g} exceeded r_max at t = {t:.6g}"
                 break
             if t >= next_sample - 1e-12:
-                row = sample_row(t, q, p, state[10])
+                row = sample_row(t, q, p, state[10], state[11])
                 rows.append(row)
                 drift[0] = max(drift[0], _rel_drift(row[7], h0))
                 drift[1] = max(drift[1], _rel_drift(row[8], x10))
@@ -735,12 +755,12 @@ def simulate(config: SimConfig, initial: PhaseState):
         classification = "step-failure"
         detail = str(exc)
 
-    steps, min_u = state[11], state[12]
-    rejected, floor_accepted = state[15:17] if control else (0, 0)
+    steps, min_u, min_d2, max_q = state[12:16]
+    rejected, floor_accepted = state[18:20] if control else (0, 0)
     outcome = RunOutcome(
         classification=classification,
         drift_H=drift[0], drift_X1=drift[1], drift_X2=drift[2],
-        min_u=min_u, max_q=max_q, t_final=t, detail=detail,
+        min_u=min_u, min_dsing=math.sqrt(min_d2), max_q=max_q, t_final=t, detail=detail,
         steps=steps, rejected=rejected, floor_accepted=floor_accepted,
         # 6 per DP54 attempt or 1 per Verlet step, and the 2 at q0
         force_evals=(6 * (steps + rejected) if control else steps) + 2,
@@ -755,10 +775,9 @@ def _scan_one(config: SimConfig, idx: int, ic):
     q0, p0 = ic
     state = PhaseState.make(0.0, q0, p0)
     record, outcome = simulate(config, state)
-    min_dsing = min(row[11] for row in record.rows)
     return (
         idx, *state.q, *state.p, record.rows[0][7],
-        outcome.min_u, min_dsing, outcome.classification,
+        outcome.min_u, outcome.min_dsing, outcome.classification,
     )
 
 

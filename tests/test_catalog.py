@@ -80,6 +80,41 @@ def test_u_parity_symmetry(ctx):
     assert flipped == ctx.u
 
 
+def test_u_is_a_difference_of_squares_symbolic(ctx):
+    # the numeric evaluator's factored form rests on this identity, for
+    # every (a, b)
+    p = y**2 + (1 - a) * x**2 + a * z**2 + 9 * a * (1 - a) * b**2
+    assert ctx.u == p**2 - 4 * a * (1 - a) * (3 * b * y - x * z) ** 2
+
+
+def _reduce_squares(poly, squares):
+    """poly with each power v**n of a stand-in v replaced by
+    squares[v]**(n // 2) * v**(n % 2)."""
+    out = Polynomial.zero()
+    for e, coeff in poly.terms.items():
+        term = Polynomial.constant(coeff)
+        rest = list(e)
+        for v, square in squares.items():
+            term = term * square ** (e[v] // 2)
+            rest[v] = e[v] % 2
+        out = out + term * Polynomial.monomial(rest)
+    return out
+
+
+def test_u_is_the_product_of_squared_line_distances(ctx):
+    """u = F+ F- with F+- = (y -+ k)^2 + (c x +- s z)^2, when c^2 = 1 - a,
+    s^2 = a and k = 3 c s b (so k^2 = 9 a (1 - a) b^2).  c^2 + s^2 = 1, so
+    F+- is the squared distance to the line F+- = 0."""
+    c, s = px, py              # stand-ins: u has no momenta
+    squares = {PX: 1 - a, PY: a}
+    k = 3 * c * s * b
+    f_plus = (y - k) ** 2 + (c * x + s * z) ** 2
+    f_minus = (y + k) ** 2 + (c * x - s * z) ** 2
+    assert _reduce_squares(f_plus * f_minus, squares) == ctx.u
+    assert _reduce_squares(k**2, squares) == 9 * a * (1 - a) * b**2
+    assert _reduce_squares(c**2 + s**2, squares) == Polynomial.constant(1)
+
+
 def test_u_against_sympy_oracle():
     sympy = pytest.importorskip("sympy")
     xs, ys, zs, as_, bs = sympy.symbols("x y z a b")

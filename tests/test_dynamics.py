@@ -8,12 +8,13 @@ import math
 import signal
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from quadint import dynamics
-from quadint.algebra import A, B
+from quadint.algebra import A, B, X, Y, Z
 from quadint.algebra import W0 as W0_VAR
 from quadint.catalog import ParamDomain, build_context
 from quadint.dynamics import (
@@ -423,11 +424,12 @@ def test_serial_scan_compiles_once(monkeypatch):
 
 def test_grouped_integrals_match_single_polynomials_bitwise(force):
     """The one generated group gives every value that compiling each
-    polynomial on its own gives, and its u is the force field's u."""
+    polynomial on its own gives, and the integrals' u is the force field's
+    factored u."""
     ctx = build_context()
     subs = {A: dynamics._exact(A0), B: dynamics._exact(B0), W0_VAR: dynamics._exact(W0)}
     single = [compile_poly_group([f.specialize(subs)]) for f in (
-        ctx.u, ctx.H.A, ctx.x1_leading, ctx.m1_numerator, ctx.x2_leading, ctx.m2_numerator)]
+        ctx.H.A, ctx.x1_leading, ctx.m1_numerator, ctx.x2_leading, ctx.m2_numerator)]
     ev = dynamics.IntegralEvaluator(A0, B0, W0)
     rng = np.random.default_rng(20261018)
     for _ in range(200):
@@ -435,9 +437,8 @@ def test_grouped_integrals_match_single_polynomials_bitwise(force):
         p = rng.uniform(-0.8, 0.8, size=3)
         for j in rng.choice(6, size=rng.integers(0, 3), replace=False):
             (q if j < 3 else p)[j % 3] = 0.0
-        uval, kinetic, x1_lead, m1_num, x2_lead, m2_num = (
-            fn(*q, *p)[0] for fn in single)
-        assert _bits([uval]) == _bits([force.u(q)])
+        kinetic, x1_lead, m1_num, x2_lead, m2_num = (fn(*q, *p)[0] for fn in single)
+        uval = force.u(q.tolist())
         if uval <= 0.0:
             continue
         rs = 1.0 / math.sqrt(uval)
@@ -479,6 +480,59 @@ def test_singular_distance_parity():
         d1 = distance_to_singular_lines(q, A0, B0)
         d2 = distance_to_singular_lines(-q, A0, -B0)
         assert d1 == pytest.approx(d2, rel=1e-12)
+
+
+# -- factored u: accuracy near the lines, axis invariance -----------------
+
+
+def _near_line_points(d, n=6):
+    """Points at distance d from each singular line at a = 1/4, b = 1, in
+    several directions across the line and at several places along it."""
+    c, s, k = math.sqrt(0.75), 0.5, 3 * math.sqrt(0.1875)
+    points = []
+    for eps in (1, -1):
+        # line eps: y = eps k, c x + eps s z = 0; unit normals (0, 1, 0)
+        # and (c, 0, eps s)
+        for i in range(n):
+            t, theta = -1.5 + 0.6 * i, 2 * math.pi * i / n + 0.3
+            cos, sin = d * math.cos(theta), d * math.sin(theta)
+            points.append((-eps * s * t + sin * c, eps * k + cos, c * t + sin * eps * s))
+    return points
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-5, 1e-7])
+def test_factored_u_accurate_near_the_lines(d, force):
+    """u agrees with exact evaluation of the catalog quartic to a relative
+    1e-15/d: the rounding of the line constants shifts each line by about
+    1e-16.  Summing the expanded monomials loses about eps/d^2 instead."""
+    u_exact = build_context().u.specialize({A: Fraction(1, 4), B: Fraction(1)})
+    for q in _near_line_points(d):
+        exact = u_exact.eval_exact(dict(zip((X, Y, Z), map(Fraction, q))))
+        assert abs(Fraction(force.u(q)) - exact) / exact < 1e-15 / d, q
+        assert distance_to_singular_lines(q, A0, B0) == pytest.approx(d, rel=1e-6)
+
+
+_DOCUMENTED_ICS = (
+    ((0.0, 0.0, 0.5), (0.0, 0.0, 0.4)),
+    ((0.0, 0.0, 2.0), (0.0, 0.0, 0.2)),
+    ((1.0, 0.0, 0.0), (0.3, 0.0, 0.0)),
+)
+
+
+@pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
+@pytest.mark.parametrize("idx", range(len(_DOCUMENTED_ICS)))
+def test_documented_axis_orbits_stay_on_their_axis(idx, integrator):
+    """On the z- and x-axes F+ == F- bit for bit, so the transverse force is
+    exactly 0 and the orbit keeps its transverse q and p at 0.0."""
+    q0, p0 = _DOCUMENTED_ICS[idx]
+    axis = 0 if q0[0] else 2
+    record, outcome = simulate(SimConfig(t_end=100.0, integrator=integrator),
+                               PhaseState.make(0.0, q0, p0))
+    assert outcome.classification == "completed" and len(record.rows) == 101
+    for row in record.rows:
+        q, p = row[1:4], row[4:7]
+        assert [v for j in range(3) if j != axis for v in (q[j], p[j])] == [0.0] * 4
+        assert q[axis] != 0.0 or p[axis] != 0.0
 
 
 # -- simulation harness -------------------------------------------------
@@ -600,6 +654,17 @@ def test_scan_table_shape_and_order():
         assert row[8] > 0  # min u along the run
 
 
+def test_scan_min_dsing_covers_every_step():
+    # this IC passes within 1.2e-4 of a line between the samples at t = 1
+    # and t = 2, whose rows are more than 0.5 away
+    cfg = SimConfig(t_end=2.0)
+    ic = _scan_draw(0, 2)[1]
+    (row,) = scan_singularity(cfg, [ic])
+    record, outcome = simulate(cfg, PhaseState.make(0.0, *ic))
+    assert row[8:10] == (outcome.min_u, outcome.min_dsing)
+    assert outcome.min_dsing < 1e-3 * min(r[11] for r in record.rows)
+
+
 def test_scan_pool_rows_equal_serial_rows():
     cfg = SimConfig(t_end=2.0)
     ics = [((0.5, 0.2, -0.3), (0.1, 0.1, 0.1)),
@@ -667,10 +732,11 @@ def _replay(config, initial):
     """simulate's run, step by step through the per-step API (AdaptiveStepper.step,
     step_leapfrog) with a force field that counts its fused evaluations.
 
-    Returns (rows, outcome, calls).  min u is force.u and max |q| is
-    np.linalg.norm at every accepted state; force_evals counts the
-    evaluations up to the last accepted step plus those of the attempts
-    rejected since, which is every evaluation when the run completes.
+    Returns (rows, outcome, calls).  min u is force.u, min d_sing is
+    distance_to_singular_lines and max |q| is math.hypot at every accepted
+    state; force_evals counts the evaluations up to the last accepted step
+    plus those of the attempts rejected since, which is every evaluation
+    when the run completes.
     """
     force = compile_force(config.a, config.b, config.w0, config.u_floor)
     counting = _Counting(force._eval)
@@ -685,7 +751,8 @@ def _replay(config, initial):
 
     u0 = force._u_checked(initial.q)
     rows = [row(initial)]
-    min_u, max_q = u0, float(np.linalg.norm(initial.q))
+    min_u, max_q = u0, math.hypot(*initial.q.tolist())
+    min_dsing = distance_to_singular_lines(initial.q, config.a, config.b)
     drift = [0.0, 0.0, 0.0]
     stepper = AdaptiveStepper(force, config.rel_tol, config.abs_tol)
     state = PhaseState(initial.t, initial.q, initial.p, force(initial.q.tolist()))
@@ -701,7 +768,8 @@ def _replay(config, initial):
                 state = stepper.step(state, h_cap=cap)[0]
             steps, evals, rejected = steps + 1, counting.calls, stepper.rejected
             min_u = min(min_u, plain.u(state.q))
-            max_q = max(max_q, float(np.linalg.norm(state.q)))
+            min_dsing = min(min_dsing, distance_to_singular_lines(state.q, config.a, config.b))
+            max_q = max(max_q, math.hypot(*state.q.tolist()))
             if max_q > config.r_max:
                 classification = "escape"
                 detail = f"|q| = {max_q:.3g} exceeded r_max at t = {state.t:.6g}"
@@ -717,7 +785,7 @@ def _replay(config, initial):
     except (StepFailure, EvaluationOverflow) as exc:
         classification, detail = "step-failure", str(exc)
     outcome = RunOutcome(
-        classification, *drift, min_u, max_q, state.t, detail, steps,
+        classification, *drift, min_u, min_dsing, max_q, state.t, detail, steps,
         stepper.rejected, stepper.floor_accepted,
         evals + 6 * (stepper.rejected - rejected))
     return rows, outcome, counting.calls
@@ -733,15 +801,17 @@ def _outcome_bits(outcome):
     SimConfig(t_end=5.0, integrator="leapfrog", fixed_step=1e-2),
 ], ids=["adaptive", "leapfrog"])
 def test_run_extrema_equal_replay_bitwise(config):
-    """min u and max |q| of a run equal force.u and np.linalg.norm at
-    every state it stepped through, and its rows and force evaluation
-    count equal those of a replay through the per-step API."""
+    """min u, min d_sing and max |q| of a run equal force.u,
+    distance_to_singular_lines and math.hypot at every state it stepped
+    through, and its rows and force evaluation count equal those of a
+    replay through the per-step API."""
     initial = PhaseState.make(0.0, *_OFF_AXIS)
     record, outcome = simulate(config, initial)
     rows, replayed, calls = _replay(config, initial)
     assert outcome.classification == "completed"
     assert outcome.steps == replayed.steps > 100
-    assert _bits([outcome.min_u, outcome.max_q]) == _bits([replayed.min_u, replayed.max_q])
+    assert (_bits([outcome.min_u, outcome.min_dsing, outcome.max_q])
+            == _bits([replayed.min_u, replayed.min_dsing, replayed.max_q]))
     assert [_bits(r) for r in record.rows] == [_bits(r) for r in rows]
     assert outcome.force_evals == calls
     assert _outcome_bits(outcome) == _outcome_bits(replayed)
@@ -805,23 +875,27 @@ def _alarm(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("config, p0", [
-    (SimConfig(t_end=5.0), (1e90, 0.0, 1e90)),
-    (SimConfig(t_end=5.0, integrator="leapfrog"), (1e90, 0.0, 1e90)),
+@pytest.mark.parametrize("config, p0, text", [
+    (SimConfig(t_end=5.0), (1e90, 0.0, 1e90), "u = inf"),
+    (SimConfig(t_end=5.0, integrator="leapfrog"), (1e90, 0.0, 1e90), "u = inf"),
+    # u overflows in the force before the first sample row
+    (SimConfig(t_end=5.0, r_max=1e300), (1e100, 1e100, 0.0), "u = inf"),
     # the force survives here; the integrals of a sample row overflow
-    (SimConfig(t_end=5.0, r_max=1e300), (1e100, 1e100, 0.0)),
-], ids=["adaptive", "leapfrog", "integrals"])
-def test_evaluator_overflow_is_step_failure(config, p0):
+    (SimConfig(t_end=5.0, r_max=1e300, sample_interval=1e-3), (1e79, 1e79, 0.0),
+     "-inf + inf in fsum"),
+], ids=["adaptive", "leapfrog", "integrals", "integrals-fsum"])
+def test_evaluator_overflow_is_step_failure(config, p0, text):
     with _alarm(30), warnings.catch_warnings():
         warnings.simplefilter("error")   # no numpy overflow warnings either
         _, outcome = simulate(config, PhaseState.make(0.0, (0.5, 0.2, -0.3), p0))
     assert outcome.classification == "step-failure"
-    assert "in fsum" in outcome.detail
+    assert outcome.detail.startswith("evaluation overflowed at q = (")
+    assert outcome.detail.endswith(text)
 
 
 @pytest.mark.parametrize("q0", [
-    (1e90, 0.0, 1e90),      # -inf + inf in fsum
-    (1e200, 0.0, 0.0),      # a monomial is inf * 0.0, so u is NaN
+    (1e90, 0.0, 1e90),      # F+ and F- are finite, u = F+ F- is inf
+    (1e200, 0.0, 0.0),      # F+ and F- are inf
 ])
 def test_initial_state_evaluation_overflow_rejected(q0):
     with pytest.raises(ValueError, match="overflowed"), warnings.catch_warnings():
