@@ -466,23 +466,18 @@ def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int):
     return [reduced[i] for i in order], sorted(pivots)
 
 
-def nullspace_exact(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of an exact rational matrix.
+def _row_dicts(matrix: Sequence[Sequence[Scalar]]) -> list[dict[int, Fraction]]:
+    return [{j: _as_fraction(v) for j, v in enumerate(r) if v} for r in matrix]
 
-    One basis vector per free column; M @ v == 0 exactly for each.
-    """
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows = [
-        {j: _as_fraction(v) for j, v in enumerate(r) if v}
-        for r in matrix
-    ]
-    reduced, pivots = _sparse_rref(rows, ncols)
+
+def _free_basis(reduced, pivots, ncols: int) -> list[list[Fraction]]:
+    """One nullspace vector per free (non-pivot) column below ncols of a
+    reduced system from _sparse_rref."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for row, pc in zip(reduced, pivots):
@@ -491,14 +486,21 @@ def nullspace_exact(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     return basis
 
 
+def nullspace_exact(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
+    """Basis of the right nullspace of an exact rational matrix.
+
+    One basis vector per free column; M @ v == 0 exactly for each.
+    """
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    return _free_basis(*_sparse_rref(_row_dicts(matrix), ncols), ncols)
+
+
 def matrix_rank_exact(matrix: Sequence[Sequence[Scalar]]) -> int:
     if not matrix:
         return 0
-    rows = [
-        {j: _as_fraction(v) for j, v in enumerate(r) if v}
-        for r in matrix
-    ]
-    _, pivots = _sparse_rref(rows, len(matrix[0]))
+    _, pivots = _sparse_rref(_row_dicts(matrix), len(matrix[0]))
     return len(pivots)
 
 
@@ -522,19 +524,10 @@ def solve_exact_sparse(
     reduced, pivots = _sparse_rref(aug, ncols + 1)
     if ncols in pivots:
         return None, []
-    pivot_set = set(pivots)
     particular = [Fraction(0)] * ncols
     for row, pc in zip(reduced, pivots):
         particular[pc] = -row.get(ncols, Fraction(0))
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row.get(fc, Fraction(0))
-        basis.append(vec)
-    return particular, basis
+    return particular, _free_basis(reduced, pivots, ncols)
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

@@ -6,15 +6,17 @@ F+- = (y -+ k)^2 + (c x +- s z)^2 is the squared distance to singular
 line +-, with c = sqrt(1-a), s = sqrt(a) and k = 3 sqrt(a(1-a)) b.  Near a
 line this keeps the digits that summing the expanded quartic cancels away
 (tests/test_catalog.py checks the identity exactly).  One generated block
-gives u, grad u and the squared line distance min(F+, F-) to the force,
-to ``simulate``'s inlined kernels and to the integral evaluator, so they
-all use the same u, bit for bit; the rest of H, X1, X2 is compiled from
-the exact catalog polynomials and summed with math.fsum.  The per-step
-integrators take an abstract force callable so they can be validated
-against closed-form systems (free particle, isotropic oscillator)
-independently of the potential; ``simulate`` runs the same generated step
-code with the factored force inlined, one call per sample interval, and
-takes min u, min distance to a line and max |q| over every accepted step.
+gives u, grad u and min(F+, F-), and one force site (_force_site) checks
+u and gives the force: the force field, ``simulate``'s inlined kernels
+and (u only) the integral evaluator compile it, so they share one force
+law and its guards on u, and use the same u, bit for bit; the rest of H,
+X1, X2 is compiled from the exact catalog polynomials and summed with
+math.fsum.  The per-step integrators take an abstract force callable so
+they can be validated against closed-form systems (free particle,
+isotropic oscillator) independently of the potential; ``simulate`` runs
+the same generated step code with the factored force inlined, one call
+per sample interval, and takes min u, min distance to a line and max |q|
+over every accepted step.
 
 Portability: no record field depends on a BLAS kernel.  The block and
 the integrators are plain IEEE arithmetic, sqrt is correctly rounded, and
@@ -45,8 +47,8 @@ class StepFailure(Exception):
 
 class EvaluationOverflow(ValueError):
     """A generated evaluator overflowed binary64 at this state: u is not
-    finite, or a monomial of an integral reached +-inf (``-inf + inf in
-    fsum``) or their sum overflowed."""
+    finite, u**-1.5 would overflow (u <= U_POW_MIN), or a monomial of an
+    integral reached +-inf (``-inf + inf in fsum``) or their sum overflowed."""
 
     def __init__(self, q, exc):
         super().__init__(f"evaluation overflowed at q = {tuple(q)}: {exc}")
@@ -161,55 +163,71 @@ def _factored_block(a, b):
                              "    return u, g0, g1, g2, d2"], "_eval")
 
 
-def _check_u(uval, q, u_floor):
-    """Raise what a force site raises for u at q: EvaluationOverflow if u is
-    not finite, SingularPoint if u <= u_floor."""
-    if not uval < math.inf:
-        raise EvaluationOverflow(q, f"u = {uval!r}")
-    if uval <= u_floor:
-        raise SingularPoint(f"u = {uval!r} at q = {tuple(q)}")
+# u**-1.5 overflows (``**`` raises OverflowError) for u below
+# DBL_MAX**(-2/3) ~ 3.14e-206; 1e-200 leaves a margin for another libm pow
+U_POW_MIN = 1e-200
+
+
+def _site_constants(w0, u_floor):
+    # the names a compiled _force_site reads
+    return {"_W0": w0, "_U_FLOOR": u_floor, "_U_CUT": max(u_floor, U_POW_MIN)}
+
+
+def _force_site(line_constants, force=True):
+    """``site(q, f)``: lines that bind u and d2 at the point q (three
+    expressions) from the factored block at ``line_constants`` and, with
+    ``force``, f_0, f_1, f_2 to the force (w0/2) u^(-3/2) grad u.  They
+    raise EvaluationOverflow if u is not finite, SingularPoint if
+    u <= _U_FLOOR, and EvaluationOverflow if _U_FLOOR < u <= _U_CUT, where
+    u**-1.5 could overflow (names from _site_constants)."""
+    def site(q, f: str = "f") -> list[str]:
+        point = f"({', '.join(q)})"
+        lines = [
+            *_factored_lines(q, line_constants),
+            "if not u < _inf:",
+            f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}")',
+            "if u <= _U_CUT:",
+            "    if u <= _U_FLOOR:",
+            f'        raise _SingularPoint(f"u = {{u!r}} at q = {{{point}}}")',
+            f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}: u**-1.5 overflows")',
+        ]
+        if force:
+            lines.append("pref = _W0 * u**-1.5")
+            lines += [f"{f}_{j} = pref * g{j}" for j in range(3)]
+        return lines
+    return site
 
 
 class ForceField:
     """Potential, force and u-evaluators for fixed (a, b, w0).
 
     ``_eval`` is the factored block of _factored_lines at
-    ``line_constants``.  Every call of the force keeps the u it computed
-    in ``last_u`` and the squared distance to the nearer singular line in
-    ``last_d2``, so a caller that knows where the force was last evaluated
-    need not evaluate them there again.  The slots are shared by all users
-    of the object: read them right after the call, on the calling thread
-    (forked scan workers each have their own copy).
+    ``line_constants``, unchecked.  ``_at(x, y, z)`` is _force_site
+    compiled on its own: it returns (force, u, d2) at q, or raises what a
+    force site of the kernels raises there, with the same text.
     """
 
-    __slots__ = ("w0", "u_floor", "line_constants", "_eval", "last_u", "last_d2")
+    __slots__ = ("w0", "u_floor", "line_constants", "_eval", "_at")
 
     def __init__(self, w0, u_floor, line_constants, evaluate):
         self.w0 = float(w0)
         self.u_floor = u_floor
         self.line_constants = line_constants
         self._eval = evaluate
-        self.last_u = self.last_d2 = math.nan
+        self._at = _compile(["def _at(x, y, z):",
+                             *_indent(_force_site(line_constants)(("x", "y", "z"))),
+                             "    return (f_0, f_1, f_2), u, d2"],
+                            "_at", **_site_constants(self.w0, u_floor))
 
     def u(self, q) -> float:
         return self._eval(q[0], q[1], q[2])[0]
 
-    def _u_checked(self, q) -> float:
-        q = [float(v) for v in q]
-        uval = self.u(q)
-        _check_u(uval, q, self.u_floor)
-        return uval
-
     def potential(self, q) -> float:
-        return self.w0 / math.sqrt(self._u_checked(q))
+        return self.w0 / math.sqrt(self._at(float(q[0]), float(q[1]), float(q[2]))[1])
 
     def __call__(self, q):
-        """Force -grad V = (w0/2) u^(-3/2) grad u; u is kept in ``last_u``."""
-        uval, g0, g1, g2, d2 = self._eval(q[0], q[1], q[2])
-        _check_u(uval, q, self.u_floor)
-        self.last_u, self.last_d2 = uval, d2
-        pref = self.w0 * uval**-1.5
-        return (pref * g0, pref * g1, pref * g2)
+        """Force -grad V = (w0/2) u^(-3/2) grad u."""
+        return self._at(q[0], q[1], q[2])[0]
 
 
 def compile_force(a: float, b: float, w0: float, u_floor: float = 1e-10) -> ForceField:
@@ -225,12 +243,14 @@ class IntegralEvaluator:
         subs = {A: _exact(a), B: _exact(b), W0: _exact(w0)}
         polys = (ctx.H.A, ctx.x1_leading, ctx.m1_numerator, ctx.x2_leading, ctx.m2_numerator)
         self._eval = compile_poly_group([f.specialize(subs) for f in polys])
-        self._u = _factored_block(a, b)[1]
+        # the u-only force site; sqrt(u) does not overflow, so no limit
+        site = _force_site(_factored_block(a, b)[0], force=False)(("x", "y", "z"))
+        self._u = _compile(["def _u(x, y, z):", *_indent(site), "    return u"], "_u",
+                           _U_FLOOR=0.0, _U_CUT=0.0)
         self.w0 = float(w0)
 
     def __call__(self, q, p) -> tuple[float, float, float]:
-        uval = self._u(q[0], q[1], q[2])[0]
-        _check_u(uval, q, 0.0)
+        uval = self._u(q[0], q[1], q[2])
         try:
             kinetic, x1_lead, m1_num, x2_lead, m2_num = self._eval(
                 q[0], q[1], q[2], p[0], p[1], p[2])
@@ -281,34 +301,17 @@ class PhaseState:
 # The DP54 attempt, its step-size controller and the velocity-Verlet step
 # are each emitted by one function below, around a force site: either a
 # call ``force((x, y, z))`` of any force callable, which gives the per-step
-# API (dp54_step, AdaptiveStepper.step, step_leapfrog), or the compiled
-# system's u + grad u inlined, which gives the inter-sample kernels that
-# simulate runs.  In the emitted code, t is the time and y0..y5 the state
-# (q, p) of the last accepted step, and f0_0..f0_2 the force at its q; a
-# step leaves its result in the same names.
+# API (dp54_step, AdaptiveStepper.step, step_leapfrog), or _force_site
+# inlined, which gives the inter-sample kernels that simulate runs.  In
+# the emitted code, t is the time and y0..y5 the state (q, p) of the last
+# accepted step, and f0_0..f0_2 the force at its q; a step leaves its
+# result in the same names.
 
 
 def _call_site(q, f: str) -> list[str]:
     """Force at the point q (three expressions) by a call of ``force``:
     binds f to the returned object and f_0, f_1, f_2 to its components."""
     return [f"{f}_0, {f}_1, {f}_2 = {f} = force(({', '.join(q)}))"]
-
-
-def _inline_site(force: ForceField):
-    """Force site with the factored block of ``force`` inlined: binds u, d2
-    and f_0, f_1, f_2, and raises what _check_u raises."""
-    def site(q, f: str) -> list[str]:
-        point = f"({', '.join(q)})"
-        return [
-            *_factored_lines(q, force.line_constants),
-            "if not u < _inf:",
-            f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}")',
-            "if u <= _U_FLOOR:",
-            f'    raise _SingularPoint(f"u = {{u!r}} at q = {{{point}}}")',
-            "pref = _W0 * u**-1.5",
-            *(f"{f}_{j} = pref * g{j}" for j in range(3)),
-        ]
-    return site
 
 
 def _dp54_attempt_lines(site) -> list[str]:
@@ -432,7 +435,7 @@ def _compile_kernel(force: ForceField, integrator: str):
     or EvaluationOverflow; then t, the counts and the extrema in state' are
     those of the last accepted step.
     """
-    site = _inline_site(force)
+    site = _force_site(force.line_constants)
     if integrator == "adaptive":
         state = f"{_KERNEL_STATE}, {_ADAPTIVE_STATE}"
         params = "atol, rtol, h_min, h_max, safety"
@@ -461,7 +464,7 @@ def _compile_kernel(force: ForceField, integrator: str):
         f"        return exc, ({state})",
         f"    return None, ({state})",
     ]
-    return _compile(lines, "_run", _W0=force.w0, _U_FLOOR=force.u_floor)
+    return _compile(lines, "_run", **_site_constants(force.w0, force.u_floor))
 
 
 @functools.cache
@@ -559,12 +562,9 @@ class AdaptiveStepper:
         """Advance one accepted step; returns (state', h_used, err), where err
         is the controller's scaled RMS error (a non-finite one at the floor
         raises StepFailure, as does a step that does not advance t).  The
-        new state carries the force at its q (FSAL), so a step from it
-        costs 6 force evaluations per attempt, not 7.
-
-        When it returns, the last force call was the 7th stage of the
-        accepted attempt, which is at the new state's q: a ForceField's
-        ``last_u`` is u there.
+        new state's ``f`` is the 7th stage force of the accepted attempt,
+        which is the force at its q (FSAL), so a step from it costs 6 force
+        evaluations per attempt, not 7.
         """
         return _adaptive_step()(self, state, h_cap)
 
@@ -588,10 +588,9 @@ def step_leapfrog(state: PhaseState, h: float, force) -> PhaseState:
     """One velocity-Verlet (kick-drift-kick) step; symplectic, reversible.
 
     The start-of-step force comes from ``state.f`` when set, and the new
-    state carries its end-of-step force, so a run costs one force
-    evaluation per step.  When it returns, the last force call was at the
-    new state's q: a ForceField's ``last_u`` is u there.  A step that does
-    not advance t raises StepFailure.
+    state's ``f`` is the force at its q, so a run costs one force
+    evaluation per step.  A step that does not advance t raises
+    StepFailure.
     """
     return _leapfrog_step()(state, h, force)
 
@@ -600,6 +599,10 @@ def step_leapfrog(state: PhaseState, h: float, force) -> PhaseState:
 
 
 INTEGRATORS = ("adaptive", "leapfrog")
+
+# the most sample intervals one simulate call takes: each costs a kernel
+# call and a record row of about 430 bytes, so 10**6 rows take about 0.4 GB
+MAX_SAMPLES = 10**6
 
 
 @dataclass
@@ -671,7 +674,7 @@ class RunOutcome:
     rejected: int = 0                      # rejected DP54 attempts
     floor_accepted: int = 0                # DP54 steps accepted at h_min with error > 1
     # factored u + grad u evaluations: those of the accepted and rejected
-    # attempts and the 2 at the initial state; an attempt cut short by a
+    # attempts and the 1 at the initial state; an attempt cut short by a
     # singularity approach or a step failure is not counted
     force_evals: int = 0
 
@@ -690,16 +693,21 @@ def simulate(config: SimConfig, initial: PhaseState):
     """Integrate to t_end or a stop condition, sampling conserved quantities.
 
     Failures are classified in the returned RunOutcome, not raised, except
-    for a non-finite initial condition or one whose evaluation overflows
-    (ValueError), or one already inside the singularity cutoff
-    (SingularPoint).  An evaluation that overflows mid-run is classified
-    ``step-failure``.
+    for a non-finite initial condition or one whose evaluation overflows,
+    or more than MAX_SAMPLES sample intervals (ValueError), or one already
+    inside the singularity cutoff (SingularPoint).  An evaluation that
+    overflows mid-run is classified ``step-failure``.
     """
     if not (np.isfinite(initial.q).all() and np.isfinite(initial.p).all()):
         raise ValueError(f"non-finite initial state q = {initial.q}, p = {initial.p}")
+    samples = (config.t_end - initial.t) / config.sample_interval
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"(t_end - t0) / sample_interval = {samples:.3g} sample "
+                         f"intervals exceeds MAX_SAMPLES = {MAX_SAMPLES}")
     force, integrals, kernels = compile_system(config.a, config.b, config.w0, config.u_floor)
     q0, p0 = initial.q.tolist(), initial.p.tolist()
-    u0 = force._u_checked(q0)  # reject ICs on/near the singular lines
+    # one force site at q0: rejects ICs on/near the singular lines
+    f0, u0, d2 = force._at(*q0)
 
     def sample_row(t, q, p, uval, d2):
         h, x1, x2 = integrals(q, p)
@@ -713,9 +721,6 @@ def simulate(config: SimConfig, initial: PhaseState):
         control = (stepper.h, stepper._err_prev, stepper.rejected, stepper.floor_accepted)
     run = kernels[config.integrator]
 
-    # the force at q0 is the second of the 2 evaluations there
-    f0 = force(q0)
-    d2 = force.last_d2
     rows = [sample_row(initial.t, q0, p0, u0, d2)]
     h0, x10, x20 = rows[0][7], rows[0][8], rows[0][9]
     # an initial state beyond r_max escapes after its first step
@@ -762,8 +767,8 @@ def simulate(config: SimConfig, initial: PhaseState):
         drift_H=drift[0], drift_X1=drift[1], drift_X2=drift[2],
         min_u=min_u, min_dsing=math.sqrt(min_d2), max_q=max_q, t_final=t, detail=detail,
         steps=steps, rejected=rejected, floor_accepted=floor_accepted,
-        # 6 per DP54 attempt or 1 per Verlet step, and the 2 at q0
-        force_evals=(6 * (steps + rejected) if control else steps) + 2,
+        # 6 per DP54 attempt or 1 per Verlet step, and the 1 at q0
+        force_evals=(6 * (steps + rejected) if control else steps) + 1,
     )
     return TrajectoryRecord(rows), outcome
 

@@ -243,13 +243,13 @@ def verify_ode_reduction(
     return _timed("ode_reduction", chk)
 
 
-def build_rank_matrix(ctx: SystemContext):
+def build_rank_matrix(characteristics):
     """Antisymmetric coefficient matrix R with R @ grad V = 0.
 
     R is the cross-product matrix of (N1*D2, N2*D1, D1*D2), the direction
-    annihilated by both characteristic relations.
+    annihilated by both characteristic relations (build_characteristics).
     """
-    n1, d1, n2, d2 = build_characteristics()
+    n1, d1, n2, d2 = characteristics
     w = (n1 * d2, n2 * d1, d1 * d2)
     zero = Polynomial.zero()
     return (
@@ -261,8 +261,8 @@ def build_rank_matrix(ctx: SystemContext):
 
 def verify_rank_R(ctx: SystemContext) -> CheckResult:
     def chk():
-        n1, d1, n2, d2 = build_characteristics()
-        R, w = build_rank_matrix(ctx)
+        _, _, n2, _ = characteristics = build_characteristics()
+        R, w = build_rank_matrix(characteristics)
         # antisymmetry
         for i in range(3):
             for j in range(3):
@@ -390,7 +390,7 @@ def first_order_integral_scan(
             w = ctx.u.specialize({A: a_val, B: b_val})
             rows = killing_vector_system(w)
             basis = nullspace_exact(rows)
-            rank = matrix_rank_exact(rows)
+            rank = 6 - len(basis)          # 6 unknowns
             if basis:
                 return False, f"nullspace dimension {len(basis)} (rank {rank})"
             return True, f"rank {rank}, empty nullspace"

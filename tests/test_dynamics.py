@@ -713,24 +713,24 @@ def test_float_leapfrog_matches_numpy_kick_drift_kick_bitwise(name, force):
             assert _bits(a.f) == _bits([float(v) for v in b.f])
 
 
-def test_last_u_is_u_at_the_new_state(force):
+def test_state_force_is_the_force_at_its_q(force):
     state = PhaseState.make(0.0, *_OFF_AXIS)
     for _ in range(200):
         state = step_leapfrog(state, 1e-2, force)
-        assert _bits([force.last_u]) == _bits([force.u(state.q)])
-    # h_init = 1 makes the first steps reject; the last force call of a
-    # step is still at the accepted state
+        assert _bits(state.f) == _bits(force(state.q))
+    # h_init = 1 makes the first steps reject; the force a step carries is
+    # still the one at the accepted state
     stepper = AdaptiveStepper(force, rel_tol=1e-12, abs_tol=1e-14, h_init=1.0)
     state = PhaseState.make(0.0, *_OFF_AXIS)
     for _ in range(200):
         state, _, _ = stepper.step(state, h_cap=0.3)
-        assert _bits([force.last_u]) == _bits([force.u(state.q)])
+        assert _bits(state.f) == _bits(force(state.q))
     assert stepper.rejected > 0
 
 
 def _replay(config, initial):
     """simulate's run, step by step through the per-step API (AdaptiveStepper.step,
-    step_leapfrog) with a force field that counts its fused evaluations.
+    step_leapfrog) with a force field wrapped to count its calls.
 
     Returns (rows, outcome, calls).  min u is force.u, min d_sing is
     distance_to_singular_lines and max |q| is math.hypot at every accepted
@@ -738,10 +738,8 @@ def _replay(config, initial):
     plus those of the attempts rejected since, which is every evaluation
     when the run completes.
     """
-    force = compile_force(config.a, config.b, config.w0, config.u_floor)
-    counting = _Counting(force._eval)
-    force._eval = counting
     plain = compile_force(config.a, config.b, config.w0, config.u_floor)
+    force = _Counting(plain)
     integrals = IntegralEvaluator(config.a, config.b, config.w0)
 
     def row(st):
@@ -749,14 +747,14 @@ def _replay(config, initial):
         return (st.t, *q, *p, *integrals(q, p), plain.u(q),
                 distance_to_singular_lines(st.q, config.a, config.b))
 
-    u0 = force._u_checked(initial.q)
+    # the force at q0 is also the initial state's check
+    state = PhaseState(initial.t, initial.q, initial.p, force(initial.q.tolist()))
     rows = [row(initial)]
-    min_u, max_q = u0, math.hypot(*initial.q.tolist())
+    min_u, max_q = plain.u(initial.q), math.hypot(*initial.q.tolist())
     min_dsing = distance_to_singular_lines(initial.q, config.a, config.b)
     drift = [0.0, 0.0, 0.0]
     stepper = AdaptiveStepper(force, config.rel_tol, config.abs_tol)
-    state = PhaseState(initial.t, initial.q, initial.p, force(initial.q.tolist()))
-    steps, evals, rejected = 0, counting.calls, 0
+    steps, evals, rejected = 0, force.calls, 0
     next_sample = initial.t + config.sample_interval
     classification, detail = "completed", ""
     try:
@@ -766,7 +764,7 @@ def _replay(config, initial):
                 state = step_leapfrog(state, min(config.fixed_step, cap), force)
             else:
                 state = stepper.step(state, h_cap=cap)[0]
-            steps, evals, rejected = steps + 1, counting.calls, stepper.rejected
+            steps, evals, rejected = steps + 1, force.calls, stepper.rejected
             min_u = min(min_u, plain.u(state.q))
             min_dsing = min(min_dsing, distance_to_singular_lines(state.q, config.a, config.b))
             max_q = max(max_q, math.hypot(*state.q.tolist()))
@@ -788,7 +786,7 @@ def _replay(config, initial):
         classification, *drift, min_u, min_dsing, max_q, state.t, detail, steps,
         stepper.rejected, stepper.floor_accepted,
         evals + 6 * (stepper.rejected - rejected))
-    return rows, outcome, counting.calls
+    return rows, outcome, force.calls
 
 
 def _outcome_bits(outcome):
@@ -822,8 +820,8 @@ def test_leapfrog_run_evaluates_force_once_per_step():
     _, outcome = simulate(config, PhaseState.make(0.0, *_OFF_AXIS))
     _, _, calls = _replay(config, PhaseState.make(0.0, *_OFF_AXIS))
     assert outcome.steps == 300
-    # the initial u check and the first step's start force
-    assert outcome.force_evals == calls == outcome.steps + 2
+    # the force at q0, which also checks u there and starts the first step
+    assert outcome.force_evals == calls == outcome.steps + 1
 
 
 def test_adaptive_run_evaluates_force_six_times_per_attempt(attempts):
@@ -831,7 +829,7 @@ def test_adaptive_run_evaluates_force_six_times_per_attempt(attempts):
     _, outcome = simulate(config, PhaseState.make(0.0, *_OFF_AXIS))
     _, _, calls = _replay(config, PhaseState.make(0.0, *_OFF_AXIS))
     assert attempts.calls == outcome.steps + outcome.rejected
-    assert outcome.force_evals == calls == 6 * attempts.calls + 2
+    assert outcome.force_evals == calls == 6 * attempts.calls + 1
 
 
 def test_step_counts_are_deterministic():
@@ -903,6 +901,68 @@ def test_initial_state_evaluation_overflow_rejected(q0):
         simulate(SimConfig(t_end=1.0), PhaseState.make(0.0, q0, (0.0, 0.0, 0.0)))
 
 
+def test_u_pow_min_keeps_the_force_finite():
+    assert math.isfinite(dynamics.U_POW_MIN ** -1.5)
+    # the integrals take sqrt(u), which does not overflow: no limit there
+    q = (1e-61, 0.0, 1e-61)
+    assert compile_force(A0, 1e-60, W0, 0.0).u(q) < dynamics.U_POW_MIN
+    assert all(math.isfinite(v) for v in IntegralEvaluator(A0, 1e-60, W0)(q, (0.0, 0.0, 0.0)))
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (SingularPoint, EvaluationOverflow) as exc:
+        return type(exc), str(exc)
+    pytest.fail(f"{fn} did not raise")
+
+
+def _kernel_step_at(kernels, integrator, q):
+    """What one step of a compiled kernel raises when its first force site
+    is at q: from q with p = 0 and force 0, both the Verlet drift and the
+    first DP54 stage land on q exactly.  The state is _KERNEL_STATE."""
+    state = (0.0, *q, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0, 1.0, 1.0, 0.0)
+    if integrator == "adaptive":
+        state, params = (*state, 1e-3, 1.0, 0, 0), (1e-14, 1e-12, 1e-12, 1.0, 0.9)
+    else:
+        params = (1e-3,)
+    exc, _ = kernels[integrator](state, 1.0, 1.0, 1.0, math.inf, *params)
+    return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("config, q, cls, text", [
+    (SimConfig(t_end=1.0), (-1.0 / 3**0.5, 3 * 3**0.5 / 4, 1.0), SingularPoint,
+     "u = 0.0 at q = ("),
+    (SimConfig(t_end=1.0), (1e90, 0.0, 1e90), EvaluationOverflow, "u = inf"),
+    # 0 < u < 3.14e-206, where u**-1.5 raises OverflowError
+    (SimConfig(b=1e-60, u_floor=0.0, t_end=1.0), (1e-61, 0.0, 1e-61), EvaluationOverflow,
+     ": u**-1.5 overflows"),
+], ids=["on-a-line", "u-inf", "below-U_POW_MIN"])
+def test_u_guards_raise_the_same_at_every_force_site(config, q, cls, text):
+    force, _, kernels = compile_system(config.a, config.b, config.w0, config.u_floor)
+    expected = _raised(force, q)
+    assert expected[0] is cls and text in expected[1]
+    assert _raised(force.potential, q) == expected
+    assert _raised(simulate, config, PhaseState.make(0.0, q, (0.0, 0.0, 0.0))) == expected
+    for integrator in dynamics.INTEGRATORS:
+        assert _kernel_step_at(kernels, integrator, q) == expected
+
+
+@pytest.mark.parametrize("t0, config", [
+    (0.0, SimConfig(t_end=1.0, sample_interval=1e-300, integrator="leapfrog")),
+    # 1e17 sample intervals; t + 1e-17 rounds to t, so every step would be
+    # capped at 0
+    (1.0, SimConfig(t_end=2.0, sample_interval=1e-17, integrator="leapfrog")),
+], ids=["1e300-samples", "tiny-interval"])
+def test_too_many_sample_intervals_rejected(t0, config, monkeypatch):
+    def no_compile(*args):
+        raise AssertionError("simulate compiled before rejecting the sample count")
+
+    monkeypatch.setattr(dynamics, "compile_system", no_compile)
+    with _alarm(5), pytest.raises(ValueError, match="MAX_SAMPLES"):
+        simulate(config, PhaseState.make(t0, (0.0, 0.0, 0.5), (0.0, 0.0, 0.4)))
+
+
 # -- the inter-sample kernel against the per-step API ----------------------
 
 
@@ -959,11 +1019,10 @@ def test_kernel_outcome_equals_per_step_replay(config, ic, classification):
     # capped at it is 0
     (1e17, SimConfig(t_end=1e17 + 64, integrator="leapfrog")),
     (1e17, SimConfig(t_end=1e17 + 64)),
-    (1.0, SimConfig(t_end=2.0, sample_interval=1e-17, integrator="leapfrog")),
     # sample times move, but every adaptive step size up to h_max is
     # below half an ulp of t
     (1e17, SimConfig(t_end=1e17 + 4096, sample_interval=1024.0)),
-], ids=["leapfrog", "adaptive", "tiny-interval", "adaptive-h-below-ulp"])
+], ids=["leapfrog", "adaptive", "adaptive-h-below-ulp"])
 def test_step_that_does_not_advance_t_is_step_failure(t0, config):
     with _alarm(30):
         record, outcome = simulate(config, PhaseState.make(t0, (0.0, 0.0, 0.5), (0.0, 0.0, 0.4)))

@@ -29,9 +29,7 @@ import sys
 
 import numpy as np
 
-from quadint.dynamics import PhaseState, SimConfig, scan_singularity, simulate
-
-INTEGRATORS = ("adaptive", "leapfrog")
+from quadint.dynamics import INTEGRATORS, PhaseState, SimConfig, scan_singularity, simulate
 
 # tests/test_acceptance.py
 DOCUMENTED_ICS = (
