@@ -3,7 +3,11 @@
 Exit codes are uniform across commands: 0 success / all checks pass,
 1 domain or check failure, 2 internal error.  Every output file gets a
 JSON manifest sidecar recording the command, parameters, toolkit
-version, and context fingerprint, so any artifact can be reproduced.
+version, context fingerprint and the Python, platform and numpy
+versions, so any artifact can be reproduced.
+
+``verify`` and the parser load no numpy: ``simulate``, ``plot`` and ``scan``
+import ``quadint.dynamics`` (and numpy) when they run.
 """
 
 from __future__ import annotations
@@ -11,20 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .catalog import ParamDomain, build_context
-from .dynamics import (
-    INTEGRATORS,
-    PhaseState,
-    SimConfig,
-    scan_singularity,
-    simulate,
-    write_scan_csv,
-)
 from .plotting import VIEWS, MalformedInput, plot_trajectories
 from .radical import SingularPoint
 from .verifier import __version__, context_fingerprint, run_report
@@ -67,6 +62,17 @@ def _load_config_file(path) -> dict[str, str]:
     return out
 
 
+def _numpy_version():
+    """numpy's installed version, read from its metadata without importing
+    it (so ``verify --out`` stays numpy-free), or None."""
+    from importlib import metadata
+
+    try:
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def write_manifest(out_path: str, command: str, params: dict):
     manifest = {
         "command": command,
@@ -74,6 +80,9 @@ def write_manifest(out_path: str, command: str, params: dict):
         "outputs": [str(out_path)],
         "version": __version__,
         "context_fingerprint": context_fingerprint(build_context()),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "numpy": _numpy_version(),
     }
     with open(str(out_path) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -101,6 +110,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .dynamics import PhaseState, SimConfig, simulate
+
     config = SimConfig(
         a=float(parse_rational(args.a)),
         b=float(parse_rational(args.b)),
@@ -160,6 +171,10 @@ def cmd_plot(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    import numpy as np
+
+    from .dynamics import SimConfig, scan_singularity, write_scan_csv
+
     w0 = float(parse_rational(args.w0))
     if w0 >= 0:
         print("scan requires w0 < 0 (the question is only open there)", file=sys.stderr)
@@ -221,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q0", required=True, help="x,y,z")
     p.add_argument("--p0", required=True, help="px,py,pz")
     p.add_argument("--t-end", type=float, default=100.0)
-    p.add_argument("--integrator", choices=INTEGRATORS, default="adaptive")
+    # SimConfig rejects an unknown name and lists the valid ones
+    p.add_argument("--integrator", default="adaptive")
     p.add_argument("--rel-tol", type=float, default=1e-12)
     p.add_argument("--abs-tol", type=float, default=1e-14)
     p.add_argument("--fixed-step", type=float, default=1e-3)

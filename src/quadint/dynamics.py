@@ -693,19 +693,19 @@ def simulate(config: SimConfig, initial: PhaseState):
     """Integrate to t_end or a stop condition, sampling conserved quantities.
 
     Failures are classified in the returned RunOutcome, not raised, except
-    for a non-finite initial condition or one whose evaluation overflows,
-    or more than MAX_SAMPLES sample intervals (ValueError), or one already
-    inside the singularity cutoff (SingularPoint).  An evaluation that
-    overflows mid-run is classified ``step-failure``.
+    for a non-finite initial t, q or p, an initial state whose evaluation
+    overflows, or more than MAX_SAMPLES sample intervals (ValueError), or
+    an initial state already inside the singularity cutoff (SingularPoint).
+    An evaluation that overflows mid-run is classified ``step-failure``.
     """
-    if not (np.isfinite(initial.q).all() and np.isfinite(initial.p).all()):
-        raise ValueError(f"non-finite initial state q = {initial.q}, p = {initial.p}")
+    q0, p0 = initial.q.tolist(), initial.p.tolist()
+    if not all(map(math.isfinite, (initial.t, *q0, *p0))):
+        raise ValueError(f"non-finite initial state t = {initial.t}, q = {q0}, p = {p0}")
     samples = (config.t_end - initial.t) / config.sample_interval
     if samples > MAX_SAMPLES:
         raise ValueError(f"(t_end - t0) / sample_interval = {samples:.3g} sample "
                          f"intervals exceeds MAX_SAMPLES = {MAX_SAMPLES}")
     force, integrals, kernels = compile_system(config.a, config.b, config.w0, config.u_floor)
-    q0, p0 = initial.q.tolist(), initial.p.tolist()
     # one force site at q0: rejects ICs on/near the singular lines
     f0, u0, d2 = force._at(*q0)
 

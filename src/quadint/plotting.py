@@ -8,9 +8,12 @@ the two singular lines dashed.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .catalog import singular_lines
-from .dynamics import TrajectoryRecord
+
+if TYPE_CHECKING:  # dynamics imports numpy; VIEWS and the renderer need none
+    from .dynamics import TrajectoryRecord
 
 VIEWS = ("xy", "xz", "yz", "3d")
 
@@ -176,6 +179,8 @@ def render_svg(
 
 
 def plot_trajectories(csv_paths, out_path, a, b, view="xy", width=640, height=640):
+    from .dynamics import TrajectoryRecord
+
     records = []
     for path in csv_paths:
         try:

@@ -5,7 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import quadint  # noqa: F401  (imports every module the tracer wraps)
+import quadint  # noqa: F401  (the package; each owner below is imported by name)
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: subcommands, artifacts, manifests, exit codes."""
 
+import importlib.metadata
 import json
+import platform
 import re
 
 import pytest
@@ -75,6 +77,9 @@ def test_verify_writes_report_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "verify"
     assert manifest["outputs"] == [str(out_file)]
     assert "context_fingerprint" in manifest
+    assert manifest["python"] == platform.python_version()
+    assert manifest["platform"] == platform.platform()
+    assert manifest["numpy"] == importlib.metadata.version("numpy")
 
 
 # -- simulate -----------------------------------------------------------
@@ -176,6 +181,20 @@ def test_simulate_strict_flags_incomplete(capsys, tmp_path):
     )
     assert code == 1
     assert "escape" in out
+
+
+def test_simulate_bad_integrator_exit_one(capsys, tmp_path):
+    # the name is checked once, by SimConfig, not by an argparse choice
+    code, _, err = run(
+        [
+            "simulate", "--integrator", "rk4", "--q0", "0.5,0.2,-0.3",
+            "--p0", "0.1,0.1,0.1", "--t-end", "1", "--out", str(tmp_path / "x.csv"),
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "error: unknown integrator 'rk4'; expected one of adaptive, leapfrog" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_bad_domain_exit_one(capsys, tmp_path):

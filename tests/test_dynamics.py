@@ -379,6 +379,14 @@ def test_simulate_rejects_non_finite_initial_state(q0, p0):
         simulate(SimConfig(t_end=1.0), PhaseState.make(0.0, q0, p0))
 
 
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_simulate_rejects_non_finite_initial_time(t0):
+    # nan and +inf used to return "completed" with t_final = nan, and -inf
+    # met only the sample cap
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate(SimConfig(t_end=1.0), PhaseState.make(t0, (0.0, 0.0, 0.5), (0.0, 0.0, 0.4)))
+
+
 def test_non_finite_attempt_is_step_failure():
     # every attempt from this state has a NaN error (the stage forces at
     # |q| ~ 1e142 are NaN); accepting one at the step-size floor used to

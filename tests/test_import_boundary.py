@@ -1,0 +1,72 @@
+"""The exact path loads neither numpy nor ``quadint.dynamics``; the
+dynamics names of ``quadint`` are served lazily.  Each check runs in a
+fresh interpreter, since this test process has imported both."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+DYNAMICS_NAMES = (
+    "PhaseState", "SimConfig", "compile_force", "compile_system",
+    "distance_to_singular_lines", "scan_singularity", "simulate", "step_leapfrog",
+)
+
+
+def run_fresh(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("body", [
+    "import quadint; quadint.run_report(quadint.build_context())",
+    "import quadint.cli; quadint.cli.main(['verify', '--only', 'involution'])",
+], ids=["run_report", "cli_verify"])
+def test_exact_path_loads_no_numpy(body):
+    out = run_fresh(f"""
+        import sys
+        {body}
+        print(sorted(m for m in ("numpy", "quadint.dynamics") if m in sys.modules))
+    """)
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_lazy_names_are_the_dynamics_objects():
+    out = run_fresh(f"""
+        import quadint
+        import quadint.dynamics
+        names = {DYNAMICS_NAMES!r}
+        print(all(getattr(quadint, n) is getattr(quadint.dynamics, n) for n in names))
+        print(all(n in dir(quadint) for n in names))
+    """)
+    assert out.split() == ["True", "True"]
+
+
+def test_lazy_name_imports_dynamics_on_first_use():
+    out = run_fresh("""
+        import sys
+        import quadint
+        before = "quadint.dynamics" in sys.modules
+        from quadint import simulate
+        print(before, "quadint.dynamics" in sys.modules, "numpy" in sys.modules)
+    """)
+    assert out.split() == ["False", "True", "True"]
+
+
+def test_unknown_name_raises_attribute_error():
+    out = run_fresh("""
+        import quadint
+        try:
+            quadint.no_such_name
+        except AttributeError as exc:
+            print("AttributeError", exc)
+    """)
+    assert out.strip() == "AttributeError module 'quadint' has no attribute 'no_such_name'"
