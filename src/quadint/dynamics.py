@@ -14,9 +14,10 @@ X1, X2 is compiled from the exact catalog polynomials and summed with
 math.fsum.  The per-step integrators take an abstract force callable so
 they can be validated against closed-form systems (free particle,
 isotropic oscillator) independently of the potential; ``simulate`` runs
-the same generated step code with the factored force inlined, one call
-per sample interval, and takes min u, min distance to a line and max |q|
-over every accepted step.
+the same generated step code with the factored force inlined, in one
+kernel call per run that owns the sample loop and calls back for each
+sample row, and takes min u, min distance to a line and max |q| over every
+accepted step.
 
 Portability: no record field depends on a BLAS kernel.  The block and
 the integrators are plain IEEE arithmetic, sqrt is correctly rounded, and
@@ -302,7 +303,7 @@ class PhaseState:
 # are each emitted by one function below, around a force site: either a
 # call ``force((x, y, z))`` of any force callable, which gives the per-step
 # API (dp54_step, AdaptiveStepper.step, step_leapfrog), or _force_site
-# inlined, which gives the inter-sample kernels that simulate runs.  In
+# inlined, which gives the run kernels that simulate calls.  In
 # the emitted code, t is the time and y0..y5 the state (q, p) of the last
 # accepted step, and f0_0..f0_2 the force at its q; a step leaves its
 # result in the same names.
@@ -414,38 +415,48 @@ def _leapfrog_step_lines(site) -> list[str]:
     ]
 
 
-# the state an inter-sample kernel takes and returns: time, q, p, force,
-# u and d2 at q, accepted steps, min u, min d2, max |q|, then the adaptive
-# controller's state
-_KERNEL_STATE = ("t, y0, y1, y2, y3, y4, y5, f0_0, f0_1, f0_2, u, d2, "
-                 "steps, min_u, min_d2, max_q")
-_ADAPTIVE_STATE = "h_ctl, err_prev, rejected, floor_accepted"
-
-
 def _compile_kernel(force: ForceField, integrator: str):
-    """The inter-sample kernel of one integrator with ``force`` inlined.
+    """The run kernel of one integrator with ``force`` inlined.
 
-    ``run(state, t_stop, t_sample, t_last, r_max, *params)`` steps from
-    ``state`` (see _KERNEL_STATE) with steps capped at t_stop, while
-    t < t_last, and returns after the first step at which t >= t_sample or
-    max |q| > r_max.  min u, min d2 and max |q| = hypot(q) are taken over
-    every accepted step.  params are (atol, rtol, h_min, h_max, safety) for
-    the adaptive integrator and (fixed_step,) for leapfrog.  It returns (None,
-    state'), or (exc, state') if a step raised SingularPoint, StepFailure
-    or EvaluationOverflow; then t, the counts and the extrema in state' are
-    those of the last accepted step.
+    ``run(sample, t, q, p, f, u, d2, t_end, sample_interval, r_max, *params)``
+    integrates from t, (q, p) and the force f, u and d2 at q to t_end in one
+    call, with each step capped at the next sample time, and calls
+    ``sample(t, x, y, z, px, py, pz, u, d2)`` at each sample.  It stops after
+    the first step with max |q| > r_max.  min u, min d2 and max |q| =
+    hypot(q) are taken over q and every accepted step.  params are (atol,
+    rtol, h_init, h_min, h_max, safety) for the adaptive integrator and
+    (fixed_step,) for leapfrog.  It returns (exc, t, steps, rejected,
+    floor_accepted, force_evals, min_u, min_d2, max_q): exc is None or what
+    a step or a sample raised (SingularPoint, StepFailure or
+    EvaluationOverflow), the rest are those of the last accepted step, and
+    force_evals counts the kernel's own force evaluations.
     """
     site = _force_site(force.line_constants)
     if integrator == "adaptive":
-        state = f"{_KERNEL_STATE}, {_ADAPTIVE_STATE}"
-        params = "atol, rtol, h_min, h_max, safety"
-        step = _dp54_step_lines(_dp54_attempt_lines(site))
+        params, evals = "atol, rtol, h_ctl, h_min, h_max, safety", "6 * (steps + rejected)"
+        init, step = ["err_prev = 1.0"], _dp54_step_lines(_dp54_attempt_lines(site))
     else:
-        state, params = _KERNEL_STATE, "h_fix"
-        step = ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)]
+        params, evals = "h_fix", "steps"
+        init, step = [], ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)]
+    # the next sample time, the cap of the steps up to it, and the time
+    # from which a step counts as reaching it
+    next_sample = [
+        "next_sample += sample_interval",
+        "t_stop = min(next_sample, t_end)",
+        "t_sample = next_sample - 1e-12",
+    ]
+    counts = f"t, steps, rejected, floor_accepted, {evals}, min_u, min_d2, max_q"
     lines = [
-        f"def _run(state, t_stop, t_sample, t_last, r_max, {params}):",
-        f"    {state} = state",
+        f"def _run(sample, t, q, p, f, u, d2, t_end, sample_interval, r_max, {params}):",
+        "    y0, y1, y2 = q",
+        "    y3, y4, y5 = p",
+        "    f0_0, f0_1, f0_2 = f",
+        *_indent(init),
+        "    steps = rejected = floor_accepted = 0",
+        "    min_u, min_d2, max_q = u, d2, _hypot(y0, y1, y2)",
+        "    t_last = t_end - 1e-12",
+        "    next_sample = t",
+        *_indent(next_sample),
         "    try:",
         "        while t < t_last:",
         "            cap = t_stop - t",
@@ -458,11 +469,14 @@ def _compile_kernel(force: ForceField, integrator: str):
         "            r = _hypot(y0, y1, y2)",
         "            if r > max_q:",
         "                max_q = r",
-        "            if max_q > r_max or t >= t_sample:",
+        "            if max_q > r_max:",
         "                break",
+        "            if t >= t_sample:",
+        "                sample(t, y0, y1, y2, y3, y4, y5, u, d2)",
+        *_indent(next_sample, 4),
         "    except (_SingularPoint, _StepFailure, _EvaluationOverflow) as exc:",
-        f"        return exc, ({state})",
-        f"    return None, ({state})",
+        f"        return exc, {counts}",
+        f"    return None, {counts}",
     ]
     return _compile(lines, "_run", **_site_constants(force.w0, force.u_floor))
 
@@ -537,6 +551,11 @@ def _adaptive_step():
     ], "step")
 
 
+# the step-size controller's initial step, floor, ceiling and safety
+# factor: AdaptiveStepper's defaults, and those of every simulate run
+H_INIT, H_MIN, H_MAX, SAFETY = 1e-3, 1e-12, 1.0, 0.9
+
+
 class AdaptiveStepper:
     """Embedded Runge-Kutta 5(4) with proportional-integral step control.
 
@@ -545,7 +564,7 @@ class AdaptiveStepper:
     """
 
     def __init__(self, force, rel_tol=1e-12, abs_tol=1e-14,
-                 h_init=1e-3, h_min=1e-12, h_max=1.0, safety=0.9):
+                 h_init=H_INIT, h_min=H_MIN, h_max=H_MAX, safety=SAFETY):
         self.force = force
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
@@ -600,8 +619,8 @@ def step_leapfrog(state: PhaseState, h: float, force) -> PhaseState:
 
 INTEGRATORS = ("adaptive", "leapfrog")
 
-# the most sample intervals one simulate call takes: each costs a kernel
-# call and a record row of about 430 bytes, so 10**6 rows take about 0.4 GB
+# the most sample intervals one simulate call takes: each costs a sample
+# callback and a record row of about 430 bytes, so 10**6 rows take about 0.4 GB
 MAX_SAMPLES = 10**6
 
 
@@ -692,11 +711,13 @@ def _rel_drift(val: float, ref: float) -> float:
 def simulate(config: SimConfig, initial: PhaseState):
     """Integrate to t_end or a stop condition, sampling conserved quantities.
 
-    Failures are classified in the returned RunOutcome, not raised, except
-    for a non-finite initial t, q or p, an initial state whose evaluation
-    overflows, or more than MAX_SAMPLES sample intervals (ValueError), or
-    an initial state already inside the singularity cutoff (SingularPoint).
-    An evaluation that overflows mid-run is classified ``step-failure``.
+    The run is one call of the system's generated kernel (_compile_kernel),
+    which calls back here for every sample row.  Failures are classified
+    in the returned RunOutcome, not raised, except for a non-finite initial
+    t, q or p, an initial state whose evaluation overflows, or more than
+    MAX_SAMPLES sample intervals (ValueError), or an initial state already
+    inside the singularity cutoff (SingularPoint).  An evaluation that
+    overflows mid-run is classified ``step-failure``.
     """
     q0, p0 = initial.q.tolist(), initial.p.tolist()
     if not all(map(math.isfinite, (initial.t, *q0, *p0))):
@@ -709,66 +730,39 @@ def simulate(config: SimConfig, initial: PhaseState):
     # one force site at q0: rejects ICs on/near the singular lines
     f0, u0, d2 = force._at(*q0)
 
-    def sample_row(t, q, p, uval, d2):
-        h, x1, x2 = integrals(q, p)
-        return (t, *q, *p, h, x1, x2, uval, math.sqrt(d2))
-
-    if config.integrator == "leapfrog":
-        params, control = (config.fixed_step,), ()
-    else:
-        stepper = AdaptiveStepper(force, config.rel_tol, config.abs_tol)
-        params = (stepper.abs_tol, stepper.rel_tol, stepper.h_min, stepper.h_max, stepper.safety)
-        control = (stepper.h, stepper._err_prev, stepper.rejected, stepper.floor_accepted)
-    run = kernels[config.integrator]
-
-    rows = [sample_row(initial.t, q0, p0, u0, d2)]
-    h0, x10, x20 = rows[0][7], rows[0][8], rows[0][9]
-    # an initial state beyond r_max escapes after its first step
-    max_q = math.hypot(*q0)
+    rows = []
     drift = [0.0, 0.0, 0.0]
 
-    # the kernel state (_KERNEL_STATE) at q0: no steps yet, and the
-    # extrema are those of q0
-    state = (initial.t, *q0, *p0, *f0, u0, d2, 0, u0, d2, max_q, *control)
-    t = initial.t
-    t_last = config.t_end - 1e-12
-    next_sample = initial.t + config.sample_interval
-    classification = "completed"
-    detail = ""
-    try:
-        while t < t_last:
-            exc, state = run(state, min(next_sample, config.t_end), next_sample - 1e-12,
-                             t_last, config.r_max, *params)
-            t, q, p, max_q = state[0], state[1:4], state[4:7], state[15]
-            if exc is not None:
-                raise exc
-            if max_q > config.r_max:
-                classification = "escape"
-                detail = f"|q| = {max_q:.3g} exceeded r_max at t = {t:.6g}"
-                break
-            if t >= next_sample - 1e-12:
-                row = sample_row(t, q, p, state[10], state[11])
-                rows.append(row)
-                drift[0] = max(drift[0], _rel_drift(row[7], h0))
-                drift[1] = max(drift[1], _rel_drift(row[8], x10))
-                drift[2] = max(drift[2], _rel_drift(row[9], x20))
-                next_sample += config.sample_interval
-    except SingularPoint as exc:
-        classification = "singularity-approach"
-        detail = str(exc)
-    except (StepFailure, EvaluationOverflow) as exc:
-        classification = "step-failure"
-        detail = str(exc)
+    def sample(t, x, y, z, px, py, pz, u, d2):
+        h, x1, x2 = integrals((x, y, z), (px, py, pz))
+        rows.append((t, x, y, z, px, py, pz, h, x1, x2, u, math.sqrt(d2)))
+        for i, value in enumerate((h, x1, x2)):
+            drift[i] = max(drift[i], _rel_drift(value, rows[0][7 + i]))
 
-    steps, min_u, min_d2, max_q = state[12:16]
-    rejected, floor_accepted = state[18:20] if control else (0, 0)
+    sample(initial.t, *q0, *p0, u0, d2)
+    if config.integrator == "leapfrog":
+        params = (config.fixed_step,)
+    else:
+        params = (config.abs_tol, config.rel_tol, H_INIT, H_MIN, H_MAX, SAFETY)
+    exc, t, steps, rejected, floor_accepted, evals, min_u, min_d2, max_q = kernels[
+        config.integrator](sample, initial.t, q0, p0, f0, u0, d2, config.t_end,
+                           config.sample_interval, config.r_max, *params)
+    detail = "" if exc is None else str(exc)
+    if isinstance(exc, SingularPoint):
+        classification = "singularity-approach"
+    elif exc is not None:
+        classification = "step-failure"
+    elif steps and max_q > config.r_max:    # r_max is tested after each step
+        classification = "escape"
+        detail = f"|q| = {max_q:.3g} exceeded r_max at t = {t:.6g}"
+    else:
+        classification = "completed"
     outcome = RunOutcome(
         classification=classification,
         drift_H=drift[0], drift_X1=drift[1], drift_X2=drift[2],
         min_u=min_u, min_dsing=math.sqrt(min_d2), max_q=max_q, t_final=t, detail=detail,
         steps=steps, rejected=rejected, floor_accepted=floor_accepted,
-        # 6 per DP54 attempt or 1 per Verlet step, and the 1 at q0
-        force_evals=(6 * (steps + rejected) if control else steps) + 1,
+        force_evals=evals + 1,              # and the 1 at q0
     )
     return TrajectoryRecord(rows), outcome
 

@@ -3,7 +3,6 @@ and the simulation/scan harness."""
 
 import contextlib
 import dataclasses
-import functools
 import math
 import signal
 import struct
@@ -858,8 +857,8 @@ def test_floor_accepted_steps_are_counted(monkeypatch):
     # a step-size floor of 1/16 is far above what rel_tol 1e-12 allows, so
     # every step is accepted at the floor over tolerance; 1/16 is exact in
     # binary, so the sample caps never fall below the floor
-    monkeypatch.setattr(dynamics, "AdaptiveStepper",
-                        functools.partial(AdaptiveStepper, h_init=1 / 16, h_min=1 / 16))
+    monkeypatch.setattr(dynamics, "H_INIT", 1 / 16)
+    monkeypatch.setattr(dynamics, "H_MIN", 1 / 16)
     _, outcome = simulate(SimConfig(t_end=2.0), PhaseState.make(0.0, *_OFF_AXIS))
     assert outcome.classification == "completed"
     assert outcome.steps == 32
@@ -928,13 +927,17 @@ def _raised(fn, *args):
 def _kernel_step_at(kernels, integrator, q):
     """What one step of a compiled kernel raises when its first force site
     is at q: from q with p = 0 and force 0, both the Verlet drift and the
-    first DP54 stage land on q exactly.  The state is _KERNEL_STATE."""
-    state = (0.0, *q, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0, 1.0, 1.0, 0.0)
+    first DP54 stage land on q exactly."""
+    def sample(*row):
+        pytest.fail("the kernel sampled before its first step raised")
+
     if integrator == "adaptive":
-        state, params = (*state, 1e-3, 1.0, 0, 0), (1e-14, 1e-12, 1e-12, 1.0, 0.9)
+        params = (1e-14, 1e-12, 1e-3, 1e-12, 1.0, 0.9)
     else:
         params = (1e-3,)
-    exc, _ = kernels[integrator](state, 1.0, 1.0, 1.0, math.inf, *params)
+    zero = (0.0, 0.0, 0.0)
+    exc = kernels[integrator](sample, 0.0, q, zero, zero, 1.0, 1.0, 1.0, 1.0, math.inf,
+                              *params)[0]
     return type(exc), str(exc)
 
 
@@ -971,7 +974,7 @@ def test_too_many_sample_intervals_rejected(t0, config, monkeypatch):
         simulate(config, PhaseState.make(t0, (0.0, 0.0, 0.5), (0.0, 0.0, 0.4)))
 
 
-# -- the inter-sample kernel against the per-step API ----------------------
+# -- the run kernel against the per-step API ------------------------------
 
 
 def _scan_draw(seed, n):
@@ -997,9 +1000,16 @@ _KERNEL_CASES = [
     # an initial |q| beyond r_max escapes after the first step
     *((f"beyond-r_max-{integ}", SimConfig(t_end=5.0, r_max=0.1, integrator=integ), _OFF_AXIS,
        "escape") for integ in ("adaptive", "leapfrog")),
+    # ... and one that takes no step does not
+    *((f"no-step-beyond-r_max-{integ}", SimConfig(t_end=1e-13, r_max=0.1, integrator=integ),
+       _OFF_AXIS, "completed") for integ in ("adaptive", "leapfrog")),
     *((f"partial-interval-{integ}",
        SimConfig(t_end=2.5, sample_interval=0.7, integrator=integ, fixed_step=1e-2),
        _OFF_AXIS, "completed") for integ in ("adaptive", "leapfrog")),
+    # the force survives; the integrals of a sample raise, not a step
+    *((f"integrals-fsum-{integ}",
+       SimConfig(t_end=5.0, r_max=1e300, sample_interval=1e-3, integrator=integ),
+       (_Q, (1e79, 1e79, 0.0)), "step-failure") for integ in ("adaptive", "leapfrog")),
 ]
 
 
@@ -1054,3 +1064,22 @@ def test_kernels_are_generated_with_the_system(monkeypatch):
     for integrator in dynamics.INTEGRATORS:
         simulate(SimConfig(t_end=1.0, integrator=integrator), PhaseState.make(0.0, *_OFF_AXIS))
     assert len(generated) == len(dynamics.INTEGRATORS)
+
+
+@pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
+def test_run_is_one_kernel_call(integrator, monkeypatch):
+    """The kernel owns the sample loop: 500 sample rows, one call."""
+    force, integrals, kernels = compile_system(A0, B0, W0, 1e-10)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return kernels[integrator](*args)
+
+    monkeypatch.setattr(dynamics, "compile_system",
+                        lambda *args: (force, integrals, {integrator: counting}))
+    config = SimConfig(t_end=5.0, sample_interval=0.01, integrator=integrator)
+    record, outcome = simulate(config, PhaseState.make(0.0, *_OFF_AXIS))
+    assert outcome.classification == "completed"
+    assert len(record.rows) == 501
+    assert len(calls) == 1
