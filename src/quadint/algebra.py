@@ -409,6 +409,23 @@ def gauss_poly_expand(factors: Iterable[GaussPoly]) -> GaussPoly:
 # -- exact linear algebra ---------------------------------------------
 
 
+def _eliminate(r: dict[int, Fraction], row: dict[int, Fraction], pc: int):
+    """r - r[pc] * row for a pivot row with row[pc] == 1: column pc and
+    every entry that cancels are left out."""
+    f = r[pc]
+    out = dict(r)
+    del out[pc]
+    for c, v in row.items():
+        if c == pc:
+            continue
+        s = out.get(c, Fraction(0)) - f * v
+        if s:
+            out[c] = s
+        else:
+            out.pop(c, None)
+    return out
+
+
 def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int):
     """Reduced row echelon form over the rationals, rows as sparse dicts.
 
@@ -427,39 +444,17 @@ def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int):
         row = {c: v * inv for c, v in row.items()}
         nxt = []
         for r in rows:
-            f = r.get(pc)
-            if f is None:
+            if pc not in r:
                 nxt.append(r)
                 continue
-            out = dict(r)
-            del out[pc]
-            for c, v in row.items():
-                if c == pc:
-                    continue
-                s = out.get(c, Fraction(0)) - f * v
-                if s:
-                    out[c] = s
-                else:
-                    out.pop(c, None)
+            out = _eliminate(r, row, pc)
             if out:
                 nxt.append(out)
         rows = nxt
         # back-substitute into already reduced rows
         for i, rr in enumerate(reduced):
-            f = rr.get(pc)
-            if f is None:
-                continue
-            out = dict(rr)
-            del out[pc]
-            for c, v in row.items():
-                if c == pc:
-                    continue
-                s = out.get(c, Fraction(0)) - f * v
-                if s:
-                    out[c] = s
-                else:
-                    out.pop(c, None)
-            reduced[i] = out
+            if pc in rr:
+                reduced[i] = _eliminate(rr, row, pc)
         reduced.append(row)
         pivots.append(pc)
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 from fractions import Fraction
@@ -34,6 +33,8 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(text)
 
@@ -45,14 +46,13 @@ def parse_vec3(text: str):
     return tuple(parts)
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("QUADINT_JOBS")
-    return int(env) if env else 1
-
-
 def _load_config_file(path) -> dict[str, str]:
     out = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -60,6 +60,29 @@ def _load_config_file(path) -> dict[str, str]:
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
+
+
+def _parse_flag(text: str) -> bool:
+    """A config value for a flag option such as ``strict``."""
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected one of 1, true, yes, 0, false, no; got {text!r}")
+    return value in ("1", "true", "yes")
+
+
+def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]):
+    """Make the config file's values the defaults of ``parser``'s options,
+    converted by each option's own type, so that an option given on the
+    command line, in any spelling, still wins."""
+    for action in parser._actions:
+        key = action.dest.replace("_", "-")
+        if not action.option_strings or key not in config or action.default is argparse.SUPPRESS:
+            continue
+        convert = _parse_flag if action.nargs == 0 else action.type or str
+        try:
+            action.default = convert(config[key])
+        except ValueError as exc:
+            raise ValueError(f"config {key} = {config[key]!r}: {exc}") from exc
 
 
 def _numpy_version():
@@ -171,9 +194,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    import numpy as np
-
-    from .dynamics import SimConfig, scan_singularity, write_scan_csv
+    from .dynamics import SimConfig, scan_initial_conditions, scan_singularity, write_scan_csv
 
     w0 = float(parse_rational(args.w0))
     if w0 >= 0:
@@ -187,12 +208,7 @@ def cmd_scan(args) -> int:
         rel_tol=args.rel_tol,
         u_floor=args.u_floor,
     )
-    rng = np.random.default_rng(args.seed)
-    ics = []
-    for _ in range(args.n):
-        q = tuple(rng.uniform(-args.q_range, args.q_range, 3))
-        p = tuple(rng.uniform(-args.p_range, args.p_range, 3))
-        ics.append((q, p))
+    ics = scan_initial_conditions(args.seed, args.n, args.q_range, args.p_range)
     table = scan_singularity(config, ics, jobs=args.jobs)
     write_scan_csv(table, args.out)
     write_manifest(args.out, "scan", {
@@ -207,7 +223,9 @@ def cmd_scan(args) -> int:
 # -- parser ------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; ``config`` (from a --config file) gives the
+    subcommands' option defaults."""
     parser = argparse.ArgumentParser(
         prog="quadint",
         description=(
@@ -270,30 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=50.0)
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--u-floor", type=float, default=1e-10)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_scan)
+    for p in sub.choices.values():
+        _apply_config(p, config or {})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        defaults = _load_config_file(args.config)
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and f"--{key}" not in (argv or sys.argv):
-                current = getattr(args, attr)
-                if isinstance(current, bool):
-                    setattr(args, attr, value.lower() in ("1", "true", "yes"))
-                elif isinstance(current, int):
-                    setattr(args, attr, int(value))
-                elif isinstance(current, float):
-                    setattr(args, attr, float(value))
-                else:
-                    setattr(args, attr, value)
+    args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            args = build_parser(_load_config_file(args.config)).parse_args(argv)
         return args.fn(args)
     except (ParamDomain, SingularPoint, MalformedInput, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -648,6 +648,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not (math.isfinite(self.u_floor) and self.u_floor >= 0):
             raise ValueError(f"u_floor must be finite and non-negative, got {self.u_floor!r}")
+        for name in ("a", "b", "w0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         _check_param_domain(_exact(self.a), _exact(self.b))
 
 
@@ -713,12 +717,16 @@ def simulate(config: SimConfig, initial: PhaseState):
 
     The run is one call of the system's generated kernel (_compile_kernel),
     which calls back here for every sample row.  Failures are classified
-    in the returned RunOutcome, not raised, except for a non-finite initial
-    t, q or p, an initial state whose evaluation overflows, or more than
+    in the returned RunOutcome, not raised, except for a q or p without 3
+    components, a non-finite initial t, q or p, an initial state whose
+    evaluation overflows, or more than
     MAX_SAMPLES sample intervals (ValueError), or an initial state already
     inside the singularity cutoff (SingularPoint).  An evaluation that
     overflows mid-run is classified ``step-failure``.
     """
+    if initial.q.shape != (3,) or initial.p.shape != (3,):
+        raise ValueError(f"q and p must have 3 components, got shapes "
+                         f"{initial.q.shape} and {initial.p.shape}")
     q0, p0 = initial.q.tolist(), initial.p.tolist()
     if not all(map(math.isfinite, (initial.t, *q0, *p0))):
         raise ValueError(f"non-finite initial state t = {initial.t}, q = {q0}, p = {p0}")
@@ -768,6 +776,14 @@ def simulate(config: SimConfig, initial: PhaseState):
 
 
 SCAN_HEADER = "idx,x0,y0,z0,px0,py0,pz0,E,min_u,min_dsing,class"
+
+
+def scan_initial_conditions(seed: int, n: int, q_range: float = 0.5, p_range: float = 0.4):
+    """The n initial conditions ``quadint scan --seed <seed>`` draws: per
+    IC, q then p uniform in [-range, range)^3, as Python floats."""
+    rng = np.random.default_rng(seed)
+    return [(tuple(rng.uniform(-q_range, q_range, 3).tolist()),
+             tuple(rng.uniform(-p_range, p_range, 3).tolist())) for _ in range(n)]
 
 
 def _scan_one(config: SimConfig, idx: int, ic):

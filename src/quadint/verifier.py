@@ -131,20 +131,21 @@ def _poly_summary(p: Polynomial) -> str:
 # -- bracket engine ----------------------------------------------------
 
 
-def poisson_bracket(F: RadicalElement, G: RadicalElement) -> RadicalElement:
-    """{F, G} = sum_q dF/dq dG/dp - dF/dp dG/dq, sign fixed by {x, px} = +1."""
-    out = F.ring.zero()
+def _bracket(F, G, out):
+    """out + {F, G} = out + sum_q dF/dq dG/dp - dF/dp dG/dq."""
     for q, p in CANONICAL_PAIRS:
         out = out + F.diff(q) * G.diff(p) - F.diff(p) * G.diff(q)
     return out
+
+
+def poisson_bracket(F: RadicalElement, G: RadicalElement) -> RadicalElement:
+    """{F, G} = sum_q dF/dq dG/dp - dF/dp dG/dq, sign fixed by {x, px} = +1."""
+    return _bracket(F, G, F.ring.zero())
 
 
 def poly_poisson_bracket(F: Polynomial, G: Polynomial) -> Polynomial:
     """Bracket of two plain polynomials (used for leading-part checks)."""
-    out = Polynomial.zero()
-    for q, p in CANONICAL_PAIRS:
-        out = out + F.diff(q) * G.diff(p) - F.diff(p) * G.diff(q)
-    return out
+    return _bracket(F, G, Polynomial.zero())
 
 
 # -- individual checks -------------------------------------------------
@@ -192,21 +193,18 @@ def verify_invariant_coordinate(ctx: SystemContext) -> list[CheckResult]:
     u = ctx.u
     grad_v = ctx.V.grad_coords()
 
-    def chk_x():
-        pres = d1 * u.diff(X) - n1 * u.diff(Z)
-        rres = ctx.ring.from_poly(d1) * grad_v[0] - ctx.ring.from_poly(n1) * grad_v[2]
-        ok = pres.is_zero() and rres.is_zero()
-        return ok, f"u: {_poly_summary(pres)}; V: {_residual_summary(rres)}"
-
-    def chk_y():
-        pres = d2 * u.diff(Y) - n2 * u.diff(Z)
-        rres = ctx.ring.from_poly(d2) * grad_v[1] - ctx.ring.from_poly(n2) * grad_v[2]
-        ok = pres.is_zero() and rres.is_zero()
-        return ok, f"u: {_poly_summary(pres)}; V: {_residual_summary(rres)}"
+    def field_check(var, n, d, grad_var):
+        # the field d d/dvar - n d/dz annihilates u and V
+        def chk():
+            pres = d * u.diff(var) - n * u.diff(Z)
+            rres = ctx.ring.from_poly(d) * grad_var - ctx.ring.from_poly(n) * grad_v[2]
+            ok = pres.is_zero() and rres.is_zero()
+            return ok, f"u: {_poly_summary(pres)}; V: {_residual_summary(rres)}"
+        return chk
 
     return [
-        _timed("invariant_coordinate.x_field", chk_x),
-        _timed("invariant_coordinate.y_field", chk_y),
+        _timed("invariant_coordinate.x_field", field_check(X, n1, d1, grad_v[0])),
+        _timed("invariant_coordinate.y_field", field_check(Y, n2, d2, grad_v[1])),
     ]
 
 

@@ -302,3 +302,77 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_config_bad_value_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("t-end = abc\n")
+    code, _, err = run(
+        ["--config", str(cfg), "simulate", "--q0", "0,0,0.5", "--p0", "0,0,0.4",
+         "--out", str(tmp_path / "x.csv")],
+        capsys,
+    )
+    # used to print a traceback: the config was applied outside main's try
+    assert code == 1
+    assert err.startswith("error: config t-end = 'abc': ")
+    assert "Traceback" not in err
+
+
+def test_config_missing_file_exit_one(tmp_path, capsys):
+    code, _, err = run(
+        ["--config", str(tmp_path / "missing.cfg"), "verify", "--only", "involution"],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: cannot read config file ")
+
+
+@pytest.mark.parametrize("spelling", [["--t-end", "5"], ["--t-end=5"]])
+def test_command_line_overrides_config(tmp_path, capsys, spelling):
+    # --t-end=5 used to lose to the config's t-end: only the spelling
+    # "--t-end 5" was found in argv
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("t-end = 2\nw0 = 0\n")
+    out_file = tmp_path / "traj.csv"
+    code, _, _ = run(
+        ["--config", str(cfg), "simulate", "--q0", "0,0,0", "--p0", "0.1,0,0",
+         *spelling, "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0
+    # header and t = 0, 1, ..., 5
+    assert len(out_file.read_text().splitlines()) == 7
+
+
+def test_config_flag_and_jobs(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("jobs = 2\nstrict = yes\n")
+    from quadint.cli import build_parser, _load_config_file
+
+    parser = build_parser(_load_config_file(cfg))
+    args = parser.parse_args(["scan", "--out", "s.csv"])
+    assert args.jobs == 2
+    args = parser.parse_args(["simulate", "--q0", "0,0,0", "--p0", "0,0,0", "--out", "x.csv"])
+    assert args.strict is True
+    cfg.write_text("strict = maybe\n")
+    code, _, err = run(["--config", str(cfg), "verify", "--only", "involution"], capsys)
+    assert code == 1 and err.startswith("error: config strict = 'maybe': ")
+
+
+def test_zero_denominator_exit_one(tmp_path, capsys):
+    code, _, err = run(
+        ["simulate", "--a", "1/0", "--q0", "0,0,0.5", "--p0", "0,0,0.4",
+         "--out", str(tmp_path / "x.csv")],
+        capsys,
+    )
+    # was "internal error: ZeroDivisionError" and exit 2
+    assert code == 1
+    assert err.startswith("error: zero denominator in '1/0'")
+
+
+def test_jobs_environment_variable_is_ignored(monkeypatch, capsys):
+    # QUADINT_JOBS=x used to crash every subcommand while the parser was
+    # built; the variable is gone, --jobs and a config "jobs" line remain
+    monkeypatch.setenv("QUADINT_JOBS", "x")
+    code, _, _ = run(["verify", "--only", "involution"], capsys)
+    assert code == 0

@@ -30,6 +30,7 @@ from quadint.dynamics import (
     compile_system,
     distance_to_singular_lines,
     dp54_step,
+    scan_initial_conditions,
     scan_singularity,
     simulate,
     step_leapfrog,
@@ -359,7 +360,11 @@ _BAD_FIELDS = [
     (name, value)
     for name in ("rel_tol", "abs_tol", "fixed_step", "t_end", "sample_interval", "r_max")
     for value in (0.0, -1e-3, math.nan, math.inf)
-] + [("u_floor", value) for value in (-1e-3, math.nan, math.inf)]
+] + [("u_floor", value) for value in (-1e-3, math.nan, math.inf)] + [
+    # nan used to fail in Fraction() with "cannot convert NaN to integer
+    # ratio", +-inf with OverflowError, and w0 was not checked at all
+    (name, value) for name in ("a", "b", "w0") for value in (math.nan, math.inf, -math.inf)
+]
 
 
 @pytest.mark.parametrize("name, value", _BAD_FIELDS,
@@ -375,6 +380,17 @@ def test_config_rejects_bad_positive_field(name, value):
 ])
 def test_simulate_rejects_non_finite_initial_state(q0, p0):
     with pytest.raises(ValueError, match="non-finite"):
+        simulate(SimConfig(t_end=1.0), PhaseState.make(0.0, q0, p0))
+
+
+@pytest.mark.parametrize("q0, p0", [
+    ((0.0, 0.5), (0.0, 0.0, 0.4)),
+    ((0.0, 0.0, 0.5), (0.0, 0.0, 0.4, 0.0)),
+    (0.5, (0.0, 0.0, 0.4)),
+], ids=["q-2", "p-4", "q-scalar"])
+def test_simulate_rejects_wrong_length_state(q0, p0):
+    # used to raise TypeError from the force call at q0
+    with pytest.raises(ValueError, match="3 components"):
         simulate(SimConfig(t_end=1.0), PhaseState.make(0.0, q0, p0))
 
 
@@ -665,7 +681,7 @@ def test_scan_min_dsing_covers_every_step():
     # this IC passes within 1.2e-4 of a line between the samples at t = 1
     # and t = 2, whose rows are more than 0.5 away
     cfg = SimConfig(t_end=2.0)
-    ic = _scan_draw(0, 2)[1]
+    ic = scan_initial_conditions(0, 2)[1]
     (row,) = scan_singularity(cfg, [ic])
     record, outcome = simulate(cfg, PhaseState.make(0.0, *ic))
     assert row[8:10] == (outcome.min_u, outcome.min_dsing)
@@ -977,13 +993,6 @@ def test_too_many_sample_intervals_rejected(t0, config, monkeypatch):
 # -- the run kernel against the per-step API ------------------------------
 
 
-def _scan_draw(seed, n):
-    """The first n initial conditions ``quadint scan --seed <seed>`` draws."""
-    rng = np.random.default_rng(seed)
-    return [(tuple(rng.uniform(-0.5, 0.5, 3)), tuple(rng.uniform(-0.4, 0.4, 3)))
-            for _ in range(n)]
-
-
 _SCAN_CONFIG = dict(t_end=50.0, rel_tol=1e-10, u_floor=1e-3)
 _Q = (0.5, 0.2, -0.3)
 # (id, config, ic, classification); the singularity approaches and the
@@ -991,7 +1000,7 @@ _Q = (0.5, 0.2, -0.3)
 _KERNEL_CASES = [
     *((f"floor-{k}-{integ}", SimConfig(integrator=integ, **_SCAN_CONFIG), ic,
        "singularity-approach")
-      for k, ic in enumerate(_scan_draw(0, 4)) for integ in ("adaptive", "leapfrog")),
+      for k, ic in enumerate(scan_initial_conditions(0, 4)) for integ in ("adaptive", "leapfrog")),
     ("step-failure-1e154", SimConfig(t_end=5.0), (_Q, (1e154, 0.0, 0.0)), "step-failure"),
     *((f"overflow-{integ}", SimConfig(t_end=5.0, integrator=integ), (_Q, (1e90, 0.0, 1e90)),
        "step-failure") for integ in ("adaptive", "leapfrog")),

@@ -17,7 +17,7 @@ benchmark's Verlet run at seed 0; the seed-0 and seed-1 scans (10 ICs,
 t = 50, rel_tol 1e-10) at 1 and 2 jobs; the first 4 seed-0 scan ICs at
 u_floor 1e-3 (singularity approaches) with both integrators; and the
 step-failure (p = 1e154), overflow (p = 1e90) and escape ICs of the tests.
-Only the standard library, numpy and quadint are used.
+Only the standard library and quadint are used.
 """
 
 from __future__ import annotations
@@ -27,9 +27,14 @@ import dataclasses
 import hashlib
 import sys
 
-import numpy as np
-
-from quadint.dynamics import INTEGRATORS, PhaseState, SimConfig, scan_singularity, simulate
+from quadint.dynamics import (
+    INTEGRATORS,
+    PhaseState,
+    SimConfig,
+    scan_initial_conditions,
+    scan_singularity,
+    simulate,
+)
 
 # tests/test_acceptance.py
 DOCUMENTED_ICS = (
@@ -39,17 +44,6 @@ DOCUMENTED_ICS = (
 )
 # tests/test_dynamics.py
 Q_TEST = (0.5, 0.2, -0.3)
-
-
-def scan_ics(seed: int, n: int = 10):
-    """The initial conditions ``quadint scan --seed <seed> --n <n>`` draws."""
-    rng = np.random.default_rng(seed)
-    ics = []
-    for _ in range(n):
-        q = tuple(float(v) for v in rng.uniform(-0.5, 0.5, 3))
-        p = tuple(float(v) for v in rng.uniform(-0.4, 0.4, 3))
-        ics.append((q, p))
-    return ics
 
 
 def _scan_config(**kw) -> SimConfig:
@@ -66,8 +60,9 @@ def runs():
                                                  fixed_step=1e-3), DOCUMENTED_ICS[0])
     for seed in (0, 1):
         for jobs in (1, 2):
-            out[f"scan{seed}-jobs{jobs}"] = ("scan", _scan_config(), (scan_ics(seed), jobs))
-    for k, ic in enumerate(scan_ics(0)[:4]):
+            out[f"scan{seed}-jobs{jobs}"] = ("scan", _scan_config(),
+                                              (scan_initial_conditions(seed, 10), jobs))
+    for k, ic in enumerate(scan_initial_conditions(0, 4)):
         for integ in INTEGRATORS:
             out[f"floor1e-3-ic{k}-{integ}"] = (
                 "simulate", _scan_config(u_floor=1e-3, integrator=integ), ic)
