@@ -74,15 +74,18 @@ def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]):
     """Make the config file's values the defaults of ``parser``'s options,
     converted by each option's own type, so that an option given on the
     command line, in any spelling, still wins."""
+    values = {key.replace("-", "_"): (key, value) for key, value in config.items()}
     for action in parser._actions:
-        key = action.dest.replace("_", "-")
-        if not action.option_strings or key not in config or action.default is argparse.SUPPRESS:
+        # positionals and --help take no config value
+        if (not action.option_strings or action.default is argparse.SUPPRESS
+                or action.dest not in values):
             continue
+        key, value = values[action.dest]
         convert = _parse_flag if action.nargs == 0 else action.type or str
         try:
-            action.default = convert(config[key])
+            action.default = convert(value)
         except ValueError as exc:
-            raise ValueError(f"config {key} = {config[key]!r}: {exc}") from exc
+            raise ValueError(f"config {key} = {value!r}: {exc}") from exc
 
 
 def _numpy_version():

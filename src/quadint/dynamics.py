@@ -719,10 +719,10 @@ def simulate(config: SimConfig, initial: PhaseState):
     which calls back here for every sample row.  Failures are classified
     in the returned RunOutcome, not raised, except for a q or p without 3
     components, a non-finite initial t, q or p, an initial state whose
-    evaluation overflows, or more than
-    MAX_SAMPLES sample intervals (ValueError), or an initial state already
-    inside the singularity cutoff (SingularPoint).  An evaluation that
-    overflows mid-run is classified ``step-failure``.
+    evaluation overflows, or more than MAX_SAMPLES sample intervals
+    (ValueError), or an initial state already inside the singularity
+    cutoff (SingularPoint).  An evaluation that overflows mid-run is
+    classified ``step-failure``.
     """
     if initial.q.shape != (3,) or initial.p.shape != (3,):
         raise ValueError(f"q and p must have 3 components, got shapes "
@@ -760,7 +760,7 @@ def simulate(config: SimConfig, initial: PhaseState):
         classification = "singularity-approach"
     elif exc is not None:
         classification = "step-failure"
-    elif steps and max_q > config.r_max:    # r_max is tested after each step
+    elif steps and max_q > config.r_max:    # the kernel tests r_max after a step
         classification = "escape"
         detail = f"|q| = {max_q:.3g} exceeded r_max at t = {t:.6g}"
     else:

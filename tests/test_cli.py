@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from quadint.cli import main, parse_rational, parse_vec3
+from quadint.cli import _load_config_file, build_parser, main, parse_rational, parse_vec3
 
 
 def run(argv, capsys):
@@ -312,7 +312,6 @@ def test_config_bad_value_exit_one(tmp_path, capsys):
          "--out", str(tmp_path / "x.csv")],
         capsys,
     )
-    # used to print a traceback: the config was applied outside main's try
     assert code == 1
     assert err.startswith("error: config t-end = 'abc': ")
     assert "Traceback" not in err
@@ -329,10 +328,10 @@ def test_config_missing_file_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("spelling", [["--t-end", "5"], ["--t-end=5"]])
 def test_command_line_overrides_config(tmp_path, capsys, spelling):
-    # --t-end=5 used to lose to the config's t-end: only the spelling
-    # "--t-end 5" was found in argv
+    # either spelling of an option beats the config file's value; a key
+    # may be spelled with - or _
     cfg = tmp_path / "sim.cfg"
-    cfg.write_text("t-end = 2\nw0 = 0\n")
+    cfg.write_text("t_end = 2\nw0 = 0\n")
     out_file = tmp_path / "traj.csv"
     code, _, _ = run(
         ["--config", str(cfg), "simulate", "--q0", "0,0,0", "--p0", "0.1,0,0",
@@ -346,9 +345,7 @@ def test_command_line_overrides_config(tmp_path, capsys, spelling):
 
 def test_config_flag_and_jobs(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
-    cfg.write_text("jobs = 2\nstrict = yes\n")
-    from quadint.cli import build_parser, _load_config_file
-
+    cfg.write_text("jobs = 2\nstrict = yes\nhelp = maybe\n")
     parser = build_parser(_load_config_file(cfg))
     args = parser.parse_args(["scan", "--out", "s.csv"])
     assert args.jobs == 2
@@ -365,14 +362,13 @@ def test_zero_denominator_exit_one(tmp_path, capsys):
          "--out", str(tmp_path / "x.csv")],
         capsys,
     )
-    # was "internal error: ZeroDivisionError" and exit 2
     assert code == 1
     assert err.startswith("error: zero denominator in '1/0'")
 
 
 def test_jobs_environment_variable_is_ignored(monkeypatch, capsys):
-    # QUADINT_JOBS=x used to crash every subcommand while the parser was
-    # built; the variable is gone, --jobs and a config "jobs" line remain
+    # no environment variable sets a default: --jobs and a config "jobs"
+    # line do
     monkeypatch.setenv("QUADINT_JOBS", "x")
     code, _, _ = run(["verify", "--only", "involution"], capsys)
     assert code == 0

@@ -361,8 +361,8 @@ _BAD_FIELDS = [
     for name in ("rel_tol", "abs_tol", "fixed_step", "t_end", "sample_interval", "r_max")
     for value in (0.0, -1e-3, math.nan, math.inf)
 ] + [("u_floor", value) for value in (-1e-3, math.nan, math.inf)] + [
-    # nan used to fail in Fraction() with "cannot convert NaN to integer
-    # ratio", +-inf with OverflowError, and w0 was not checked at all
+    # checked ahead of the exact domain check, whose Fraction() cannot take
+    # nan or inf
     (name, value) for name in ("a", "b", "w0") for value in (math.nan, math.inf, -math.inf)
 ]
 
@@ -389,7 +389,6 @@ def test_simulate_rejects_non_finite_initial_state(q0, p0):
     (0.5, (0.0, 0.0, 0.4)),
 ], ids=["q-2", "p-4", "q-scalar"])
 def test_simulate_rejects_wrong_length_state(q0, p0):
-    # used to raise TypeError from the force call at q0
     with pytest.raises(ValueError, match="3 components"):
         simulate(SimConfig(t_end=1.0), PhaseState.make(0.0, q0, p0))
 
