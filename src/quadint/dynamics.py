@@ -752,9 +752,10 @@ def simulate(config: SimConfig, initial: PhaseState):
         params = (config.fixed_step,)
     else:
         params = (config.abs_tol, config.rel_tol, H_INIT, H_MIN, H_MAX, SAFETY)
-    exc, t, steps, rejected, floor_accepted, evals, min_u, min_d2, max_q = kernels[
-        config.integrator](sample, initial.t, q0, p0, f0, u0, d2, config.t_end,
-                           config.sample_interval, config.r_max, *params)
+    run = kernels[config.integrator]
+    exc, t, steps, rejected, floor_accepted, evals, min_u, min_d2, max_q = run(
+        sample, initial.t, q0, p0, f0, u0, d2, config.t_end, config.sample_interval,
+        config.r_max, *params)
     detail = "" if exc is None else str(exc)
     if isinstance(exc, SingularPoint):
         classification = "singularity-approach"
