@@ -744,8 +744,7 @@ def simulate(config: SimConfig, initial: PhaseState):
     def sample(t, x, y, z, px, py, pz, u, d2):
         h, x1, x2 = integrals((x, y, z), (px, py, pz))
         rows.append((t, x, y, z, px, py, pz, h, x1, x2, u, math.sqrt(d2)))
-        for i, value in enumerate((h, x1, x2)):
-            drift[i] = max(drift[i], _rel_drift(value, rows[0][7 + i]))
+        drift[:] = map(max, drift, map(_rel_drift, (h, x1, x2), rows[0][7:10]))
 
     sample(initial.t, *q0, *p0, u0, d2)
     if config.integrator == "leapfrog":
