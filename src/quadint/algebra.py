@@ -22,8 +22,6 @@ X, Y, Z, PX, PY, PZ, A, B, W0 = range(NVARS)
 COORDS = (X, Y, Z)
 MOMENTA = (PX, PY, PZ)
 
-VAR_INDEX = {name: i for i, name in enumerate(VARS)}
-
 ZERO_EXPS = (0,) * NVARS
 
 Scalar = int | Fraction
@@ -180,9 +178,6 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def degree_in(self, v: int) -> int:
         return max((e[v] for e in self.terms), default=0)

@@ -2,9 +2,15 @@
 
 Exit codes are uniform across commands: 0 success / all checks pass,
 1 domain or check failure, 2 internal error.  Every output file gets a
-JSON manifest sidecar recording the command, parameters, toolkit
-version, context fingerprint and the Python, platform and numpy
-versions, so any artifact can be reproduced.
+JSON manifest sidecar recording the command, every parsed option, the
+toolkit version, context fingerprint and the Python, platform and numpy
+versions, so any artifact can be reproduced.  ``simulate`` and ``scan``
+also record the ``SimConfig`` that ran, as ``sim_config``.
+
+``SimConfig`` holds the run defaults: its fields are options of
+``simulate`` and ``scan`` that are left unset unless given, and
+``build_sim_config`` passes only the ones set.  ``scan`` keeps two
+defaults of its own, ``--t-end 50`` and ``--rel-tol 1e-10``.
 
 ``verify`` and the parser load no numpy: ``simulate``, ``plot`` and ``scan``
 import ``quadint.dynamics`` (and numpy) when they run.
@@ -13,6 +19,7 @@ import ``quadint.dynamics`` (and numpy) when they run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import sys
@@ -70,15 +77,21 @@ def _parse_flag(text: str) -> bool:
     return value in ("1", "true", "yes")
 
 
-def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]):
-    """Make the config file's values the defaults of ``parser``'s options,
-    converted by each option's own type, so that an option given on the
-    command line, in any spelling, still wins."""
+def _apply_config(parsers, config: dict[str, str]):
+    """Make the config file's values the defaults of the options of
+    ``parsers``, converted by each option's own type, so that an option
+    given on the command line, in any spelling, still wins.  A key that no
+    option of any parser has is an error; ``help`` is accepted and ignored."""
     values = {key.replace("-", "_"): (key, value) for key, value in config.items()}
-    for action in parser._actions:
-        # positionals and --help take no config value
-        if (not action.option_strings or action.default is argparse.SUPPRESS
-                or action.dest not in values):
+    options = [action for parser in parsers for action in parser._actions
+               if action.option_strings]
+    dests = {action.dest for action in options}
+    unknown = [key for dest, (key, _) in values.items() if dest not in dests]
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+    for action in options:
+        # --help takes no config value
+        if action.dest == "help" or action.dest not in values:
             continue
         key, value = values[action.dest]
         convert = _parse_flag if action.nargs == 0 else action.type or str
@@ -99,20 +112,38 @@ def _numpy_version():
         return None
 
 
-def write_manifest(out_path: str, command: str, params: dict):
+def write_manifest(args, config=None):
+    """Write ``args.out``'s manifest: every parsed option and, for a run,
+    ``config``, the SimConfig that ran."""
     manifest = {
-        "command": command,
-        "parameters": params,
-        "outputs": [str(out_path)],
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k != "fn"},
+        "outputs": [str(args.out)],
         "version": __version__,
         "context_fingerprint": context_fingerprint(build_context()),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "numpy": _numpy_version(),
     }
-    with open(str(out_path) + ".manifest.json", "w") as fh:
+    if config is not None:
+        manifest["sim_config"] = dataclasses.asdict(config)
+    with open(str(args.out) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return manifest
+
+
+def build_sim_config(args):
+    """The SimConfig of the fields that ``args`` sets; every other field
+    keeps SimConfig's default.  ``a``, ``b`` and ``w0`` are exact entries
+    (see ``parse_rational``)."""
+    from .dynamics import SimConfig
+
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)
+              if hasattr(args, f.name)}
+    for name in ("a", "b", "w0"):
+        if name in values:
+            values[name] = float(parse_rational(values[name]))
+    return SimConfig(**values)
 
 
 # -- subcommands -------------------------------------------------------
@@ -128,40 +159,19 @@ def cmd_verify(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        write_manifest(args.out, "verify", {
-            "format": args.format, "only": args.only, "alt_ly": args.alt_ly,
-        })
+        write_manifest(args)
     print(text)
     return EXIT_OK if report.all_passed else EXIT_FAIL
 
 
 def cmd_simulate(args) -> int:
-    from .dynamics import PhaseState, SimConfig, simulate
+    from .dynamics import PhaseState, simulate
 
-    config = SimConfig(
-        a=float(parse_rational(args.a)),
-        b=float(parse_rational(args.b)),
-        w0=float(parse_rational(args.w0)),
-        integrator=args.integrator,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        fixed_step=args.fixed_step,
-        t_end=args.t_end,
-        u_floor=args.u_floor,
-        r_max=args.r_max,
-        sample_interval=args.sample_interval,
-    )
+    config = build_sim_config(args)
     initial = PhaseState.make(0.0, parse_vec3(args.q0), parse_vec3(args.p0))
     record, outcome = simulate(config, initial)
     record.write_csv(args.out)
-    write_manifest(args.out, "simulate", {
-        "a": args.a, "b": args.b, "w0": args.w0,
-        "q0": args.q0, "p0": args.p0, "t_end": args.t_end,
-        "integrator": args.integrator, "rel_tol": args.rel_tol,
-        "abs_tol": args.abs_tol, "fixed_step": args.fixed_step,
-        "u_floor": args.u_floor, "r_max": args.r_max,
-        "sample_interval": args.sample_interval,
-    })
+    write_manifest(args, config)
     print(
         f"classification: {outcome.classification}\n"
         f"t_final: {outcome.t_final:.6g}\n"
@@ -188,37 +198,19 @@ def cmd_plot(args) -> int:
         width=args.width,
         height=args.height,
     )
-    write_manifest(args.out, "plot", {
-        "trajectories": list(args.trajectories), "a": args.a, "b": args.b,
-        "view": args.view, "width": args.width, "height": args.height,
-    })
+    write_manifest(args)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    from .dynamics import SimConfig, scan_initial_conditions, scan_singularity, write_scan_csv
+    from .dynamics import scan_initial_conditions, scan_singularity, write_scan_csv
 
-    w0 = float(parse_rational(args.w0))
-    if w0 >= 0:
-        print("scan requires w0 < 0 (the question is only open there)", file=sys.stderr)
-        return EXIT_FAIL
-    config = SimConfig(
-        a=float(parse_rational(args.a)),
-        b=float(parse_rational(args.b)),
-        w0=w0,
-        t_end=args.t_end,
-        rel_tol=args.rel_tol,
-        u_floor=args.u_floor,
-    )
+    config = build_sim_config(args)
     ics = scan_initial_conditions(args.seed, args.n, args.q_range, args.p_range)
     table = scan_singularity(config, ics, jobs=args.jobs)
     write_scan_csv(table, args.out)
-    write_manifest(args.out, "scan", {
-        "a": args.a, "b": args.b, "w0": args.w0, "n": args.n,
-        "seed": args.seed, "q_range": args.q_range, "p_range": args.p_range,
-        "t_end": args.t_end, "jobs": args.jobs,
-    })
+    write_manifest(args, config)
     print(f"wrote {args.out} ({len(table)} rows)")
     return EXIT_OK
 
@@ -250,23 +242,26 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     )
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    p.add_argument("--a", default="1/4")
-    p.add_argument("--b", default="1")
-    p.add_argument("--w0", default="-1")
+    # SimConfig's fields are left unset unless given (argument_default), so
+    # that SimConfig's defaults apply
+    p = sub.add_parser("simulate", help="integrate one trajectory to CSV",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--a")
+    p.add_argument("--b")
+    p.add_argument("--w0")
     p.add_argument("--q0", required=True, help="x,y,z")
     p.add_argument("--p0", required=True, help="px,py,pz")
-    p.add_argument("--t-end", type=float, default=100.0)
+    p.add_argument("--t-end", type=float)
     # SimConfig rejects an unknown name and lists the valid ones
-    p.add_argument("--integrator", default="adaptive")
-    p.add_argument("--rel-tol", type=float, default=1e-12)
-    p.add_argument("--abs-tol", type=float, default=1e-14)
-    p.add_argument("--fixed-step", type=float, default=1e-3)
-    p.add_argument("--u-floor", type=float, default=1e-10)
-    p.add_argument("--r-max", type=float, default=1e3)
-    p.add_argument("--sample-interval", type=float, default=1.0)
+    p.add_argument("--integrator")
+    p.add_argument("--rel-tol", type=float)
+    p.add_argument("--abs-tol", type=float)
+    p.add_argument("--fixed-step", type=float)
+    p.add_argument("--u-floor", type=float)
+    p.add_argument("--r-max", type=float)
+    p.add_argument("--sample-interval", type=float)
     p.add_argument("--out", required=True)
-    p.add_argument("--strict", action="store_true",
+    p.add_argument("--strict", action="store_true", default=False,
                    help="exit 1 unless the run completes to t_end")
     p.set_defaults(fn=cmd_simulate)
 
@@ -280,22 +275,23 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_plot)
 
-    p = sub.add_parser("scan", help="batch singularity-approach scan (w0 < 0)")
-    p.add_argument("--a", default="1/4")
-    p.add_argument("--b", default="1")
-    p.add_argument("--w0", default="-1")
+    # as for simulate, except that a scan runs shorter and looser by default
+    p = sub.add_parser("scan", help="batch singularity-approach scan (w0 < 0)",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--a")
+    p.add_argument("--b")
+    p.add_argument("--w0")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q-range", type=float, default=0.5)
     p.add_argument("--p-range", type=float, default=0.4)
     p.add_argument("--t-end", type=float, default=50.0)
     p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--u-floor", type=float, default=1e-10)
+    p.add_argument("--u-floor", type=float)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_scan)
-    for p in sub.choices.values():
-        _apply_config(p, config or {})
+    _apply_config(sub.choices.values(), config or {})
     return parser
 
 

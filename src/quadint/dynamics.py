@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -264,7 +264,6 @@ class IntegralEvaluator:
 # -- integrators -------------------------------------------------------
 
 # Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -781,6 +780,8 @@ SCAN_HEADER = "idx,x0,y0,z0,px0,py0,pz0,E,min_u,min_dsing,class"
 def scan_initial_conditions(seed: int, n: int, q_range: float = 0.5, p_range: float = 0.4):
     """The n initial conditions ``quadint scan --seed <seed>`` draws: per
     IC, q then p uniform in [-range, range)^3, as Python floats."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n!r}")
     rng = np.random.default_rng(seed)
     return [(tuple(rng.uniform(-q_range, q_range, 3).tolist()),
              tuple(rng.uniform(-p_range, p_range, 3).tolist())) for _ in range(n)]
@@ -805,6 +806,8 @@ def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     """
     if config.w0 >= 0:
         raise ParamDomain("singularity scan requires w0 < 0")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     ics = list(initial_conditions)
     # compiled here once, so forked workers inherit it
     compile_system(config.a, config.b, config.w0, config.u_floor)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, artifacts, manifests, exit codes."""
 
+import dataclasses
 import importlib.metadata
 import json
 import platform
@@ -102,6 +103,22 @@ def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["parameters"]["q0"] == "0.5,0.2,-0.3"
+    assert manifest["parameters"]["t_end"] == 3.0
+    assert manifest["sim_config"]["t_end"] == 3.0
+
+
+def test_bare_simulate_runs_simconfig_defaults(tmp_path, capsys):
+    # the CLI adds no run defaults of its own: what SimConfig does not get
+    # from the command line is SimConfig's
+    from quadint.dynamics import SimConfig
+
+    out_file = tmp_path / "traj.csv"
+    code, _, _ = run(["simulate", "--q0", "0,0,0.5", "--p0", "0,0,0.4",
+                      "--out", str(out_file)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
+    assert manifest["sim_config"] == dataclasses.asdict(SimConfig(a=0.25, b=1.0, w0=-1.0))
+    assert set(manifest["parameters"]) == {"command", "config", "q0", "p0", "out", "strict"}
 
 
 def test_simulate_free_motion_when_w0_zero(tmp_path, capsys):
@@ -270,12 +287,39 @@ def test_scan_writes_table(tmp_path, capsys):
                               "step-failure")
 
 
+def test_scan_manifest_records_the_config_that_ran(tmp_path, capsys):
+    from quadint.dynamics import SimConfig
+
+    out_file = tmp_path / "scan.csv"
+    code, _, _ = run(["scan", "--n", "1", "--t-end", "1", "--rel-tol", "1e-8",
+                      "--u-floor", "1e-6", "--out", str(out_file)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+    assert manifest["parameters"]["rel_tol"] == 1e-8
+    assert manifest["parameters"]["u_floor"] == 1e-6
+    assert manifest["sim_config"] == dataclasses.asdict(
+        SimConfig(t_end=1.0, rel_tol=1e-8, u_floor=1e-6))
+
+
 def test_scan_rejects_repulsive(capsys, tmp_path):
     code, _, err = run(
         ["scan", "--w0", "1", "--n", "1", "--out", str(tmp_path / "s.csv")],
         capsys,
     )
     assert code == 1
+    assert err == "error: singularity scan requires w0 < 0\n"
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--n", "-3"], "error: n must be non-negative, got -3"),
+    (["--jobs", "0"], "error: jobs must be at least 1, got 0"),
+])
+def test_scan_rejects_bad_counts(capsys, tmp_path, option, message):
+    out_file = tmp_path / "s.csv"
+    code, _, err = run(["scan", *option, "--t-end", "1", "--out", str(out_file)], capsys)
+    assert code == 1
+    assert err.strip() == message
+    assert not out_file.exists()
 
 
 # -- config file --------------------------------------------------------
@@ -296,6 +340,20 @@ def test_config_file_provides_defaults(tmp_path, capsys):
     rows = out_file.read_text().splitlines()
     # t-end=2 with 1.0 sampling: t = 0, 1, 2
     assert len(rows) == 4
+    manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
+    assert manifest["sim_config"]["t_end"] == 2.0
+    assert manifest["sim_config"]["w0"] == 0.0
+
+
+def test_config_unknown_key_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("t-ned = 3\n")
+    out_file = tmp_path / "x.csv"
+    code, _, err = run(["--config", str(cfg), "simulate", "--q0", "0,0,0.5",
+                        "--p0", "0,0,0.4", "--out", str(out_file)], capsys)
+    assert code == 1
+    assert err == "error: unknown config key 't-ned'\n"
+    assert not out_file.exists()
 
 
 def test_version_flag(capsys):

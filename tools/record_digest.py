@@ -14,9 +14,10 @@ compared with one that lacks a newer field; ``--only`` runs the named runs.
 The set: the three documented orbits to t = 1000 with both integrators
 (documented0-adaptive is also the benchmark's orbit run at seed 0); the
 benchmark's Verlet run at seed 0; the seed-0 and seed-1 scans (10 ICs,
-t = 50, rel_tol 1e-10) at 1 and 2 jobs; the first 4 seed-0 scan ICs at
-u_floor 1e-3 (singularity approaches) with both integrators; and the
-step-failure (p = 1e154), overflow (p = 1e90) and escape ICs of the tests.
+in the config ``quadint scan`` runs by default: t = 50, rel_tol 1e-10) at
+1 and 2 jobs; the first 4 seed-0 scan ICs in that config at u_floor 1e-3
+(singularity approaches) with both integrators; and the step-failure
+(p = 1e154), overflow (p = 1e90) and escape ICs of the tests.
 Only the standard library and quadint are used.
 """
 
@@ -27,6 +28,7 @@ import dataclasses
 import hashlib
 import sys
 
+from quadint.cli import build_parser, build_sim_config
 from quadint.dynamics import (
     INTEGRATORS,
     PhaseState,
@@ -46,8 +48,8 @@ DOCUMENTED_ICS = (
 Q_TEST = (0.5, 0.2, -0.3)
 
 
-def _scan_config(**kw) -> SimConfig:
-    return SimConfig(t_end=50.0, rel_tol=1e-10, **kw)
+# the config of `quadint scan` with no options given
+SCAN_CONFIG = build_sim_config(build_parser().parse_args(["scan", "--out", "scan.csv"]))
 
 
 def runs():
@@ -60,12 +62,12 @@ def runs():
                                                  fixed_step=1e-3), DOCUMENTED_ICS[0])
     for seed in (0, 1):
         for jobs in (1, 2):
-            out[f"scan{seed}-jobs{jobs}"] = ("scan", _scan_config(),
+            out[f"scan{seed}-jobs{jobs}"] = ("scan", SCAN_CONFIG,
                                               (scan_initial_conditions(seed, 10), jobs))
     for k, ic in enumerate(scan_initial_conditions(0, 4)):
         for integ in INTEGRATORS:
             out[f"floor1e-3-ic{k}-{integ}"] = (
-                "simulate", _scan_config(u_floor=1e-3, integrator=integ), ic)
+                "simulate", dataclasses.replace(SCAN_CONFIG, u_floor=1e-3, integrator=integ), ic)
     out["step-failure-1e154"] = ("simulate", SimConfig(t_end=5.0), (Q_TEST, (1e154, 0.0, 0.0)))
     for integ in INTEGRATORS:
         out[f"overflow-1e90-{integ}"] = (
