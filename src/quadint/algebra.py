@@ -113,15 +113,29 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
+        """Exact product.  When one factor is a single term (the smaller
+        one, ``self`` on a tie) the other's exponents are shifted and its
+        coefficients scaled with no merge, since a shift cannot make two
+        monomials equal; a zero shift and a coefficient of 1 are skipped,
+        so the constant 1 gives a copy.  The result's term order is the
+        other factor's, as the general double loop, which runs over the
+        smaller factor outermost, gives."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not self.terms or not other.terms:
             return Polynomial()
-        # materialize all cross terms, merging as we go
         small, big = self.terms, other.terms
         if len(small) > len(big):
             small, big = big, small
+        if len(small) == 1:
+            (e1, c1), = small.items()
+            if e1 != ZERO_EXPS:
+                big = {tuple(map(int.__add__, e1, e)): c for e, c in big.items()}
+            if c1 != 1:
+                big = {e: c1 * c for e, c in big.items()}
+            return Polynomial(big)
+        # materialize all cross terms, merging as we go
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in small.items():
             for e2, c2 in big.items():
@@ -496,28 +510,45 @@ def matrix_rank_exact(matrix: Sequence[Sequence[Scalar]]) -> int:
 
 def solve_exact_sparse(
     rows: list[dict[int, Fraction]],
-    rhs: list[Fraction],
+    rhs: list[list[Fraction]],
     ncols: int,
 ):
-    """Solve A x = rhs exactly for sparse rational rows.
+    """Solve A x = b_k exactly for sparse rational rows A and each
+    right-hand side b_k in ``rhs`` (each a list aligned with ``rows``),
+    with one elimination.
 
-    Returns (particular_solution, nullspace_basis) or (None, basis) when
-    the system is inconsistent.  The RHS is carried in an extra column.
+    Returns (particular_solutions, nullspace_basis): one particular
+    solution per right-hand side, with every free unknown 0, or None where
+    A x = b_k is inconsistent, and the nullspace of A.  b_k is carried in
+    augmented column ncols + k, as -b_k, and is consistent when that
+    column is no pivot and is 0 in every row whose pivot is another
+    right-hand-side column: such a row reads 0 = a combination of the
+    b_j, so a nonzero entry means b_k lies outside the column space of A
+    even when its column is no pivot.  A pivot column is the leftmost
+    entry of its row, so the pivots below ncols are those of A alone.
     """
     aug = []
-    for row, b in zip(rows, rhs):
+    for i, row in enumerate(rows):
         r = dict(row)
-        if b:
-            r[ncols] = -b  # A x - b = 0, unknown x_ncols fixed to 1
+        for k, b in enumerate(rhs):
+            if b[i]:
+                r[ncols + k] = -b[i]  # A x - b_k = 0, unknown x_(ncols+k) fixed to 1
         if r:
             aug.append(r)
-    reduced, pivots = _sparse_rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None, []
-    particular = [Fraction(0)] * ncols
-    for row, pc in zip(reduced, pivots):
-        particular[pc] = -row.get(ncols, Fraction(0))
-    return particular, _free_basis(reduced, pivots, ncols)
+    reduced, pivots = _sparse_rref(aug, ncols + len(rhs))
+    n_a = sum(pc < ncols for pc in pivots)
+    rhs_rows = reduced[n_a:]
+    reduced, pivots = reduced[:n_a], pivots[:n_a]
+    particulars = []
+    for k in range(ncols, ncols + len(rhs)):
+        if any(k in r for r in rhs_rows):
+            particulars.append(None)
+            continue
+        particular = [Fraction(0)] * ncols
+        for row, pc in zip(reduced, pivots):
+            particular[pc] = -row.get(k, Fraction(0))
+        particulars.append(particular)
+    return particulars, _free_basis(reduced, pivots, ncols)
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

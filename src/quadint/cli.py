@@ -112,15 +112,18 @@ def _numpy_version():
         return None
 
 
-def write_manifest(args, config=None):
-    """Write ``args.out``'s manifest: every parsed option and, for a run,
-    ``config``, the SimConfig that ran."""
+def write_manifest(args, config=None, fingerprint=None):
+    """Write ``args.out``'s manifest: every parsed option, the fingerprint
+    of the context that ran (``fingerprint``; by default that of the
+    default context) and, for a run, ``config``, the SimConfig that ran."""
+    if fingerprint is None:
+        fingerprint = context_fingerprint(build_context())
     manifest = {
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items() if k != "fn"},
         "outputs": [str(args.out)],
         "version": __version__,
-        "context_fingerprint": context_fingerprint(build_context()),
+        "context_fingerprint": fingerprint,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "numpy": _numpy_version(),
@@ -159,7 +162,7 @@ def cmd_verify(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        write_manifest(args)
+        write_manifest(args, fingerprint=report.fingerprint)
     print(text)
     return EXIT_OK if report.all_passed else EXIT_FAIL
 

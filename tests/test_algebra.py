@@ -18,6 +18,7 @@ from quadint.algebra import (
     X,
     Y,
     Z,
+    ZERO_EXPS,
     GaussPoly,
     Polynomial,
     gauss_poly_expand,
@@ -25,6 +26,7 @@ from quadint.algebra import (
     matrix_rank_exact,
     nullspace_exact,
     rational_sqrt,
+    solve_exact_sparse,
 )
 
 x, y, z, px, py, pz, a, b, w0 = generators()
@@ -89,6 +91,37 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p + q == q + p
+
+
+def _double_loop_product(p, q):
+    """Reference product: every cross term, merged in loop order."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(k1 + k2 for k1, k2 in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.just(ZERO_EXPS), exponents),
+    st.one_of(st.just(Fraction(1)), coeffs),
+    polys,
+    st.booleans(),
+)
+def test_one_term_product_matches_double_loop(exps, coeff, q, mono_left):
+    mono = Polynomial.monomial(exps, coeff)
+    p, r = (mono, q) if mono_left else (q, mono)
+    prod = p * r
+    ref = _double_loop_product(p, r)
+    assert list(prod.terms.items()) == list(ref.items())
+    assert all(type(c) is Fraction for c in prod.terms.values())
+    assert prod.terms is not q.terms
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,6 +260,51 @@ def test_nullspace_properties(matrix):
     for v in basis:
         for row in matrix:
             assert sum(Fraction(r) * c for r, c in zip(row, v)) == 0
+
+
+def _apply(rows, vec):
+    return [sum((c * vec[j] for j, c in row.items()), Fraction(0)) for row in rows]
+
+
+small_fracs = st.fractions(max_denominator=4, min_value=-4, max_value=4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.lists(small_fracs, min_size=4, max_size=4), min_size=1, max_size=5),
+    st.lists(st.lists(small_fracs, min_size=4, max_size=4), min_size=2, max_size=2),
+)
+def test_solve_multi_rhs_matches_single_solves(matrix, solutions):
+    rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
+    rhs = [_apply(rows, xk) for xk in solutions]
+    particulars, basis = solve_exact_sparse(rows, rhs, 4)
+    for b, particular in zip(rhs, particulars):
+        (single,), single_basis = solve_exact_sparse(rows, [b], 4)
+        assert particular == single
+        assert _apply(rows, particular) == b
+        assert basis == single_basis
+    assert len(basis) == 4 - matrix_rank_exact(matrix)
+
+
+def test_solve_multi_rhs_inconsistent_first_consistent_second():
+    # x0 = b[0], 0 = b[1]: b1 = (0, 1) is inconsistent, b2 = (3, 0) is not
+    rows = [{0: Fraction(1)}, {}]
+    b1 = [Fraction(0), Fraction(1)]
+    b2 = [Fraction(3), Fraction(0)]
+    particulars, basis = solve_exact_sparse(rows, [b1, b2], 2)
+    assert particulars == [None, [3, 0]]
+    assert basis == [[0, 1]]
+
+
+def test_solve_multi_rhs_second_in_span_of_first_is_inconsistent():
+    # b2 = 2 b1 lies in span(A, b1) but not in the column space of A, so
+    # its column is no pivot yet is nonzero in b1's pivot row
+    rows = [{0: Fraction(1)}, {}]
+    b1 = [Fraction(0), Fraction(1)]
+    b2 = [Fraction(0), Fraction(2)]
+    particulars, _ = solve_exact_sparse(rows, [b1, b2], 2)
+    assert particulars == [None, None]
+    assert solve_exact_sparse(rows, [b2], 2)[0] == [None]
 
 
 # -- Gaussian rationals ------------------------------------------------

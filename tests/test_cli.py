@@ -42,7 +42,7 @@ def test_verify_json_passes(capsys):
                        capsys)
     assert code == 0
     doc = json.loads(out)
-    assert set(doc) == {"version", "context_fingerprint", "checks"}
+    assert set(doc) == {"version", "context_fingerprint", "total_ms", "checks"}
     assert doc["checks"][0]["name"] == "ode_reduction"
     assert doc["checks"][0]["status"] == "pass"
     assert "residual_summary" in doc["checks"][0]
@@ -81,6 +81,18 @@ def test_verify_writes_report_and_manifest(tmp_path, capsys):
     assert manifest["python"] == platform.python_version()
     assert manifest["platform"] == platform.platform()
     assert manifest["numpy"] == importlib.metadata.version("numpy")
+
+
+def test_verify_manifest_records_the_context_that_ran(tmp_path, capsys):
+    out_file = tmp_path / "alt.json"
+    code, _, _ = run(
+        ["verify", "--alt-ly", "--format", "json", "--out", str(out_file)], capsys
+    )
+    assert code == 1
+    report = json.loads(out_file.read_text())
+    manifest = json.loads((tmp_path / "alt.json.manifest.json").read_text())
+    assert report["context_fingerprint"] == "99d78996009f8c99"
+    assert manifest["context_fingerprint"] == "99d78996009f8c99"
 
 
 # -- simulate -----------------------------------------------------------

@@ -6,6 +6,7 @@ always-pass regression cannot slip through.
 """
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,15 @@ def test_scalar_ansatz_recovers_catalog(ctx):
         assert all(diff.diff(v).is_zero() for v in COORDS)
 
 
+def test_scalar_ansatz_charges_shared_solve_to_m1(ctx):
+    t0 = time.perf_counter()
+    _, _, results = solve_scalar_ansatz(ctx)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    m1, m2 = (r.elapsed_ms for r in results)
+    assert 0.9 * wall_ms <= m1 + m2 <= wall_ms
+    assert m1 > m2
+
+
 def test_scalar_ansatz_mutation_inconsistent_rhs(ctx):
     with pytest.raises(NoSolution):
         solve_scalar_ansatz(ctx, perturb_rhs=x**9)
@@ -326,6 +336,7 @@ def test_run_report_all_pass(ctx):
     report = run_report(ctx)
     assert report.all_passed
     assert len(report.results) == 21
+    assert sum(r.elapsed_ms for r in report.results) <= report.total_ms
 
 
 def test_run_report_deterministic(ctx):
@@ -351,5 +362,8 @@ def test_report_serialization(ctx):
     d = report.to_dict()
     assert d["checks"][0]["status"] == "pass"
     assert "context_fingerprint" in d
+    assert d["total_ms"] == report.total_ms
     text = report.to_text()
     assert "PASS" in text and "1 checks" in text
+    assert f"total {report.total_ms:.1f} ms" in text
+
