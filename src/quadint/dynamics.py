@@ -11,7 +11,10 @@ u and gives the force: the force field, ``simulate``'s inlined kernels
 and (u only) the integral evaluator compile it, so they share one force
 law and its guards on u, and use the same u, bit for bit; the rest of H,
 X1, X2 is compiled from the exact catalog polynomials and summed with
-math.fsum.  The per-step integrators take an abstract force callable so
+math.fsum.  The adaptive integrator is the Dormand-Prince 8(5,3) pair
+(DOP853); the Dormand-Prince 5(4) pair serves ``dp54_step`` as the
+order-5 oracle.  Both attempts are generated from tableau records by one
+generator.  The per-step integrators take an abstract force callable so
 they can be validated against closed-form systems (free particle,
 isotropic oscillator) independently of the potential; ``simulate`` runs
 the same generated step code with the factored force inlined, in one
@@ -21,10 +24,11 @@ accepted step.
 
 Portability: no record field depends on a BLAS kernel.  The block and
 the integrators are plain IEEE arithmetic, sqrt is correctly rounded, and
-math.fsum and math.hypot are CPython's own code.  ``u**-1.5`` in the force
-and the step controller's exponents ``**-0.14``, ``**0.08`` and ``**-0.2``
-still go through the C library's ``pow``, so records are bit-identical
-across hosts only where that ``pow`` agrees.
+math.fsum and math.hypot are CPython's own code; the force takes
+u^(-3/2) as 1 / (u sqrt(u)).  Only the step controller's exponents
+``**-0.0875``, ``**0.05`` and ``**-0.125`` still go through the C
+library's ``pow``, so adaptive records are bit-identical across hosts only
+where that ``pow`` agrees.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class StepFailure(Exception):
 
 class EvaluationOverflow(ValueError):
     """A generated evaluator overflowed binary64 at this state: u is not
-    finite, u**-1.5 would overflow (u <= U_POW_MIN), or a monomial of an
+    finite, u^(-3/2) would overflow (u <= U_POW_MIN), or a monomial of an
     integral reached +-inf (``-inf + inf in fsum``) or their sum overflowed."""
 
     def __init__(self, q, exc):
@@ -164,8 +168,9 @@ def _factored_block(a, b):
                              "    return u, g0, g1, g2, d2"], "_eval")
 
 
-# u**-1.5 overflows (``**`` raises OverflowError) for u below
-# DBL_MAX**(-2/3) ~ 3.14e-206; 1e-200 leaves a margin for another libm pow
+# u^(-3/2) overflows binary64 for u below DBL_MAX**(-2/3) ~ 3.14e-206, and
+# u * sqrt(u) is subnormal a little above that; at 1e-200 it is 1e-300,
+# normal, and its inverse finite
 U_POW_MIN = 1e-200
 
 
@@ -177,10 +182,11 @@ def _site_constants(w0, u_floor):
 def _force_site(line_constants, force=True):
     """``site(q, f)``: lines that bind u and d2 at the point q (three
     expressions) from the factored block at ``line_constants`` and, with
-    ``force``, f_0, f_1, f_2 to the force (w0/2) u^(-3/2) grad u.  They
+    ``force``, f_0, f_1, f_2 to the force (w0/2) u^(-3/2) grad u, with
+    u^(-3/2) as 1 / (u sqrt(u)), which needs no libm pow.  They
     raise EvaluationOverflow if u is not finite, SingularPoint if
     u <= _U_FLOOR, and EvaluationOverflow if _U_FLOOR < u <= _U_CUT, where
-    u**-1.5 could overflow (names from _site_constants)."""
+    u^(-3/2) could overflow (names from _site_constants)."""
     def site(q, f: str = "f") -> list[str]:
         point = f"({', '.join(q)})"
         lines = [
@@ -193,7 +199,7 @@ def _force_site(line_constants, force=True):
             f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}: u**-1.5 overflows")',
         ]
         if force:
-            lines.append("pref = _W0 * u**-1.5")
+            lines.append("pref = _W0 / (u * _sqrt(u))")
             lines += [f"{f}_{j} = pref * g{j}" for j in range(3)]
         return lines
     return site
@@ -263,20 +269,108 @@ class IntegralEvaluator:
 
 # -- integrators -------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+@dataclass(frozen=True, eq=False)
+class _Tableau:
+    """An explicit embedded Runge-Kutta pair as the attempt generator reads it.
+
+    ``rows[s]`` holds the weights of stage s on stages 0..s-1 (``rows[0]``
+    is empty), and ``solution`` the solution's weights on every stage.
+    ``estimator`` says how the ``error`` weights give the error:
+    "embedded" subtracts the solution of the embedded weights
+    ``error[0]``; "blended" is Hairer's blend of a 5th-order (``error[0]``)
+    and a 3rd-order (``error[1]``) estimate.  ``order`` is the order that
+    sets the step controller's exponents.  With ``zeros_kept`` every
+    weighted sum has a term for each weight, zeros included, so a non-finite
+    stage reaches every sum it has a weight in; without it a zero weight has
+    no term.
+    """
+
+    rows: tuple
+    solution: tuple
+    error: tuple
+    estimator: str
+    order: int
+    zeros_kept: bool
+
+    @property
+    def last(self) -> int:
+        """The last stage, which is also the number of force evaluations of
+        an attempt when the pair is FSAL."""
+        return len(self.rows) - 1
+
+    @property
+    def fsal(self) -> bool:
+        """The last stage is evaluated at the solution, so its force is the
+        first stage of the next step (first same as last)."""
+        return self.rows[-1] == self.solution[:self.last]
+
+    def terms(self, weights):
+        """The (stage, weight) terms of a weighted stage sum, in stage order."""
+        return [(s, c) for s, c in enumerate(weights) if c or self.zeros_kept]
+
+
+# Dormand-Prince 5(4): the order-5 oracle of dp54_step
+DP54 = _Tableau(
+    rows=(
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    ),
+    solution=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
+    error=((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),),
+    estimator="embedded",
+    order=5,
+    zeros_kept=True,
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-    -92097 / 339200, 187 / 2100, 1 / 40,
+
+# Dormand-Prince 8(5,3), the pair of the adaptive integrator (simulate's
+# kernel and AdaptiveStepper): the first 12 stages of Hairer's DOP853
+# (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.10; Prince &
+# Dormand 1981) and its solution as the 13th (FSAL); error weights E5 and
+# E3 = B - BHH
+DOP853 = _Tableau(
+    rows=(
+        (),
+        (0.05260015195876773,),
+        (0.0197250569845379, 0.0591751709536137),
+        (0.02958758547680685, 0.0, 0.08876275643042054),
+        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+        (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+        (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+         -0.015319437748624402, 0.008273789163814023),
+        (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+         27.59209969944671, 20.154067550477894, -43.48988418106996),
+        (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+         21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+        (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+         -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+         -3.0467644718982196),
+        (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+         -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+         12.360567175794303, 0.6433927460157636),
+        (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+         -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+         0.04471061572777259),
+    ),
+    solution=(0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+              -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+              0.04471061572777259, 0.0),
+    error=(
+        (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+         1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+         -0.022355307863886294),
+        (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+         -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+         0.02265179219836082),
+    ),
+    estimator="blended",
+    order=8,
+    zeros_kept=False,
 )
 
 
@@ -298,14 +392,14 @@ class PhaseState:
 
 # -- generated integrator source -----------------------------------------
 #
-# The DP54 attempt, its step-size controller and the velocity-Verlet step
-# are each emitted by one function below, around a force site: either a
-# call ``force((x, y, z))`` of any force callable, which gives the per-step
-# API (dp54_step, AdaptiveStepper.step, step_leapfrog), or _force_site
-# inlined, which gives the run kernels that simulate calls.  In
-# the emitted code, t is the time and y0..y5 the state (q, p) of the last
-# accepted step, and f0_0..f0_2 the force at its q; a step leaves its
-# result in the same names.
+# The embedded Runge-Kutta attempt of a tableau record, the adaptive step
+# controller and the velocity-Verlet step are each emitted by one function
+# below, around a force site: either a call ``force((x, y, z))`` of any
+# force callable, which gives the per-step API (dp54_step,
+# AdaptiveStepper.step, step_leapfrog), or _force_site inlined, which gives
+# the run kernels that simulate calls.  In the emitted code, t is the time
+# and y0..y5 the state (q, p) of the last accepted step, and f0_0..f0_2 the
+# force at its q; a step leaves its result in the same names.
 
 
 def _call_site(q, f: str) -> list[str]:
@@ -314,19 +408,21 @@ def _call_site(q, f: str) -> list[str]:
     return [f"{f}_0, {f}_1, {f}_2 = {f} = force(({', '.join(q)}))"]
 
 
-def _dp54_attempt_lines(site) -> list[str]:
-    """One Dormand-Prince 5(4) attempt of step h from y0..y5 and the stage-1
-    force f0_*: sets z0..z5 (y5), e0..e5 (y5 - y4), the 7th-stage force f6
-    and err, the scaled RMS error for tolerances atol and rtol.
+def _attempt_lines(tableau: _Tableau, site) -> list[str]:
+    """One attempt of ``tableau`` with step h from y0..y5 and the stage-0
+    force f0_*: sets z0..z5 (the solution), e0..e5 (its error estimate),
+    f<n>_* (the force of the last stage n, at z) and err, the scaled error
+    norm for tolerances atol and rtol that the controller compares with 1.
 
-    Every weighted stage sum is written out in tableau order from 0.0,
-    zero weights included, so the result is bit for bit what summing the
-    tableau rows term by term gives.  Because _DP_A[6] == _DP_B5[:6], the
-    7th stage state is y5, its force is the 1st stage of the next step,
-    and y5 reuses that stage's sum.
+    Every weighted stage sum is written out in stage order from 0.0, with
+    the terms of ``tableau.terms``, so the result is bit for bit what
+    summing those terms in a loop gives.  The tableau is FSAL: the last
+    stage's state is the solution, its force is the first stage of the next
+    step, and the solution reuses that stage's sum.
     """
-    if _DP_A[6] != _DP_B5[:6]:
-        raise AssertionError("DP54 tableau is not FSAL")
+    if not tableau.fsal:
+        raise AssertionError("the tableau is not FSAL")
+    last = tableau.last
 
     def state(s, j):
         return f"y{j}" if s == 0 else f"s{s}_{j}"
@@ -334,37 +430,67 @@ def _dp54_attempt_lines(site) -> list[str]:
     def slope(s, j):                      # k_s[j]: dq/dt = p, dp/dt = force
         return state(s, j + 3) if j < 3 else f"f{s}_{j - 3}"
 
-    def weighted(coeffs, j):
-        return " + ".join(["0.0"] + [f"{c!r}*{slope(s, j)}" for s, c in enumerate(coeffs)])
+    def products(terms, j):
+        return [f"{c!r}*{slope(s, j)}" for s, c in terms]
+
+    def weighted(weights, j):
+        return " + ".join(["0.0", *products(tableau.terms(weights), j)])
 
     lines = []
-    for s in range(1, 7):
+    for s in range(1, last + 1):
         for j in range(6):
-            total = weighted(_DP_A[s], j)
-            if s == 6:                    # y5 continues this sum
+            total = weighted(tableau.rows[s], j)
+            if s == last:                 # the solution continues this sum
                 lines.append(f"w{j} = {total}")
                 total = f"w{j}"
             lines.append(f"s{s}_{j} = y{j} + h * ({total})")
         lines += site([state(s, j) for j in range(3)], f"f{s}")
+    beyond = [(s, c) for s, c in tableau.terms(tableau.solution) if s >= last]
     for j in range(6):
-        lines.append(f"z{j} = y{j} + h * (w{j} + {_DP_B5[6]!r}*{slope(6, j)})")
-        lines.append(f"e{j} = z{j} - (y{j} + h * ({weighted(_DP_B4, j)}))")
+        if beyond:
+            lines.append(f"z{j} = y{j} + h * ({' + '.join([f'w{j}', *products(beyond, j)])})")
+        else:
+            lines.append(f"z{j} = s{last}_{j}")
         # same as max(abs(y0), abs(y5)): the first unless the second is larger
         lines.append(f"a{j} = abs(y{j})")
         lines.append(f"b{j} = abs(z{j})")
-        lines.append(f"r{j} = e{j} / (atol + rtol * (b{j} if b{j} > a{j} else a{j}))")
-    acc = " + ".join(["0.0"] + [f"r{j}**2" for j in range(6)])
-    lines.append(f"err = _sqrt(({acc}) / 6.0)")
+        lines.append(f"c{j} = atol + rtol * (b{j} if b{j} > a{j} else a{j})")
+    if tableau.estimator == "embedded":
+        # the scaled RMS of the solution minus the embedded solution
+        for j in range(6):
+            lines.append(f"e{j} = z{j} - (y{j} + h * ({weighted(tableau.error[0], j)}))")
+            lines.append(f"r{j} = e{j} / c{j}")
+        acc = " + ".join(["0.0"] + [f"r{j}**2" for j in range(6)])
+        lines.append(f"err = _sqrt(({acc}) / 6.0)")
+    elif tableau.estimator == "blended":
+        # Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of the
+        # scaled 5th- and 3rd-order estimates, here with h inside each;
+        # sqrt(6) sqrt(.) in place of sqrt(6 .), which could overflow
+        for j in range(6):
+            lines.append(f"e{j} = h * ({weighted(tableau.error[0], j)})")
+            lines.append(f"r{j} = e{j} / c{j}")
+            lines.append(f"l{j} = h * ({weighted(tableau.error[1], j)}) / c{j}")
+        err5 = " + ".join(["0.0"] + [f"r{j}*r{j}" for j in range(6)])
+        err3 = " + ".join(["0.0"] + [f"l{j}*l{j}" for j in range(6)])
+        lines += [
+            f"err5 = {err5}",
+            f"deno = err5 + 0.01 * ({err3})",
+            f"err = err5 / ({math.sqrt(6.0)!r} * _sqrt(deno)) if deno else 0.0",
+        ]
+    else:
+        raise ValueError(f"unknown error estimator {tableau.estimator!r}")
     return lines
 
 
-def _dp54_step_lines(attempt: list[str]) -> list[str]:
+def _adaptive_step_lines(tableau: _Tableau, attempt: list[str]) -> list[str]:
     """One accepted adaptive step from t, y0..y5, f0_*: attempts of
     h = min(h_ctl, cap) until one is accepted, with proportional-integral
-    control of h_ctl (Gustafsson).  An attempt accepted at the floor h_min
-    with err > 1 counts in floor_accepted and a rejected one in rejected.
-    A step below the floor, one that does not advance t, or a non-finite
-    err at the floor raises StepFailure."""
+    control of h_ctl (Gustafsson) at exponents 0.7/order and 0.4/order of
+    ``tableau.order``, and 1/order after a rejection.  An attempt accepted
+    at the floor h_min with err > 1 counts in floor_accepted and a rejected
+    one in rejected.  A step below the floor, one that does not advance t,
+    or a non-finite err at the floor raises StepFailure."""
+    order, last = tableau.order, tableau.last
     return [
         "while True:",
         "    h = cap if cap < h_ctl else h_ctl",
@@ -377,21 +503,21 @@ def _dp54_step_lines(attempt: list[str]) -> list[str]:
         "    if err <= 1.0 or h <= h_min and _isfinite(err):",
         "        if err > 1.0:",
         "            floor_accepted += 1",
-        "        # PI controller (Gustafsson): orders 0.7/5 and 0.4/5",
-        "        e = max(err, 1e-10)",
-        "        factor = safety * e**-0.14 * err_prev**0.08",
-        "        err_prev = e",
-        "        h_ctl = min(max(h_ctl * min(max(factor, 0.2), 5.0), h_min), h_max)",
+        "        if h == h_ctl:                # not shortened by the cap",
+        "            e = max(err, 1e-10)",
+        f"            factor = safety * e**{-7 / (10 * order)!r} * err_prev**{4 / (10 * order)!r}",
+        "            err_prev = e",
+        "            h_ctl = min(max(h_ctl * min(max(factor, 0.2), 5.0), h_min), h_max)",
         "        break",
         "    if h <= h_min:",
         "        raise _StepFailure(f'error estimate {err!r} at the step size floor {h:g}')",
         "    rejected += 1",
-        "    h_ctl = max(h * max(0.2, safety * err**-0.2), h_min)",
+        f"    h_ctl = max(h * max(0.2, safety * err**{-1 / order!r}), h_min)",
         "    if h_ctl >= h:",
         "        h_ctl = 0.5 * h",
         "t = t_new",
         "y0, y1, y2, y3, y4, y5 = z0, z1, z2, z3, z4, z5",
-        "f0_0, f0_1, f0_2 = f6_0, f6_1, f6_2",
+        f"f0_0, f0_1, f0_2 = f{last}_0, f{last}_1, f{last}_2",
     ]
 
 
@@ -432,8 +558,10 @@ def _compile_kernel(force: ForceField, integrator: str):
     """
     site = _force_site(force.line_constants)
     if integrator == "adaptive":
-        params, evals = "atol, rtol, h_ctl, h_min, h_max, safety", "6 * (steps + rejected)"
-        init, step = ["err_prev = 1.0"], _dp54_step_lines(_dp54_attempt_lines(site))
+        params = "atol, rtol, h_ctl, h_min, h_max, safety"
+        evals = f"{DOP853.last} * (steps + rejected)"
+        init = ["err_prev = 1.0"]
+        step = _adaptive_step_lines(DOP853, _attempt_lines(DOP853, site))
     else:
         params, evals = "h_fix", "steps"
         init, step = [], ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)]
@@ -491,21 +619,21 @@ def compile_system(a, b, w0, u_floor):
 
 
 @functools.cache
-def _dp54_kernel():
-    """The generated DP54 attempt for any force callable, compiled on first
-    use so that importing the package does not pay for it.
+def _attempt_kernel(tableau: _Tableau):
+    """The generated attempt of ``tableau`` for any force callable, compiled
+    on first use so that importing the package does not pay for it.
 
-    ``_dp54(force, y, f0, h, atol, rtol)`` takes the packed state y = (q, p)
-    and the force f0 at q (stage 1), and returns (y5, y5 - y4, force at the
-    7th stage, scaled RMS error).
+    ``attempt(force, y, f0, h, atol, rtol)`` takes the packed state
+    y = (q, p) and the force f0 at q (stage 0), and returns (solution, error
+    estimate, force of the last stage, scaled error norm); see _attempt_lines.
     """
     return _compile([
-        "def _dp54(force, y, f0, h, atol, rtol):",
+        "def attempt(force, y, f0, h, atol, rtol):",
         "    y0, y1, y2, y3, y4, y5 = y",
         "    f0_0, f0_1, f0_2 = f0",
-        *_indent(_dp54_attempt_lines(_call_site)),
-        "    return (z0, z1, z2, z3, z4, z5), (e0, e1, e2, e3, e4, e5), f6, err",
-    ], "_dp54")
+        *_indent(_attempt_lines(tableau, _call_site)),
+        f"    return (z0, z1, z2, z3, z4, z5), (e0, e1, e2, e3, e4, e5), f{tableau.last}, err",
+    ], "attempt")
 
 
 def dp54_step(force, y0, h: float):
@@ -516,18 +644,19 @@ def dp54_step(force, y0, h: float):
     States are 6-tuples of floats.
     """
     y0 = tuple(y0)
-    y5, err, _, _ = _dp54_kernel()(force, y0, force(y0[:3]), h, 1.0, 1.0)
+    y5, err, _, _ = _attempt_kernel(DP54)(force, y0, force(y0[:3]), h, 1.0, 1.0)
     return y5, err
 
 
 @functools.cache
 def _adaptive_step():
-    """AdaptiveStepper.step: the controller of _dp54_step_lines around the
+    """AdaptiveStepper.step: _adaptive_step_lines of DOP853 around the
     stepper's attempt function, compiled on first use."""
+    last = DOP853.last
     attempt = [
-        "(z0, z1, z2, z3, z4, z5), _, f6, err = attempt("
+        f"(z0, z1, z2, z3, z4, z5), _, f{last}, err = attempt("
         "force, (y0, y1, y2, y3, y4, y5), (f0_0, f0_1, f0_2), h, atol, rtol)",
-        "f6_0, f6_1, f6_2 = f6",
+        f"f{last}_0, f{last}_1, f{last}_2 = f{last}",
     ]
     return _compile([
         "def step(self, state, h_cap):",
@@ -542,11 +671,11 @@ def _adaptive_step():
         "    h_ctl, err_prev = self.h, self._err_prev",
         "    rejected, floor_accepted = self.rejected, self.floor_accepted",
         "    try:",
-        *_indent(_dp54_step_lines(attempt), 2),
+        *_indent(_adaptive_step_lines(DOP853, attempt), 2),
         "    finally:",
         "        self.h, self._err_prev = h_ctl, err_prev",
         "        self.rejected, self.floor_accepted = rejected, floor_accepted",
-        "    return _PhaseState(t, _array((y0, y1, y2)), _array((y3, y4, y5)), f6), h, err",
+        f"    return _PhaseState(t, _array((y0, y1, y2)), _array((y3, y4, y5)), f{last}), h, err",
     ], "step")
 
 
@@ -556,8 +685,12 @@ H_INIT, H_MIN, H_MAX, SAFETY = 1e-3, 1e-12, 1.0, 0.9
 
 
 class AdaptiveStepper:
-    """Embedded Runge-Kutta 5(4) with proportional-integral step control.
+    """The Dormand-Prince 8(5,3) pair (DOP853) with proportional-integral
+    step control: the adaptive integrator, step by step.
 
+    An attempt takes 12 force evaluations.  A step that ``h_cap`` shortens
+    leaves the controller's step size ``h`` and its previous error as they
+    were, so a sample time does not shrink the steps after it.
     ``rejected`` counts rejected attempts and ``floor_accepted`` the
     attempts accepted at the step-size floor with an error above 1.
     """
@@ -572,17 +705,17 @@ class AdaptiveStepper:
         self.h_max = h_max
         self.safety = safety
         self._err_prev = 1.0
-        self._attempt = _dp54_kernel()
+        self._attempt = _attempt_kernel(DOP853)
         self.rejected = 0
         self.floor_accepted = 0
 
     def step(self, state: PhaseState, h_cap: float | None = None):
         """Advance one accepted step; returns (state', h_used, err), where err
-        is the controller's scaled RMS error (a non-finite one at the floor
+        is the controller's scaled error norm (a non-finite one at the floor
         raises StepFailure, as does a step that does not advance t).  The
-        new state's ``f`` is the 7th stage force of the accepted attempt,
-        which is the force at its q (FSAL), so a step from it costs 6 force
-        evaluations per attempt, not 7.
+        new state's ``f`` is the last (13th) stage force of the accepted
+        attempt, which is the force at its q (FSAL), so a step from it costs
+        12 force evaluations per attempt, not 13.
         """
         return _adaptive_step()(self, state, h_cap)
 
@@ -628,7 +761,7 @@ class SimConfig:
     a: float = 0.25
     b: float = 1.0
     w0: float = -1.0
-    integrator: str = "adaptive"          # "adaptive" | "leapfrog"
+    integrator: str = "adaptive"          # "adaptive" (DOP853) | "leapfrog"
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     fixed_step: float = 1e-3              # leapfrog only
@@ -693,8 +826,8 @@ class RunOutcome:
     t_final: float
     detail: str = ""
     steps: int = 0                         # accepted steps
-    rejected: int = 0                      # rejected DP54 attempts
-    floor_accepted: int = 0                # DP54 steps accepted at h_min with error > 1
+    rejected: int = 0                      # rejected DOP853 attempts
+    floor_accepted: int = 0                # DOP853 steps accepted at h_min with error > 1
     # factored u + grad u evaluations: those of the accepted and rejected
     # attempts and the 1 at the initial state; an attempt cut short by a
     # singularity approach or a step failure is not counted

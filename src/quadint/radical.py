@@ -75,14 +75,19 @@ class RadicalElement:
             return NotImplemented
         self._check(other)
         m = max(self.m, other.m)
-        u = self.ring.u
-        f1 = u ** (m - self.m)
-        f2 = u ** (m - other.m)
-        return RadicalElement(
-            self.ring, self.A * f1 + other.A * f2, self.B * f1 + other.B * f2, m
-        )
+        A1, B1 = self._over(m)
+        A2, B2 = other._over(m)
+        return RadicalElement(self.ring, A1 + A2, B1 + B2, m)
 
     __radd__ = __add__
+
+    def _over(self, m: int):
+        """(A, B) of this element written over u^m, m >= self.m: the
+        element's own polynomials, which are immutable, when m == self.m."""
+        if m == self.m:
+            return self.A, self.B
+        f = self.ring.u ** (m - self.m)
+        return self.A * f, self.B * f
 
     def __neg__(self):
         return RadicalElement(self.ring, -self.A, -self.B, self.m)

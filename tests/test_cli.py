@@ -180,8 +180,8 @@ def test_simulate_prints_force_evals(capsys, tmp_path):
     counts = re.search(r"steps: (\d+)  rejected: (\d+)  floor-accepted: \d+  "
                        r"force-evals: (\d+)", out)
     steps, rejected, evals = (int(v) for v in counts.groups())
-    # 6 per DP54 attempt, and the 1 at q0 that also checks u there
-    assert steps > 0 and evals == 6 * (steps + rejected) + 1
+    # 12 per DOP853 attempt, and the 1 at q0 that also checks u there
+    assert steps > 0 and evals == 12 * (steps + rejected) + 1
 
 
 def test_simulate_rejects_singular_ic(capsys, tmp_path):

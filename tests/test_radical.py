@@ -78,6 +78,29 @@ def test_reduce_cancels_u_powers(ring):
     assert g.m == 1 and g == f
 
 
+def test_add_multiplies_only_the_operand_with_the_lower_exponent(ring, monkeypatch):
+    """An add lifts only the operand whose u-exponent is below the common
+    one; an operand already over u^m is summed as it is."""
+    low = RadicalElement(ring, x + y, z, 0)
+    high = RadicalElement(ring, x * y, px, 1)
+    expected = [(low + low).A, (low + high).A, (low + high).B]
+    products = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    same = low + low
+    assert products == []
+    mixed = low + high
+    assert [same.A, mixed.A, mixed.B] == expected
+    assert same.m == 0 and mixed.m == 1
+    assert products and all(f is not high.A and f is not high.B
+                            for pair in products for f in pair)
+
+
 def test_context_mismatch_rejected(ring):
     other = RingContext(build_u())
     with pytest.raises(ContextMismatch):

@@ -18,6 +18,10 @@ in the config ``quadint scan`` runs by default: t = 50, rel_tol 1e-10) at
 1 and 2 jobs; the first 4 seed-0 scan ICs in that config at u_floor 1e-3
 (singularity approaches) with both integrators; and the step-failure
 (p = 1e154), overflow (p = 1e90) and escape ICs of the tests.
+The adaptive runs step with the DOP853 pair (``dp54_step``, the 5(4)
+oracle, runs in none of them).  Their step controller's exponents go
+through the C library's ``pow``, which nothing else in a run calls, so
+between hosts whose ``pow`` differs only the adaptive lines can differ.
 Only the standard library and quadint are used.
 """
 
