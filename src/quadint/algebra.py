@@ -157,15 +157,16 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(1)
+        if n == 0:
+            return Polynomial.constant(1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
         return result
 
     def scale(self, c: Scalar) -> "Polynomial":

@@ -13,14 +13,14 @@ law and its guards on u, and use the same u, bit for bit; the rest of H,
 X1, X2 is compiled from the exact catalog polynomials and summed with
 math.fsum.  The adaptive integrator is the Dormand-Prince 8(5,3) pair
 (DOP853); the Dormand-Prince 5(4) pair serves ``dp54_step`` as the
-order-5 oracle.  Both attempts are generated from tableau records by one
-generator.  The per-step integrators take an abstract force callable so
-they can be validated against closed-form systems (free particle,
-isotropic oscillator) independently of the potential; ``simulate`` runs
-the same generated step code with the factored force inlined, in one
-kernel call per run that owns the sample loop and calls back for each
-sample row, and takes min u, min distance to a line and max |q| over every
-accepted step.
+order-5 oracle.  Both pairs are tableau records, from which one generator
+writes an attempt.  The per-step integrators take an abstract force
+callable so they can be validated against closed-form systems (free
+particle, isotropic oscillator) independently of the potential;
+``simulate`` runs the same generated step code with the factored force
+inlined, in one kernel call per run that owns the sample loop and calls
+back for each sample row, and takes min u, min distance to a line and max
+|q| over every accepted step.  Each kernel is compiled on its first run.
 
 Portability: no record field depends on a BLAS kernel.  The block and
 the integrators are plain IEEE arithmetic, sqrt is correctly rounded, and
@@ -274,39 +274,25 @@ class _Tableau:
     """An explicit embedded Runge-Kutta pair as the attempt generator reads it.
 
     ``rows[s]`` holds the weights of stage s on stages 0..s-1 (``rows[0]``
-    is empty), and ``solution`` the solution's weights on every stage.
-    ``estimator`` says how the ``error`` weights give the error:
-    "embedded" subtracts the solution of the embedded weights
-    ``error[0]``; "blended" is Hairer's blend of a 5th-order (``error[0]``)
-    and a 3rd-order (``error[1]``) estimate.  ``order`` is the order that
-    sets the step controller's exponents.  With ``zeros_kept`` every
-    weighted sum has a term for each weight, zeros included, so a non-finite
-    stage reaches every sum it has a weight in; without it a zero weight has
-    no term.
+    is empty), and the last row is the solution's: the last stage is
+    evaluated at the solution, so its force is the first stage of the next
+    step (FSAL, first same as last).  ``estimator`` says how the ``error``
+    weights give the error: "embedded" subtracts the solution of the
+    embedded weights ``error[0]``; "blended" is Hairer's blend of a
+    5th-order (``error[0]``) and a 3rd-order (``error[1]``) estimate.
+    ``order`` is the order that sets the step controller's exponents.
     """
 
     rows: tuple
-    solution: tuple
     error: tuple
     estimator: str
     order: int
-    zeros_kept: bool
 
     @property
     def last(self) -> int:
         """The last stage, which is also the number of force evaluations of
-        an attempt when the pair is FSAL."""
+        an attempt."""
         return len(self.rows) - 1
-
-    @property
-    def fsal(self) -> bool:
-        """The last stage is evaluated at the solution, so its force is the
-        first stage of the next step (first same as last)."""
-        return self.rows[-1] == self.solution[:self.last]
-
-    def terms(self, weights):
-        """The (stage, weight) terms of a weighted stage sum, in stage order."""
-        return [(s, c) for s, c in enumerate(weights) if c or self.zeros_kept]
 
 
 # Dormand-Prince 5(4): the order-5 oracle of dp54_step
@@ -320,11 +306,9 @@ DP54 = _Tableau(
         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     ),
-    solution=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
     error=((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),),
     estimator="embedded",
     order=5,
-    zeros_kept=True,
 )
 
 # Dormand-Prince 8(5,3), the pair of the adaptive integrator (simulate's
@@ -357,9 +341,6 @@ DOP853 = _Tableau(
          -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
          0.04471061572777259),
     ),
-    solution=(0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
-              -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
-              0.04471061572777259, 0.0),
     error=(
         (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
          1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
@@ -370,7 +351,6 @@ DOP853 = _Tableau(
     ),
     estimator="blended",
     order=8,
-    zeros_kept=False,
 )
 
 
@@ -410,87 +390,72 @@ def _call_site(q, f: str) -> list[str]:
 
 def _attempt_lines(tableau: _Tableau, site) -> list[str]:
     """One attempt of ``tableau`` with step h from y0..y5 and the stage-0
-    force f0_*: sets z0..z5 (the solution), e0..e5 (its error estimate),
-    f<n>_* (the force of the last stage n, at z) and err, the scaled error
-    norm for tolerances atol and rtol that the controller compares with 1.
+    force f0_*: sets z0..z5 (the solution, which is the last stage's
+    state), f<n>_* (the force of the last stage n, at z) and e0..e5 (the
+    error estimate), and with the "blended" estimator l0..l5 (the
+    3rd-order estimate).
 
     Every weighted stage sum is written out in stage order from 0.0, with
-    the terms of ``tableau.terms``, so the result is bit for bit what
-    summing those terms in a loop gives.  The tableau is FSAL: the last
-    stage's state is the solution, its force is the first stage of the next
-    step, and the solution reuses that stage's sum.
+    one term per nonzero weight, so the result is bit for bit what summing
+    those terms in a loop gives.
     """
-    if not tableau.fsal:
-        raise AssertionError("the tableau is not FSAL")
     last = tableau.last
 
     def state(s, j):
-        return f"y{j}" if s == 0 else f"s{s}_{j}"
+        return f"y{j}" if s == 0 else f"z{j}" if s == last else f"s{s}_{j}"
 
     def slope(s, j):                      # k_s[j]: dq/dt = p, dp/dt = force
         return state(s, j + 3) if j < 3 else f"f{s}_{j - 3}"
 
-    def products(terms, j):
-        return [f"{c!r}*{slope(s, j)}" for s, c in terms]
-
     def weighted(weights, j):
-        return " + ".join(["0.0", *products(tableau.terms(weights), j)])
+        return " + ".join(["0.0", *(f"{c!r}*{slope(s, j)}" for s, c in enumerate(weights) if c)])
 
     lines = []
     for s in range(1, last + 1):
-        for j in range(6):
-            total = weighted(tableau.rows[s], j)
-            if s == last:                 # the solution continues this sum
-                lines.append(f"w{j} = {total}")
-                total = f"w{j}"
-            lines.append(f"s{s}_{j} = y{j} + h * ({total})")
+        lines += [f"{state(s, j)} = y{j} + h * ({weighted(tableau.rows[s], j)})" for j in range(6)]
         lines += site([state(s, j) for j in range(3)], f"f{s}")
-    beyond = [(s, c) for s, c in tableau.terms(tableau.solution) if s >= last]
     for j in range(6):
-        if beyond:
-            lines.append(f"z{j} = y{j} + h * ({' + '.join([f'w{j}', *products(beyond, j)])})")
-        else:
-            lines.append(f"z{j} = s{last}_{j}")
-        # same as max(abs(y0), abs(y5)): the first unless the second is larger
-        lines.append(f"a{j} = abs(y{j})")
-        lines.append(f"b{j} = abs(z{j})")
-        lines.append(f"c{j} = atol + rtol * (b{j} if b{j} > a{j} else a{j})")
-    if tableau.estimator == "embedded":
-        # the scaled RMS of the solution minus the embedded solution
-        for j in range(6):
+        if tableau.estimator == "embedded":
+            # the solution minus the embedded solution
             lines.append(f"e{j} = z{j} - (y{j} + h * ({weighted(tableau.error[0], j)}))")
-            lines.append(f"r{j} = e{j} / c{j}")
-        acc = " + ".join(["0.0"] + [f"r{j}**2" for j in range(6)])
-        lines.append(f"err = _sqrt(({acc}) / 6.0)")
-    elif tableau.estimator == "blended":
-        # Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of the
-        # scaled 5th- and 3rd-order estimates, here with h inside each;
-        # sqrt(6) sqrt(.) in place of sqrt(6 .), which could overflow
-        for j in range(6):
+        else:
             lines.append(f"e{j} = h * ({weighted(tableau.error[0], j)})")
-            lines.append(f"r{j} = e{j} / c{j}")
-            lines.append(f"l{j} = h * ({weighted(tableau.error[1], j)}) / c{j}")
-        err5 = " + ".join(["0.0"] + [f"r{j}*r{j}" for j in range(6)])
-        err3 = " + ".join(["0.0"] + [f"l{j}*l{j}" for j in range(6)])
-        lines += [
-            f"err5 = {err5}",
-            f"deno = err5 + 0.01 * ({err3})",
-            f"err = err5 / ({math.sqrt(6.0)!r} * _sqrt(deno)) if deno else 0.0",
-        ]
-    else:
-        raise ValueError(f"unknown error estimator {tableau.estimator!r}")
+            lines.append(f"l{j} = h * ({weighted(tableau.error[1], j)})")
     return lines
 
 
-def _adaptive_step_lines(tableau: _Tableau, attempt: list[str]) -> list[str]:
-    """One accepted adaptive step from t, y0..y5, f0_*: attempts of
-    h = min(h_ctl, cap) until one is accepted, with proportional-integral
-    control of h_ctl (Gustafsson) at exponents 0.7/order and 0.4/order of
-    ``tableau.order``, and 1/order after a rejection.  An attempt accepted
-    at the floor h_min with err > 1 counts in floor_accepted and a rejected
-    one in rejected.  A step below the floor, one that does not advance t,
-    or a non-finite err at the floor raises StepFailure."""
+def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
+    """One accepted adaptive step from t, y0..y5, f0_*: attempts
+    (_attempt_lines around ``site``) of h = min(h_ctl, cap) until one is
+    accepted, with proportional-integral control of h_ctl (Gustafsson) at
+    exponents 0.7/order and 0.4/order of ``tableau.order``, and 1/order
+    after a rejection.  err is Hairer's error norm of the "blended"
+    estimator for tolerances atol and rtol, which the controller compares
+    with 1.  An attempt accepted at the floor h_min with err > 1 counts in
+    floor_accepted and a rejected one in rejected.  A step below the floor,
+    one that does not advance t, or a non-finite err at the floor raises
+    StepFailure."""
     order, last = tableau.order, tableau.last
+    # Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of the
+    # scaled 5th- and 3rd-order estimates, here with h inside each;
+    # sqrt(6) sqrt(.) in place of sqrt(6 .), which could overflow
+    norm = []
+    for j in range(6):
+        norm += [
+            # max(abs(y), abs(z)): the first unless the second is larger
+            f"a{j} = abs(y{j})",
+            f"b{j} = abs(z{j})",
+            f"c{j} = atol + rtol * (b{j} if b{j} > a{j} else a{j})",
+            f"r{j} = e{j} / c{j}",
+            f"l{j} = l{j} / c{j}",
+        ]
+    err5 = " + ".join(["0.0"] + [f"r{j}*r{j}" for j in range(6)])
+    err3 = " + ".join(["0.0"] + [f"l{j}*l{j}" for j in range(6)])
+    norm += [
+        f"err5 = {err5}",
+        f"deno = err5 + 0.01 * ({err3})",
+        f"err = err5 / ({math.sqrt(6.0)!r} * _sqrt(deno)) if deno else 0.0",
+    ]
     return [
         "while True:",
         "    h = cap if cap < h_ctl else h_ctl",
@@ -499,7 +464,8 @@ def _adaptive_step_lines(tableau: _Tableau, attempt: list[str]) -> list[str]:
         "    t_new = t + h",
         "    if t_new == t:",
         "        raise _StepFailure(f'step size {h:g} does not advance t = {t!r}')",
-        *_indent(attempt),
+        *_indent(_attempt_lines(tableau, site)),
+        *_indent(norm),
         "    if err <= 1.0 or h <= h_min and _isfinite(err):",
         "        if err > 1.0:",
         "            floor_accepted += 1",
@@ -540,8 +506,10 @@ def _leapfrog_step_lines(site) -> list[str]:
     ]
 
 
+@functools.cache
 def _compile_kernel(force: ForceField, integrator: str):
-    """The run kernel of one integrator with ``force`` inlined.
+    """The run kernel of one integrator with ``force`` inlined, compiled on
+    the first run of that integrator with that force field.
 
     ``run(sample, t, q, p, f, u, d2, t_end, sample_interval, r_max, *params)``
     integrates from t, (q, p) and the force f, u and d2 at q to t_end in one
@@ -561,7 +529,7 @@ def _compile_kernel(force: ForceField, integrator: str):
         params = "atol, rtol, h_ctl, h_min, h_max, safety"
         evals = f"{DOP853.last} * (steps + rejected)"
         init = ["err_prev = 1.0"]
-        step = _adaptive_step_lines(DOP853, _attempt_lines(DOP853, site))
+        step = _adaptive_step_lines(DOP853, site)
     else:
         params, evals = "h_fix", "steps"
         init, step = [], ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)]
@@ -610,12 +578,11 @@ def _compile_kernel(force: ForceField, integrator: str):
 
 @functools.cache
 def compile_system(a, b, w0, u_floor):
-    """(force field, integral evaluator, {integrator: kernel}) for one
-    parameter set, compiled once per process around one factored block;
-    see _factored_block and _compile_kernel."""
-    force = compile_force(a, b, w0, u_floor)
-    integrals = IntegralEvaluator(a, b, w0)
-    return force, integrals, {name: _compile_kernel(force, name) for name in INTEGRATORS}
+    """(force field, integral evaluator) for one parameter set, compiled
+    once per process around one factored block; see _factored_block.  The
+    run kernel of each integrator is compiled from the force field on its
+    first use (_compile_kernel)."""
+    return compile_force(a, b, w0, u_floor), IntegralEvaluator(a, b, w0)
 
 
 @functools.cache
@@ -623,16 +590,16 @@ def _attempt_kernel(tableau: _Tableau):
     """The generated attempt of ``tableau`` for any force callable, compiled
     on first use so that importing the package does not pay for it.
 
-    ``attempt(force, y, f0, h, atol, rtol)`` takes the packed state
-    y = (q, p) and the force f0 at q (stage 0), and returns (solution, error
-    estimate, force of the last stage, scaled error norm); see _attempt_lines.
+    ``attempt(force, y, f0, h)`` takes the packed state y = (q, p) and the
+    force f0 at q (stage 0), and returns (solution, error estimate, force of
+    the last stage); see _attempt_lines.
     """
     return _compile([
-        "def attempt(force, y, f0, h, atol, rtol):",
+        "def attempt(force, y, f0, h):",
         "    y0, y1, y2, y3, y4, y5 = y",
         "    f0_0, f0_1, f0_2 = f0",
         *_indent(_attempt_lines(tableau, _call_site)),
-        f"    return (z0, z1, z2, z3, z4, z5), (e0, e1, e2, e3, e4, e5), f{tableau.last}, err",
+        f"    return (z0, z1, z2, z3, z4, z5), (e0, e1, e2, e3, e4, e5), f{tableau.last}",
     ], "attempt")
 
 
@@ -644,23 +611,18 @@ def dp54_step(force, y0, h: float):
     States are 6-tuples of floats.
     """
     y0 = tuple(y0)
-    y5, err, _, _ = _attempt_kernel(DP54)(force, y0, force(y0[:3]), h, 1.0, 1.0)
+    y5, err, _ = _attempt_kernel(DP54)(force, y0, force(y0[:3]), h)
     return y5, err
 
 
 @functools.cache
 def _adaptive_step():
-    """AdaptiveStepper.step: _adaptive_step_lines of DOP853 around the
-    stepper's attempt function, compiled on first use."""
+    """AdaptiveStepper.step: _adaptive_step_lines of DOP853 around a force
+    call, compiled on first use."""
     last = DOP853.last
-    attempt = [
-        f"(z0, z1, z2, z3, z4, z5), _, f{last}, err = attempt("
-        "force, (y0, y1, y2, y3, y4, y5), (f0_0, f0_1, f0_2), h, atol, rtol)",
-        f"f{last}_0, f{last}_1, f{last}_2 = f{last}",
-    ]
     return _compile([
         "def step(self, state, h_cap):",
-        "    force, attempt = self.force, self._attempt",
+        "    force = self.force",
         "    atol, rtol, safety = self.abs_tol, self.rel_tol, self.safety",
         "    h_min, h_max = self.h_min, self.h_max",
         "    cap = _inf if h_cap is None else h_cap",
@@ -671,7 +633,7 @@ def _adaptive_step():
         "    h_ctl, err_prev = self.h, self._err_prev",
         "    rejected, floor_accepted = self.rejected, self.floor_accepted",
         "    try:",
-        *_indent(_adaptive_step_lines(DOP853, attempt), 2),
+        *_indent(_adaptive_step_lines(DOP853, _call_site), 2),
         "    finally:",
         "        self.h, self._err_prev = h_ctl, err_prev",
         "        self.rejected, self.floor_accepted = rejected, floor_accepted",
@@ -686,7 +648,9 @@ H_INIT, H_MIN, H_MAX, SAFETY = 1e-3, 1e-12, 1.0, 0.9
 
 class AdaptiveStepper:
     """The Dormand-Prince 8(5,3) pair (DOP853) with proportional-integral
-    step control: the adaptive integrator, step by step.
+    step control: the adaptive integrator, step by step.  ``step`` is the
+    adaptive run kernel's step (_adaptive_step_lines) with a call of
+    ``force`` where the kernel inlines the factored force.
 
     An attempt takes 12 force evaluations.  A step that ``h_cap`` shortens
     leaves the controller's step size ``h`` and its previous error as they
@@ -705,7 +669,6 @@ class AdaptiveStepper:
         self.h_max = h_max
         self.safety = safety
         self._err_prev = 1.0
-        self._attempt = _attempt_kernel(DOP853)
         self.rejected = 0
         self.floor_accepted = 0
 
@@ -807,10 +770,19 @@ class TrajectoryRecord:
             header = fh.readline().strip()
             if header != TRAJECTORY_HEADER:
                 raise ValueError(f"malformed trajectory header: {header!r}")
-            for line in fh:
+            width = len(TRAJECTORY_HEADER.split(","))
+            for number, line in enumerate(fh, start=2):
                 line = line.strip()
-                if line:
-                    rows.append(tuple(float(v) for v in line.split(",")))
+                if not line:
+                    continue
+                try:
+                    row = tuple(float(v) for v in line.split(","))
+                except ValueError:
+                    row = ()
+                if len(row) != width or not all(map(math.isfinite, row)):
+                    raise ValueError(f"line {number} of {path} is not {width} finite "
+                                     f"numbers: {line!r}")
+                rows.append(row)
         return TrajectoryRecord(rows)
 
 
@@ -866,7 +838,7 @@ def simulate(config: SimConfig, initial: PhaseState):
     if samples > MAX_SAMPLES:
         raise ValueError(f"(t_end - t0) / sample_interval = {samples:.3g} sample "
                          f"intervals exceeds MAX_SAMPLES = {MAX_SAMPLES}")
-    force, integrals, kernels = compile_system(config.a, config.b, config.w0, config.u_floor)
+    force, integrals = compile_system(config.a, config.b, config.w0, config.u_floor)
     # one force site at q0: rejects ICs on/near the singular lines
     f0, u0, d2 = force._at(*q0)
 
@@ -883,7 +855,7 @@ def simulate(config: SimConfig, initial: PhaseState):
         params = (config.fixed_step,)
     else:
         params = (config.abs_tol, config.rel_tol, H_INIT, H_MIN, H_MAX, SAFETY)
-    run = kernels[config.integrator]
+    run = _compile_kernel(force, config.integrator)
     exc, t, steps, rejected, floor_accepted, evals, min_u, min_d2, max_q = run(
         sample, initial.t, q0, p0, f0, u0, d2, config.t_end, config.sample_interval,
         config.r_max, *params)
@@ -942,8 +914,9 @@ def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     ics = list(initial_conditions)
-    # compiled here once, so forked workers inherit it
-    compile_system(config.a, config.b, config.w0, config.u_floor)
+    # compiled here once, so forked workers inherit them
+    force, _ = compile_system(config.a, config.b, config.w0, config.u_floor)
+    _compile_kernel(force, config.integrator)
     if jobs > 1 and len(ics) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -78,6 +78,28 @@ def test_binomial_expansion_leading_quartic():
     assert expanded == a**2 * x**4 - 2 * a * x**4 + x**4
 
 
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (5, 3)])
+def test_power_makes_no_product_by_one(n, products, monkeypatch):
+    """p**n squares p up to the highest power it needs and multiplies the
+    powers it needs together, never starting from the constant 1: p**5 is
+    p * (p**2)**2, three products."""
+    p = x + 2 * y - 1
+    expected = Polynomial.constant(1)
+    for _ in range(n):
+        expected = expected * p
+    made = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        made.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert p**n == expected
+    assert len(made) == products
+    assert all(f != Polynomial.constant(1) for pair in made for f in pair)
+
+
 def test_no_stored_zero_coefficients():
     p = x + y - x - y
     assert p.terms == {}

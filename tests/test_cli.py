@@ -277,6 +277,25 @@ def test_plot_rejects_malformed_csv(tmp_path, capsys):
     assert "error" in err
 
 
+_ROW = ",".join(["0.5"] * 12)
+
+
+@pytest.mark.parametrize("row", [
+    "0,1",                                  # used to raise IndexError
+    "0.5,inf," + ",".join(["0.5"] * 10),    # x = inf used to raise OverflowError
+    _ROW + ",0.5",                          # used to be accepted
+], ids=["2-fields", "inf-x", "13-fields"])
+def test_plot_rejects_malformed_row(tmp_path, capsys, row):
+    from quadint.dynamics import TRAJECTORY_HEADER
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{TRAJECTORY_HEADER}\n{_ROW}\n{row}\n")
+    code, _, err = run(["plot", str(bad), "--out", str(tmp_path / "o.svg")], capsys)
+    assert code == 1
+    assert err.startswith("error: line 3 of ")
+    assert not (tmp_path / "o.svg").exists()
+
+
 # -- scan ---------------------------------------------------------------
 
 

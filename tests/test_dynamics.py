@@ -188,46 +188,41 @@ def _rhs(force, y):
     return (y[3], y[4], y[5], f[0], f[1], f[2])
 
 
-def _weighted(tableau, weights, ks, j):
+def _weighted(weights, ks, j):
     acc = 0.0
-    for s, c in tableau.terms(weights):
-        acc = acc + c * ks[s][j]
+    for s, c in enumerate(weights):
+        if c:
+            acc = acc + c * ks[s][j]
     return acc
 
 
-def _attempt_loop(tableau, force, y0, h, abs_tol=1.0, rel_tol=1.0):
-    """(solution, error estimate, force of the last stage, scaled error
-    norm) of one attempt of ``tableau``, summed in a loop."""
+def _attempt_loop(tableau, force, y0, h):
+    """(solution, error estimate, stage slopes) of one attempt of
+    ``tableau``, summed in a loop; the solution is the last stage's state."""
     y0 = tuple(y0)
-    last = len(tableau.rows) - 1
     ks = [_rhs(force, y0)]
-    for s in range(1, last + 1):
-        stage = tuple(y0[j] + h * _weighted(tableau, tableau.rows[s], ks, j) for j in range(6))
+    for row in tableau.rows[1:]:
+        stage = tuple(y0[j] + h * _weighted(row, ks, j) for j in range(6))
         ks.append(_rhs(force, stage))
-    beyond = [(s, c) for s, c in tableau.terms(tableau.solution) if s >= last]
-    z = []
-    for j in range(6):
-        acc = _weighted(tableau, tableau.rows[last], ks, j)
-        for s, c in beyond:
-            acc = acc + c * ks[s][j]
-        z.append(y0[j] + h * acc)
-    scale = [abs_tol + rel_tol * max(abs(y0[j]), abs(z[j])) for j in range(6)]
+    z = stage
     if tableau.estimator == "embedded":
-        e = [z[j] - (y0[j] + h * _weighted(tableau, tableau.error[0], ks, j)) for j in range(6)]
-        acc = 0.0
-        for j in range(6):
-            acc = acc + (e[j] / scale[j]) ** 2
-        err = math.sqrt(acc / 6.0)
+        e = [z[j] - (y0[j] + h * _weighted(tableau.error[0], ks, j)) for j in range(6)]
     else:
-        e = [h * _weighted(tableau, tableau.error[0], ks, j) for j in range(6)]
-        low = [h * _weighted(tableau, tableau.error[1], ks, j) / scale[j] for j in range(6)]
-        err5 = err3 = 0.0
-        for j in range(6):
-            err5 = err5 + (e[j] / scale[j]) * (e[j] / scale[j])
-            err3 = err3 + low[j] * low[j]
-        deno = err5 + 0.01 * err3
-        err = err5 / (math.sqrt(6.0) * math.sqrt(deno)) if deno else 0.0
-    return tuple(z), tuple(e), ks[last][3:], err
+        e = [h * _weighted(tableau.error[0], ks, j) for j in range(6)]
+    return z, tuple(e), ks
+
+
+def _blended_norm_loop(y0, h, z, e, ks, abs_tol, rel_tol):
+    """Hairer's DOP853 error norm of an attempt of _attempt_loop over DOP853,
+    summed in a loop."""
+    scale = [abs_tol + rel_tol * max(abs(y0[j]), abs(z[j])) for j in range(6)]
+    low = [h * _weighted(dynamics.DOP853.error[1], ks, j) / scale[j] for j in range(6)]
+    err5 = err3 = 0.0
+    for j in range(6):
+        err5 = err5 + (e[j] / scale[j]) * (e[j] / scale[j])
+        err3 = err3 + low[j] * low[j]
+    deno = err5 + 0.01 * err3
+    return err5 / (math.sqrt(6.0) * math.sqrt(deno)) if deno else 0.0
 
 
 def _bits(values):
@@ -255,7 +250,7 @@ def _check_attempt_against_loop(tableau, fn, attempt):
     """``attempt(force, y0, h) -> (solution, error estimate)`` equals
     _attempt_loop over ``tableau`` bit for bit, stage states included, and
     the generated attempt's last-stage force (the force at the solution:
-    FSAL) and error norm equal the loop's."""
+    FSAL) equals the loop's."""
     def logged(log):
         def f(q):
             log.append(_bits([float(v) for v in q]))
@@ -269,16 +264,14 @@ def _check_attempt_against_loop(tableau, fn, attempt):
             z, err = attempt(logged(stages), y0, h)
             # the loop is fed numpy scalars, as the stepper once passed
             # (*q, *p): their sums are plain left-to-right on every Python
-            ref_z, ref_err, _, _ = _attempt_loop(tableau, logged(ref_stages),
-                                                 tuple(np.float64(v) for v in y0), h)
+            ref_z, ref_err, ks = _attempt_loop(tableau, logged(ref_stages),
+                                               tuple(np.float64(v) for v in y0), h)
             # every stage state, signed zeros included, and both outputs
             assert stages == ref_stages, (y0, h)
             assert _bits(z) == _bits(ref_z), (y0, h)
             assert _bits(err) == _bits(ref_err), (y0, h)
-            *_, last, norm = dynamics._attempt_kernel(tableau)(fn, y0, fn(y0[:3]), h, 1e-14, 1e-12)
-            ref_last, ref_norm = _attempt_loop(tableau, fn, y0, h, 1e-14, 1e-12)[2:]
-            assert _bits(last) == _bits(ref_last) == _bits(fn(z[:3])), (y0, h)
-            assert _bits([norm]) == _bits([ref_norm]), (y0, h)
+            last = dynamics._attempt_kernel(tableau)(fn, y0, fn(y0[:3]), h)[2]
+            assert _bits(last) == _bits(ks[-1][3:]) == _bits(fn(z[:3])), (y0, h)
 
 
 @pytest.mark.parametrize("name", ["oscillator", "free", "force_field"])
@@ -293,7 +286,7 @@ def test_dop853_attempt_matches_loop_oracle_bitwise(name, force):
     kernel = dynamics._attempt_kernel(dynamics.DOP853)
 
     def attempt(f, y0, h):
-        z, e, _, _ = kernel(f, y0, f(y0[:3]), h, 1.0, 1.0)
+        z, e, _ = kernel(f, y0, f(y0[:3]), h)
         return z, e
 
     _check_attempt_against_loop(dynamics.DOP853, fn, attempt)
@@ -347,7 +340,7 @@ def test_dop853_global_error_is_order_eight():
         y = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
         f = _oscillator(y[:3])
         for _ in range(n):
-            y, _, f, _ = kernel(_oscillator, y, f, h, 1.0, 1.0)
+            y, _, f = kernel(_oscillator, y, f, h)
         t = h * n
         exact = (math.cos(t), math.sin(t), 0.0, -math.sin(t), math.cos(t), 0.0)
         return math.sqrt(sum((a - b) ** 2 for a, b in zip(y, exact)))
@@ -363,7 +356,7 @@ def test_dop853_literals_equal_scipy():
     assert len(tab.rows) == coeffs.N_STAGES + 1
     for s, row in enumerate(tab.rows):
         assert row == tuple(coeffs.A[s, :s].tolist()), s
-    assert tab.solution == (*coeffs.B.tolist(), 0.0)
+    assert tab.rows[-1] == tuple(coeffs.B.tolist())
     assert tab.error == (tuple(coeffs.E5[:-1].tolist()), tuple(coeffs.E3[:-1].tolist()))
     assert coeffs.E5[-1] == coeffs.E3[-1] == 0.0
 
@@ -394,27 +387,22 @@ class _Counting:
         return self.fn(*args)
 
 
-@pytest.fixture
-def attempts(monkeypatch):
-    """Counts the attempts of steppers created while it is active."""
-    counter = _Counting(dynamics._attempt_kernel(dynamics.DOP853))
-    monkeypatch.setattr(dynamics, "_attempt_kernel", lambda tableau: counter)
-    return counter
-
-
-def test_stepper_force_calls_per_attempt(attempts):
+def test_stepper_force_calls_per_attempt():
     counting = _Counting(_oscillator)
     # h_init = 1 is far above what rel_tol 1e-12 allows: the first step
-    # is rejected several times before one attempt is accepted
+    # is rejected several times before one attempt is accepted; a step
+    # makes one attempt more than it rejects
     stepper = AdaptiveStepper(counting, rel_tol=1e-12, abs_tol=1e-14, h_init=1.0)
     state = PhaseState.make(0.0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     state, _, _ = stepper.step(state)
-    assert attempts.calls >= 2
-    assert counting.calls == 1 + 12 * attempts.calls   # k1 once, reused on rejection
+    attempts = 1 + stepper.rejected
+    assert attempts >= 2
+    assert counting.calls == 1 + 12 * attempts   # k1 once, reused on rejection
     for _ in range(50):
-        counting.calls = attempts.calls = 0
+        counting.calls, rejected = 0, stepper.rejected
         state, _, _ = stepper.step(state)
-        assert counting.calls == 12 * attempts.calls    # k1 from the previous step
+        attempts = 1 + stepper.rejected - rejected
+        assert counting.calls == 12 * attempts    # k1 from the previous step
 
 
 def test_fsal_stepping_bitwise_equals_recomputed(force):
@@ -444,22 +432,26 @@ def test_leapfrog_reuses_end_of_step_force(force):
     assert counting.calls == 1 + 100
 
 
-def test_stepper_returns_accepted_attempt_error(monkeypatch):
-    kernel = dynamics._attempt_kernel(dynamics.DOP853)
-    errs = []
-
-    def logged(*args):
-        out = kernel(*args)
-        errs.append(out[3])
-        return out
-
-    monkeypatch.setattr(dynamics, "_attempt_kernel", lambda tableau: logged)
-    stepper = AdaptiveStepper(_oscillator, rel_tol=1e-12, abs_tol=1e-14, h_init=1.0)
-    state = PhaseState.make(0.0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    for _ in range(20):
-        errs.clear()
-        state, _, err = stepper.step(state)
-        assert _bits([err]) == _bits([errs[-1]]) and err <= 1.0
+def test_stepper_returns_accepted_attempt_error(force):
+    """The err of AdaptiveStepper.step is Hairer's norm of the accepted
+    attempt at the h it used, bit for bit that of the loop oracle, and the
+    new state is that attempt's solution."""
+    rng = np.random.default_rng(20261018)
+    for fn in (_oscillator, _free, force):
+        rejected = 0
+        for y0 in _kernel_states(rng, n=10):
+            # h_init = 1 makes the first steps reject
+            stepper = AdaptiveStepper(fn, rel_tol=1e-12, abs_tol=1e-14, h_init=1.0)
+            state = PhaseState.make(0.0, y0[:3], y0[3:])
+            for _ in range(3):
+                y = tuple(state.q.tolist() + state.p.tolist())
+                state, h, err = stepper.step(state)
+                z, e, ks = _attempt_loop(dynamics.DOP853, fn, y, h)
+                assert _bits([err]) == _bits([_blended_norm_loop(y, h, z, e, ks, 1e-14, 1e-12)])
+                assert _bits(state.q.tolist() + state.p.tolist()) == _bits(z)
+                assert err <= 1.0
+            rejected += stepper.rejected
+        assert fn is _free or rejected > 0
 
 
 # -- input validation ----------------------------------------------------
@@ -960,12 +952,12 @@ def test_leapfrog_run_evaluates_force_once_per_step():
     assert outcome.force_evals == calls == outcome.steps + 1
 
 
-def test_adaptive_run_evaluates_force_twelve_times_per_attempt(attempts):
+def test_adaptive_run_evaluates_force_twelve_times_per_attempt():
     config = SimConfig(t_end=3.0)
     _, outcome = simulate(config, PhaseState.make(0.0, *_OFF_AXIS))
     _, _, calls = _replay(config, PhaseState.make(0.0, *_OFF_AXIS))
-    assert attempts.calls == outcome.steps + outcome.rejected
-    assert outcome.force_evals == calls == 12 * attempts.calls + 1
+    attempts = outcome.steps + outcome.rejected
+    assert outcome.force_evals == calls == 12 * attempts + 1
 
 
 def test_step_counts_are_deterministic():
@@ -1053,7 +1045,7 @@ def _raised(fn, *args):
     pytest.fail(f"{fn} did not raise")
 
 
-def _kernel_step_at(kernels, integrator, q):
+def _kernel_step_at(force, integrator, q):
     """What one step of a compiled kernel raises when its first force site
     is at q: from q with p = 0 and force 0, both the Verlet drift and the
     first stage of an adaptive attempt land on q exactly."""
@@ -1065,8 +1057,8 @@ def _kernel_step_at(kernels, integrator, q):
     else:
         params = (1e-3,)
     zero = (0.0, 0.0, 0.0)
-    exc = kernels[integrator](sample, 0.0, q, zero, zero, 1.0, 1.0, 1.0, 1.0, math.inf,
-                              *params)[0]
+    exc = dynamics._compile_kernel(force, integrator)(
+        sample, 0.0, q, zero, zero, 1.0, 1.0, 1.0, 1.0, math.inf, *params)[0]
     return type(exc), str(exc)
 
 
@@ -1079,13 +1071,13 @@ def _kernel_step_at(kernels, integrator, q):
      ": u**-1.5 overflows"),
 ], ids=["on-a-line", "u-inf", "below-U_POW_MIN"])
 def test_u_guards_raise_the_same_at_every_force_site(config, q, cls, text):
-    force, _, kernels = compile_system(config.a, config.b, config.w0, config.u_floor)
+    force, _ = compile_system(config.a, config.b, config.w0, config.u_floor)
     expected = _raised(force, q)
     assert expected[0] is cls and text in expected[1]
     assert _raised(force.potential, q) == expected
     assert _raised(simulate, config, PhaseState.make(0.0, q, (0.0, 0.0, 0.0))) == expected
     for integrator in dynamics.INTEGRATORS:
-        assert _kernel_step_at(kernels, integrator, q) == expected
+        assert _kernel_step_at(force, integrator, q) == expected
 
 
 @pytest.mark.parametrize("t0, config", [
@@ -1171,35 +1163,43 @@ def test_step_that_does_not_advance_t_is_step_failure(t0, config):
     assert len(record.rows) == 1
 
 
-def test_kernels_are_generated_with_the_system(monkeypatch):
+def test_kernels_are_generated_on_first_run(monkeypatch):
+    """compile_system compiles no run kernel; each integrator's kernel is
+    compiled on its first run and reused by the next."""
     generated = []
-    compile_kernel = dynamics._compile_kernel
+    compile_source = dynamics._compile
 
-    def counting(force, integrator):
-        generated.append(integrator)
-        return compile_kernel(force, integrator)
+    def counting(lines, name, **names):
+        if name == "_run":
+            generated.append(lines[0])
+        return compile_source(lines, name, **names)
 
-    monkeypatch.setattr(dynamics, "_compile_kernel", counting)
+    monkeypatch.setattr(dynamics, "_compile", counting)
     compile_system.cache_clear()
-    kernels = compile_system(A0, B0, W0, 1e-10)[2]
-    assert sorted(kernels) == sorted(generated) == sorted(dynamics.INTEGRATORS)
-    for integrator in dynamics.INTEGRATORS:
-        simulate(SimConfig(t_end=1.0, integrator=integrator), PhaseState.make(0.0, *_OFF_AXIS))
-    assert len(generated) == len(dynamics.INTEGRATORS)
+    compile_system(A0, B0, W0, 1e-10)
+    assert generated == []
+    for n, integrator in enumerate(dynamics.INTEGRATORS, start=1):
+        for _ in range(2):
+            simulate(SimConfig(t_end=1.0, integrator=integrator), PhaseState.make(0.0, *_OFF_AXIS))
+        assert len(generated) == n
+        assert ("h_fix" in generated[-1]) == (integrator == "leapfrog")
 
 
 @pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
 def test_run_is_one_kernel_call(integrator, monkeypatch):
     """The kernel owns the sample loop: 500 sample rows, one call."""
-    force, integrals, kernels = compile_system(A0, B0, W0, 1e-10)
+    compile_kernel = dynamics._compile_kernel
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return kernels[integrator](*args)
+    def counting_kernel(force, name):
+        kernel = compile_kernel(force, name)
 
-    monkeypatch.setattr(dynamics, "compile_system",
-                        lambda *args: (force, integrals, {integrator: counting}))
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+        return counting
+
+    monkeypatch.setattr(dynamics, "_compile_kernel", counting_kernel)
     config = SimConfig(t_end=5.0, sample_interval=0.01, integrator=integrator)
     record, outcome = simulate(config, PhaseState.make(0.0, *_OFF_AXIS))
     assert outcome.classification == "completed"
