@@ -8,10 +8,14 @@ Coordinates and momenta are dynamical variables; a, b, w0 are system
 parameters carried symbolically so that identity checks are generic in
 the parameters.  Coefficients are ``fractions.Fraction`` throughout; no
 floating point enters except through the dedicated ``eval_float`` bridge.
+A product of two multi-term polynomials is computed on integers: each
+factor is put over the lcm of its denominators, the cross terms are
+merged as ints, and each output coefficient is made a ``Fraction`` once.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -23,6 +27,7 @@ COORDS = (X, Y, Z)
 MOMENTA = (PX, PY, PZ)
 
 ZERO_EXPS = (0,) * NVARS
+_ZERO = Fraction(0)
 
 Scalar = int | Fraction
 
@@ -117,9 +122,13 @@ class Polynomial:
         one, ``self`` on a tie) the other's exponents are shifted and its
         coefficients scaled with no merge, since a shift cannot make two
         monomials equal; a zero shift and a coefficient of 1 are skipped,
-        so the constant 1 gives a copy.  The result's term order is the
-        other factor's, as the general double loop, which runs over the
-        smaller factor outermost, gives."""
+        so the constant 1 gives a copy.  Otherwise each factor is put over
+        the lcm of its denominators and the cross terms are merged on
+        integers, in a double loop over the smaller factor outermost; a
+        sum is 0 exactly when the rational sum is, so the terms and their
+        order are those of the same loop on ``Fraction``.  The result's
+        term order is the other factor's in the single-term case, as that
+        loop gives."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -135,22 +144,25 @@ class Polynomial:
             if c1 != 1:
                 big = {e: c1 * c for e, c in big.items()}
             return Polynomial(big)
-        # materialize all cross terms, merging as we go
-        out: dict[tuple[int, ...], Fraction] = {}
+        small, d1 = _over_lcm(small)
+        big, d2 = _over_lcm(big)
+        out: dict[tuple[int, ...], int] = {}
         for e1, c1 in small.items():
             for e2, c2 in big.items():
                 e = tuple(map(int.__add__, e1, e2))
-                c = c1 * c2
                 s = out.get(e)
                 if s is None:
-                    out[e] = c
+                    out[e] = c1 * c2
                 else:
-                    s = s + c
+                    s += c1 * c2
                     if s:
                         out[e] = s
                     else:
                         del out[e]
-        return Polynomial(out)
+        d = d1 * d2
+        if d == 1:
+            return Polynomial({e: Fraction(c) for e, c in out.items()})
+        return Polynomial({e: Fraction(c, d) for e, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -356,6 +368,16 @@ class Polynomial:
         return f"Polynomial({s})"
 
 
+def _over_lcm(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[dict[tuple[int, ...], int], int]:
+    """Integer numerators of ``terms`` over the lcm d of their
+    denominators, and d."""
+    dens = [c.denominator for c in terms.values()]
+    d = math.lcm(*dens)
+    if d == 1:
+        return {e: c.numerator for e, c in terms.items()}, 1
+    return {e: c.numerator * (d // dc) for (e, c), dc in zip(terms.items(), dens)}, d
+
+
 def _coerce(obj) -> "Polynomial":
     if isinstance(obj, Polynomial):
         return obj
@@ -428,11 +450,15 @@ def _eliminate(r: dict[int, Fraction], row: dict[int, Fraction], pc: int):
     for c, v in row.items():
         if c == pc:
             continue
-        s = out.get(c, Fraction(0)) - f * v
-        if s:
-            out[c] = s
+        s = out.get(c)
+        if s is None:
+            out[c] = -f * v
         else:
-            out.pop(c, None)
+            s -= f * v
+            if s:
+                out[c] = s
+            else:
+                del out[c]
     return out
 
 
@@ -440,35 +466,56 @@ def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int):
     """Reduced row echelon form over the rationals, rows as sparse dicts.
 
     Returns (reduced_rows, pivot_cols); reduced rows are pivot-normalized
-    and fully back-substituted, in pivot-column order.
+    and fully back-substituted, in pivot-column order.  The next pivot
+    row is a shortest remaining row (the first of them in input order),
+    taken from a length heap whose stale entries are skipped; its pivot
+    is its leftmost entry.  An index from each column to the rows that
+    hold it, remaining and reduced alike, lets a pivot visit only the
+    rows it eliminates from.  The reduced form is unique, so the choice
+    of pivot rows changes only fill-in and time.
     """
-    rows = [dict(r) for r in rows if r]
-    reduced: list[dict[int, Fraction]] = []
+    live = {i: dict(r) for i, r in enumerate(rows) if r}
+    holders: dict[int, set[int]] = {}
+    for i, r in live.items():
+        for c in r:
+            holders.setdefault(c, set()).add(i)
+    heap = [(len(r), i) for i, r in live.items()]
+    heapq.heapify(heap)
+    done: dict[int, dict[int, Fraction]] = {}
     pivots: list[int] = []
-    while rows:
-        # cheapest pivot row first keeps fill-in small on sparse systems
-        rows.sort(key=len)
-        row = rows.pop(0)
+    while live:  # every live row has an entry of its current length
+        n, i = heapq.heappop(heap)
+        row = live.get(i)
+        if row is None or len(row) != n:
+            continue  # eliminated since it was pushed
+        del live[i]
         pc = min(row)
         inv = 1 / row[pc]
         row = {c: v * inv for c, v in row.items()}
-        nxt = []
-        for r in rows:
-            if pc not in r:
-                nxt.append(r)
-                continue
-            out = _eliminate(r, row, pc)
-            if out:
-                nxt.append(out)
-        rows = nxt
-        # back-substitute into already reduced rows
-        for i, rr in enumerate(reduced):
-            if pc in rr:
-                reduced[i] = _eliminate(rr, row, pc)
-        reduced.append(row)
+        for j in holders[pc] - {i}:
+            old = live.get(j)
+            is_live = old is not None
+            if not is_live:
+                old = done[j]  # back-substitute into a reduced row
+            new = _eliminate(old, row, pc)
+            for c in row:
+                if c in old:
+                    if c not in new:
+                        holders[c].discard(j)
+                elif c in new:
+                    holders[c].add(j)
+            if not is_live:
+                done[j] = new
+            elif new:
+                live[j] = new
+                heapq.heappush(heap, (len(new), j))
+            else:
+                del live[j]
+        done[i] = row
         pivots.append(pc)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [reduced[i] for i in order], sorted(pivots)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    reduced = list(done.values())  # in pivot order: back-substitution keeps a key's place
+    return [reduced[k] for k in order], [pivots[k] for k in order]
 
 
 def _row_dicts(matrix: Sequence[Sequence[Scalar]]) -> list[dict[int, Fraction]]:
@@ -483,10 +530,11 @@ def _free_basis(reduced, pivots, ncols: int) -> list[list[Fraction]]:
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
+        vec = [_ZERO] * ncols
         vec[fc] = Fraction(1)
         for row, pc in zip(reduced, pivots):
-            vec[pc] = -row.get(fc, Fraction(0))
+            if fc in row:
+                vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
@@ -545,9 +593,10 @@ def solve_exact_sparse(
         if any(k in r for r in rhs_rows):
             particulars.append(None)
             continue
-        particular = [Fraction(0)] * ncols
+        particular = [_ZERO] * ncols
         for row, pc in zip(reduced, pivots):
-            particular[pc] = -row.get(k, Fraction(0))
+            if k in row:
+                particular[pc] = -row[k]
         particulars.append(particular)
     return particulars, _free_basis(reduced, pivots, ncols)
 

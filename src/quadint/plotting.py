@@ -99,6 +99,14 @@ def render_svg(
     pad_y = 0.1 * max(hi_y - lo_y, 1e-6)
     lo_x, hi_x = lo_x - pad_x, hi_x + pad_x
     lo_y, hi_y = lo_y - pad_y, hi_y + pad_y
+    for label, lo, hi in ((xlabel, lo_x, hi_x), (ylabel, lo_y, hi_y)):
+        # a finite row near the binary64 limit can pad to inf, or to a
+        # range whose width is inf
+        if not math.isfinite(hi - lo):
+            raise ValueError(
+                f"the {label} axis range [{lo:g}, {hi:g}] is not finite after "
+                "padding: the data are too close to the binary64 limit to plot"
+            )
 
     margin = 50
     pw, ph = width - 2 * margin, height - 2 * margin

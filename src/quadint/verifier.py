@@ -515,21 +515,29 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
     rows_sparse: dict[tuple, dict[int, Fraction]] = {}
     rhs_maps: tuple[dict, dict] = ({}, {})
     grad_u = tuple(u.diff(v) for v in COORDS)
+    # a column's terms are k*u (k = the dq exponent of g, 1 or 2) and
+    # -1/2 dq(u), shifted by g: scaled once, and once per coordinate
+    ku = {k: [(eu, k * cu) for eu, cu in u.terms.items()] for k in (1, 2)}
     for qi, (qvar, du) in enumerate(zip(COORDS, grad_u)):
+        half_du = [(ed, -half * cd) for ed, cd in du.terms.items()]
         for col, e in enumerate(basis):
             k = e[qvar]
             colterms: dict[tuple[int, ...], Fraction] = {}
             if k:
                 dg = e[:qvar] + (k - 1,) + e[qvar + 1:]
-                for eu, cu in u.terms.items():
-                    colterms[tuple(map(add, dg, eu))] = k * cu
-            for ed, cd in du.terms.items():
+                for eu, c in ku[k]:
+                    colterms[tuple(map(add, dg, eu))] = c
+            for ed, c in half_du:
                 mono = tuple(map(add, e, ed))
-                s = colterms.get(mono, 0) - half * cd
-                if s:
-                    colterms[mono] = s
+                s = colterms.get(mono)
+                if s is None:
+                    colterms[mono] = c
                 else:
-                    del colterms[mono]
+                    s += c
+                    if s:
+                        colterms[mono] = s
+                    else:
+                        del colterms[mono]
             for mono, c in colterms.items():
                 rows_sparse.setdefault((qi, mono), {})[col] = c
         for rows_q, rhs_map in zip((coeffs[1][qi], coeffs[2][qi]), rhs_maps):
@@ -543,7 +551,8 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
                 rhs_map[(qi, mono)] = c
     keys = sorted(set(rows_sparse).union(*rhs_maps))
     rows = [rows_sparse.get(k, {}) for k in keys]
-    rhs = [[rhs_map.get(k, Fraction(0)) for k in keys] for rhs_map in rhs_maps]
+    zero = Fraction(0)
+    rhs = [[rhs_map.get(k, zero) for k in keys] for rhs_map in rhs_maps]
     particulars, null_basis = solve_exact_sparse(rows, rhs, ncols)
     unique = not null_basis
     recovered = {}

@@ -21,6 +21,8 @@ from quadint.algebra import (
     ZERO_EXPS,
     GaussPoly,
     Polynomial,
+    _row_dicts,
+    _sparse_rref,
     gauss_poly_expand,
     generators,
     matrix_rank_exact,
@@ -144,6 +146,49 @@ def test_one_term_product_matches_double_loop(exps, coeff, q, mono_left):
     assert list(prod.terms.items()) == list(ref.items())
     assert all(type(c) is Fraction for c in prod.terms.values())
     assert prod.terms is not q.terms
+
+
+def _assert_matches_double_loop(p, q):
+    """p * q has the terms of the double loop over the smaller factor
+    (p on a tie) outermost, in the same order, all Fraction."""
+    prod = p * q
+    ref = _double_loop_product(*sorted((p, q), key=lambda f: len(f.terms)))
+    assert list(prod.terms.items()) == list(ref.items())
+    assert all(type(c) is Fraction for c in prod.terms.values())
+    return prod
+
+
+multi_term_polys = st.lists(
+    st.tuples(exponents, coeffs), min_size=2, max_size=5, unique_by=lambda t: t[0]
+).map(lambda terms: Polynomial(dict(terms)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_term_polys, multi_term_polys)
+def test_multi_term_product_matches_double_loop(p, q):
+    _assert_matches_double_loop(p, q)
+    _assert_matches_double_loop(q, p)
+
+
+def test_multi_term_product_mixed_denominators():
+    p = Fraction(1, 2) * x + Fraction(2, 3) * y + 5 * z * a
+    q = Fraction(3, 4) * x - Fraction(1, 6) * y * b
+    prod = _assert_matches_double_loop(p, q)
+    assert prod.coefficient((2, 0, 0, 0, 0, 0, 0, 0, 0)) == Fraction(3, 8)
+    assert prod.coefficient((0, 2, 0, 0, 0, 0, 0, 1, 0)) == Fraction(-1, 9)
+
+
+def test_multi_term_product_cancels_terms_to_zero():
+    # the xy terms cancel: (x/2 + y/3)(x/4 - y/6) = x^2/8 - y^2/18
+    prod = _assert_matches_double_loop(
+        Fraction(1, 2) * x + Fraction(1, 3) * y, Fraction(1, 4) * x - Fraction(1, 6) * y
+    )
+    assert prod == Fraction(1, 8) * x**2 - Fraction(1, 18) * y**2
+    # x and x^3 cancel; x^2 cancels after two cross terms and the third
+    # brings it back, at the end of the term order
+    prod = _assert_matches_double_loop(1 + x + x**2, 1 - x + x**2)
+    assert list(prod.terms) == [ZERO_EXPS, (2,) + ZERO_EXPS[1:], (4,) + ZERO_EXPS[1:]]
+    assert prod == 1 + x**2 + x**4
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,6 +372,92 @@ def test_solve_multi_rhs_second_in_span_of_first_is_inconsistent():
     particulars, _ = solve_exact_sparse(rows, [b1, b2], 2)
     assert particulars == [None, None]
     assert solve_exact_sparse(rows, [b2], 2)[0] == [None]
+
+
+def _dense_rref(matrix, ncols):
+    """Plain Gauss-Jordan on a dense copy: columns left to right, the
+    first nonzero row at or below the current one as pivot row."""
+    m = [[Fraction(v) for v in r] for r in matrix]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
+        pivots.append(c)
+    rows = [{j: v for j, v in enumerate(row) if v} for row in m[: len(pivots)]]
+    return rows, pivots
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Rows drawn at random plus duplicated, scaled, all-zero and
+    dependent (combination) rows, shuffled."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(small_fracs, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=1, max_size=5))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("duplicate", "scaled", "zero", "dependent")))
+        r1, r2 = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        if kind == "duplicate":
+            rows.append(list(r1))
+        elif kind == "scaled":
+            k = draw(coeffs)
+            rows.append([k * v for v in r1])
+        elif kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        else:
+            k = draw(small_fracs)
+            rows.append([v1 + k * v2 for v1, v2 in zip(r1, r2)])
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_matrices(), st.lists(small_fracs, min_size=6, max_size=6))
+def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols, solution):
+    matrix, ncols = matrix_ncols
+    ref_rows, ref_pivots = _dense_rref(matrix, ncols)
+    reduced, pivots = _sparse_rref(_row_dicts(matrix), ncols)
+    assert pivots == ref_pivots
+    assert reduced == ref_rows
+    # nullspace_exact: one vector per free column, read off the reduced rows
+    ref_basis = []
+    for fc in range(ncols):
+        if fc in ref_pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(ref_rows, ref_pivots):
+            vec[pc] = -row.get(fc, Fraction(0))
+        ref_basis.append(vec)
+    assert nullspace_exact(matrix) == ref_basis
+    # solve_exact_sparse: a consistent right-hand side and one that may
+    # not be, each against the dense RREF of [A | b]
+    rows = _row_dicts(matrix)
+    consistent = _apply(rows, solution[:ncols])
+    maybe = [Fraction(i % 3) for i in range(len(matrix))]
+    particulars, basis = solve_exact_sparse(rows, [consistent, maybe], ncols)
+    assert basis == ref_basis
+    for b, particular in zip((consistent, maybe), particulars):
+        aug_rows, aug_pivots = _dense_rref(
+            [list(r) + [bi] for r, bi in zip(matrix, b)], ncols + 1
+        )
+        if ncols in aug_pivots:
+            assert particular is None
+            continue
+        ref = [Fraction(0)] * ncols
+        for row, pc in zip(aug_rows, aug_pivots):
+            ref[pc] = row.get(ncols, Fraction(0))
+        assert particular == ref
+    assert particulars[0] is not None
 
 
 # -- Gaussian rationals ------------------------------------------------

@@ -296,6 +296,31 @@ def test_plot_rejects_malformed_row(tmp_path, capsys, row):
     assert not (tmp_path / "o.svg").exists()
 
 
+def _one_row_traj(tmp_path, x):
+    from quadint.dynamics import TRAJECTORY_HEADER
+
+    path = tmp_path / "big.csv"
+    path.write_text(f"{TRAJECTORY_HEADER}\n0.5,{x}," + ",".join(["0.5"] * 10) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("x", ["1.7e308", "-1.7e308"])
+def test_plot_rejects_rows_whose_padded_bounds_overflow(tmp_path, capsys, x):
+    traj = _one_row_traj(tmp_path, x)
+    code, _, err = run(["plot", str(traj), "--out", str(tmp_path / "o.svg")], capsys)
+    assert code == 1
+    assert err.startswith("error: the x axis range ")
+    assert "not finite" in err
+    assert not (tmp_path / "o.svg").exists()
+
+
+def test_plot_renders_a_row_at_1e300(tmp_path, capsys):
+    traj = _one_row_traj(tmp_path, "1e300")
+    code, _, _ = run(["plot", str(traj), "--out", str(tmp_path / "o.svg")], capsys)
+    assert code == 0
+    assert (tmp_path / "o.svg").read_text().startswith("<svg")
+
+
 # -- scan ---------------------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from quadint.algebra import (
     Polynomial,
     generators,
     nullspace_exact,
+    solve_exact_sparse,
 )
 from quadint.catalog import build_context, extract_killing_tensor
 from quadint.radical import RadicalElement
@@ -313,6 +314,25 @@ def test_scalar_ansatz_recovers_catalog(ctx):
     for rec, target in ((m1r, ctx.m1), (m2r, ctx.m2)):
         diff = rec - target
         assert all(diff.diff(v).is_zero() for v in COORDS)
+
+
+def test_scalar_ansatz_system_has_full_column_rank(ctx, monkeypatch):
+    import quadint.verifier as verifier
+    from quadint.algebra import _sparse_rref
+
+    systems = []
+
+    def recording_solve(rows, rhs, ncols):
+        systems.append((rows, ncols))
+        return solve_exact_sparse(rows, rhs, ncols)
+
+    monkeypatch.setattr(verifier, "solve_exact_sparse", recording_solve)
+    _, _, results = solve_scalar_ansatz(ctx)
+    (rows, ncols), = systems
+    assert (len(rows), ncols) == (3120, 150)
+    _, pivots = _sparse_rref(rows, ncols)
+    assert pivots == list(range(150))
+    assert all("solution unique" in r.residual_summary for r in results)
 
 
 def test_scalar_ansatz_charges_shared_solve_to_m1(ctx):
