@@ -14,7 +14,10 @@ X1, X2 is compiled from the exact catalog polynomials and summed with
 math.fsum.  The adaptive integrator is the Dormand-Prince 8(5,3) pair
 (DOP853); the Dormand-Prince 5(4) pair serves ``dp54_step`` as the
 order-5 oracle.  Both pairs are tableau records, from which one generator
-writes an attempt.  The per-step integrators take an abstract force
+writes an attempt in Nystrom form: since q'' = F(q), a stage position
+needs only p and the earlier forces, through tables that each record
+derives once (c = A 1, A A and E A), so no stage momentum is formed.  The
+per-step integrators take an abstract force
 callable so they can be validated against closed-form systems (free
 particle, isotropic oscillator) independently of the potential;
 ``simulate`` runs the same generated step code with the factored force
@@ -281,6 +284,9 @@ class _Tableau:
     embedded weights ``error[0]``; "blended" is Hairer's blend of a
     5th-order (``error[0]``) and a 3rd-order (``error[1]``) estimate.
     ``order`` is the order that sets the step controller's exponents.
+    ``nodes``, ``rows2``, ``error_sums`` and ``error_rows`` are the tables
+    of the attempt's Nystrom form (_attempt_lines), each computed exactly
+    in Fraction from the stored doubles and rounded once.
     """
 
     rows: tuple
@@ -293,6 +299,34 @@ class _Tableau:
         """The last stage, which is also the number of force evaluations of
         an attempt."""
         return len(self.rows) - 1
+
+    def _times_a(self, weights) -> tuple:
+        # the row vector w A, exact, each entry rounded once
+        a = [[Fraction(c) for c in row] for row in self.rows]
+        w = [Fraction(c) for c in weights]
+        return tuple(float(sum(w[j] * a[j][k] for j in range(k + 1, len(w))))
+                     for k in range(len(w) - 1))
+
+    @functools.cached_property
+    def nodes(self) -> tuple:
+        """c_s = sum_j a_sj over the weights a_sj of ``rows[s]``: the time of
+        stage s in units of h."""
+        return tuple(float(sum(map(Fraction, row))) for row in self.rows)
+
+    @functools.cached_property
+    def rows2(self) -> tuple:
+        """The rows of A A: the weights of stage s's position on the forces."""
+        return tuple(map(self._times_a, self.rows))
+
+    @functools.cached_property
+    def error_sums(self) -> tuple:
+        """sum E of each error row E: its position error's weight on p."""
+        return tuple(float(sum(map(Fraction, row))) for row in self.error)
+
+    @functools.cached_property
+    def error_rows(self) -> tuple:
+        """E A of each error row E: its position error's weights on the forces."""
+        return tuple(map(self._times_a, self.error))
 
 
 # Dormand-Prince 5(4): the order-5 oracle of dp54_step
@@ -390,37 +424,55 @@ def _call_site(q, f: str) -> list[str]:
 
 def _attempt_lines(tableau: _Tableau, site) -> list[str]:
     """One attempt of ``tableau`` with step h from y0..y5 and the stage-0
-    force f0_*: sets z0..z5 (the solution, which is the last stage's
-    state), f<n>_* (the force of the last stage n, at z) and e0..e5 (the
-    error estimate), and with the "blended" estimator l0..l5 (the
-    3rd-order estimate).
+    force f0_*, in Nystrom form: sets z0..z5 (the solution, whose position
+    is the last stage's), f<n>_* (the force of the last stage n, at z) and
+    e0..e5 (the error estimate), and with the "blended" estimator l0..l5
+    (the 3rd-order estimate).
 
-    Every weighted stage sum is written out in stage order from 0.0, with
-    one term per nonzero weight, so the result is bit for bit what summing
-    those terms in a loop gives.
+    The Nystrom form (Hairer, Norsett & Wanner, Solving ODEs I, II.14) is
+    the method with the stage momenta P_s = p + h sum_k a_sk F_k
+    substituted, which q'' = F(q) allows.  Each stage position is
+    y + h (c_s p + h sum_k (A A)_sk F_k), and only the solution's momentum
+    is formed, as p + h sum_k b_k F_k.  A position error of weights E is
+    h (sum E p + h sum_k (E A)_k F_k), a momentum error h sum_k E_k F_k
+    (tables from _Tableau).  Every weighted sum is written out in stage
+    order from its first nonzero term, so the result is bit for bit what
+    summing those terms in a loop gives.
     """
     last = tableau.last
 
-    def state(s, j):
-        return f"y{j}" if s == 0 else f"z{j}" if s == last else f"s{s}_{j}"
+    def position(s, j):
+        return f"z{j}" if s == last else f"s{s}_{j}"
 
-    def slope(s, j):                      # k_s[j]: dq/dt = p, dp/dt = force
-        return state(s, j + 3) if j < 3 else f"f{s}_{j - 3}"
+    def forces(weights, j):
+        return " + ".join(f"{c!r}*f{s}_{j}" for s, c in enumerate(weights) if c)
 
-    def weighted(weights, j):
-        return " + ".join(["0.0", *(f"{c!r}*{slope(s, j)}" for s, c in enumerate(weights) if c)])
+    def displacement(total, weights_a, j):
+        # h sum_s w_s P_s[j] for weights w with sum total and w A = weights_a
+        parts = [f"y{j + 3}" if total == 1.0 else f"{total!r}*y{j + 3}"] if total else []
+        inner = forces(weights_a, j)
+        if inner:
+            parts.append(f"h * ({inner})")
+        return f"h * ({' + '.join(parts)})"
+
+    def error(i, j):
+        if j < 3:
+            return displacement(tableau.error_sums[i], tableau.error_rows[i], j)
+        return f"h * ({forces(tableau.error[i], j - 3)})"
 
     lines = []
     for s in range(1, last + 1):
-        lines += [f"{state(s, j)} = y{j} + h * ({weighted(tableau.rows[s], j)})" for j in range(6)]
-        lines += site([state(s, j) for j in range(3)], f"f{s}")
+        lines += [f"{position(s, j)} = y{j} + {displacement(tableau.nodes[s], tableau.rows2[s], j)}"
+                  for j in range(3)]
+        lines += site([position(s, j) for j in range(3)], f"f{s}")
+    lines += [f"z{j + 3} = y{j + 3} + h * ({forces(tableau.rows[last], j)})" for j in range(3)]
     for j in range(6):
         if tableau.estimator == "embedded":
             # the solution minus the embedded solution
-            lines.append(f"e{j} = z{j} - (y{j} + h * ({weighted(tableau.error[0], j)}))")
+            lines.append(f"e{j} = z{j} - (y{j} + {error(0, j)})")
         else:
-            lines.append(f"e{j} = h * ({weighted(tableau.error[0], j)})")
-            lines.append(f"l{j} = h * ({weighted(tableau.error[1], j)})")
+            lines.append(f"e{j} = {error(0, j)}")
+            lines.append(f"l{j} = {error(1, j)}")
     return lines
 
 
@@ -449,8 +501,8 @@ def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
             f"r{j} = e{j} / c{j}",
             f"l{j} = l{j} / c{j}",
         ]
-    err5 = " + ".join(["0.0"] + [f"r{j}*r{j}" for j in range(6)])
-    err3 = " + ".join(["0.0"] + [f"l{j}*l{j}" for j in range(6)])
+    err5 = " + ".join(f"r{j}*r{j}" for j in range(6))
+    err3 = " + ".join(f"l{j}*l{j}" for j in range(6))
     norm += [
         f"err5 = {err5}",
         f"deno = err5 + 0.01 * ({err3})",
@@ -592,7 +644,8 @@ def _attempt_kernel(tableau: _Tableau):
 
     ``attempt(force, y, f0, h)`` takes the packed state y = (q, p) and the
     force f0 at q (stage 0), and returns (solution, error estimate, force of
-    the last stage); see _attempt_lines.
+    the last stage), from the Nystrom form of _attempt_lines: the same
+    method as the first-order form, whose results it matches to a few ulps.
     """
     return _compile([
         "def attempt(force, y, f0, h):",
@@ -920,7 +973,8 @@ def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     if jobs > 1 and len(ics) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under fork the pool starts every worker at once: no more than ICs
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ics))) as pool:
             futures = [
                 pool.submit(_scan_one, config, idx, ic)
                 for idx, ic in enumerate(ics)

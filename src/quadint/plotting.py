@@ -155,19 +155,23 @@ def render_svg(
         f'transform="rotate(-90 15 {height / 2:.0f})">{ylabel}</text>'
     )
 
-    # singular lines, dashed, sampled over a parameter range covering the view
-    span = max(hi_x - lo_x, hi_y - lo_y, abs(lo_x), abs(hi_x), abs(lo_y), abs(hi_y))
+    # singular lines, dashed.  Each is sampled in box units (0 to 1 across
+    # each axis) from its point, which lies in the box, along its direction
+    # scaled to cross one box width in the axis it crosses fastest, so the
+    # samples cover the box and every coordinate is finite at any data range
+    wx, wy = hi_x - lo_x, hi_y - lo_y
+    nsamp = 100
     for line in singular_lines(a, b):
-        p0 = tuple(float(v) for v in line.point)
-        d = tuple(float(v) for v in line.direction)
-        norm = math.sqrt(sum(c * c for c in d))
-        d = tuple(c / norm for c in d)
+        cx, cy = proj(*(float(v) for v in line.point))
+        dx, dy = proj(*(float(v) for v in line.direction))
+        rx, ry = (cx - lo_x) / wx, (cy - lo_y) / wy
+        nx, ny = dx / wx, dy / wy
+        fastest = max(abs(nx), abs(ny)) or 1.0     # 0: the line is seen end-on
+        nx, ny = nx / fastest, ny / fastest
         pts = []
-        nsamp = 100
         for i in range(nsamp + 1):
-            t = -3 * span + 6 * span * i / nsamp
-            pt = proj(p0[0] + t * d[0], p0[1] + t * d[1], p0[2] + t * d[2])
-            pts.append(to_px(pt))
+            t = -1.0 + 2.0 * i / nsamp
+            pts.append((margin + (rx + t * nx) * pw, margin + (1.0 - (ry + t * ny)) * ph))
         path = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
         parts.append(
             f'<polyline points="{path}" fill="none" stroke="#555555" '

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.metadata
 import json
+import math
 import platform
 import re
 
@@ -319,6 +320,20 @@ def test_plot_renders_a_row_at_1e300(tmp_path, capsys):
     code, _, _ = run(["plot", str(traj), "--out", str(tmp_path / "o.svg")], capsys)
     assert code == 0
     assert (tmp_path / "o.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("view", ["xy", "xz", "yz", "3d"])
+@pytest.mark.parametrize("x", ["5e307", "-5e307"])
+def test_plot_coordinates_are_finite_for_a_row_at_5e307(tmp_path, capsys, x, view):
+    # the singular lines' samples used to overflow to nan at this range
+    traj = _one_row_traj(tmp_path, x)
+    out_svg = tmp_path / "o.svg"
+    code, _, _ = run(["plot", str(traj), "--view", view, "--out", str(out_svg)], capsys)
+    assert code == 0
+    points = re.findall(r'points="([^"]*)"', out_svg.read_text())
+    assert len(points) == 3                  # two singular lines and the trajectory
+    coords = [float(v) for pts in points for pair in pts.split() for v in pair.split(",")]
+    assert all(math.isfinite(v) for v in coords)
 
 
 # -- scan ---------------------------------------------------------------

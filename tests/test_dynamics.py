@@ -178,49 +178,90 @@ def test_leapfrog_bounded_energy_oscillator():
 
 # -- generated attempts, FSAL and Verlet force reuse ---------------------
 #
-# _rhs and _attempt_loop are the term-by-term form of an embedded
+# _attempt_loop is the term-by-term Nystrom form of an embedded
 # Runge-Kutta attempt over a tableau record, which the generated attempt
-# unrolls; they are the reference it must match bit for bit.
+# unrolls; it is the reference it must match bit for bit.
+# _classical_attempt_loop is the same attempt in the first-order form, with
+# every stage momentum formed; it must agree to a few ulps.
 
 
-def _rhs(force, y):
-    f = force(y[:3])
-    return (y[3], y[4], y[5], f[0], f[1], f[2])
-
-
-def _weighted(weights, ks, j):
-    acc = 0.0
-    for s, c in enumerate(weights):
-        if c:
-            acc = acc + c * ks[s][j]
+def _weighted(weights, values):
+    """sum_s w_s values[s] over the nonzero weights, from the first one on;
+    None if every weight is zero."""
+    acc = None
+    for w, v in zip(weights, values):
+        if w:
+            acc = w * v if acc is None else acc + w * v
     return acc
 
 
+def _displacement(h, total, weights_a, p, fs, j):
+    """h sum_s w_s P_s[j] in Nystrom form, for weights w with sum ``total``
+    and w A = ``weights_a``, from p and the stage forces fs."""
+    inner = _weighted(weights_a, [f[j] for f in fs])
+    acc = total * p[j] if total else None
+    if inner is not None:
+        acc = h * inner if acc is None else acc + h * inner
+    return h * acc
+
+
 def _attempt_loop(tableau, force, y0, h):
-    """(solution, error estimate, stage slopes) of one attempt of
-    ``tableau``, summed in a loop; the solution is the last stage's state."""
+    """(solution, error estimate, low-order estimate or None, stage forces)
+    of one attempt of ``tableau`` in Nystrom form, summed in a loop; the
+    solution's position is the last stage's."""
     y0 = tuple(y0)
-    ks = [_rhs(force, y0)]
-    for row in tableau.rows[1:]:
-        stage = tuple(y0[j] + h * _weighted(row, ks, j) for j in range(6))
-        ks.append(_rhs(force, stage))
-    z = stage
+    q, p = y0[:3], y0[3:]
+    fs = [tuple(force(q))]
+    for s in range(1, tableau.last + 1):
+        stage = tuple(q[j] + _displacement(h, tableau.nodes[s], tableau.rows2[s], p, fs, j)
+                      for j in range(3))
+        fs.append(tuple(force(stage)))
+    b = tableau.rows[-1]
+    z = stage + tuple(p[j] + h * _weighted(b, [f[j] for f in fs]) for j in range(3))
+
+    def error(i):
+        dq = [_displacement(h, tableau.error_sums[i], tableau.error_rows[i], p, fs, j)
+              for j in range(3)]
+        return dq + [h * _weighted(tableau.error[i], [f[j] for f in fs]) for j in range(3)]
+
     if tableau.estimator == "embedded":
-        e = [z[j] - (y0[j] + h * _weighted(tableau.error[0], ks, j)) for j in range(6)]
+        e, low = [z[j] - (y0[j] + d) for j, d in enumerate(error(0))], None
     else:
-        e = [h * _weighted(tableau.error[0], ks, j) for j in range(6)]
-    return z, tuple(e), ks
+        e, low = error(0), tuple(error(1))
+    return z, tuple(e), low, fs
 
 
-def _blended_norm_loop(y0, h, z, e, ks, abs_tol, rel_tol):
+def _classical_attempt_loop(tableau, force, y0, h):
+    """(solution, error estimate, low-order estimate or None) of one attempt
+    of ``tableau`` as a first-order system y' = (p, F(q)), every stage state
+    (q and p) formed and summed in a loop."""
+    y0 = tuple(y0)
+
+    def rhs(y):
+        return (*y[3:], *force(y[:3]))
+
+    ks = [rhs(y0)]
+    for row in tableau.rows[1:]:
+        stage = tuple(y0[j] + h * _weighted(row, [k[j] for k in ks]) for j in range(6))
+        ks.append(rhs(stage))
+    z = stage
+
+    def error(i):
+        return [h * _weighted(tableau.error[i], [k[j] for k in ks]) for j in range(6)]
+
+    if tableau.estimator == "embedded":
+        return z, tuple(z[j] - (y0[j] + d) for j, d in enumerate(error(0))), None
+    return z, tuple(error(0)), tuple(error(1))
+
+
+def _blended_norm_loop(y0, z, e, low, abs_tol, rel_tol):
     """Hairer's DOP853 error norm of an attempt of _attempt_loop over DOP853,
     summed in a loop."""
     scale = [abs_tol + rel_tol * max(abs(y0[j]), abs(z[j])) for j in range(6)]
-    low = [h * _weighted(dynamics.DOP853.error[1], ks, j) / scale[j] for j in range(6)]
     err5 = err3 = 0.0
     for j in range(6):
         err5 = err5 + (e[j] / scale[j]) * (e[j] / scale[j])
-        err3 = err3 + low[j] * low[j]
+        err3 = err3 + (low[j] / scale[j]) * (low[j] / scale[j])
     deno = err5 + 0.01 * err3
     return err5 / (math.sqrt(6.0) * math.sqrt(deno)) if deno else 0.0
 
@@ -248,9 +289,9 @@ def _kernel_states(rng, n=40):
 
 def _check_attempt_against_loop(tableau, fn, attempt):
     """``attempt(force, y0, h) -> (solution, error estimate)`` equals
-    _attempt_loop over ``tableau`` bit for bit, stage states included, and
-    the generated attempt's last-stage force (the force at the solution:
-    FSAL) equals the loop's."""
+    _attempt_loop over ``tableau`` bit for bit, stage positions included,
+    and the generated attempt's last-stage force (the force at the
+    solution: FSAL) equals the loop's."""
     def logged(log):
         def f(q):
             log.append(_bits([float(v) for v in q]))
@@ -262,16 +303,16 @@ def _check_attempt_against_loop(tableau, fn, attempt):
         for h in (1e-3, 0.0371, 0.2, -0.05):
             stages, ref_stages = [], []
             z, err = attempt(logged(stages), y0, h)
-            # the loop is fed numpy scalars, as the stepper once passed
-            # (*q, *p): their sums are plain left-to-right on every Python
-            ref_z, ref_err, ks = _attempt_loop(tableau, logged(ref_stages),
-                                               tuple(np.float64(v) for v in y0), h)
-            # every stage state, signed zeros included, and both outputs
+            # the loop is fed numpy scalars: their sums are plain
+            # left-to-right on every Python
+            ref_z, ref_err, _, fs = _attempt_loop(tableau, logged(ref_stages),
+                                                  tuple(np.float64(v) for v in y0), h)
+            # every stage position, signed zeros included, and both outputs
             assert stages == ref_stages, (y0, h)
             assert _bits(z) == _bits(ref_z), (y0, h)
             assert _bits(err) == _bits(ref_err), (y0, h)
             last = dynamics._attempt_kernel(tableau)(fn, y0, fn(y0[:3]), h)[2]
-            assert _bits(last) == _bits(ks[-1][3:]) == _bits(fn(z[:3])), (y0, h)
+            assert _bits(last) == _bits(fs[-1]) == _bits(fn(z[:3])), (y0, h)
 
 
 @pytest.mark.parametrize("name", ["oscillator", "free", "force_field"])
@@ -292,8 +333,57 @@ def test_dop853_attempt_matches_loop_oracle_bitwise(name, force):
     _check_attempt_against_loop(dynamics.DOP853, fn, attempt)
 
 
-# dp54_step at a few states, recorded as hex floats before its tableau
-# became a record read by the shared attempt generator
+@pytest.mark.parametrize("tableau", ["DP54", "DOP853"])
+@pytest.mark.parametrize("name", ["oscillator", "free", "force_field"])
+def test_nystrom_attempt_agrees_with_classical_form(tableau, name, force):
+    """The Nystrom attempt is the first-order one with the stage momenta
+    substituted: per attempt, the solution and both error estimates agree
+    with the classical loop within 4 ulps of the attempt's largest
+    magnitude among y0, z and h times a stage force (2 ulps seen)."""
+    tab = getattr(dynamics, tableau)
+    fn = {"oscillator": _oscillator, "free": _free, "force_field": force}[name]
+    rng = np.random.default_rng(20261018)
+    for y0 in _kernel_states(rng):
+        for h in (1e-3, 0.0371, 0.2, -0.05):
+            z, e, low, fs = _attempt_loop(tab, fn, y0, h)
+            ref_z, ref_e, ref_low = _classical_attempt_loop(tab, fn, y0, h)
+            scale = max(*map(abs, y0 + z), *(abs(h * v) for f in fs for v in f), 1e-300)
+            bound = 4 * 2.0**-52 * scale
+            pairs = [*zip(z, ref_z), *zip(e, ref_e), *zip(low or (), ref_low or ())]
+            assert max(abs(a - b) for a, b in pairs) <= bound, (y0, h)
+
+
+def test_nystrom_tables_are_exact_values_rounded_once():
+    """c = A 1, the rows of A A, sum E and E A of each tableau are the
+    exact products of its stored doubles, each rounded once, and are
+    derived once per tableau."""
+    for tab in (dynamics.DP54, dynamics.DOP853):
+        n = len(tab.rows)
+        a = [[Fraction(row[k]) if k < len(row) else Fraction(0) for k in range(n)]
+             for row in tab.rows]
+
+        def times_a(w):
+            return [sum(w[j] * a[j][k] for j in range(n)) for k in range(n)]
+
+        def rounded(exact, table):
+            # nonzero only where the table has an entry
+            assert all(v == 0 for v in exact[len(table):])
+            return tuple(float(v) for v in exact[:len(table)])
+
+        for s, row in enumerate(a):
+            assert tab.nodes[s] == float(sum(row))
+            assert len(tab.rows2[s]) == max(s - 1, 0)
+            assert tab.rows2[s] == rounded(times_a(row), tab.rows2[s])
+        for i, weights in enumerate(tab.error):
+            w = [Fraction(c) for c in weights] + [Fraction(0)] * (n - len(weights))
+            assert tab.error_sums[i] == float(sum(w))
+            assert tab.error_rows[i] == rounded(times_a(w), tab.error_rows[i])
+        assert tab.nodes[-1] == 1.0                  # the solution's weights sum to 1
+        assert tab.rows2 is tab.rows2 and tab.error_rows is tab.error_rows
+
+
+# dp54_step at a few states, recorded as hex floats when the shared
+# attempt generator began to write the Nystrom form
 def _anharmonic(q):
     x, y, z = q
     return (-x - x * y * z, -y + 0.5 * x * x, -z * (1.0 + z * z))
@@ -303,10 +393,10 @@ _DP54_RECORDED = [
     (_oscillator, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0), 0.2,
      ("0x1.f5cb48be34d98p-1", "0x1.96dff28b140c8p-3", "0x0.0p+0", "-0x1.96dff28b140c8p-3",
       "0x1.f5cb48be34d98p-1", "0x0.0p+0"),
-     ("-0x1.65575e0000000p-26", "-0x1.152b267e00000p-22", "0x0.0p+0", "0x1.152b267e00000p-22",
+     ("-0x1.65575e0000000p-26", "-0x1.152b267f00000p-22", "0x0.0p+0", "0x1.152b267e00000p-22",
       "-0x1.65575e0000000p-26", "0x0.0p+0")),
     (_free, (0.0, 1.0, -2.0, 0.5, -0.25, 1.0), 0.7,
-     ("0x1.6666666666665p-2", "0x1.a666666666667p-1", "-0x1.4cccccccccccep+0",
+     ("0x1.6666666666666p-2", "0x1.a666666666666p-1", "-0x1.4cccccccccccdp+0",
       "0x1.0000000000000p-1", "-0x1.0000000000000p-2", "0x1.0000000000000p+0"),
      ("0x0.0p+0",) * 6),
     (_anharmonic, (0.5416740406778552, 0.16171926281771937, -0.2856766602871327,
@@ -316,9 +406,9 @@ _DP54_RECORDED = [
      ("-0x1.7b68000000000p-40", "0x1.5120000000000p-41", "-0x1.078c000000000p-38",
       "0x1.c349ec0000000p-36", "-0x1.f867660000000p-36", "-0x1.dbe6d00000000p-36")),
     (_anharmonic, (-0.3, 0.7, 0.1, 0.2, -0.0, 0.4), -0.05,
-     ("-0x1.3d06c742d7313p-2", "0x1.65fb44db8e912p-1", "0x1.4732b30ff0f85p-4",
+     ("-0x1.3d06c742d7313p-2", "0x1.65fb44db8e912p-1", "0x1.4732b30ff0f86p-4",
       "0x1.786af2d5e54f8p-3", "0x1.0b9271cd37f62p-5", "0x1.9e3e62e2ddb1fp-2"),
-     ("-0x1.76a8000000000p-41", "0x1.ffba800000000p-36", "0x1.a0dd7c0000000p-34",
+     ("-0x1.76a8000000000p-41", "0x1.ffba800000000p-36", "0x1.a0dd800000000p-34",
       "0x1.9297100000000p-34", "-0x1.d52d7a0000000p-34", "-0x1.9e4a600000000p-35")),
 ]
 
@@ -446,8 +536,8 @@ def test_stepper_returns_accepted_attempt_error(force):
             for _ in range(3):
                 y = tuple(state.q.tolist() + state.p.tolist())
                 state, h, err = stepper.step(state)
-                z, e, ks = _attempt_loop(dynamics.DOP853, fn, y, h)
-                assert _bits([err]) == _bits([_blended_norm_loop(y, h, z, e, ks, 1e-14, 1e-12)])
+                z, e, low, _ = _attempt_loop(dynamics.DOP853, fn, y, h)
+                assert _bits([err]) == _bits([_blended_norm_loop(y, z, e, low, 1e-14, 1e-12)])
                 assert _bits(state.q.tolist() + state.p.tolist()) == _bits(z)
                 assert err <= 1.0
             rejected += stepper.rejected
@@ -803,6 +893,40 @@ def test_scan_pool_rows_equal_serial_rows():
         return [(r[0], _bits([float(v) for v in r[1:10]]), r[10]) for r in rows]
 
     assert bits(scan_singularity(cfg, ics, jobs=2)) == bits(scan_singularity(cfg, ics, jobs=1))
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (5000, 3)])
+def test_scan_pool_has_at_most_one_worker_per_ic(jobs, workers, monkeypatch):
+    """Under fork the pool starts all its workers up front, so it gets no
+    more than one per IC.  The pool here records max_workers and runs each
+    task in this process: no worker is started."""
+    import concurrent.futures
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = SimConfig(t_end=0.5)
+    ics = [((0.5, 0.2, -0.3), (0.1, 0.1, 0.1)),
+           ((0.4, 0.1, -0.2), (0.0, 0.05, 0.0)),
+           ((0.3, -0.1, 0.2), (0.05, 0.0, 0.1))]
+    rows = scan_singularity(cfg, ics, jobs=jobs)
+    assert seen == [workers]
+    assert [r[0] for r in rows] == [0, 1, 2]
 
 
 # -- u from the step's own force call, float Verlet, step counts ----------
