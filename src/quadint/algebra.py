@@ -6,11 +6,16 @@ Everything lives in a fixed nine-variable alphabet, in this order:
 
 Coordinates and momenta are dynamical variables; a, b, w0 are system
 parameters carried symbolically so that identity checks are generic in
-the parameters.  Coefficients are ``fractions.Fraction`` throughout; no
-floating point enters except through the dedicated ``eval_float`` bridge.
-A product of two multi-term polynomials is computed on integers: each
-factor is put over the lcm of its denominators, the cross terms are
-merged as ints, and each output coefficient is made a ``Fraction`` once.
+the parameters.  A polynomial is packed: one ``int`` key per monomial,
+each with an ``int`` numerator over one common denominator in lowest
+terms.  A key holds each exponent in a ``FIELD_BITS``-wide field, x
+highest, under a field for the total degree, so int order on keys is
+graded lex order and a product's key is the sum of the keys.  A product
+of total degree above ``MAX_DEGREE`` raises ``OverflowError`` rather than
+carry between fields.  Ring operations run on ints; ``Fraction`` appears
+where a coefficient is handed out and in the exact linear algebra.  Floats
+enter only through ``eval_float``, whose n / d is rounded once, as
+``float(Fraction(n, d))`` is.
 """
 
 from __future__ import annotations
@@ -29,34 +34,63 @@ MOMENTA = (PX, PY, PZ)
 ZERO_EXPS = (0,) * NVARS
 _ZERO = Fraction(0)
 
+FIELD_BITS = 16
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+_SHIFTS = tuple(FIELD_BITS * (NVARS - 1 - v) for v in range(NVARS))
+_UNITS = tuple(1 << FIELD_BITS * NVARS | 1 << s for s in _SHIFTS)  # key of each variable
+_KEY_LIMIT = 1 << FIELD_BITS * (NVARS + 1)
+
 Scalar = int | Fraction
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
 
 
-def grlex_key(exps: tuple[int, ...]) -> tuple:
-    """Graded lexicographic sort key (higher key = larger monomial)."""
-    return (sum(exps), exps)
+def pack(exps: Sequence[int]) -> int:
+    """Key of the monomial with exponents ``exps``: nine non-negative ints
+    of total degree at most MAX_DEGREE, else ValueError."""
+    exps = tuple(exps)
+    ok = len(exps) == NVARS and all(isinstance(k, int) and k >= 0 for k in exps)
+    if not ok or sum(exps) > MAX_DEGREE:
+        raise ValueError(f"{NVARS} ints >= 0 of sum <= {MAX_DEGREE} expected, got {exps!r}")
+    key = sum(exps)
+    for k in exps:
+        key = key << FIELD_BITS | k
+    return key
+
+
+def unpack(key: int) -> tuple[int, ...]:
+    """Exponent tuple of a monomial key."""
+    return tuple(key >> s & MAX_DEGREE for s in _SHIFTS)
 
 
 class Polynomial:
-    """Immutable sparse polynomial: map from exponent tuple to Fraction.
-
-    Zero coefficients are never stored, so structural equality of the
-    term maps is semantic equality.
+    """Immutable sparse polynomial: read-only ``numerators`` maps each
+    monomial's key to a nonzero int, over a positive ``denominator``
+    coprime to their gcd, so the form is canonical.  A key (see ``pack``)
+    has a FIELD_BITS-wide field per exponent under one for the total
+    degree; a product past MAX_DEGREE raises OverflowError.  ``terms``,
+    the {exponent tuple: Fraction} view in the same term order, is built
+    on each access; operations keep the term order that view's loop gives.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("numerators", "denominator")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        self.terms: dict[tuple[int, ...], Fraction] = dict(terms) if terms else {}
-        self._hash = None
+    def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
+        """From {exponent tuple: int or Fraction}; zeros are dropped."""
+        pairs = [(pack(e), _ratio(c)) for e, c in terms.items()] if terms else ()
+        # over the lcm of lowest-terms denominators, numerators and d are coprime
+        d = math.lcm(*(den for _, (_, den) in pairs))
+        self.numerators = {e: n * (d // den) for e, (n, den) in pairs if n}
+        self.denominator = d
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        return {unpack(e): Fraction(c, self.denominator) for e, c in self.numerators.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -66,20 +100,17 @@ class Polynomial:
 
     @staticmethod
     def constant(c: Scalar) -> "Polynomial":
-        c = _as_fraction(c)
-        return Polynomial({ZERO_EXPS: c} if c else None)
+        n, d = _ratio(c)
+        return _reduced({0: n}, d) if n else Polynomial()
 
     @staticmethod
     def variable(v: int) -> "Polynomial":
-        exps = tuple(1 if i == v else 0 for i in range(NVARS))
-        return Polynomial({exps: Fraction(1)})
+        return _reduced({_UNITS[v]: 1}, 1)
 
     @staticmethod
     def monomial(exps: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
-        c = _as_fraction(coeff)
-        if not c:
-            return Polynomial()
-        return Polynomial({tuple(exps): c})
+        n, d = _ratio(coeff)
+        return _reduced({pack(exps): n}, d) if n else Polynomial()
 
     # -- ring operations ----------------------------------------------
 
@@ -87,82 +118,63 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
+        d1, d2 = self.denominator, other.denominator
+        d = d1 if d1 == d2 else math.lcm(d1, d2)
+        f1, f2 = d // d1, d // d2
+        out = {e: c * f1 for e, c in self.numerators.items()} if f1 != 1 else dict(self.numerators)
+        for e, c in other.numerators.items():
+            s = out.get(e, 0) + c * f2
+            if s:
+                out[e] = s
             else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Polynomial(out)
+                del out[e]
+        return _reduced(out, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({e: -c for e, c in self.terms.items()})
+        return _reduced({e: -c for e, c in self.numerators.items()}, self.denominator)
 
     def __sub__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        """Exact product.  When one factor is a single term (the smaller
-        one, ``self`` on a tie) the other's exponents are shifted and its
-        coefficients scaled with no merge, since a shift cannot make two
-        monomials equal; a zero shift and a coefficient of 1 are skipped,
-        so the constant 1 gives a copy.  Otherwise each factor is put over
-        the lcm of its denominators and the cross terms are merged on
-        integers, in a double loop over the smaller factor outermost; a
-        sum is 0 exactly when the rational sum is, so the terms and their
-        order are those of the same loop on ``Fraction``.  The result's
-        term order is the other factor's in the single-term case, as that
-        loop gives."""
+        """Exact product on ints: a cross term's key is the sum of the
+        keys, its numerator the product of the numerators, over the product
+        of the denominators, reduced once.  A single-term factor shifts the
+        other's keys with no merge; otherwise the cross terms merge in a
+        double loop over the smaller factor (``self`` on a tie) outermost.
+        Raises OverflowError past MAX_DEGREE."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
+        small, big = self.numerators, other.numerators
+        if not small or not big:
             return Polynomial()
-        small, big = self.terms, other.terms
+        # a key sum reaches _KEY_LIMIT exactly when the degrees sum past MAX_DEGREE
+        if max(small) + max(big) >= _KEY_LIMIT:
+            raise OverflowError(f"product of total degree above {MAX_DEGREE}")
         if len(small) > len(big):
             small, big = big, small
+        d = self.denominator * other.denominator
         if len(small) == 1:
             (e1, c1), = small.items()
-            if e1 != ZERO_EXPS:
-                big = {tuple(map(int.__add__, e1, e)): c for e, c in big.items()}
-            if c1 != 1:
-                big = {e: c1 * c for e, c in big.items()}
-            return Polynomial(big)
-        small, d1 = _over_lcm(small)
-        big, d2 = _over_lcm(big)
-        out: dict[tuple[int, ...], int] = {}
+            return _reduced({e1 + e: c1 * c for e, c in big.items()}, d)
+        out: dict[int, int] = {}
         for e1, c1 in small.items():
             for e2, c2 in big.items():
-                e = tuple(map(int.__add__, e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
+                e = e1 + e2
+                s = out.get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
                 else:
-                    s += c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        d = d1 * d2
-        if d == 1:
-            return Polynomial({e: Fraction(c) for e, c in out.items()})
-        return Polynomial({e: Fraction(c, d) for e, c in out.items()})
+                    del out[e]
+        return _reduced(out, d)
 
     __rmul__ = __mul__
 
@@ -171,8 +183,7 @@ class Polynomial:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return Polynomial.constant(1)
-        result = None
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
                 result = base if result is None else result * base
@@ -182,66 +193,53 @@ class Polynomial:
         return result
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = _as_fraction(c)
-        if not c:
-            return Polynomial()
-        return Polynomial({e: c * v for e, v in self.terms.items()})
+        n, d = _ratio(c)
+        out = {e: n * v for e, v in self.numerators.items()} if n else {}
+        return _reduced(out, self.denominator * d)
 
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def __len__(self) -> int:  # the number of terms; also gives bool()
+        return len(self.numerators)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.numerators == other.numerators and self.denominator == other.denominator
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash((frozenset(self.numerators.items()), self.denominator))
 
     def degree_in(self, v: int) -> int:
-        return max((e[v] for e in self.terms), default=0)
+        return max((e >> _SHIFTS[v] & MAX_DEGREE for e in self.numerators), default=0)
 
     def variables(self) -> set[int]:
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
+        return {v for v in range(NVARS) if self.degree_in(v)}
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.numerators.get(pack(exps), 0), self.denominator)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in descending graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        """Terms in descending graded lexicographic order, i.e. key order."""
+        c, d = self.numerators, self.denominator
+        return [(unpack(e), Fraction(c[e], d)) for e in sorted(c, reverse=True)]
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
+        if not self.numerators:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        e = max(self.numerators)
+        return unpack(e), Fraction(self.numerators[e], self.denominator)
 
     # -- calculus -----------------------------------------------------
 
     def diff(self, v: int) -> "Polynomial":
-        out = {}
-        for e, c in self.terms.items():
-            k = e[v]
-            if k == 0:
-                continue
-            de = list(e)
-            de[v] = k - 1
-            out[tuple(de)] = c * k
-        return Polynomial(out)
+        s, unit = _SHIFTS[v], _UNITS[v]
+        out = {e - unit: c * k for e, c in self.numerators.items() if (k := e >> s & MAX_DEGREE)}
+        return _reduced(out, self.denominator)
 
     # -- evaluation / substitution ------------------------------------
 
@@ -250,22 +248,17 @@ class Polynomial:
         if missing:
             names = ", ".join(VARS[i] for i in sorted(missing))
             raise ValueError(f"point does not assign: {names}")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v *= _as_fraction(point[i]) ** k
-            total += v
-        return total
+        out, d = self._substitute(point)
+        return Fraction(out.get(0, 0), d)
 
     def eval_float(self, point: Mapping[int, float]) -> float:
         """binary64 evaluation, one product per term, Neumaier-compensated sum."""
         s = 0.0
         comp = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for i, k in enumerate(e):
+        for e, c in self.numerators.items():
+            v = c / self.denominator
+            for i, sh in enumerate(_SHIFTS):
+                k = e >> sh & MAX_DEGREE
                 if k:
                     v *= point[i] ** k
             t = s + v
@@ -278,77 +271,82 @@ class Polynomial:
 
     def specialize(self, assignments: Mapping[int, Scalar]) -> "Polynomial":
         """Substitute exact rational values for a subset of the variables."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            v = c
-            ne = list(e)
-            for i, val in assignments.items():
-                k = e[i]
-                if k:
-                    v *= _as_fraction(val) ** k
-                    ne[i] = 0
-            if not v:
-                continue
-            key = tuple(ne)
-            s = out.get(key)
-            if s is None:
-                out[key] = v
-            else:
-                s = s + v
+        return _reduced(*self._substitute(assignments))
+
+    def _substitute(self, assignments: Mapping[int, Scalar]) -> tuple[dict[int, int], int]:
+        """Unreduced numerators and denominator of self with n_v / d_v for
+        each assigned v, over self.denominator * prod(d_v ** deg_v(self))."""
+        subs, d = [], self.denominator
+        for v, val in assignments.items():
+            m = self.degree_in(v)
+            if m:
+                n, dv = _ratio(val)
+                subs.append((_SHIFTS[v], _UNITS[v], [n**k * dv ** (m - k) for k in range(m + 1)]))
+                d *= dv**m
+        out: dict[int, int] = {}
+        for e, c in self.numerators.items():
+            for sh, unit, powers in subs:
+                k = e >> sh & MAX_DEGREE
+                c *= powers[k]
+                e -= k * unit
+            if c:
+                s = out.get(e, 0) + c
                 if s:
-                    out[key] = s
+                    out[e] = s
                 else:
-                    del out[key]
-        return Polynomial(out)
+                    del out[e]
+        return out, d
 
     def collect(self, subset: Iterable[int]) -> dict[tuple[int, ...], "Polynomial"]:
         """Split p = sum of (monomial in subset) * (polynomial in the rest).
 
         Keys are full-width exponent tuples supported on ``subset``.
         """
-        subset = set(subset)
-        groups: dict[tuple[int, ...], dict] = {}
-        for e, c in self.terms.items():
-            key = tuple(k if i in subset else 0 for i, k in enumerate(e))
-            rest = tuple(0 if i in subset else k for i, k in enumerate(e))
-            groups.setdefault(key, {})[rest] = c
-        return {k: Polynomial(v) for k, v in groups.items()}
+        fields = [(_SHIFTS[v], _UNITS[v]) for v in set(subset)]
+        groups: dict[int, dict[int, int]] = {}
+        for e, c in self.numerators.items():
+            key = sum((e >> s & MAX_DEGREE) * unit for s, unit in fields)
+            groups.setdefault(key, {})[e - key] = c
+        return {unpack(k): _reduced(g, self.denominator) for k, g in groups.items()}
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
         """Return q with self == q * divisor, or None if not divisible.
 
-        Single-divisor multivariate division in graded lex order; the
-        remainder is zero iff the divisor divides self exactly, so a
-        failure at any step is a definitive "not divisible".
+        Graded lex division of the numerators by the divisor's primitive
+        part P.  If P divides them over the rationals the quotient is
+        integral (Gauss's lemma), so a leading monomial or coefficient that
+        P's does not divide is a definitive "not divisible".
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        de, dc = divisor.leading_term()
-        rem = dict(self.terms)
-        quot: dict[tuple[int, ...], Fraction] = {}
+        g = math.gcd(*divisor.numerators.values())
+        prim = {e: c // g for e, c in divisor.numerators.items()}
+        de = max(prim)
+        rem = dict(self.numerators)
+        quot: dict[int, int] = {}
         while rem:
-            le = max(rem, key=grlex_key)
-            lc = rem[le]
-            qe = tuple(map(int.__sub__, le, de))
-            if any(k < 0 for k in qe):
+            le = max(rem)
+            qc, r = divmod(rem[le], prim[de])
+            if r or any((le >> s & MAX_DEGREE) < (de >> s & MAX_DEGREE) for s in _SHIFTS):
                 return None
-            qc = lc / dc
+            qe = le - de
             quot[qe] = qc
-            # rem -= (qc * x^qe) * divisor
-            for e2, c2 in divisor.terms.items():
-                e = tuple(map(int.__add__, qe, e2))
-                s = rem.get(e, Fraction(0)) - qc * c2
+            # rem -= (qc * x^qe) * P
+            for e2, c2 in prim.items():
+                e = qe + e2
+                s = rem.get(e, 0) - qc * c2
                 if s:
                     rem[e] = s
                 else:
                     rem.pop(e, None)
-        return Polynomial(quot)
+        # self / divisor = (quot * P / self.denominator) / (g * P / divisor.denominator)
+        return _reduced({e: c * divisor.denominator for e, c in quot.items()}, self.denominator * g)
 
     # -- display ------------------------------------------------------
 
     def canonical_str(self) -> str:
         """Deterministic rendering; used for fingerprints and debugging."""
-        if not self.terms:
+        if not self.numerators:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -368,14 +366,15 @@ class Polynomial:
         return f"Polynomial({s})"
 
 
-def _over_lcm(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[dict[tuple[int, ...], int], int]:
-    """Integer numerators of ``terms`` over the lcm d of their
-    denominators, and d."""
-    dens = [c.denominator for c in terms.values()]
-    d = math.lcm(*dens)
-    if d == 1:
-        return {e: c.numerator for e, c in terms.items()}, 1
-    return {e: c.numerator * (d // dc) for (e, c), dc in zip(terms.items(), dens)}, d
+def _reduced(numerators: dict[int, int], denominator: int) -> Polynomial:
+    """Packed nonzero numerators over a positive denominator, reduced."""
+    if denominator != 1 and (g := math.gcd(denominator, *numerators.values())) != 1:
+        numerators = {e: c // g for e, c in numerators.items()}
+        denominator //= g
+    p = object.__new__(Polynomial)
+    p.numerators = numerators
+    p.denominator = denominator
+    return p
 
 
 def _coerce(obj) -> "Polynomial":
@@ -519,7 +518,7 @@ def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int):
 
 
 def _row_dicts(matrix: Sequence[Sequence[Scalar]]) -> list[dict[int, Fraction]]:
-    return [{j: _as_fraction(v) for j, v in enumerate(r) if v} for r in matrix]
+    return [{j: Fraction(*_ratio(v)) for j, v in enumerate(r) if v} for r in matrix]
 
 
 def _free_basis(reduced, pivots, ncols: int) -> list[list[Fraction]]:

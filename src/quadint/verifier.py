@@ -20,6 +20,7 @@ from .algebra import (
     B,
     COORDS,
     MOMENTA,
+    NVARS,
     PX,
     PY,
     PZ,
@@ -31,6 +32,7 @@ from .algebra import (
     gauss_poly_expand,
     matrix_rank_exact,
     nullspace_exact,
+    pack,
     rational_sqrt,
     solve_exact_sparse,
 )
@@ -124,11 +126,11 @@ def _timed(name: str, fn) -> CheckResult:
 def _residual_summary(r: RadicalElement) -> str:
     if r.is_zero():
         return "residual 0"
-    return f"nonzero residual: |A|={len(r.A.terms)} |B|={len(r.B.terms)} m={r.m}"
+    return f"nonzero residual: |A|={len(r.A)} |B|={len(r.B)} m={r.m}"
 
 
 def _poly_summary(p: Polynomial) -> str:
-    return "residual 0" if p.is_zero() else f"nonzero residual: {len(p.terms)} terms"
+    return "residual 0" if p.is_zero() else f"nonzero residual: {len(p)} terms"
 
 
 # -- bracket engine ----------------------------------------------------
@@ -274,7 +276,7 @@ def verify_rank_R(ctx: SystemContext) -> CheckResult:
         for i in range(3):
             row = sum((R[i][j] * grad_u[j] for j in range(3)), Polynomial.zero())
             if not row.is_zero():
-                return False, f"row {i} of R @ grad u nonzero ({len(row.terms)} terms)"
+                return False, f"row {i} of R @ grad u nonzero ({len(row)} terms)"
         if all(R[i][j].is_zero() for i in range(3) for j in range(3)):
             return False, "R vanishes identically"
         # the y^3 source term survives for every parameter choice
@@ -329,7 +331,7 @@ def verify_functional_independence(
         val = det.eval_float(pt)
         if val == 0.0:
             return False, "determinant vanished at the sample phase point"
-        return True, f"determinant nonzero ({len(det.terms)} terms); sample |det| = {abs(val):.3g}"
+        return True, f"determinant nonzero ({len(det)} terms); sample |det| = {abs(val):.3g}"
 
     return _timed("functional_independence", chk)
 
@@ -367,14 +369,9 @@ def killing_vector_system(w: Polynomial):
         zp * wx - xp * wz,
         xp * wy - yp * wx,
     ]
-    monomials = set()
-    for g in generators:
-        monomials.update(g.terms)
-    monomials = sorted(monomials)
-    rows = []
-    for mono in monomials:
-        rows.append([g.terms.get(mono, Fraction(0)) for g in generators])
-    return rows
+    terms = [g.terms for g in generators]
+    zero = Fraction(0)
+    return [[t.get(mono, zero) for t in terms] for mono in sorted(set().union(*terms))]
 
 
 def first_order_integral_scan(
@@ -436,7 +433,7 @@ def verify_factorization(
     def chk_exact():
         prod = gauss_poly_expand(hyperplane_factors_exact(a_exact))
         if not prod.is_real():
-            return False, f"imaginary part nonzero: {len(prod.im.terms)} terms"
+            return False, f"imaginary part nonzero: {len(prod.im)} terms"
         diff = prod.re - u.specialize({A: a_exact})
         return diff.is_zero(), _poly_summary(diff)
 
@@ -506,40 +503,38 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
     coeffs = build_scalar_gradient_coefficients()
     u = ctx.u
     basis = _ansatz_basis()
+    packed = [pack(e) for e in basis]
     ncols = len(basis)
-    add = int.__add__
-    half = Fraction(1, 2)
     # equation per coordinate q:
     #   sum_g lam_g (dq(g) u - 1/2 g dq(u))  =  -1/2 sum_c coeff_c dc(u)
-    # g is a monomial, so a column is u and dq(u) with shifted exponents
+    # g is a monomial, so a column is u and dq(u) with shifted packed keys
     rows_sparse: dict[tuple, dict[int, Fraction]] = {}
     rhs_maps: tuple[dict, dict] = ({}, {})
     grad_u = tuple(u.diff(v) for v in COORDS)
-    # a column's terms are k*u (k = the dq exponent of g, 1 or 2) and
-    # -1/2 dq(u), shifted by g: scaled once, and once per coordinate
-    ku = {k: [(eu, k * cu) for eu, cu in u.terms.items()] for k in (1, 2)}
     for qi, (qvar, du) in enumerate(zip(COORDS, grad_u)):
-        half_du = [(ed, -half * cd) for ed, cd in du.terms.items()]
-        for col, e in enumerate(basis):
+        # a column's terms are k*u (k = the dq exponent of g, 1 or 2) and
+        # -1/2 dq(u), shifted by g: int numerators over one denominator
+        den = 2 * u.denominator * du.denominator
+        num_u = [(eu, 2 * du.denominator * c) for eu, c in u.numerators.items()]
+        half_du = [(ed, -u.denominator * c) for ed, c in du.numerators.items()]
+        unit = pack(tuple(int(v == qvar) for v in range(NVARS)))
+        for col, (e, g) in enumerate(zip(basis, packed)):
             k = e[qvar]
-            colterms: dict[tuple[int, ...], Fraction] = {}
+            colterms: dict[int, int] = {}
             if k:
-                dg = e[:qvar] + (k - 1,) + e[qvar + 1:]
-                for eu, c in ku[k]:
-                    colterms[tuple(map(add, dg, eu))] = c
+                dg = g - unit
+                for eu, c in num_u:
+                    colterms[dg + eu] = k * c
             for ed, c in half_du:
-                mono = tuple(map(add, e, ed))
-                s = colterms.get(mono)
-                if s is None:
-                    colterms[mono] = c
+                mono = g + ed
+                s = colterms.get(mono, 0) + c
+                if s:
+                    colterms[mono] = s
                 else:
-                    s += c
-                    if s:
-                        colterms[mono] = s
-                    else:
-                        del colterms[mono]
+                    del colterms[mono]
             for mono, c in colterms.items():
-                rows_sparse.setdefault((qi, mono), {})[col] = c
+                n, r = divmod(c, den)
+                rows_sparse.setdefault((qi, mono), {})[col] = Fraction(c, den) if r else Fraction(n)
         for rows_q, rhs_map in zip((coeffs[1][qi], coeffs[2][qi]), rhs_maps):
             rhs_poly = Polynomial.zero()
             for cpoly, dcu in zip(rows_q, grad_u):
@@ -547,8 +542,8 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
             rhs_poly = Fraction(-1, 2) * rhs_poly
             if perturb_rhs is not None and qi == 0:
                 rhs_poly = rhs_poly + perturb_rhs
-            for mono, c in rhs_poly.terms.items():
-                rhs_map[(qi, mono)] = c
+            for mono, c in rhs_poly.numerators.items():
+                rhs_map[(qi, mono)] = Fraction(c, rhs_poly.denominator)
     keys = sorted(set(rows_sparse).union(*rhs_maps))
     rows = [rows_sparse.get(k, {}) for k in keys]
     zero = Fraction(0)

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, linear algebra, and Gaussian-rational layer."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from quadint.algebra import (
     A,
     B,
+    MAX_DEGREE,
     MOMENTA,
     NVARS,
     PX,
@@ -27,8 +29,10 @@ from quadint.algebra import (
     generators,
     matrix_rank_exact,
     nullspace_exact,
+    pack,
     rational_sqrt,
     solve_exact_sparse,
+    unpack,
 )
 
 x, y, z, px, py, pz, a, b, w0 = generators()
@@ -279,6 +283,170 @@ def test_collect_reassembles(p):
     assert total == p
 
 
+# -- packed form --------------------------------------------------------
+
+
+def _grlex(e):
+    """Graded lexicographic order, written out: total degree first, then
+    the exponents from x to w0."""
+    return (sum(e), e)
+
+
+@st.composite
+def bounded_exponents(draw, max_degree=MAX_DEGREE):
+    """Nine exponents of total degree at most max_degree, often at it."""
+    d = draw(st.one_of(st.integers(0, max_degree), st.just(max_degree)))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=NVARS - 1, max_size=NVARS - 1)))
+    return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, d]))
+
+
+any_exponents = st.one_of(bounded_exponents(), bounded_exponents(max_degree=3))
+
+
+def test_mapping_constructor_drops_zero_coefficients():
+    p = Polynomial({ZERO_EXPS: Fraction(0), (1,) + ZERO_EXPS[1:]: 0})
+    assert p.is_zero()
+    assert p == Polynomial.zero()
+    assert Polynomial({ZERO_EXPS: Fraction(0), (1,) + ZERO_EXPS[1:]: 2}) == 2 * x
+
+
+@pytest.mark.parametrize("exps", [
+    (1, 0, 0),
+    ZERO_EXPS + (0,),
+    (-1,) + ZERO_EXPS[1:],
+    (0.5,) + ZERO_EXPS[1:],
+    (MAX_DEGREE, 1) + ZERO_EXPS[2:],
+])
+def test_mapping_constructor_rejects_bad_exponents(exps):
+    with pytest.raises(ValueError):
+        Polynomial({exps: 1})
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1.0, "1"])
+def test_mapping_constructor_rejects_inexact_coefficient(coeff):
+    with pytest.raises(TypeError):
+        Polynomial({ZERO_EXPS: coeff})
+
+
+def test_mapping_constructor_puts_coefficients_over_one_denominator():
+    p = Polynomial({(1,) + ZERO_EXPS[1:]: Fraction(1, 2), ZERO_EXPS: Fraction(-2, 3)})
+    assert p == Fraction(1, 2) * x - Fraction(2, 3)
+    assert (p.numerators, p.denominator) == ({pack((1,) + ZERO_EXPS[1:]): 3, 0: -4}, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys)
+def test_results_are_in_lowest_terms(p, q):
+    """Every result holds nonzero numerators over a positive denominator
+    coprime to their gcd, the form that equality compares."""
+    results = [p + q, p - q, p * q, -p, p.diff(X), p.scale(Fraction(-4, 3)),
+               p.specialize({A: Fraction(2, 3), X: Fraction(-3, 4)}),
+               *p.collect(MOMENTA[:2] + (A,)).values()]
+    for r in results:
+        assert r.denominator > 0 and all(r.numerators.values())
+        assert math.gcd(r.denominator, *r.numerators.values()) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_exponents)
+def test_pack_unpack_roundtrip(e):
+    assert unpack(pack(e)) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_exponents, any_exponents)
+def test_key_order_is_grlex_order(e1, e2):
+    assert (pack(e1) < pack(e2)) == (_grlex(e1) < _grlex(e2))
+    assert (pack(e1) == pack(e2)) == (e1 == e2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys)
+def test_sorted_and_leading_terms_follow_grlex(p):
+    ref = sorted(p.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
+    assert p.sorted_terms() == ref
+    if p:
+        assert p.leading_term() == ref[0]
+    else:
+        with pytest.raises(ValueError):
+            p.leading_term()
+
+
+def _grlex_divide(p, q):
+    """Reference division on the Fraction view, leading terms by _grlex:
+    {exponent tuple: Fraction} of the quotient, or None."""
+    terms = q.terms
+    de = max(terms, key=_grlex)
+    rem, quot = p.terms, {}
+    while rem:
+        le = max(rem, key=_grlex)
+        qe = tuple(k1 - k2 for k1, k2 in zip(le, de))
+        if min(qe) < 0:
+            return None
+        qc = quot[qe] = rem[le] / terms[de]
+        for e2, c2 in terms.items():
+            e = tuple(k1 + k2 for k1, k2 in zip(qe, e2))
+            s = rem.get(e, 0) - qc * c2
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return quot
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys.filter(bool), polys)
+def test_divide_exact_matches_grlex_division(p, q, r):
+    for num in (p * q, p * q + r):
+        ref = _grlex_divide(num, q)
+        got = num.divide_exact(q)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert list(got.terms.items()) == list(ref.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_exponents(), bounded_exponents())
+def test_product_past_max_degree_raises_and_never_carries(e1, e2):
+    m1, m2 = Polynomial.monomial(e1, 3), Polynomial.monomial(e2, -1)
+    if sum(e1) + sum(e2) > MAX_DEGREE:
+        for f, g in ((m1, m2), (m1 + 1, m2 - x), (m2 + y, m1 * 1)):
+            with pytest.raises(OverflowError):
+                f * g
+    else:
+        e = tuple(k1 + k2 for k1, k2 in zip(e1, e2))
+        assert (m1 * m2).terms == {e: -3}
+        assert unpack(pack(e1) + pack(e2)) == e
+
+
+def test_max_degree_bounds_powers():
+    top = x**MAX_DEGREE
+    assert top.terms == {(MAX_DEGREE,) + ZERO_EXPS[1:]: 1}
+    with pytest.raises(OverflowError):
+        top * y
+    with pytest.raises(OverflowError):
+        (top + 1) * (y - 1)
+    with pytest.raises(OverflowError):
+        w0 ** (MAX_DEGREE + 1)
+
+
+nonzero_big = st.integers(-(2**80), 2**80).filter(bool)
+big_denominators = st.integers(1, 2**80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonzero_big, big_denominators, nonzero_big, big_denominators)
+def test_float_bridge_is_float_of_fraction(n1, d1, n2, d2):
+    """Each coefficient enters binary64 as its numerator over the common
+    denominator, rounded once: the same float as float(Fraction), with
+    both above 2**53."""
+    p = Fraction(n1, d1) * x + Fraction(n2, d2) * y
+    for c in p.numerators.values():
+        assert repr(c / p.denominator) == repr(float(Fraction(c, p.denominator)))
+    assert repr(p.eval_float({X: 1.0, Y: 0.0})) == repr(float(Fraction(n1, d1)))
+    assert repr(p.eval_float({X: 0.0, Y: 1.0})) == repr(float(Fraction(n2, d2)))
+
+
 # -- exact division ----------------------------------------------------
 
 
@@ -290,6 +458,16 @@ def test_divide_exact_roundtrip():
 
 def test_divide_exact_fails_cleanly():
     assert (x**2 + 1).divide_exact(x + 1) is None
+
+
+def test_divide_exact_by_a_divisor_with_content():
+    """Division runs on the divisor's primitive part: 2x + 1 for 4x + 2.
+    x + 1 has x divisible by x but 1 not an integer multiple of 2 at that
+    step, which already decides it."""
+    assert (x + 1).divide_exact(2 * x + 1) is None
+    assert (x**2 + x * y + 1).divide_exact(2 * x + 1) is None
+    num = Fraction(1, 3) * (2 * x + 1) * (x - 5 * y)
+    assert num.divide_exact(4 * x + 2) == Fraction(1, 6) * (x - 5 * y)
 
 
 # -- linear algebra ----------------------------------------------------

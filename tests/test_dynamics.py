@@ -3,6 +3,7 @@ and the simulation/scan harness."""
 
 import contextlib
 import dataclasses
+import hashlib
 import math
 import signal
 import struct
@@ -662,6 +663,37 @@ def test_grouped_integrals_match_single_polynomials_bitwise(force):
         rs = 1.0 / math.sqrt(uval)
         ref = (kinetic + W0 * rs, x1_lead + m1_num * rs, x2_lead + m2_num * rs)
         assert _bits(ev(q, p)) == _bits(ref), (q, p)
+
+
+# sha256 of the evaluator source that compile_poly_group generated for the
+# integrals when coefficients were Fraction dicts; the source holds each
+# coefficient as repr(float(c)), in sorted term order
+_INTEGRALS_SOURCE_SHA256 = {
+    (0.25, 1.0, -1.0): "509254d8470b29fce28c1516fff57b422fa699354491d84d58c82231b7a1ef6d",
+    (0.3, 0.7, -1.3): "3ecf625c2725fccd6052cecfffddcd553eaefce6b0e2bc10b5188856e3705905",
+}
+
+
+@pytest.mark.parametrize("params", sorted(_INTEGRALS_SOURCE_SHA256))
+def test_integral_evaluator_source_is_byte_identical(params, monkeypatch):
+    """Exact specialization at binary64 parameters (0.3 has denominator
+    2**54) and the float bridge give the generated source byte for byte."""
+    sources = []
+    compile_ = dynamics._compile
+
+    def capture(lines, name, **names):
+        sources.append("\n".join(lines))
+        return compile_(lines, name, **names)
+
+    def group(polys):
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_compile", capture)
+            return compile_poly_group(polys)
+
+    monkeypatch.setattr(dynamics, "compile_poly_group", group)
+    IntegralEvaluator(*params)
+    assert len(sources) == 1
+    assert hashlib.sha256(sources[0].encode()).hexdigest() == _INTEGRALS_SOURCE_SHA256[params]
 
 
 # -- conserved quantities ----------------------------------------------
