@@ -13,7 +13,10 @@ highest, under a field for the total degree, so int order on keys is
 graded lex order and a product's key is the sum of the keys.  A product
 of total degree above ``MAX_DEGREE`` raises ``OverflowError`` rather than
 carry between fields.  Ring operations run on ints; ``Fraction`` appears
-where a coefficient is handed out and in the exact linear algebra.  Floats
+where a coefficient is handed out and in the exact linear algebra.  The
+packed form is private to this module: other modules build a linear
+system by coefficient matching (``coefficient_rows``), one row per
+monomial, without reading keys or numerators.  Floats
 enter only through ``eval_float``, whose n / d is rounded once, as
 ``float(Fraction(n, d))`` is.
 """
@@ -515,6 +518,27 @@ def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int):
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
     reduced = list(done.values())  # in pivot order: back-substitution keeps a key's place
     return [reduced[k] for k in order], [pivots[k] for k in order]
+
+
+def coefficient_rows(polys: Sequence[Polynomial]) -> dict[int, dict[int, Fraction]]:
+    """Coefficient matching: for each monomial some ``polys[i]`` holds,
+    the sparse row {i: its coefficient in polys[i]}, i ascending, rows in
+    ascending graded lex order.  A row's key is an opaque label of its
+    monomial, for lookup and order only.  Equal coefficients share one
+    Fraction: a system repeats few values."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    shared: dict[tuple[int, int], Fraction] = {}
+    for i, p in enumerate(polys):
+        d = p.denominator
+        for e, c in p.numerators.items():
+            row = rows.get(e)
+            if row is None:
+                rows[e] = row = {}
+            f = shared.get((c, d))
+            if f is None:
+                f = shared[c, d] = Fraction(c, d)
+            row[i] = f
+    return {e: rows[e] for e in sorted(rows)}
 
 
 def _row_dicts(matrix: Sequence[Sequence[Scalar]]) -> list[dict[int, Fraction]]:

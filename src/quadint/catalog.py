@@ -181,7 +181,6 @@ class SystemContext:
     x2_leading: Polynomial
     m1_numerator: Polynomial
     m2_numerator: Polynomial
-    alt_ly: bool = False
 
 
 def build_context(alt_ly: bool = False) -> SystemContext:
@@ -203,7 +202,6 @@ def build_context(alt_ly: bool = False) -> SystemContext:
         u=u, ring=ring, H=H, X1=X1, X2=X2, V=V, m1=m1, m2=m2,
         x1_leading=x1l, x2_leading=x2l,
         m1_numerator=m1n, m2_numerator=m2n,
-        alt_ly=alt_ly,
     )
 
 
@@ -272,7 +270,7 @@ class SingularLine:
 
 
 def _check_param_domain(a_val, b_val):
-    if not (0 < a_val <= Fraction(1, 2) if isinstance(a_val, Fraction) else 0 < a_val <= 0.5):
+    if not 0 < a_val <= Fraction(1, 2):  # exact for floats and Fractions alike
         raise ParamDomain(f"a = {a_val} outside (0, 1/2]")
     if b_val == 0:
         raise ParamDomain("b must be nonzero")

@@ -20,7 +20,6 @@ from .algebra import (
     B,
     COORDS,
     MOMENTA,
-    NVARS,
     PX,
     PY,
     PZ,
@@ -29,14 +28,15 @@ from .algebra import (
     Z,
     GaussPoly,
     Polynomial,
+    coefficient_rows,
     gauss_poly_expand,
     matrix_rank_exact,
     nullspace_exact,
-    pack,
     rational_sqrt,
     solve_exact_sparse,
 )
 from .catalog import (
+    HALF,
     SystemContext,
     build_characteristics,
     build_scalar_gradient_coefficients,
@@ -369,9 +369,8 @@ def killing_vector_system(w: Polynomial):
         zp * wx - xp * wz,
         xp * wy - yp * wx,
     ]
-    terms = [g.terms for g in generators]
     zero = Fraction(0)
-    return [[t.get(mono, zero) for t in terms] for mono in sorted(set().union(*terms))]
+    return [[row.get(i, zero) for i in range(6)] for row in coefficient_rows(generators).values()]
 
 
 def first_order_integral_scan(
@@ -421,30 +420,29 @@ def hyperplane_factors_exact(a_val: Fraction):
     return factors
 
 
-def verify_factorization(
-    ctx: SystemContext,
-    a_exact: Fraction = Fraction(9, 25),
-    a_float: float = 0.25,
-    n_float_points: int = 20,
-    u_poly: Polynomial | None = None,
-) -> list[CheckResult]:
+FACTOR_A_EXACT = Fraction(9, 25)  # Pythagorean: sqrt(a) and sqrt(1 - a) rational
+FACTOR_A_FLOAT = 0.25
+FACTOR_FLOAT_POINTS = 20
+
+
+def verify_factorization(ctx: SystemContext, u_poly: Polynomial | None = None) -> list[CheckResult]:
     u = u_poly if u_poly is not None else ctx.u
 
     def chk_exact():
-        prod = gauss_poly_expand(hyperplane_factors_exact(a_exact))
+        prod = gauss_poly_expand(hyperplane_factors_exact(FACTOR_A_EXACT))
         if not prod.is_real():
             return False, f"imaginary part nonzero: {len(prod.im)} terms"
-        diff = prod.re - u.specialize({A: a_exact})
+        diff = prod.re - u.specialize({A: FACTOR_A_EXACT})
         return diff.is_zero(), _poly_summary(diff)
 
     def chk_float():
         import random
 
         rng = random.Random(20260823)
-        af = a_float
+        af = FACTOR_A_FLOAT
         sa, sc = af**0.5, (1.0 - af) ** 0.5
         worst = 0.0
-        for _ in range(n_float_points):
+        for _ in range(FACTOR_FLOAT_POINTS):
             xv, yv, zv, bv = (rng.uniform(-2, 2) for _ in range(4))
             prod = 1.0 + 0.0j
             for e1 in (1, -1):
@@ -460,11 +458,11 @@ def verify_factorization(
             err = abs(prod - uval) / scale
             worst = max(worst, err)
         ok = worst < 1e-10
-        return ok, f"max relative error {worst:.3g} over {n_float_points} points"
+        return ok, f"max relative error {worst:.3g} over {FACTOR_FLOAT_POINTS} points"
 
     return [
-        _timed(f"factorization.exact_a={a_exact}", chk_exact),
-        _timed(f"factorization.float_a={a_float}", chk_float),
+        _timed(f"factorization.exact_a={FACTOR_A_EXACT}", chk_exact),
+        _timed(f"factorization.float_a={FACTOR_A_FLOAT}", chk_float),
     ]
 
 
@@ -477,13 +475,9 @@ def _ansatz_basis():
     for dx in range(3):
         for dy in range(3 - dx):
             for dz in range(3 - dx - dy):
-                if dx + dy + dz > 2:
-                    continue
                 for da in range(5):
-                    for db in range(5 - da):
-                        e = [0] * 9
-                        e[X], e[Y], e[Z], e[A], e[B] = dx, dy, dz, da, db
-                        basis.append(tuple(e))
+                    for db in range(5 - da):  # exponents in alphabet order x .. w0
+                        basis.append((dx, dy, dz, 0, 0, 0, da, db, 0))
     return basis
 
 
@@ -503,51 +497,34 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
     coeffs = build_scalar_gradient_coefficients()
     u = ctx.u
     basis = _ansatz_basis()
-    packed = [pack(e) for e in basis]
+    monos = [Polynomial.monomial(e) for e in basis]
     ncols = len(basis)
     # equation per coordinate q:
     #   sum_g lam_g (dq(g) u - 1/2 g dq(u))  =  -1/2 sum_c coeff_c dc(u)
-    # g is a monomial, so a column is u and dq(u) with shifted packed keys
-    rows_sparse: dict[tuple, dict[int, Fraction]] = {}
-    rhs_maps: tuple[dict, dict] = ({}, {})
+    # g = q dq(g) / k for k = deg_q(g) >= 1, so each column is one product
+    # by a monomial: dq(g) (u - q dq(u) / (2k)), or g (-1/2 dq(u)) if k = 0
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[list[Fraction]] = [[], []]
+    zero = Fraction(0)
     grad_u = tuple(u.diff(v) for v in COORDS)
     for qi, (qvar, du) in enumerate(zip(COORDS, grad_u)):
-        # a column's terms are k*u (k = the dq exponent of g, 1 or 2) and
-        # -1/2 dq(u), shifted by g: int numerators over one denominator
-        den = 2 * u.denominator * du.denominator
-        num_u = [(eu, 2 * du.denominator * c) for eu, c in u.numerators.items()]
-        half_du = [(ed, -u.denominator * c) for ed, c in du.numerators.items()]
-        unit = pack(tuple(int(v == qvar) for v in range(NVARS)))
-        for col, (e, g) in enumerate(zip(basis, packed)):
-            k = e[qvar]
-            colterms: dict[int, int] = {}
-            if k:
-                dg = g - unit
-                for eu, c in num_u:
-                    colterms[dg + eu] = k * c
-            for ed, c in half_du:
-                mono = g + ed
-                s = colterms.get(mono, 0) + c
-                if s:
-                    colterms[mono] = s
-                else:
-                    del colterms[mono]
-            for mono, c in colterms.items():
-                n, r = divmod(c, den)
-                rows_sparse.setdefault((qi, mono), {})[col] = Fraction(c, den) if r else Fraction(n)
-        for rows_q, rhs_map in zip((coeffs[1][qi], coeffs[2][qi]), rhs_maps):
+        half_q_du = Polynomial.variable(qvar) * du.scale(HALF)
+        factors = (du.scale(-HALF), u - half_q_du, u - half_q_du.scale(HALF))
+        polys = [g.diff(qvar) * factors[k] if (k := e[qvar]) else g * factors[0]
+                 for e, g in zip(basis, monos)]
+        for rows_q in (coeffs[1][qi], coeffs[2][qi]):
             rhs_poly = Polynomial.zero()
             for cpoly, dcu in zip(rows_q, grad_u):
                 rhs_poly = rhs_poly + cpoly * dcu
-            rhs_poly = Fraction(-1, 2) * rhs_poly
+            rhs_poly = -HALF * rhs_poly
             if perturb_rhs is not None and qi == 0:
                 rhs_poly = rhs_poly + perturb_rhs
-            for mono, c in rhs_poly.numerators.items():
-                rhs_map[(qi, mono)] = Fraction(c, rhs_poly.denominator)
-    keys = sorted(set(rows_sparse).union(*rhs_maps))
-    rows = [rows_sparse.get(k, {}) for k in keys]
-    zero = Fraction(0)
-    rhs = [[rhs_map.get(k, zero) for k in keys] for rhs_map in rhs_maps]
+            polys.append(rhs_poly)
+        # one row per monomial; the right-hand sides are its last two entries
+        for row in coefficient_rows(polys).values():
+            rhs[0].append(row.pop(ncols, zero))
+            rhs[1].append(row.pop(ncols + 1, zero))
+            rows.append(row)
     particulars, null_basis = solve_exact_sparse(rows, rhs, ncols)
     unique = not null_basis
     recovered = {}
@@ -555,12 +532,8 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
     for idx, particular in zip((1, 2), particulars):
         if particular is None:
             raise NoSolution(f"scalar ansatz system for m{idx} is inconsistent")
-        q_poly = Polynomial(
-            {e: c for e, c in zip(basis, particular) if c}
-        )
-        elem = RadicalElement(
-            ctx.ring, Polynomial.zero(), Polynomial.variable(8) * q_poly, 0
-        )
+        q_poly = Polynomial({e: c for e, c in zip(basis, particular) if c})
+        elem = RadicalElement(ctx.ring, Polynomial.zero(), Polynomial.variable(8) * q_poly, 0)
         recovered[idx] = elem
         target = ctx.m1 if idx == 1 else ctx.m2
         diff = elem - target

@@ -25,6 +25,7 @@ from quadint.algebra import (
     Polynomial,
     _row_dicts,
     _sparse_rref,
+    coefficient_rows,
     gauss_poly_expand,
     generators,
     matrix_rank_exact,
@@ -370,6 +371,20 @@ def test_sorted_and_leading_terms_follow_grlex(p):
     else:
         with pytest.raises(ValueError):
             p.leading_term()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polys, max_size=4))
+def test_coefficient_rows_rebuild_inputs_in_sorted_terms_order(ps):
+    rows = coefficient_rows(ps)
+    for i, p in enumerate(ps):
+        rebuilt = {unpack(k): row[i] for k, row in rows.items() if i in row}
+        assert Polynomial(rebuilt) == p and len(rebuilt) == len(p)
+    for row in rows.values():
+        assert list(row) == sorted(row) and all(row.values())
+    # rows ascend in the order sorted_terms descends
+    union = Polynomial({e: 1 for p in ps for e in p.terms})
+    assert [unpack(k) for k in rows] == [e for e, _ in reversed(union.sorted_terms())]
 
 
 def _grlex_divide(p, q):

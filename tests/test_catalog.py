@@ -1,5 +1,6 @@
 """Transcription spot checks for the system catalog."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,9 @@ def test_singular_lines_exact_at_pythagorean(ctx):
 
 
 def test_param_domain_guards():
+    singular_lines(0.5, 1.0)  # the float 1/2 is the top of the domain
+    with pytest.raises(ParamDomain):
+        singular_lines(math.nextafter(0.5, 1), 1.0)
     with pytest.raises(ParamDomain):
         singular_lines(0.7, 1.0)
     with pytest.raises(ParamDomain):

@@ -1,7 +1,9 @@
 """The exact path loads neither numpy nor ``quadint.dynamics``; the
 dynamics names of ``quadint`` are served lazily.  Each check runs in a
-fresh interpreter, since this test process has imported both."""
+fresh interpreter, since this test process has imported both.  The packed
+polynomial format stays inside ``quadint.algebra``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -70,3 +72,23 @@ def test_unknown_name_raises_attribute_error():
             print("AttributeError", exc)
     """)
     assert out.strip() == "AttributeError module 'quadint' has no attribute 'no_such_name'"
+
+
+PACKED_ATTRIBUTES = {"numerators", "denominator"}
+PACKED_FUNCTIONS = {"pack", "unpack"}
+
+
+def test_packed_format_stays_in_algebra():
+    """No module but algebra.py reads a polynomial's numerators or
+    denominator, or imports the key functions pack and unpack."""
+    modules = sorted(p for p in (SRC / "quadint").glob("*.py") if p.name != "algebra.py")
+    assert "verifier.py" in {p.name for p in modules}
+    leaks = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in PACKED_ATTRIBUTES:
+                leaks.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                leaks += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name in PACKED_FUNCTIONS]
+    assert leaks == []

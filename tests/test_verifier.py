@@ -335,6 +335,37 @@ def test_scalar_ansatz_system_has_full_column_rank(ctx, monkeypatch):
     assert all("solution unique" in r.residual_summary for r in results)
 
 
+# sha256 of repr((rows, rhs, ncols)) as solve_scalar_ansatz handed them to
+# solve_exact_sparse when the columns were built on packed keys by hand:
+# the same rows, entries and right-hand sides, in the same order.
+_ANSATZ_SYSTEM_SHA256 = {
+    "none": "690c4930f3c3dddc2d611dfb853b6c6934a963b3d2f0db6ce7f70b873e6f0d8f",
+    "x^9": "1bc49b732401162eb273d1617f241e37e17910784b97c41db4aa520dd3944996",
+    "2/3*x*y*b - 5*w0": "c169d98abb02b618d1af79291f63d2adb1e1d451a750c19f2b9ac7408404661f",
+}
+_PERTURBATIONS = {"none": None, "x^9": x**9, "2/3*x*y*b - 5*w0": Fraction(2, 3) * x * y * b - 5 * w0}
+
+
+@pytest.mark.parametrize("perturb", sorted(_ANSATZ_SYSTEM_SHA256))
+def test_scalar_ansatz_system_is_pinned(ctx, monkeypatch, perturb):
+    import hashlib
+
+    import quadint.verifier as verifier
+
+    digests = []
+
+    def recording_solve(rows, rhs, ncols):
+        digests.append(hashlib.sha256(repr((rows, rhs, ncols)).encode()).hexdigest())
+        return solve_exact_sparse(rows, rhs, ncols)
+
+    monkeypatch.setattr(verifier, "solve_exact_sparse", recording_solve)
+    try:
+        solve_scalar_ansatz(ctx, perturb_rhs=_PERTURBATIONS[perturb])
+    except NoSolution:
+        assert perturb != "none"
+    assert digests == [_ANSATZ_SYSTEM_SHA256[perturb]]
+
+
 def test_scalar_ansatz_charges_shared_solve_to_m1(ctx):
     t0 = time.perf_counter()
     _, _, results = solve_scalar_ansatz(ctx)
