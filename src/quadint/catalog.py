@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .algebra import (
     MOMENTA,
-    NVARS,
     Polynomial,
     generators,
     rational_sqrt,
@@ -119,50 +118,6 @@ def build_characteristics() -> tuple[Polynomial, Polynomial, Polynomial, Polynom
     )
     d2 = -d1
     return n1, d1, n2, d2
-
-
-def build_scalar_gradient_coefficients():
-    """Coefficient triples (cx, cy, cz) such that
-
-        grad_q m_i = cx * grad_x V + cy * grad_y V + cz * grad_z V
-
-    for q in (x, y, z), returned as {1: three triples, 2: three triples}.
-    """
-    m1_rows = (
-        (
-            2 * (3 * (1 - 4 * a) * b**2 + y**2 + z**2),
-            -2 * (3 * a * b * z + x * y),
-            2 * (3 * b * y - x * z),
-        ),
-        (
-            -2 * (3 * a * b * z + x * y),
-            2 * (3 * (1 + 2 * a - 3 * a**2) * b**2 + x**2 + z**2),
-            -2 * (3 * b * (1 - a) * x + y * z),
-        ),
-        (
-            2 * (3 * b * y - x * z),
-            -2 * (3 * b * (1 - a) * x + y * z),
-            2 * (6 * (a - 1) * b**2 + x**2 + y**2),
-        ),
-    )
-    m2_rows = (
-        (
-            2 * (a * z**2 + y**2),
-            -2 * (3 * a * b * z + x * y),
-            2 * a * (3 * b * y - x * z),
-        ),
-        (
-            -2 * (3 * a * b * z + x * y),
-            2 * (9 * a * b**2 + x**2),
-            Polynomial.zero(),
-        ),
-        (
-            2 * a * (3 * b * y - x * z),
-            Polynomial.zero(),
-            2 * a * (9 * a * b**2 + x**2),
-        ),
-    )
-    return {1: m1_rows, 2: m2_rows}
 
 
 @dataclass(frozen=True)
@@ -272,8 +227,8 @@ class SingularLine:
 def _check_param_domain(a_val, b_val):
     if not 0 < a_val <= Fraction(1, 2):  # exact for floats and Fractions alike
         raise ParamDomain(f"a = {a_val} outside (0, 1/2]")
-    if b_val == 0:
-        raise ParamDomain("b must be nonzero")
+    if b_val == 0 or not -math.inf < b_val < math.inf:
+        raise ParamDomain(f"b = {b_val} must be finite and nonzero")
 
 
 def singular_lines(a_val, b_val) -> tuple[SingularLine, SingularLine]:

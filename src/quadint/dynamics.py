@@ -62,11 +62,6 @@ class EvaluationOverflow(ValueError):
         super().__init__(f"evaluation overflowed at q = {tuple(q)}: {exc}")
 
 
-def _exact(v) -> Fraction:
-    # binary64 inputs are converted exactly; 0.25 -> 1/4 etc.
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 _SLOT_NAMES = ("x", "y", "z", "px", "py", "pz")
 
 
@@ -163,7 +158,7 @@ def _factored_block(a, b):
     """The line constants (c, s, k) = (sqrt(1-a), sqrt(a), 3 sqrt(a(1-a)) b)
     of (a, b), and _factored_lines compiled as ``_eval(x, y, z)`` returning
     (u, g0, g1, g2, d2); computed once per process for each (a, b)."""
-    _check_param_domain(_exact(a), _exact(b))
+    _check_param_domain(a, b)
     a, b = float(a), float(b)
     consts = (math.sqrt(1.0 - a), math.sqrt(a), 3.0 * math.sqrt(a * (1.0 - a)) * b)
     body = _factored_lines(("x", "y", "z"), consts)
@@ -250,7 +245,7 @@ class IntegralEvaluator:
 
     def __init__(self, a: float, b: float, w0: float):
         ctx = build_context()
-        subs = {A: _exact(a), B: _exact(b), W0: _exact(w0)}
+        subs = {A: Fraction(a), B: Fraction(b), W0: Fraction(w0)}  # binary64 -> exact
         polys = (ctx.H.A, ctx.x1_leading, ctx.m1_numerator, ctx.x2_leading, ctx.m2_numerator)
         self._eval = compile_poly_group([f.specialize(subs) for f in polys])
         # the u-only force site; sqrt(u) does not overflow, so no limit
@@ -800,7 +795,7 @@ class SimConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        _check_param_domain(_exact(self.a), _exact(self.b))
+        _check_param_domain(self.a, self.b)
 
 
 TRAJECTORY_HEADER = "t,x,y,z,px,py,pz,H,X1,X2,u,d_sing"

@@ -298,3 +298,6 @@ def test_param_domain_guards():
         singular_lines(0.25, 0.0)
     with pytest.raises(ParamDomain):
         singular_lines(-0.1, 1.0)
+    for b_val in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ParamDomain):
+            singular_lines(0.25, b_val)

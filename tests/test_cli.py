@@ -238,6 +238,17 @@ def test_simulate_bad_domain_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--q0", "0.5,0.2,-0.3", "--p0", "0.1,0.1,0.1", "--t-end", "1"],
+    ["scan", "--n", "1", "--t-end", "1"],
+    ["plot"],
+], ids=["simulate", "scan", "plot"])
+def test_domain_error_prints_the_parameter_as_given(capsys, tmp_path, argv):
+    code, _, err = run([*argv, "--a", "0.7", "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err == "error: a = 0.7 outside (0, 1/2]\n"
+
+
 # -- plot ---------------------------------------------------------------
 
 

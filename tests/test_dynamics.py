@@ -88,8 +88,9 @@ def test_force_raises_on_singular_line(force):
 
 
 def test_param_domain_rejected():
-    with pytest.raises(ParamDomain):
-        compile_force(1.5, 1.0, -1.0)
+    for a_val, b_val in ((1.5, 1.0), (0.25, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ParamDomain):
+            compile_force(a_val, b_val, -1.0)
 
 
 # -- integrator oracles -------------------------------------------------
@@ -646,7 +647,7 @@ def test_grouped_integrals_match_single_polynomials_bitwise(force):
     polynomial on its own gives, and the integrals' u is the force field's
     factored u."""
     ctx = build_context()
-    subs = {A: dynamics._exact(A0), B: dynamics._exact(B0), W0_VAR: dynamics._exact(W0)}
+    subs = {A: Fraction(A0), B: Fraction(B0), W0_VAR: Fraction(W0)}
     single = [compile_poly_group([f.specialize(subs)]) for f in (
         ctx.H.A, ctx.x1_leading, ctx.m1_numerator, ctx.x2_leading, ctx.m2_numerator)]
     ev = dynamics.IntegralEvaluator(A0, B0, W0)

@@ -92,3 +92,26 @@ def test_packed_format_stays_in_algebra():
                 leaks += [f"{path.name}:{node.lineno} imports {alias.name}"
                           for alias in node.names if alias.name in PACKED_FUNCTIONS]
     assert leaks == []
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; ``annotations`` (a compiler
+    flag) is exempt."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "annotations":
+                    imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in (SRC / "quadint").glob("*.py")
+                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_every_imported_name_is_read(path):
+    """The package's __init__.py imports to re-export; every other module
+    reads each name it imports."""
+    assert _unread_imports(ast.parse(path.read_text(), str(path))) == []

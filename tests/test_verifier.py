@@ -174,6 +174,20 @@ def test_m_system_mutation_perturbed_m1(ctx):
     assert failed and all("m1" in r.name for r in failed)
 
 
+def test_m_system_follows_the_leading_parts(ctx):
+    # the gradient coefficients are 2 K_i of the context's own leading parts:
+    # a changed X1 leading part no longer matches the catalog m1
+    bad = dataclasses.replace(ctx, x1_leading=ctx.x1_leading + x**2 * px**2)
+    failed = [r.name for r in verify_m_system(bad) if not r.passed]
+    assert failed and all("m1" in name for name in failed)
+    try:
+        _, _, results = solve_scalar_ansatz(bad)
+    except NoSolution as exc:
+        assert "m1" in str(exc)
+    else:
+        assert not results[0].passed
+
+
 # -- invariant coordinate ----------------------------------------------
 
 
@@ -406,6 +420,17 @@ def test_run_report_only_filter(ctx):
 def test_run_report_alt_ly_fails(alt_ctx):
     report = run_report(alt_ctx, only="involution")
     assert not report.all_passed
+
+
+def test_run_report_alt_ly_reports_the_inconsistent_ansatz(alt_ctx):
+    report = run_report(alt_ctx)
+    assert len(report.results) == 21
+    failed = [r.name for r in report.results if not r.passed]
+    assert len(failed) == 11
+    assert all(name.startswith(("involution", "m_system", "scalar_ansatz")) for name in failed)
+    ansatz = [r for r in report.results if r.name.startswith("scalar_ansatz")]
+    assert [r.name for r in ansatz] == ["scalar_ansatz.m1", "scalar_ansatz.m2"]
+    assert all(not r.passed and "inconsistent" in r.residual_summary for r in ansatz)
 
 
 def test_report_serialization(ctx):
