@@ -36,6 +36,7 @@ MOMENTA = (PX, PY, PZ)
 
 ZERO_EXPS = (0,) * NVARS
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 FIELD_BITS = 16
 MAX_DEGREE = (1 << FIELD_BITS) - 1
@@ -468,23 +469,50 @@ def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int):
     """Reduced row echelon form over the rationals, rows as sparse dicts.
 
     Returns (reduced_rows, pivot_cols); reduced rows are pivot-normalized
-    and fully back-substituted, in pivot-column order.  The next pivot
+    and fully back-substituted, in pivot-column order.  The input rows
+    are copied, never modified.  An index from each column to the rows
+    that hold it lets both phases visit only the rows a pivot touches.
+
+    The first phase peels one-entry rows, with no arithmetic (singleton
+    rows in LP presolve).  A row {c: v} puts e_c in the row space, so c
+    is a pivot column whose reduced row is {c: 1}, and every other
+    reduced row is 0 in column c: c is deleted from every row that holds
+    it, rows left empty are dropped, and rows left with one entry are
+    peeled in turn.
+
+    The second phase eliminates the rows that are left.  The next pivot
     row is a shortest remaining row (the first of them in input order),
     taken from a length heap whose stale entries are skipped; its pivot
-    is its leftmost entry.  An index from each column to the rows that
-    hold it, remaining and reduced alike, lets a pivot visit only the
-    rows it eliminates from.  The reduced form is unique, so the choice
-    of pivot rows changes only fill-in and time.
+    is its leftmost entry, and it is back-substituted into the rows it
+    reduced before.  The reduced form is unique, so the choice of pivot
+    rows changes only fill-in and time.
     """
     live = {i: dict(r) for i, r in enumerate(rows) if r}
     holders: dict[int, set[int]] = {}
     for i, r in live.items():
         for c in r:
             holders.setdefault(c, set()).add(i)
-    heap = [(len(r), i) for i, r in live.items()]
-    heapq.heapify(heap)
     done: dict[int, dict[int, Fraction]] = {}
     pivots: list[int] = []
+    peel = [i for i, r in live.items() if len(r) == 1]
+    while peel:  # a row is pushed once, when it is down to one entry
+        i = peel.pop()
+        row = live.pop(i, None)
+        if row is None:
+            continue  # emptied since it was pushed
+        (c,) = row
+        for j in holders.pop(c):  # no row holds c again
+            if j != i:
+                r = live[j]
+                del r[c]
+                if not r:
+                    del live[j]
+                elif len(r) == 1:
+                    peel.append(j)
+        done[i] = {c: _ONE}
+        pivots.append(c)
+    heap = [(len(r), i) for i, r in live.items()]
+    heapq.heapify(heap)
     while live:  # every live row has an entry of its current length
         n, i = heapq.heappop(heap)
         row = live.get(i)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -930,11 +931,17 @@ def simulate(config: SimConfig, initial: PhaseState):
 SCAN_HEADER = "idx,x0,y0,z0,px0,py0,pz0,E,min_u,min_dsing,class"
 
 
+_MAX_RANGE = sys.float_info.max / 2  # uniform(-r, r) needs 2 r finite
+
+
 def scan_initial_conditions(seed: int, n: int, q_range: float = 0.5, p_range: float = 0.4):
     """The n initial conditions ``quadint scan --seed <seed>`` draws: per
     IC, q then p uniform in [-range, range)^3, as Python floats."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n!r}")
+    for name, value in (("q_range", q_range), ("p_range", p_range)):
+        if not 0 <= value <= _MAX_RANGE:  # also false for nan
+            raise ValueError(f"{name} must lie in [0, {_MAX_RANGE:.4g}], got {value!r}")
     rng = np.random.default_rng(seed)
     return [(tuple(rng.uniform(-q_range, q_range, 3).tolist()),
              tuple(rng.uniform(-p_range, p_range, 3).tolist())) for _ in range(n)]

@@ -592,14 +592,27 @@ def _dense_rref(matrix, ncols):
 @st.composite
 def degenerate_matrices(draw):
     """Rows drawn at random plus duplicated, scaled, all-zero and
-    dependent (combination) rows, shuffled."""
+    dependent (combination) rows, and sparse rows: unit rows, duplicate
+    unit rows in one column, and chains of two-entry rows that collapse
+    to one entry one after another once a unit row removes their last
+    column.  Shuffled, with ncols and a right-hand side whose entry on an
+    all-zero row may be nonzero: a unit row in the augmented column."""
     ncols = draw(st.integers(1, 6))
     row = st.lists(small_fracs, min_size=ncols, max_size=ncols)
     base = draw(st.lists(row, min_size=1, max_size=5))
     rows = list(base)
+
+    def sparse(entries):
+        r = [Fraction(0)] * ncols
+        for c, v in entries.items():
+            r[c] = v
+        return r
+
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(("duplicate", "scaled", "zero", "dependent")))
+        kind = draw(st.sampled_from(
+            ("duplicate", "scaled", "zero", "dependent", "unit", "unit twice", "chain")))
         r1, r2 = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        column = st.integers(0, ncols - 1)
         if kind == "duplicate":
             rows.append(list(r1))
         elif kind == "scaled":
@@ -607,16 +620,31 @@ def degenerate_matrices(draw):
             rows.append([k * v for v in r1])
         elif kind == "zero":
             rows.append([Fraction(0)] * ncols)
-        else:
+        elif kind == "dependent":
             k = draw(small_fracs)
             rows.append([v1 + k * v2 for v1, v2 in zip(r1, r2)])
-    return draw(st.permutations(rows)), ncols
+        elif kind == "unit":
+            rows.append(sparse({draw(column): draw(coeffs)}))
+        elif kind == "unit twice":
+            c = draw(column)
+            rows += [sparse({c: draw(coeffs)}), sparse({c: draw(coeffs)})]
+        else:  # c_0 - c_1, ..., c_(n-1) - c_n and a unit row in c_n
+            chain = draw(st.permutations(range(ncols)))[: draw(st.integers(1, ncols))]
+            rows += [sparse({c0: draw(coeffs), c1: draw(coeffs)})
+                     for c0, c1 in zip(chain, chain[1:])]
+            rows.append(sparse({chain[-1]: draw(coeffs)}))
+    rhs = [Fraction(i % 3) for i in range(len(rows))]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append([Fraction(0)] * ncols)
+        rhs.append(draw(coeffs))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols, [rhs[i] for i in order]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(degenerate_matrices(), st.lists(small_fracs, min_size=6, max_size=6))
-def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols, solution):
-    matrix, ncols = matrix_ncols
+def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
+    matrix, ncols, maybe = matrix_ncols_rhs
     ref_rows, ref_pivots = _dense_rref(matrix, ncols)
     reduced, pivots = _sparse_rref(_row_dicts(matrix), ncols)
     assert pivots == ref_pivots
@@ -636,13 +664,12 @@ def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols, solution):
     # not be, each against the dense RREF of [A | b]
     rows = _row_dicts(matrix)
     consistent = _apply(rows, solution[:ncols])
-    maybe = [Fraction(i % 3) for i in range(len(matrix))]
     particulars, basis = solve_exact_sparse(rows, [consistent, maybe], ncols)
     assert basis == ref_basis
     for b, particular in zip((consistent, maybe), particulars):
-        aug_rows, aug_pivots = _dense_rref(
-            [list(r) + [bi] for r, bi in zip(matrix, b)], ncols + 1
-        )
+        augmented = [list(r) + [bi] for r, bi in zip(matrix, b)]
+        aug_rows, aug_pivots = _dense_rref(augmented, ncols + 1)
+        assert _sparse_rref(_row_dicts(augmented), ncols + 1) == (aug_rows, aug_pivots)
         if ncols in aug_pivots:
             assert particular is None
             continue
@@ -651,6 +678,31 @@ def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols, solution):
             ref[pc] = row.get(ncols, Fraction(0))
         assert particular == ref
     assert particulars[0] is not None
+    if any(not any(r) and bi for r, bi in zip(matrix, maybe)):
+        assert particulars[1] is None  # 0 = b_i != 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(degenerate_matrices())
+def test_sparse_rref_leaves_its_input_rows_unmodified(matrix_ncols_rhs):
+    matrix, ncols, _ = matrix_ncols_rhs
+    rows = _row_dicts(matrix)
+    before = [dict(r) for r in rows]
+    _sparse_rref(rows, ncols)
+    assert rows == before
+
+
+def test_sparse_rref_peels_a_chain_of_two_entry_rows():
+    """x2 = 0 turns x1 - x2 into x1 = 0 and then x0 + x1 into x0 = 0 and
+    x1 + 2 x3 into x3 = 0, and the last row into x4 = 0; the second unit
+    row in column 2 is left empty."""
+    f = Fraction
+    rows = [{0: f(1), 1: f(1)}, {1: f(1), 2: f(-1)}, {2: f(3)}, {2: f(-5)},
+            {1: f(1), 3: f(2)}, {0: f(2), 3: f(1), 4: f(1, 2)}]
+    before = [dict(r) for r in rows]
+    assert _sparse_rref(rows, 5) == (
+        [{0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: 1}], [0, 1, 2, 3, 4])
+    assert rows == before
 
 
 # -- Gaussian rationals ------------------------------------------------

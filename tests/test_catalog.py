@@ -81,6 +81,20 @@ def test_u_parity_symmetry(ctx):
     assert flipped == ctx.u
 
 
+def test_u_mirror_a_to_one_minus_a_swaps_x_and_z(ctx):
+    """u(a; x, y, z) == u(1 - a; z, y, x) with a and b symbolic: the
+    family for a in (1/2, 1) is the x <-> z mirror of the one in (0, 1/2)."""
+    images = {X: z, Y: y, Z: x, A: 1 - a, B: b}
+    mirrored = Polynomial.zero()
+    for e, coeff in ctx.u.terms.items():
+        term = Polynomial.constant(coeff)
+        for v, image in images.items():
+            term = term * image ** e[v]
+        mirrored = mirrored + term
+    assert set(ctx.u.variables()) == set(images)
+    assert mirrored == ctx.u
+
+
 def test_u_is_a_difference_of_squares_symbolic(ctx):
     # the numeric evaluator's factored form rests on this identity, for
     # every (a, b)

@@ -395,6 +395,11 @@ def test_scan_rejects_repulsive(capsys, tmp_path):
 @pytest.mark.parametrize("option, message", [
     (["--n", "-3"], "error: n must be non-negative, got -3"),
     (["--jobs", "0"], "error: jobs must be at least 1, got 0"),
+    # ranges: numpy's uniform would raise OverflowError or its own error
+    (["--q-range", "nan"], "error: q_range must lie in [0, 8.988e+307], got nan"),
+    (["--q-range", "inf"], "error: q_range must lie in [0, 8.988e+307], got inf"),
+    (["--q-range", "1e308"], "error: q_range must lie in [0, 8.988e+307], got 1e+308"),
+    (["--p-range", "-0.4"], "error: p_range must lie in [0, 8.988e+307], got -0.4"),
 ])
 def test_scan_rejects_bad_counts(capsys, tmp_path, option, message):
     out_file = tmp_path / "s.csv"
