@@ -13,10 +13,11 @@ highest, under a field for the total degree, so int order on keys is
 graded lex order and a product's key is the sum of the keys.  A product
 of total degree above ``MAX_DEGREE`` raises ``OverflowError`` rather than
 carry between fields.  Ring operations run on ints; ``Fraction`` appears
-where a coefficient is handed out and in the exact linear algebra.  The
-packed form is private to this module: other modules build a linear
-system by coefficient matching (``coefficient_rows``), one row per
-monomial, without reading keys or numerators.  Floats
+where a coefficient is handed out, and in the exact linear algebra only
+for rows left after its one-entry rows are peeled.  The packed form is
+private to this module: other modules hand ``solve_exact_sparse`` the
+polynomial equations, or build rows by coefficient matching
+(``coefficient_rows``), without reading keys or numerators.  Floats
 enter only through ``eval_float``, whose n / d is rounded once, as
 ``float(Fraction(n, d))`` is.
 """
@@ -465,29 +466,15 @@ def _eliminate(r: dict[int, Fraction], row: dict[int, Fraction], pc: int):
     return out
 
 
-def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int):
-    """Reduced row echelon form over the rationals, rows as sparse dicts.
-
-    Returns (reduced_rows, pivot_cols); reduced rows are pivot-normalized
-    and fully back-substituted, in pivot-column order.  The input rows
-    are copied, never modified.  An index from each column to the rows
-    that hold it lets both phases visit only the rows a pivot touches.
-
-    The first phase peels one-entry rows, with no arithmetic (singleton
-    rows in LP presolve).  A row {c: v} puts e_c in the row space, so c
-    is a pivot column whose reduced row is {c: 1}, and every other
-    reduced row is 0 in column c: c is deleted from every row that holds
-    it, rows left empty are dropped, and rows left with one entry are
-    peeled in turn.
-
-    The second phase eliminates the rows that are left.  The next pivot
-    row is a shortest remaining row (the first of them in input order),
-    taken from a length heap whose stale entries are skipped; its pivot
-    is its leftmost entry, and it is back-substituted into the rows it
-    reduced before.  The reduced form is unique, so the choice of pivot
-    rows changes only fill-in and time.
-    """
-    live = {i: dict(r) for i, r in enumerate(rows) if r}
+def _peel(live: dict[int, dict]):
+    """First phase of the RREF: peel one-entry rows, in place on ``live``
+    ({index: nonempty sparse row}) and with no arithmetic, so the rows may
+    hold ints.  A row {c: v} puts e_c in the row space: c is a pivot
+    column with reduced row {c: 1}, c is deleted from every row that holds
+    it, rows left empty are dropped and rows left with one entry are
+    peeled in turn (singleton rows in LP presolve).  Returns the index
+    from each column to the rows that hold it, and the reduced rows and
+    pivot columns peeled, for _eliminate_rest."""
     holders: dict[int, set[int]] = {}
     for i, r in live.items():
         for c in r:
@@ -511,6 +498,16 @@ def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int):
                     peel.append(j)
         done[i] = {c: _ONE}
         pivots.append(c)
+    return holders, done, pivots
+
+
+def _eliminate_rest(live: dict[int, dict[int, Fraction]], holders, done, pivots):
+    """Second phase of the RREF: eliminate the Fraction rows _peel left.
+    The next pivot row is a shortest remaining row (the first of them in
+    input order), from a length heap whose stale entries are skipped; its
+    pivot is its leftmost entry, and it is back-substituted into the rows
+    it reduced before.  The reduced form is unique, so the choice of pivot
+    rows changes only fill-in and time."""
     heap = [(len(r), i) for i, r in live.items()]
     heapq.heapify(heap)
     while live:  # every live row has an entry of its current length
@@ -548,25 +545,36 @@ def _sparse_rref(rows: list[dict[int, Fraction]], ncols: int):
     return [reduced[k] for k in order], [pivots[k] for k in order]
 
 
-def coefficient_rows(polys: Sequence[Polynomial]) -> dict[int, dict[int, Fraction]]:
-    """Coefficient matching: for each monomial some ``polys[i]`` holds,
-    the sparse row {i: its coefficient in polys[i]}, i ascending, rows in
-    ascending graded lex order.  A row's key is an opaque label of its
-    monomial, for lookup and order only.  Equal coefficients share one
-    Fraction: a system repeats few values."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    shared: dict[tuple[int, int], Fraction] = {}
+def _sparse_rref(rows: list[dict[int, Fraction]]):
+    """Reduced row echelon form over the rationals, rows as sparse dicts:
+    (reduced_rows, pivot_cols), pivot-normalized, fully back-substituted
+    and in pivot-column order, from _peel and then _eliminate_rest on a
+    copy of the rows.  Both phases visit only the rows a pivot touches."""
+    live = {i: dict(r) for i, r in enumerate(rows) if r}
+    return _eliminate_rest(live, *_peel(live))
+
+
+def _matched(polys: Sequence[Polynomial]) -> dict[int, dict[int, int]]:
+    """Coefficient matching on numerators: for each monomial some
+    ``polys[i]`` holds, {i: its numerator in polys[i]}, i ascending, rows
+    in ascending key (graded lex) order."""
+    rows: dict[int, dict[int, int]] = {}
     for i, p in enumerate(polys):
-        d = p.denominator
         for e, c in p.numerators.items():
             row = rows.get(e)
             if row is None:
                 rows[e] = row = {}
-            f = shared.get((c, d))
-            if f is None:
-                f = shared[c, d] = Fraction(c, d)
-            row[i] = f
+            row[i] = c
     return {e: rows[e] for e in sorted(rows)}
+
+
+def coefficient_rows(polys: Sequence[Polynomial]) -> dict[int, dict[int, Fraction]]:
+    """Coefficient matching: for each monomial some ``polys[i]`` holds,
+    the sparse row {i: its coefficient in polys[i]}, i ascending, rows in
+    ascending graded lex order.  A row's key is an opaque label of its
+    monomial, for lookup and order only."""
+    return {e: {i: Fraction(c, polys[i].denominator) for i, c in row.items()}
+            for e, row in _matched(polys).items()}
 
 
 def _row_dicts(matrix: Sequence[Sequence[Scalar]]) -> list[dict[int, Fraction]]:
@@ -597,50 +605,47 @@ def nullspace_exact(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     """
     if not matrix:
         return []
-    ncols = len(matrix[0])
-    return _free_basis(*_sparse_rref(_row_dicts(matrix), ncols), ncols)
+    return _free_basis(*_sparse_rref(_row_dicts(matrix)), len(matrix[0]))
 
 
 def matrix_rank_exact(matrix: Sequence[Sequence[Scalar]]) -> int:
-    if not matrix:
-        return 0
-    _, pivots = _sparse_rref(_row_dicts(matrix), len(matrix[0]))
-    return len(pivots)
+    return len(_sparse_rref(_row_dicts(matrix))[1])
 
 
-def solve_exact_sparse(
-    rows: list[dict[int, Fraction]],
-    rhs: list[list[Fraction]],
-    ncols: int,
-):
-    """Solve A x = b_k exactly for sparse rational rows A and each
-    right-hand side b_k in ``rhs`` (each a list aligned with ``rows``),
-    with one elimination.
+def solve_exact_sparse(equations: Sequence[Sequence[Polynomial]], ncols: int):
+    """Solve sum_j x_j P_j = R_k exactly for each right-hand side k, with
+    one elimination: each equation lists the columns P_0 .. P_(ncols-1)
+    and then R_0, R_1, ..., and the rational unknowns x are shared.
 
     Returns (particular_solutions, nullspace_basis): one particular
     solution per right-hand side, with every free unknown 0, or None where
-    A x = b_k is inconsistent, and the nullspace of A.  b_k is carried in
-    augmented column ncols + k, as -b_k, and is consistent when that
+    it is inconsistent, and the nullspace of the coefficient matrix A.
+    Matching each monomial's coefficients gives an int row over [A | -B],
+    each column's denominator kept beside it (R_k's negated: A x - b_k = 0,
+    unknown ncols + k fixed to 1).  _peel runs on the int rows, and only
+    the rows it leaves become Fraction rows.  b_k is consistent when its
     column is no pivot and is 0 in every row whose pivot is another
     right-hand-side column: such a row reads 0 = a combination of the
     b_j, so a nonzero entry means b_k lies outside the column space of A
     even when its column is no pivot.  A pivot column is the leftmost
     entry of its row, so the pivots below ncols are those of A alone.
     """
-    aug = []
-    for i, row in enumerate(rows):
-        r = dict(row)
-        for k, b in enumerate(rhs):
-            if b[i]:
-                r[ncols + k] = -b[i]  # A x - b_k = 0, unknown x_(ncols+k) fixed to 1
-        if r:
-            aug.append(r)
-    reduced, pivots = _sparse_rref(aug, ncols + len(rhs))
+    live: dict[int, dict] = {}
+    row_dens: list[list[int]] = []  # the denominators of row i's equation
+    for eq in equations:
+        dens = [p.denominator for p in eq[:ncols]] + [-p.denominator for p in eq[ncols:]]
+        for row in _matched(eq).values():
+            live[len(row_dens)] = row
+            row_dens.append(dens)
+    peeled = _peel(live)
+    for i, row in live.items():
+        live[i] = {c: Fraction(n, row_dens[i][c]) for c, n in row.items()}
+    reduced, pivots = _eliminate_rest(live, *peeled)
     n_a = sum(pc < ncols for pc in pivots)
     rhs_rows = reduced[n_a:]
     reduced, pivots = reduced[:n_a], pivots[:n_a]
     particulars = []
-    for k in range(ncols, ncols + len(rhs)):
+    for k in range(ncols, len(equations[0]) if equations else ncols):
         if any(k in r for r in rhs_rows):
             particulars.append(None)
             continue

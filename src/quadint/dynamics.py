@@ -597,6 +597,9 @@ def _compile_kernel(force: ForceField, integrator: str):
         *_indent(init),
         "    steps = rejected = floor_accepted = 0",
         "    min_u, min_d2, max_q = u, d2, _hypot(y0, y1, y2)",
+        # -1.0 sends the first step to the r_max test below: an initial |q|
+        # beyond r_max stops after one step
+        "    q2_safe = _q2_guard(max_q) if max_q <= r_max else -1.0",
         "    t_last = t_end - 1e-12",
         "    next_sample = t",
         *_indent(next_sample),
@@ -609,11 +612,15 @@ def _compile_kernel(force: ForceField, integrator: str):
         "                min_u = u",
         "            if d2 < min_d2:",
         "                min_d2 = d2",
-        "            r = _hypot(y0, y1, y2)",
-        "            if r > max_q:",
-        "                max_q = r",
-        "            if max_q > r_max:",
-        "                break",
+        # hypot runs only where it may pass max_q (see _q2_guard); not <=, so
+        # that a nan sum runs it too
+        "            if not y0 * y0 + y1 * y1 + y2 * y2 <= q2_safe:",
+        "                r = _hypot(y0, y1, y2)",
+        "                if r > max_q:",
+        "                    max_q = r",
+        "                    q2_safe = _q2_guard(max_q)",
+        "                if max_q > r_max:",
+        "                    break",
         "            if t >= t_sample:",
         "                sample(t, y0, y1, y2, y3, y4, y5, u, d2)",
         *_indent(next_sample, 4),
@@ -621,7 +628,17 @@ def _compile_kernel(force: ForceField, integrator: str):
         f"        return exc, {counts}",
         f"    return None, {counts}",
     ]
-    return _compile(lines, "_run", **_site_constants(force.w0, force.u_floor))
+    return _compile(lines, "_run", _q2_guard=_q2_guard, **_site_constants(force.w0, force.u_floor))
+
+
+def _q2_guard(max_q: float) -> float:
+    """A bound g such that hypot(q) <= max_q wherever the rounded sum
+    q0*q0 + q1*q1 + q2*q2 is at most g: max_q**2 shrunk by 1e-14, far more
+    than the few ulps the sum and hypot can err by.  -1.0, so that hypot
+    runs at every step, where max_q**2 is not finite or is below 1e-290,
+    near where the squares underflow and lose their relative accuracy."""
+    g = max_q * max_q
+    return g * (1.0 - 1e-14) if 1e-290 < g < math.inf else -1.0
 
 
 @functools.cache

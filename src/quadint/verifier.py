@@ -505,9 +505,7 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
     #   sum_g lam_g (dq(g) u - 1/2 g dq(u))  =  -sum_c K_i[q][c] dc(u)
     # g = q dq(g) / k for k = deg_q(g) >= 1, so each column is one product
     # by a monomial: dq(g) (u - q dq(u) / (2k)), or g (-1/2 dq(u)) if k = 0
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[list[Fraction]] = [[], []]
-    zero = Fraction(0)
+    equations = []  # per coordinate: the ncols columns, then both right-hand sides
     grad_u = tuple(u.diff(v) for v in COORDS)
     for qi, (qvar, du) in enumerate(zip(COORDS, grad_u)):
         half_q_du = Polynomial.variable(qvar) * du.scale(HALF)
@@ -521,12 +519,8 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
             if perturb_rhs is not None and qi == 0:
                 rhs_poly = rhs_poly + perturb_rhs
             polys.append(rhs_poly)
-        # one row per monomial; the right-hand sides are its last two entries
-        for row in coefficient_rows(polys).values():
-            rhs[0].append(row.pop(ncols, zero))
-            rhs[1].append(row.pop(ncols + 1, zero))
-            rows.append(row)
-    particulars, null_basis = solve_exact_sparse(rows, rhs, ncols)
+        equations.append(polys)
+    particulars, null_basis = solve_exact_sparse(equations, ncols)
     unique = not null_basis
     recovered = {}
     results = []

@@ -526,6 +526,27 @@ def _apply(rows, vec):
     return [sum((c * vec[j] for j, c in row.items()), Fraction(0)) for row in rows]
 
 
+def _equations(rows, rhs, ncols):
+    """Sparse rows over ncols unknowns and right-hand sides aligned with
+    them, as polynomial equations for solve_exact_sparse: even rows go to
+    the first equation and odd rows to the second, row 2k + e as the
+    coefficient of x**k in equation e, so that equation's rows keep their
+    order."""
+    equations = [[{} for _ in range(ncols + len(rhs))] for _ in range(2)]
+    for i, row in enumerate(rows):
+        exps = (i // 2,) + ZERO_EXPS[1:]
+        columns = equations[i % 2]
+        for j, v in row.items():
+            columns[j][exps] = v
+        for k, b in enumerate(rhs):
+            columns[ncols + k][exps] = b[i]
+    return [[Polynomial(terms) for terms in columns] for columns in equations]
+
+
+def _solve(rows, rhs, ncols):
+    return solve_exact_sparse(_equations(rows, rhs, ncols), ncols)
+
+
 small_fracs = st.fractions(max_denominator=4, min_value=-4, max_value=4)
 
 
@@ -537,9 +558,9 @@ small_fracs = st.fractions(max_denominator=4, min_value=-4, max_value=4)
 def test_solve_multi_rhs_matches_single_solves(matrix, solutions):
     rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
     rhs = [_apply(rows, xk) for xk in solutions]
-    particulars, basis = solve_exact_sparse(rows, rhs, 4)
+    particulars, basis = _solve(rows, rhs, 4)
     for b, particular in zip(rhs, particulars):
-        (single,), single_basis = solve_exact_sparse(rows, [b], 4)
+        (single,), single_basis = _solve(rows, [b], 4)
         assert particular == single
         assert _apply(rows, particular) == b
         assert basis == single_basis
@@ -551,7 +572,7 @@ def test_solve_multi_rhs_inconsistent_first_consistent_second():
     rows = [{0: Fraction(1)}, {}]
     b1 = [Fraction(0), Fraction(1)]
     b2 = [Fraction(3), Fraction(0)]
-    particulars, basis = solve_exact_sparse(rows, [b1, b2], 2)
+    particulars, basis = _solve(rows, [b1, b2], 2)
     assert particulars == [None, [3, 0]]
     assert basis == [[0, 1]]
 
@@ -562,9 +583,19 @@ def test_solve_multi_rhs_second_in_span_of_first_is_inconsistent():
     rows = [{0: Fraction(1)}, {}]
     b1 = [Fraction(0), Fraction(1)]
     b2 = [Fraction(0), Fraction(2)]
-    particulars, _ = solve_exact_sparse(rows, [b1, b2], 2)
+    particulars, _ = _solve(rows, [b1, b2], 2)
     assert particulars == [None, None]
-    assert solve_exact_sparse(rows, [b2], 2)[0] == [None]
+    assert _solve(rows, [b2], 2)[0] == [None]
+
+
+def test_solve_rhs_monomial_no_column_holds_is_its_own_pivot():
+    # x0 * x = 3x + y has no solution: no column holds y, so the row of y
+    # is {1: -1} and peels column 1 as a pivot; x0 * x = 2x solves
+    equation = [x, 3 * x + y, 2 * x]
+    particulars, basis = solve_exact_sparse([equation], 1)
+    assert particulars == [None, [2]]
+    assert basis == []
+    assert solve_exact_sparse([equation[:1] + equation[2:]], 1) == ([[2]], [])
 
 
 def _dense_rref(matrix, ncols):
@@ -646,7 +677,7 @@ def degenerate_matrices(draw):
 def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
     matrix, ncols, maybe = matrix_ncols_rhs
     ref_rows, ref_pivots = _dense_rref(matrix, ncols)
-    reduced, pivots = _sparse_rref(_row_dicts(matrix), ncols)
+    reduced, pivots = _sparse_rref(_row_dicts(matrix))
     assert pivots == ref_pivots
     assert reduced == ref_rows
     # nullspace_exact: one vector per free column, read off the reduced rows
@@ -664,12 +695,12 @@ def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
     # not be, each against the dense RREF of [A | b]
     rows = _row_dicts(matrix)
     consistent = _apply(rows, solution[:ncols])
-    particulars, basis = solve_exact_sparse(rows, [consistent, maybe], ncols)
+    particulars, basis = _solve(rows, [consistent, maybe], ncols)
     assert basis == ref_basis
     for b, particular in zip((consistent, maybe), particulars):
         augmented = [list(r) + [bi] for r, bi in zip(matrix, b)]
         aug_rows, aug_pivots = _dense_rref(augmented, ncols + 1)
-        assert _sparse_rref(_row_dicts(augmented), ncols + 1) == (aug_rows, aug_pivots)
+        assert _sparse_rref(_row_dicts(augmented)) == (aug_rows, aug_pivots)
         if ncols in aug_pivots:
             assert particular is None
             continue
@@ -688,7 +719,7 @@ def test_sparse_rref_leaves_its_input_rows_unmodified(matrix_ncols_rhs):
     matrix, ncols, _ = matrix_ncols_rhs
     rows = _row_dicts(matrix)
     before = [dict(r) for r in rows]
-    _sparse_rref(rows, ncols)
+    _sparse_rref(rows)
     assert rows == before
 
 
@@ -700,7 +731,7 @@ def test_sparse_rref_peels_a_chain_of_two_entry_rows():
     rows = [{0: f(1), 1: f(1)}, {1: f(1), 2: f(-1)}, {2: f(3)}, {2: f(-5)},
             {1: f(1), 3: f(2)}, {0: f(2), 3: f(1), 4: f(1, 2)}]
     before = [dict(r) for r in rows]
-    assert _sparse_rref(rows, 5) == (
+    assert _sparse_rref(rows) == (
         [{0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: 1}], [0, 1, 2, 3, 4])
     assert rows == before
 

@@ -1277,6 +1277,15 @@ _KERNEL_CASES = [
     *((f"partial-interval-{integ}",
        SimConfig(t_end=2.5, sample_interval=0.7, integrator=integ, fixed_step=1e-2),
        _OFF_AXIS, "completed") for integ in ("adaptive", "leapfrog")),
+    # max |q| where the squares of q underflow (|q| ~ 1e-160: free motion
+    # with w0 = 0 grows |q| at each step by less than a subnormal square
+    # resolves) and where they are far from it (|q| ~ 1e70)
+    *((f"tiny-q-{integ}", SimConfig(w0=0.0, t_end=3.0, integrator=integ),
+       ((1e-160, 2e-160, -2e-160), (1e-166, 2e-166, -2e-166)), "completed")
+      for integ in ("adaptive", "leapfrog")),
+    *((f"huge-q-{integ}", SimConfig(t_end=3.0, r_max=1e300, integrator=integ),
+       ((1e70, -2e70, 2e70), (1e64, -2e64, 2e64)), "completed")
+      for integ in ("adaptive", "leapfrog")),
     # the force survives; the integrals of a sample raise, not a step
     *((f"integrals-fsum-{integ}",
        SimConfig(t_end=5.0, r_max=1e300, sample_interval=1e-3, integrator=integ),

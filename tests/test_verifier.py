@@ -23,6 +23,7 @@ from quadint.algebra import (
     Y,
     Z,
     Polynomial,
+    coefficient_rows,
     generators,
     nullspace_exact,
     solve_exact_sparse,
@@ -330,22 +331,43 @@ def test_scalar_ansatz_recovers_catalog(ctx):
         assert all(diff.diff(v).is_zero() for v in COORDS)
 
 
-def test_scalar_ansatz_system_has_full_column_rank(ctx, monkeypatch):
+def _ansatz_system(ctx, monkeypatch, perturb=None):
+    """(rows, rhs, ncols) of the equations solve_scalar_ansatz hands to
+    solve_exact_sparse, rebuilt as it once handed them over: one row of
+    coefficient_rows per monomial of each equation, the two right-hand
+    sides popped out of it."""
     import quadint.verifier as verifier
-    from quadint.algebra import _sparse_rref
 
-    systems = []
+    calls = []
 
-    def recording_solve(rows, rhs, ncols):
-        systems.append((rows, ncols))
-        return solve_exact_sparse(rows, rhs, ncols)
+    def recording_solve(equations, ncols):
+        calls.append((equations, ncols))
+        return solve_exact_sparse(equations, ncols)
 
     monkeypatch.setattr(verifier, "solve_exact_sparse", recording_solve)
-    _, _, results = solve_scalar_ansatz(ctx)
-    (rows, ncols), = systems
+    try:
+        solve_scalar_ansatz(ctx, perturb_rhs=perturb)
+    except NoSolution:
+        assert perturb is not None
+    (equations, ncols), = calls
+    rows, rhs, zero = [], [[], []], Fraction(0)
+    for polys in equations:
+        assert len(polys) == ncols + 2
+        for row in coefficient_rows(polys).values():
+            rhs[0].append(row.pop(ncols, zero))
+            rhs[1].append(row.pop(ncols + 1, zero))
+            rows.append(row)
+    return rows, rhs, ncols
+
+
+def test_scalar_ansatz_system_has_full_column_rank(ctx, monkeypatch):
+    from quadint.algebra import _sparse_rref
+
+    rows, _, ncols = _ansatz_system(ctx, monkeypatch)
     assert (len(rows), ncols) == (3120, 150)
-    _, pivots = _sparse_rref(rows, ncols)
+    _, pivots = _sparse_rref(rows)
     assert pivots == list(range(150))
+    _, _, results = solve_scalar_ansatz(ctx)
     assert all("solution unique" in r.residual_summary for r in results)
 
 
@@ -364,20 +386,55 @@ _PERTURBATIONS = {"none": None, "x^9": x**9, "2/3*x*y*b - 5*w0": Fraction(2, 3) 
 def test_scalar_ansatz_system_is_pinned(ctx, monkeypatch, perturb):
     import hashlib
 
-    import quadint.verifier as verifier
+    system = _ansatz_system(ctx, monkeypatch, _PERTURBATIONS[perturb])
+    assert hashlib.sha256(repr(system).encode()).hexdigest() == _ANSATZ_SYSTEM_SHA256[perturb]
 
-    digests = []
 
-    def recording_solve(rows, rhs, ncols):
-        digests.append(hashlib.sha256(repr((rows, rhs, ncols)).encode()).hexdigest())
-        return solve_exact_sparse(rows, rhs, ncols)
+def test_scalar_ansatz_converts_only_the_rows_left_after_the_peel(ctx, monkeypatch):
+    """The peel runs on the 3120 int rows and settles 142 pivots; only the
+    123 rows it leaves reach the elimination, as Fraction rows."""
+    import quadint.algebra as algebra
 
-    monkeypatch.setattr(verifier, "solve_exact_sparse", recording_solve)
-    try:
-        solve_scalar_ansatz(ctx, perturb_rhs=_PERTURBATIONS[perturb])
-    except NoSolution:
-        assert perturb != "none"
-    assert digests == [_ANSATZ_SYSTEM_SHA256[perturb]]
+    seen = {}
+    peel, eliminate_rest = algebra._peel, algebra._eliminate_rest
+
+    def recording_peel(live):
+        seen["peel"] = (len(live), {type(v) for r in live.values() for v in r.values()})
+        out = peel(live)
+        seen["peeled"] = len(out[2])
+        return out
+
+    def recording_eliminate_rest(live, *peeled):
+        seen["eliminate"] = (len(live), {type(v) for r in live.values() for v in r.values()})
+        return eliminate_rest(live, *peeled)
+
+    monkeypatch.setattr(algebra, "_peel", recording_peel)
+    monkeypatch.setattr(algebra, "_eliminate_rest", recording_eliminate_rest)
+    _, _, results = solve_scalar_ansatz(ctx)
+    assert _all_pass(results)
+    assert seen == {"peel": (3120, {int}), "peeled": 142, "eliminate": (123, {Fraction})}
+
+
+def test_scalar_ansatz_rhs_monomial_no_column_holds(ctx, monkeypatch):
+    """x^8 px^2 added to X1's leading part puts x^8 dx(u), of degree 11
+    in q, into m1's right-hand side only; no column holds those
+    monomials, so their rows peel column 150 as a pivot, m1 is
+    inconsistent and m2 still solves."""
+    import quadint.algebra as algebra
+
+    peeled = []
+    peel = algebra._peel
+
+    def recording_peel(live):
+        out = peel(live)
+        peeled.extend(out[2])
+        return out
+
+    monkeypatch.setattr(algebra, "_peel", recording_peel)
+    bad = dataclasses.replace(ctx, x1_leading=ctx.x1_leading + x**8 * px**2)
+    with pytest.raises(NoSolution, match="inconsistent for m1$"):
+        solve_scalar_ansatz(bad)
+    assert 150 in peeled and 151 not in peeled
 
 
 def test_scalar_ansatz_charges_shared_solve_to_m1(ctx):
