@@ -11,9 +11,7 @@ names below are served lazily (PEP 562): the first use of one imports
 import importlib
 
 from .algebra import (
-    GaussPoly,
     Polynomial,
-    gauss_poly_expand,
     generators,
     nullspace_exact,
 )

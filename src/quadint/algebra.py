@@ -13,19 +13,21 @@ highest, under a field for the total degree, so int order on keys is
 graded lex order and a product's key is the sum of the keys.  A product
 of total degree above ``MAX_DEGREE`` raises ``OverflowError`` rather than
 carry between fields.  Ring operations run on ints; ``Fraction`` appears
-where a coefficient is handed out, and in the exact linear algebra only
-for rows left after its one-entry rows are peeled.  The packed form is
-private to this module: other modules hand ``solve_exact_sparse`` the
-polynomial equations, or build rows by coefficient matching
-(``coefficient_rows``), without reading keys or numerators.  Floats
-enter only through ``eval_float``, whose n / d is rounded once, as
-``float(Fraction(n, d))`` is.
+where a coefficient is handed out, and in the rational linear algebra of
+``nullspace_exact``.  The packed form is private to this module: other
+modules hand ``solve_exact_sparse`` polynomial equations, which it
+matches over x, y, z into rows with polynomial entries in the parameters,
+or build rational rows by coefficient matching (``coefficient_rows``),
+without reading keys or numerators.  Floats enter only through
+``eval_float``, whose n / d is rounded once, as ``float(Fraction(n, d))``
+is.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -233,12 +235,6 @@ class Polynomial:
         c, d = self.numerators, self.denominator
         return [(unpack(e), Fraction(c[e], d)) for e in sorted(c, reverse=True)]
 
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.numerators:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.numerators)
-        return unpack(e), Fraction(self.numerators[e], self.denominator)
-
     # -- calculus -----------------------------------------------------
 
     def diff(self, v: int) -> "Polynomial":
@@ -395,53 +391,6 @@ def generators() -> tuple[Polynomial, ...]:
     return tuple(Polynomial.variable(i) for i in range(NVARS))
 
 
-# -- Gaussian-rational polynomials ------------------------------------
-
-
-class GaussPoly:
-    """Polynomial with Gaussian-rational coefficients, stored as re + i*im."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Polynomial | None = None, im: Polynomial | None = None):
-        self.re = re if re is not None else Polynomial()
-        self.im = im if im is not None else Polynomial()
-
-    def __add__(self, other: "GaussPoly") -> "GaussPoly":
-        return GaussPoly(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussPoly") -> "GaussPoly":
-        return GaussPoly(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussPoly") -> "GaussPoly":
-        return GaussPoly(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "GaussPoly":
-        return GaussPoly(self.re, -self.im)
-
-    def is_real(self) -> bool:
-        return self.im.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussPoly):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __repr__(self):
-        return f"GaussPoly(re={self.re!r}, im={self.im!r})"
-
-
-def gauss_poly_expand(factors: Iterable[GaussPoly]) -> GaussPoly:
-    """Exact expanded product of Gaussian-rational polynomial factors."""
-    out = GaussPoly(Polynomial.constant(1))
-    for f in factors:
-        out = out * f
-    return out
-
-
 # -- exact linear algebra ---------------------------------------------
 
 
@@ -466,15 +415,15 @@ def _eliminate(r: dict[int, Fraction], row: dict[int, Fraction], pc: int):
     return out
 
 
-def _peel(live: dict[int, dict]):
+def _peel(live: dict[int, dict[int, Fraction]]):
     """First phase of the RREF: peel one-entry rows, in place on ``live``
-    ({index: nonempty sparse row}) and with no arithmetic, so the rows may
-    hold ints.  A row {c: v} puts e_c in the row space: c is a pivot
-    column with reduced row {c: 1}, c is deleted from every row that holds
-    it, rows left empty are dropped and rows left with one entry are
-    peeled in turn (singleton rows in LP presolve).  Returns the index
-    from each column to the rows that hold it, and the reduced rows and
-    pivot columns peeled, for _eliminate_rest."""
+    ({index: nonempty sparse row}) and with no arithmetic.  A row {c: v}
+    puts e_c in the row space: c is a pivot column with reduced row
+    {c: 1}, c is deleted from every row that holds it, rows left empty are
+    dropped and rows left with one entry are peeled in turn (singleton
+    rows in LP presolve).  Returns the index from each column to the rows
+    that hold it, and the reduced rows and pivot columns peeled, for
+    _eliminate_rest."""
     holders: dict[int, set[int]] = {}
     for i, r in live.items():
         for c in r:
@@ -554,27 +503,16 @@ def _sparse_rref(rows: list[dict[int, Fraction]]):
     return _eliminate_rest(live, *_peel(live))
 
 
-def _matched(polys: Sequence[Polynomial]) -> dict[int, dict[int, int]]:
-    """Coefficient matching on numerators: for each monomial some
-    ``polys[i]`` holds, {i: its numerator in polys[i]}, i ascending, rows
-    in ascending key (graded lex) order."""
-    rows: dict[int, dict[int, int]] = {}
-    for i, p in enumerate(polys):
-        for e, c in p.numerators.items():
-            row = rows.get(e)
-            if row is None:
-                rows[e] = row = {}
-            row[i] = c
-    return {e: rows[e] for e in sorted(rows)}
-
-
 def coefficient_rows(polys: Sequence[Polynomial]) -> dict[int, dict[int, Fraction]]:
     """Coefficient matching: for each monomial some ``polys[i]`` holds,
     the sparse row {i: its coefficient in polys[i]}, i ascending, rows in
     ascending graded lex order.  A row's key is an opaque label of its
     monomial, for lookup and order only."""
-    return {e: {i: Fraction(c, polys[i].denominator) for i, c in row.items()}
-            for e, row in _matched(polys).items()}
+    rows: dict[int, dict[int, Fraction]] = {}
+    for i, p in enumerate(polys):
+        for e, c in p.numerators.items():
+            rows.setdefault(e, {})[i] = Fraction(c, p.denominator)
+    return {e: rows[e] for e in sorted(rows)}
 
 
 def _row_dicts(matrix: Sequence[Sequence[Scalar]]) -> list[dict[int, Fraction]]:
@@ -613,48 +551,60 @@ def matrix_rank_exact(matrix: Sequence[Sequence[Scalar]]) -> int:
 
 
 def solve_exact_sparse(equations: Sequence[Sequence[Polynomial]], ncols: int):
-    """Solve sum_j x_j P_j = R_k exactly for each right-hand side k, with
-    one elimination: each equation lists the columns P_0 .. P_(ncols-1)
-    and then R_0, R_1, ..., and the rational unknowns x are shared.
+    """Peel sum_j c_j P_j = R_k for every right-hand side k at once, with
+    unknowns c_j in the field of rational functions of the parameters
+    (every variable but x, y, z).
 
-    Returns (particular_solutions, nullspace_basis): one particular
-    solution per right-hand side, with every free unknown 0, or None where
-    it is inconsistent, and the nullspace of the coefficient matrix A.
-    Matching each monomial's coefficients gives an int row over [A | -B],
-    each column's denominator kept beside it (R_k's negated: A x - b_k = 0,
-    unknown ncols + k fixed to 1).  _peel runs on the int rows, and only
-    the rows it leaves become Fraction rows.  b_k is consistent when its
-    column is no pivot and is 0 in every row whose pivot is another
-    right-hand-side column: such a row reads 0 = a combination of the
-    b_j, so a nonzero entry means b_k lies outside the column space of A
-    even when its column is no pivot.  A pivot column is the leftmost
-    entry of its row, so the pivots below ncols are those of A alone.
+    Each equation lists the columns P_0 .. P_(ncols-1) and then R_0, R_1,
+    ...; the c_j are shared.  Matching the coefficients of each monomial
+    in x, y, z gives one row, with polynomial entries in the parameters.
+    A row with one unknown c_j, entry p, pins c_j = r_k / p for every k
+    when each division is exact (``divide_exact``): c_j is substituted
+    into every row that holds it, and rows left with one unknown are
+    pinned in turn, in the order they reach one unknown.  A pinned value is
+    forced by its row whatever the others hold, since p != 0.  A row whose
+    division is not exact stays.
+
+    Returns (pinned, pivots, left): {j: [c_j for each k]}; the entry p of
+    each pinned unknown, in pin order; and every row that is not 0 = 0
+    after the peel, as ({j: entry}, [r_k for each k]).  A row left with
+    unknowns is where the peel stalled; a row left with none and a
+    nonzero r_k makes right-hand side k inconsistent.
     """
-    live: dict[int, dict] = {}
-    row_dens: list[list[int]] = []  # the denominators of row i's equation
+    rows: list[tuple[dict[int, Polynomial], list[Polynomial]]] = []
     for eq in equations:
-        dens = [p.denominator for p in eq[:ncols]] + [-p.denominator for p in eq[ncols:]]
-        for row in _matched(eq).values():
-            live[len(row_dens)] = row
-            row_dens.append(dens)
-    peeled = _peel(live)
-    for i, row in live.items():
-        live[i] = {c: Fraction(n, row_dens[i][c]) for c, n in row.items()}
-    reduced, pivots = _eliminate_rest(live, *peeled)
-    n_a = sum(pc < ncols for pc in pivots)
-    rhs_rows = reduced[n_a:]
-    reduced, pivots = reduced[:n_a], pivots[:n_a]
-    particulars = []
-    for k in range(ncols, len(equations[0]) if equations else ncols):
-        if any(k in r for r in rhs_rows):
-            particulars.append(None)
+        matched: dict[tuple[int, ...], dict[int, Polynomial]] = {}
+        for i, p in enumerate(eq):
+            for mono, coeff in p.collect(COORDS).items():
+                matched.setdefault(mono, {})[i] = coeff
+        for row in matched.values():
+            rows.append(({j: c for j, c in row.items() if j < ncols},
+                         [row.get(k, Polynomial()) for k in range(ncols, len(eq))]))
+    holders: dict[int, set[int]] = {}
+    for i, (entries, _) in enumerate(rows):
+        for j in entries:
+            holders.setdefault(j, set()).add(i)
+    pinned: dict[int, list[Polynomial]] = {}
+    pivots: list[Polynomial] = []
+    peel = deque(i for i, (entries, _) in enumerate(rows) if len(entries) == 1)
+    while peel:
+        entries, rhs = rows[peel.popleft()]
+        if len(entries) != 1:
+            continue  # emptied since it was pushed
+        (j, p), = entries.items()
+        values = [r.divide_exact(p) for r in rhs]
+        if None in values:
             continue
-        particular = [_ZERO] * ncols
-        for row, pc in zip(reduced, pivots):
-            if k in row:
-                particular[pc] = -row[k]
-        particulars.append(particular)
-    return particulars, _free_basis(reduced, pivots, ncols)
+        pinned[j] = values
+        pivots.append(p)
+        for h in holders.pop(j):
+            entries_h, rhs_h = rows[h]
+            c = entries_h.pop(j)
+            rhs_h[:] = [r - c * v if v else r for r, v in zip(rhs_h, values)]
+            if len(entries_h) == 1:
+                peel.append(h)
+    left = [(entries, rhs) for entries, rhs in rows if entries or any(rhs)]
+    return pinned, pivots, left
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import platform
 import sys
 from fractions import Fraction
@@ -133,6 +134,22 @@ def write_manifest(args, config=None, fingerprint=None):
     with open(str(args.out) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return manifest
+
+
+def _check_out(path: str) -> None:
+    """Reject an output path that cannot be written, before any work: its
+    directory must exist, it must not be a directory, and the file, or its
+    directory for a new file, must be writable."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ValueError(f"cannot write --out {path}: {reason}")
 
 
 def build_sim_config(args):
@@ -303,6 +320,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = build_parser(_load_config_file(args.config)).parse_args(argv)
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.fn(args)
     except (ParamDomain, SingularPoint, MalformedInput, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import A, B, PX, PY, PZ, W0, X, Y, Z, Polynomial
+from .algebra import A, B, PX, PY, PZ, VARS, W0, X, Y, Z, Polynomial
 from .catalog import ParamDomain, _check_param_domain, build_context
 from .radical import SingularPoint
 
@@ -69,7 +69,14 @@ _SLOT_NAMES = ("x", "y", "z", "px", "py", "pz")
 def _term_exprs(p: Polynomial, order: dict[int, int], powers_used: set) -> str:
     exprs = []
     for e, c in p.sorted_terms():
-        factors = [repr(float(c))]
+        try:
+            factors = [repr(float(c))]
+        except OverflowError:
+            mono = "*".join(f"{VARS[i]}^{k}" for i, k in enumerate(e) if k) or "1"
+            n, d = c.as_integer_ratio()
+            exponent = math.floor(math.log10(abs(n)) - math.log10(d))
+            raise ValueError(f"the specialised coefficient of {mono}, about 1e{exponent}, "
+                             "is not a finite double") from None
         for i, k in enumerate(e):
             if k:
                 if i not in order:

@@ -1,8 +1,9 @@
 """Ring extension by s = u^(-1/2), localized at u.
 
 Elements are (A + B*s) / u^m with A, B polynomials and m >= 0.  Because
-u is squarefree and not a perfect square (certified by the factorization
-check elsewhere), s is irrational over the rational function field, so
+u is squarefree and not a perfect square (the factorization checks write
+it, with a and b symbolic, as a product of four distinct complex linear
+factors), s is irrational over the rational function field, so
 an element is zero iff A = 0 and B = 0 — no division ever needed for
 the zero test.  Representations are not unique: (A, B, m) ~ (A*u, B*u,
 m+1); equality cross-multiplies to a common power of u.
@@ -172,33 +173,6 @@ class RadicalElement:
         return (self - other).is_zero()
 
     __hash__ = None
-
-    def is_momentum_free(self) -> bool:
-        return not any(
-            self.A.degree_in(v) or self.B.degree_in(v) for v in MOMENTA
-        )
-
-    # -- simplification -----------------------------------------------
-
-    def reduce(self) -> "RadicalElement":
-        """Cancel powers of u from the representation when exactly divisible."""
-        A, B, m = self.A, self.B, self.m
-        u = self.ring.u
-        while m > 0:
-            if A.is_zero():
-                qa = A
-            else:
-                qa = A.divide_exact(u)
-                if qa is None:
-                    break
-            if B.is_zero():
-                qb = B
-            else:
-                qb = B.divide_exact(u)
-                if qb is None:
-                    break
-            A, B, m = qa, qb, m - 1
-        return RadicalElement(self.ring, A, B, m)
 
     # -- numeric bridge -----------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic, linear algebra, and Gaussian-rational layer."""
+"""Exact polynomial arithmetic and linear algebra."""
 
 import math
 from fractions import Fraction
@@ -21,12 +21,10 @@ from quadint.algebra import (
     Y,
     Z,
     ZERO_EXPS,
-    GaussPoly,
     Polynomial,
     _row_dicts,
     _sparse_rref,
     coefficient_rows,
-    gauss_poly_expand,
     generators,
     matrix_rank_exact,
     nullspace_exact,
@@ -366,11 +364,6 @@ def test_key_order_is_grlex_order(e1, e2):
 def test_sorted_and_leading_terms_follow_grlex(p):
     ref = sorted(p.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
     assert p.sorted_terms() == ref
-    if p:
-        assert p.leading_term() == ref[0]
-    else:
-        with pytest.raises(ValueError):
-            p.leading_term()
 
 
 @settings(max_examples=60, deadline=None)
@@ -556,46 +549,68 @@ small_fracs = st.fractions(max_denominator=4, min_value=-4, max_value=4)
     st.lists(st.lists(small_fracs, min_size=4, max_size=4), min_size=2, max_size=2),
 )
 def test_solve_multi_rhs_matches_single_solves(matrix, solutions):
+    """The peel pins the same unknowns with both right-hand sides as with
+    each alone, each to its value in the solution that made the
+    right-hand side: a pinned unknown is forced.  No row is inconsistent."""
     rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
     rhs = [_apply(rows, xk) for xk in solutions]
-    particulars, basis = _solve(rows, rhs, 4)
-    for b, particular in zip(rhs, particulars):
-        (single,), single_basis = _solve(rows, [b], 4)
-        assert particular == single
-        assert _apply(rows, particular) == b
-        assert basis == single_basis
-    assert len(basis) == 4 - matrix_rank_exact(matrix)
+    pinned, pivots, left = _solve(rows, rhs, 4)
+    for k, (b, xk) in enumerate(zip(rhs, solutions)):
+        single, single_pivots, single_left = _solve(rows, [b], 4)
+        assert {j: v[k] for j, v in pinned.items()} == {j: v[0] for j, v in single.items()}
+        assert pivots == single_pivots
+        assert [e for e, _ in left] == [e for e, _ in single_left]
+        assert all(v[k] == xk[j] for j, v in pinned.items())
+    assert all(entries for entries, _ in left)
+    if len(pinned) == 4:
+        assert matrix_rank_exact(matrix) == 4
 
 
 def test_solve_multi_rhs_inconsistent_first_consistent_second():
-    # x0 = b[0], 0 = b[1]: b1 = (0, 1) is inconsistent, b2 = (3, 0) is not
+    # x0 = b[0], 0 = b[1]: b1 = (0, 1) is inconsistent, b2 = (3, 0) is not;
+    # x1 is in no row, so it is never pinned
     rows = [{0: Fraction(1)}, {}]
     b1 = [Fraction(0), Fraction(1)]
     b2 = [Fraction(3), Fraction(0)]
-    particulars, basis = _solve(rows, [b1, b2], 2)
-    assert particulars == [None, [3, 0]]
-    assert basis == [[0, 1]]
+    pinned, pivots, left = _solve(rows, [b1, b2], 2)
+    assert pinned == {0: [0, 3]} and pivots == [1]
+    assert left == [({}, [1, 0])]
 
 
 def test_solve_multi_rhs_second_in_span_of_first_is_inconsistent():
-    # b2 = 2 b1 lies in span(A, b1) but not in the column space of A, so
-    # its column is no pivot yet is nonzero in b1's pivot row
+    # b2 = 2 b1 lies in span(A, b1) but not in the column space of A: the
+    # row 0 = b[1] is nonzero for both
     rows = [{0: Fraction(1)}, {}]
     b1 = [Fraction(0), Fraction(1)]
     b2 = [Fraction(0), Fraction(2)]
-    particulars, _ = _solve(rows, [b1, b2], 2)
-    assert particulars == [None, None]
-    assert _solve(rows, [b2], 2)[0] == [None]
+    _, _, left = _solve(rows, [b1, b2], 2)
+    assert left == [({}, [1, 2])]
+    assert _solve(rows, [b2], 2)[2] == [({}, [2])]
 
 
-def test_solve_rhs_monomial_no_column_holds_is_its_own_pivot():
+def test_solve_rhs_monomial_no_column_holds_is_left_inconsistent():
     # x0 * x = 3x + y has no solution: no column holds y, so the row of y
-    # is {1: -1} and peels column 1 as a pivot; x0 * x = 2x solves
+    # has no unknown and a nonzero right-hand side; x0 * x = 2x solves
     equation = [x, 3 * x + y, 2 * x]
-    particulars, basis = solve_exact_sparse([equation], 1)
-    assert particulars == [None, [2]]
-    assert basis == []
-    assert solve_exact_sparse([equation[:1] + equation[2:]], 1) == ([[2]], [])
+    pinned, pivots, left = solve_exact_sparse([equation], 1)
+    assert pinned == {0: [3, 2]} and pivots == [1]
+    assert left == [({}, [1, 0])]
+    assert solve_exact_sparse([equation[:1] + equation[2:]], 1) == ({0: [2]}, [1], [])
+
+
+def test_solve_pins_over_the_parameters_by_exact_division():
+    """Rows are matched over x, y, z, so entries are polynomials in a, b.
+    The row of y pins c1 = b by its pivot a - 1; substituted into the row
+    of x, it leaves a c0 = a^2, which pins c0 = a."""
+    equation = [a * x, b * x + (a - 1) * y, (a**2 + b**2) * x + (a - 1) * b * y]
+    assert solve_exact_sparse([equation], 2) == ({1: [b], 0: [a]}, [a - 1, a], [])
+
+
+def test_solve_leaves_a_row_whose_division_is_not_exact():
+    # a c0 = 1 has no polynomial solution: the row stays, c0 is not pinned
+    assert solve_exact_sparse([[a * x, x]], 1) == ({}, [], [({0: a}, [1])])
+    # a homogeneous row always divides: c0 = 0
+    assert solve_exact_sparse([[a * x + b * y]], 1) == ({0: []}, [a], [])
 
 
 def _dense_rref(matrix, ncols):
@@ -691,26 +706,20 @@ def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
             vec[pc] = -row.get(fc, Fraction(0))
         ref_basis.append(vec)
     assert nullspace_exact(matrix) == ref_basis
-    # solve_exact_sparse: a consistent right-hand side and one that may
-    # not be, each against the dense RREF of [A | b]
+    # solve_exact_sparse: a consistent right-hand side pins the solution's
+    # own values, and a row left with no unknown but a nonzero right side
+    # is an inconsistency that the dense RREF of [A | b] confirms
     rows = _row_dicts(matrix)
     consistent = _apply(rows, solution[:ncols])
-    particulars, basis = _solve(rows, [consistent, maybe], ncols)
-    assert basis == ref_basis
-    for b, particular in zip((consistent, maybe), particulars):
-        augmented = [list(r) + [bi] for r, bi in zip(matrix, b)]
-        aug_rows, aug_pivots = _dense_rref(augmented, ncols + 1)
-        assert _sparse_rref(_row_dicts(augmented)) == (aug_rows, aug_pivots)
-        if ncols in aug_pivots:
-            assert particular is None
-            continue
-        ref = [Fraction(0)] * ncols
-        for row, pc in zip(aug_rows, aug_pivots):
-            ref[pc] = row.get(ncols, Fraction(0))
-        assert particular == ref
-    assert particulars[0] is not None
+    pinned, _, left = _solve(rows, [consistent, maybe], ncols)
+    assert all(v[0] == solution[j] for j, v in pinned.items())
+    assert not any(not entries and r[0] for entries, r in left)
+    inconsistent = any(not entries and r[1] for entries, r in left)
+    augmented = [list(r) + [bi] for r, bi in zip(matrix, maybe)]
+    if inconsistent:
+        assert ncols in _dense_rref(augmented, ncols + 1)[1]
     if any(not any(r) and bi for r, bi in zip(matrix, maybe)):
-        assert particulars[1] is None  # 0 = b_i != 0
+        assert inconsistent  # 0 = b_i != 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -734,30 +743,6 @@ def test_sparse_rref_peels_a_chain_of_two_entry_rows():
     assert _sparse_rref(rows) == (
         [{0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: 1}], [0, 1, 2, 3, 4])
     assert rows == before
-
-
-# -- Gaussian rationals ------------------------------------------------
-
-
-def test_gauss_conjugate_product_real():
-    f = GaussPoly(x, y)           # x + i y
-    g = f.conjugate()             # x - i y
-    prod = f * g
-    assert prod.is_real()
-    assert prod.re == x**2 + y**2
-
-
-def test_gauss_real_factors():
-    f1 = GaussPoly(x - 1)
-    f2 = GaussPoly(x + 1)
-    prod = gauss_poly_expand([f1, f2])
-    assert prod.is_real()
-    assert prod.re == x**2 - 1
-
-
-def test_gauss_conjugation_involution():
-    f = GaussPoly(x + y, z - 2)
-    assert f.conjugate().conjugate() == f
 
 
 def test_rational_sqrt():

@@ -249,6 +249,44 @@ def test_domain_error_prints_the_parameter_as_given(capsys, tmp_path, argv):
     assert err == "error: a = 0.7 outside (0, 1/2]\n"
 
 
+@pytest.mark.parametrize("option", [["--b", "1e300"], ["--w0", "1e308"]],
+                         ids=["b", "w0"])
+def test_simulate_rejects_a_coefficient_outside_the_double_range(capsys, tmp_path, option):
+    code, _, err = run(
+        [
+            "simulate", "--q0", "0,0,0.5", "--p0", "0,0,0.4", "--t-end", "1",
+            "--out", str(tmp_path / "x.csv"), *option,
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert re.fullmatch(r"error: the specialised coefficient of \S+, about 1e\d+, "
+                        r"is not a finite double\n", err)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["simulate", "--q0", "0,0,0.5", "--p0", "0,0,0.4", "--t-end", "1"],
+    ["plot"],
+    ["scan", "--n", "1", "--t-end", "1"],
+], ids=["verify", "simulate", "plot", "scan"])
+@pytest.mark.parametrize("out", ["missing/out", "."], ids=["no-directory", "directory"])
+def test_unwritable_out_exits_one_before_any_work(capsys, tmp_path, monkeypatch, argv, out):
+    import quadint.cli as cli
+
+    def no_work(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", no_work)
+    path = tmp_path / out
+    code, _, err = run([*argv, "--out", str(path)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot write --out {path}: ")
+    assert "internal error" not in err
+    assert sorted(tmp_path.iterdir()) == []
+
+
 # -- plot ---------------------------------------------------------------
 
 

@@ -733,6 +733,40 @@ def test_singular_distance_parity():
         assert d1 == pytest.approx(d2, rel=1e-12)
 
 
+def _signed_bits(values, sign):
+    """The bits of sign * v for each v; a zero is read as +0.0, since the
+    kernel may turn -0.0 into +0.0 (-0.0 + 0.0) where it keeps +0.0."""
+    return _bits([sign * v + 0.0 for v in values])
+
+
+@pytest.mark.parametrize("integrator", ["adaptive", "leapfrog"])
+@pytest.mark.parametrize("ic", [
+    ((0.0, 0.0, 0.5), (0.0, 0.0, 0.4)),      # documented orbit 0, far from the lines
+    *(scan_initial_conditions(0, 7)[k] for k in (1, 6)),  # pass within u ~ 1e-7, 5e-9
+], ids=["orbit0", "scan0-ic1", "scan0-ic6"])
+def test_parity_maps_runs_onto_runs_bit_for_bit(integrator, ic):
+    """(q, p, b) -> (-q, -p, -b) is a symmetry of H, X1 and X2, and every
+    operation of both kernels is odd or even under it: the mirrored run
+    has the same t, H, X1, X2, u and d_sing, the negated q and p, in every
+    row, and an equal outcome in every field, bit for bit."""
+    (q0, p0), t_end = ic, 20.0
+    config = SimConfig(a=A0, b=B0, w0=W0, t_end=t_end, integrator=integrator)
+    record, outcome = simulate(config, PhaseState.make(0.0, q0, p0))
+    mirror, mirror_outcome = simulate(
+        dataclasses.replace(config, b=-B0),
+        PhaseState.make(0.0, tuple(-v for v in q0), tuple(-v for v in p0)))
+    assert len(record.rows) == len(mirror.rows)
+    for row, image in zip(record.rows, mirror.rows):
+        assert _bits(row[:1] + row[7:]) == _bits(image[:1] + image[7:])
+        assert _signed_bits(row[1:7], -1.0) == _signed_bits(image[1:7], 1.0)
+    for field in dataclasses.fields(RunOutcome):
+        value, image = getattr(outcome, field.name), getattr(mirror_outcome, field.name)
+        if isinstance(value, float):
+            assert _bits([value]) == _bits([image]), field.name
+        else:
+            assert value == image, field.name
+
+
 # -- factored u: accuracy near the lines, axis invariance -----------------
 
 

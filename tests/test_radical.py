@@ -72,12 +72,6 @@ def test_zero_test_and_equality(ring):
     assert not ring.s().is_zero()
 
 
-def test_reduce_cancels_u_powers(ring):
-    f = RadicalElement(ring, ring.u * ring.u, ring.u * (x + 1), 2)
-    g = f.reduce()
-    assert g.m == 1 and g == f
-
-
 def test_add_multiplies_only_the_operand_with_the_lower_exponent(ring, monkeypatch):
     """An add lifts only the operand whose u-exponent is below the common
     one; an operand already over u^m is summed as it is."""

@@ -23,7 +23,6 @@ from quadint.algebra import (
     Y,
     Z,
     Polynomial,
-    coefficient_rows,
     generators,
     nullspace_exact,
     solve_exact_sparse,
@@ -31,13 +30,15 @@ from quadint.algebra import (
 from quadint.catalog import build_context, extract_killing_tensor
 from quadint.radical import RadicalElement
 from quadint.verifier import (
+    ANSATZ_FACTORS,
+    SCAN_FACTORS,
     NoSolution,
-    ParamNotPythagorean,
+    _hyperplane_factors,
+    _peel_failure,
+    _reduce_stand_ins,
     first_order_integral_scan,
-    hyperplane_factors_exact,
     killing_vector_system,
     poisson_bracket,
-    poly_poisson_bracket,
     run_report,
     solve_scalar_ansatz,
     verify_factorization,
@@ -70,40 +71,42 @@ def _all_pass(results):
 # -- bracket engine properties -----------------------------------------
 
 
-def test_canonical_bracket_sign():
-    assert poly_poisson_bracket(x, px) == Polynomial.constant(1)
-    assert poly_poisson_bracket(px, x) == Polynomial.constant(-1)
+def _lifted(ctx, *polys):
+    return [ctx.ring.from_poly(p) for p in polys]
 
 
-def test_poly_bracket_antisymmetric():
-    f = x**2 * px + y * pz
-    g = py * pz + z**2
-    assert poly_poisson_bracket(f, g) == -poly_poisson_bracket(g, f)
+def test_canonical_bracket_sign(ctx):
+    x_, px_ = _lifted(ctx, x, px)
+    assert poisson_bracket(x_, px_) == ctx.ring.one()
+    assert poisson_bracket(px_, x_) == -ctx.ring.one()
 
 
-def test_poly_bracket_bilinear():
-    f, g, h = x * px, y**2 * pz, z * py
-    lhs = poly_poisson_bracket(f + 3 * g, h)
-    rhs = poly_poisson_bracket(f, h) + 3 * poly_poisson_bracket(g, h)
+def test_poly_bracket_antisymmetric(ctx):
+    f, g = _lifted(ctx, x**2 * px + y * pz, py * pz + z**2)
+    assert poisson_bracket(f, g) == -poisson_bracket(g, f)
+
+
+def test_poly_bracket_bilinear(ctx):
+    f, g, h = _lifted(ctx, x * px, y**2 * pz, z * py)
+    lhs = poisson_bracket(f + 3 * g, h)
+    rhs = poisson_bracket(f, h) + 3 * poisson_bracket(g, h)
     assert lhs == rhs
 
 
-def test_poly_bracket_leibniz():
-    f, g, h = x * py, z * px + y, pz**2
-    lhs = poly_poisson_bracket(f * g, h)
-    rhs = f * poly_poisson_bracket(g, h) + poly_poisson_bracket(f, h) * g
+def test_poly_bracket_leibniz(ctx):
+    f, g, h = _lifted(ctx, x * py, z * px + y, pz**2)
+    lhs = poisson_bracket(f * g, h)
+    rhs = f * poisson_bracket(g, h) + poisson_bracket(f, h) * g
     assert lhs == rhs
 
 
-def test_poly_bracket_jacobi():
+def test_poly_bracket_jacobi(ctx):
     # momentum degree <= 2, as in the observables of interest
-    f = px**2 + x * y
-    g = x * py - y * px
-    h = z * pz + x**2
+    f, g, h = _lifted(ctx, px**2 + x * y, x * py - y * px, z * pz + x**2)
     s = (
-        poly_poisson_bracket(f, poly_poisson_bracket(g, h))
-        + poly_poisson_bracket(g, poly_poisson_bracket(h, f))
-        + poly_poisson_bracket(h, poly_poisson_bracket(f, g))
+        poisson_bracket(f, poisson_bracket(g, h))
+        + poisson_bracket(g, poisson_bracket(h, f))
+        + poisson_bracket(h, poisson_bracket(f, g))
     )
     assert s.is_zero()
 
@@ -282,16 +285,39 @@ def test_scan_oracle_z_only():
     assert 0 in directions and 1 in directions
 
 
+def test_first_order_scan_at_half_reports_rank_6(ctx):
+    _, half = first_order_integral_scan(ctx)
+    assert half.name == "first_order_scan.a=1/2" and half.passed
+    assert half.residual_summary.startswith("rank 6 over Q(b)")
+
+
 def test_scan_mutation_symmetric_potential(ctx):
-    results = first_order_integral_scan(
-        ctx, samples=((Fraction(1, 4), Fraction(1)),)
-    )
-    assert _all_pass(results)
-    # sanity: the same machinery reports a nontrivial nullspace for a
-    # rotationally symmetric replacement
-    w = (x**2 + y**2 + z**2) ** 2
-    basis = nullspace_exact(killing_vector_system(w))
-    assert len(basis) == 3  # full rotation algebra survives
+    # the rotations stay unpinned, so the symbolic run is inconclusive
+    sphere = dataclasses.replace(ctx, u=(x**2 + y**2 + z**2) ** 2)
+    results = first_order_integral_scan(sphere)
+    assert not any(r.passed for r in results)
+    assert all(r.residual_summary.startswith("inconclusive: the peel pinned 3 of 6")
+               for r in results)
+    # sanity: the same system has the rotation algebra as its nullspace
+    basis = nullspace_exact(killing_vector_system((x**2 + y**2 + z**2) ** 2))
+    assert len(basis) == 3
+
+
+def test_peel_failure_names_a_pivot_with_a_disallowed_factor():
+    allowed = ({0: []}, [6 * a**2 * (a - 1) * b], [])
+    assert _peel_failure(allowed, 1, ANSATZ_FACTORS) is None
+    third = ({0: []}, [a - Fraction(1, 3)], [])
+    assert _peel_failure(third, 1, ANSATZ_FACTORS).startswith("inconclusive: pivot")
+    # 2a - 1 is allowed in the scan only
+    half = ({0: []}, [4 * a * (2 * a - 1)], [])
+    assert _peel_failure(half, 1, ANSATZ_FACTORS).startswith("inconclusive: pivot")
+    assert _peel_failure(half, 1, SCAN_FACTORS) is None
+
+
+def test_peel_failure_reports_a_division_that_is_not_exact():
+    solution = solve_exact_sparse([[a * x, x]], 1)
+    assert _peel_failure(solution, 1, ANSATZ_FACTORS) == (
+        "inconclusive: the peel pinned 0 of 1 unknowns and left 1 rows")
 
 
 # -- factorization ------------------------------------------------------
@@ -299,25 +325,25 @@ def test_scan_mutation_symmetric_potential(ctx):
 
 def test_factorization_passes(ctx):
     results = verify_factorization(ctx)
-    assert len(results) == 2 and _all_pass(results)
+    assert [r.name for r in results] == ["factorization.lines", "factorization.hyperplanes"]
+    assert _all_pass(results)
 
 
 def test_factorization_conjugate_pair_subproduct_real():
-    factors = hyperplane_factors_exact(Fraction(9, 25))
-    # factors come in conjugate pairs: (e1,e2) with (-e1,-e2)
-    prod = factors[0] * factors[3]
-    assert prod.is_real()
-
-
-def test_factorization_rejects_non_pythagorean():
-    with pytest.raises(ParamNotPythagorean):
-        hyperplane_factors_exact(Fraction(1, 3))
+    factors = _hyperplane_factors()
+    # factors come in conjugate pairs: (e1,e2) with (-e1,-e2); the product
+    # of a pair is free of the stand-in i, and is the squared distance
+    # (y - k)^2 + (c x + s z)^2 to the line +, k = 3 c s b
+    prod = _reduce_stand_ins(factors[0] * factors[3])
+    assert prod.degree_in(PZ) == 0
+    k = 3 * px * py * b
+    assert prod == _reduce_stand_ins((y - k) ** 2 + (px * x + py * z) ** 2)
 
 
 def test_factorization_mutation_wrong_u(ctx):
     bad_u = ctx.u + x**2
     results = verify_factorization(ctx, u_poly=bad_u)
-    assert not _all_pass(results)
+    assert not any(r.passed for r in results)
 
 
 # -- scalar ansatz ------------------------------------------------------
@@ -331,53 +357,55 @@ def test_scalar_ansatz_recovers_catalog(ctx):
         assert all(diff.diff(v).is_zero() for v in COORDS)
 
 
-def _ansatz_system(ctx, monkeypatch, perturb=None):
-    """(rows, rhs, ncols) of the equations solve_scalar_ansatz hands to
-    solve_exact_sparse, rebuilt as it once handed them over: one row of
-    coefficient_rows per monomial of each equation, the two right-hand
-    sides popped out of it."""
+def _ansatz_equations(ctx, monkeypatch, perturb=None):
+    """(equations, ncols) as solve_scalar_ansatz hands them to
+    solve_exact_sparse, and the solve's result, consistent or not."""
     import quadint.verifier as verifier
 
     calls = []
 
     def recording_solve(equations, ncols):
-        calls.append((equations, ncols))
-        return solve_exact_sparse(equations, ncols)
+        out = solve_exact_sparse(equations, ncols)
+        calls.append((equations, ncols, out))
+        return out
 
     monkeypatch.setattr(verifier, "solve_exact_sparse", recording_solve)
     try:
         solve_scalar_ansatz(ctx, perturb_rhs=perturb)
     except NoSolution:
-        assert perturb is not None
-    (equations, ncols), = calls
-    rows, rhs, zero = [], [[], []], Fraction(0)
-    for polys in equations:
-        assert len(polys) == ncols + 2
-        for row in coefficient_rows(polys).values():
-            rhs[0].append(row.pop(ncols, zero))
-            rhs[1].append(row.pop(ncols + 1, zero))
-            rows.append(row)
-    return rows, rhs, ncols
+        pass
+    (call,) = calls
+    return call
 
 
 def test_scalar_ansatz_system_has_full_column_rank(ctx, monkeypatch):
-    from quadint.algebra import _sparse_rref
-
-    rows, _, ncols = _ansatz_system(ctx, monkeypatch)
-    assert (len(rows), ncols) == (3120, 150)
-    _, pivots = _sparse_rref(rows)
-    assert pivots == list(range(150))
+    """138 rows over Q[a, b] in 10 unknowns, 93 of them with one unknown
+    at the start; the peel pins all 10 and leaves no row."""
+    equations, ncols, (pinned, pivots, left) = _ansatz_equations(ctx, monkeypatch)
+    rows = []
+    for polys in equations:
+        matched = {}
+        for i, p in enumerate(polys[:ncols]):
+            for mono in p.collect(COORDS):
+                matched.setdefault(mono, set()).add(i)
+        for p in polys[ncols:]:
+            for mono in p.collect(COORDS):
+                matched.setdefault(mono, set())
+        rows += matched.values()
+    assert (len(rows), ncols) == (138, 10)
+    assert sum(len(r) == 1 for r in rows) == 93
+    assert sorted(pinned) == list(range(10)) and len(pivots) == 10 and left == []
     _, _, results = solve_scalar_ansatz(ctx)
     assert all("solution unique" in r.residual_summary for r in results)
 
 
-# sha256 of repr((rows, rhs, ncols)) as solve_scalar_ansatz handed them to
-# solve_exact_sparse when the columns were built on packed keys by hand:
-# the same rows, entries and right-hand sides, in the same order.
+# sha256 of the canonical strings of the equations solve_scalar_ansatz
+# hands to solve_exact_sparse, so that a change to how they are built
+# shows here first.
 _ANSATZ_SYSTEM_SHA256 = {
-    "none": "690c4930f3c3dddc2d611dfb853b6c6934a963b3d2f0db6ce7f70b873e6f0d8f",
-    "x^9": "1bc49b732401162eb273d1617f241e37e17910784b97c41db4aa520dd3944996",
-    "2/3*x*y*b - 5*w0": "c169d98abb02b618d1af79291f63d2adb1e1d451a750c19f2b9ac7408404661f",
+    "none": "c9e374e1344ed8eb0655c87b9f86544b9c52cf4ae8b2d70125e5d7540cf4572c",
+    "x^9": "c7f8972d2e5f7980011aca000ca5923d5c6e2b1762f28f33b4c4a0b619c2ae5b",
+    "2/3*x*y*b - 5*w0": "f0f796254afbd21f81a3893de54d29ba60061ae80c13768d67dc3037fb5f6a1a",
 }
 _PERTURBATIONS = {"none": None, "x^9": x**9, "2/3*x*y*b - 5*w0": Fraction(2, 3) * x * y * b - 5 * w0}
 
@@ -386,55 +414,40 @@ _PERTURBATIONS = {"none": None, "x^9": x**9, "2/3*x*y*b - 5*w0": Fraction(2, 3) 
 def test_scalar_ansatz_system_is_pinned(ctx, monkeypatch, perturb):
     import hashlib
 
-    system = _ansatz_system(ctx, monkeypatch, _PERTURBATIONS[perturb])
+    equations, ncols, _ = _ansatz_equations(ctx, monkeypatch, _PERTURBATIONS[perturb])
+    system = ([[p.canonical_str() for p in polys] for polys in equations], ncols)
     assert hashlib.sha256(repr(system).encode()).hexdigest() == _ANSATZ_SYSTEM_SHA256[perturb]
-
-
-def test_scalar_ansatz_converts_only_the_rows_left_after_the_peel(ctx, monkeypatch):
-    """The peel runs on the 3120 int rows and settles 142 pivots; only the
-    123 rows it leaves reach the elimination, as Fraction rows."""
-    import quadint.algebra as algebra
-
-    seen = {}
-    peel, eliminate_rest = algebra._peel, algebra._eliminate_rest
-
-    def recording_peel(live):
-        seen["peel"] = (len(live), {type(v) for r in live.values() for v in r.values()})
-        out = peel(live)
-        seen["peeled"] = len(out[2])
-        return out
-
-    def recording_eliminate_rest(live, *peeled):
-        seen["eliminate"] = (len(live), {type(v) for r in live.values() for v in r.values()})
-        return eliminate_rest(live, *peeled)
-
-    monkeypatch.setattr(algebra, "_peel", recording_peel)
-    monkeypatch.setattr(algebra, "_eliminate_rest", recording_eliminate_rest)
-    _, _, results = solve_scalar_ansatz(ctx)
-    assert _all_pass(results)
-    assert seen == {"peel": (3120, {int}), "peeled": 142, "eliminate": (123, {Fraction})}
 
 
 def test_scalar_ansatz_rhs_monomial_no_column_holds(ctx, monkeypatch):
     """x^8 px^2 added to X1's leading part puts x^8 dx(u), of degree 11
     in q, into m1's right-hand side only; no column holds those
-    monomials, so their rows peel column 150 as a pivot, m1 is
-    inconsistent and m2 still solves."""
-    import quadint.algebra as algebra
-
-    peeled = []
-    peel = algebra._peel
-
-    def recording_peel(live):
-        out = peel(live)
-        peeled.extend(out[2])
-        return out
-
-    monkeypatch.setattr(algebra, "_peel", recording_peel)
+    monomials, so their rows are left with no unknown and a nonzero
+    right-hand side for m1 alone: m1 is inconsistent and m2 still solves."""
     bad = dataclasses.replace(ctx, x1_leading=ctx.x1_leading + x**8 * px**2)
     with pytest.raises(NoSolution, match="inconsistent for m1$"):
         solve_scalar_ansatz(bad)
-    assert 150 in peeled and 151 not in peeled
+    _, _, (pinned, _, left) = _ansatz_equations(bad, monkeypatch)
+    assert len(pinned) == 10 and left
+    assert all(not entries and r1 and not r2 for entries, (r1, r2) in left)
+
+
+def test_scalar_ansatz_stall_is_inconclusive(ctx, monkeypatch):
+    """A peel that leaves an unknown unpinned fails both checks as
+    inconclusive and recovers no scalar part."""
+    import quadint.verifier as verifier
+
+    def stalled_solve(equations, ncols):
+        pinned, pivots, left = solve_exact_sparse(equations, ncols)
+        del pinned[0]
+        return pinned, pivots[1:], left
+
+    monkeypatch.setattr(verifier, "solve_exact_sparse", stalled_solve)
+    m1, m2, results = solve_scalar_ansatz(ctx)
+    assert m1 is None and m2 is None
+    assert [r.residual_summary for r in results] == [
+        "inconclusive: the peel pinned 9 of 10 unknowns and left 0 rows"] * 2
+    assert not any(r.passed for r in results)
 
 
 def test_scalar_ansatz_charges_shared_solve_to_m1(ctx):
