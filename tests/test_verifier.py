@@ -399,6 +399,27 @@ def test_scalar_ansatz_system_has_full_column_rank(ctx, monkeypatch):
     assert all("solution unique" in r.residual_summary for r in results)
 
 
+def test_scalar_ansatz_converts_only_the_rows_left_after_the_peel(ctx, monkeypatch):
+    """The peel over Q[a, b] leaves no row, so no row is converted to a
+    Fraction row: neither phase of the rational RREF runs."""
+    import quadint.algebra as algebra
+
+    calls = []
+
+    def recording(name, f):
+        def wrapped(live, *rest):
+            calls.append((name, len(live)))
+            return f(live, *rest)
+        return wrapped
+
+    monkeypatch.setattr(algebra, "_peel", recording("peel", algebra._peel))
+    monkeypatch.setattr(algebra, "_eliminate_rest", recording("eliminate", algebra._eliminate_rest))
+    _, _, (_, _, left) = _ansatz_equations(ctx, monkeypatch)
+    _, _, results = solve_scalar_ansatz(ctx)
+    assert _all_pass(results)
+    assert left == [] and calls == []
+
+
 # sha256 of the canonical strings of the equations solve_scalar_ansatz
 # hands to solve_exact_sparse, so that a change to how they are built
 # shows here first.
