@@ -13,19 +13,18 @@ highest, under a field for the total degree, so int order on keys is
 graded lex order and a product's key is the sum of the keys.  A product
 of total degree above ``MAX_DEGREE`` raises ``OverflowError`` rather than
 carry between fields.  Ring operations run on ints; ``Fraction`` appears
-where a coefficient is handed out, and in the rational linear algebra of
-``nullspace_exact``.  The packed form is private to this module: other
-modules hand ``solve_exact_sparse`` polynomial equations, which it
-matches over x, y, z into rows with polynomial entries in the parameters,
-or build rational rows by coefficient matching (``coefficient_rows``),
-without reading keys or numerators.  Floats enter only through
-``eval_float``, whose n / d is rounded once, as ``float(Fraction(n, d))``
-is.
+where a coefficient is handed out, and in ``nullspace_exact`` and
+``matrix_rank_exact``, a dense Gauss-Jordan for small rational matrices.
+The packed form is private to this module: other modules read a
+polynomial's ``terms`` or hand ``solve_exact_sparse`` polynomial
+equations, which it matches over x, y, z into rows with polynomial
+entries in the parameters, without reading keys or numerators.  Floats
+enter only through ``eval_float``, whose n / d is rounded once, as
+``float(Fraction(n, d))`` is.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from fractions import Fraction
@@ -38,8 +37,6 @@ COORDS = (X, Y, Z)
 MOMENTA = (PX, PY, PZ)
 
 ZERO_EXPS = (0,) * NVARS
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 FIELD_BITS = 16
 MAX_DEGREE = (1 << FIELD_BITS) - 1
@@ -394,146 +391,27 @@ def generators() -> tuple[Polynomial, ...]:
 # -- exact linear algebra ---------------------------------------------
 
 
-def _eliminate(r: dict[int, Fraction], row: dict[int, Fraction], pc: int):
-    """r - r[pc] * row for a pivot row with row[pc] == 1: column pc and
-    every entry that cancels are left out."""
-    f = r[pc]
-    out = dict(r)
-    del out[pc]
-    for c, v in row.items():
-        if c == pc:
-            continue
-        s = out.get(c)
-        if s is None:
-            out[c] = -f * v
-        else:
-            s -= f * v
-            if s:
-                out[c] = s
-            else:
-                del out[c]
-    return out
-
-
-def _peel(live: dict[int, dict[int, Fraction]]):
-    """First phase of the RREF: peel one-entry rows, in place on ``live``
-    ({index: nonempty sparse row}) and with no arithmetic.  A row {c: v}
-    puts e_c in the row space: c is a pivot column with reduced row
-    {c: 1}, c is deleted from every row that holds it, rows left empty are
-    dropped and rows left with one entry are peeled in turn (singleton
-    rows in LP presolve).  Returns the index from each column to the rows
-    that hold it, and the reduced rows and pivot columns peeled, for
-    _eliminate_rest."""
-    holders: dict[int, set[int]] = {}
-    for i, r in live.items():
-        for c in r:
-            holders.setdefault(c, set()).add(i)
-    done: dict[int, dict[int, Fraction]] = {}
+def _rref(matrix: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of an exact rational matrix by plain
+    Gauss-Jordan on a Fraction copy: columns left to right, the first
+    nonzero row at or below the current one as pivot row.  Returns the
+    nonzero reduced rows, pivot-normalized and fully back-substituted, and
+    their pivot columns, ascending."""
+    m = [[Fraction(*_ratio(v)) for v in row] for row in matrix]
     pivots: list[int] = []
-    peel = [i for i, r in live.items() if len(r) == 1]
-    while peel:  # a row is pushed once, when it is down to one entry
-        i = peel.pop()
-        row = live.pop(i, None)
-        if row is None:
-            continue  # emptied since it was pushed
-        (c,) = row
-        for j in holders.pop(c):  # no row holds c again
-            if j != i:
-                r = live[j]
-                del r[c]
-                if not r:
-                    del live[j]
-                elif len(r) == 1:
-                    peel.append(j)
-        done[i] = {c: _ONE}
-        pivots.append(c)
-    return holders, done, pivots
-
-
-def _eliminate_rest(live: dict[int, dict[int, Fraction]], holders, done, pivots):
-    """Second phase of the RREF: eliminate the Fraction rows _peel left.
-    The next pivot row is a shortest remaining row (the first of them in
-    input order), from a length heap whose stale entries are skipped; its
-    pivot is its leftmost entry, and it is back-substituted into the rows
-    it reduced before.  The reduced form is unique, so the choice of pivot
-    rows changes only fill-in and time."""
-    heap = [(len(r), i) for i, r in live.items()]
-    heapq.heapify(heap)
-    while live:  # every live row has an entry of its current length
-        n, i = heapq.heappop(heap)
-        row = live.get(i)
-        if row is None or len(row) != n:
-            continue  # eliminated since it was pushed
-        del live[i]
-        pc = min(row)
-        inv = 1 / row[pc]
-        row = {c: v * inv for c, v in row.items()}
-        for j in holders[pc] - {i}:
-            old = live.get(j)
-            is_live = old is not None
-            if not is_live:
-                old = done[j]  # back-substitute into a reduced row
-            new = _eliminate(old, row, pc)
-            for c in row:
-                if c in old:
-                    if c not in new:
-                        holders[c].discard(j)
-                elif c in new:
-                    holders[c].add(j)
-            if not is_live:
-                done[j] = new
-            elif new:
-                live[j] = new
-                heapq.heappush(heap, (len(new), j))
-            else:
-                del live[j]
-        done[i] = row
-        pivots.append(pc)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    reduced = list(done.values())  # in pivot order: back-substitution keeps a key's place
-    return [reduced[k] for k in order], [pivots[k] for k in order]
-
-
-def _sparse_rref(rows: list[dict[int, Fraction]]):
-    """Reduced row echelon form over the rationals, rows as sparse dicts:
-    (reduced_rows, pivot_cols), pivot-normalized, fully back-substituted
-    and in pivot-column order, from _peel and then _eliminate_rest on a
-    copy of the rows.  Both phases visit only the rows a pivot touches."""
-    live = {i: dict(r) for i, r in enumerate(rows) if r}
-    return _eliminate_rest(live, *_peel(live))
-
-
-def coefficient_rows(polys: Sequence[Polynomial]) -> dict[int, dict[int, Fraction]]:
-    """Coefficient matching: for each monomial some ``polys[i]`` holds,
-    the sparse row {i: its coefficient in polys[i]}, i ascending, rows in
-    ascending graded lex order.  A row's key is an opaque label of its
-    monomial, for lookup and order only."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for i, p in enumerate(polys):
-        for e, c in p.numerators.items():
-            rows.setdefault(e, {})[i] = Fraction(c, p.denominator)
-    return {e: rows[e] for e in sorted(rows)}
-
-
-def _row_dicts(matrix: Sequence[Sequence[Scalar]]) -> list[dict[int, Fraction]]:
-    return [{j: Fraction(*_ratio(v)) for j, v in enumerate(r) if v} for r in matrix]
-
-
-def _free_basis(reduced, pivots, ncols: int) -> list[list[Fraction]]:
-    """One nullspace vector per free (non-pivot) column below ncols of a
-    reduced system from _sparse_rref."""
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
             continue
-        vec = [_ZERO] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            if fc in row:
-                vec[pc] = -row[fc]
-        basis.append(vec)
-    return basis
+        m[r], m[p] = m[p], m[r]
+        inv = 1 / m[r][c]
+        pivot = m[r] = [v * inv for v in m[r]]
+        for i, row in enumerate(m):
+            if i != r and (f := row[c]):
+                m[i] = [v - f * w for v, w in zip(row, pivot)]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
 
 
 def nullspace_exact(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
@@ -543,11 +421,21 @@ def nullspace_exact(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     """
     if not matrix:
         return []
-    return _free_basis(*_sparse_rref(_row_dicts(matrix)), len(matrix[0]))
+    reduced, pivots = _rref(matrix)
+    ncols = len(matrix[0])
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            for row, pc in zip(reduced, pivots):
+                vec[pc] = -row[fc]
+            basis.append(vec)
+    return basis
 
 
 def matrix_rank_exact(matrix: Sequence[Sequence[Scalar]]) -> int:
-    return len(_sparse_rref(_row_dicts(matrix))[1])
+    return len(_rref(matrix)[1])
 
 
 def solve_exact_sparse(equations: Sequence[Sequence[Polynomial]], ncols: int):

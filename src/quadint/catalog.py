@@ -29,7 +29,7 @@ HALF = Fraction(1, 2)
 
 
 class ParamDomain(Exception):
-    """Parameters outside 0 < a <= 1/2, b != 0."""
+    """Parameters outside 0 < a < 1, b != 0 and finite."""
 
 
 class NonQuadratic(Exception):
@@ -225,8 +225,8 @@ class SingularLine:
 
 
 def _check_param_domain(a_val, b_val):
-    if not 0 < a_val <= Fraction(1, 2):  # exact for floats and Fractions alike
-        raise ParamDomain(f"a = {a_val} outside (0, 1/2]")
+    if not 0 < a_val < 1:  # false for nan
+        raise ParamDomain(f"a = {a_val} outside (0, 1)")
     if b_val == 0 or not -math.inf < b_val < math.inf:
         raise ParamDomain(f"b = {b_val} must be finite and nonzero")
 

@@ -30,7 +30,6 @@ from .algebra import (
     Y,
     Z,
     Polynomial,
-    coefficient_rows,
     generators,
     solve_exact_sparse,
 )
@@ -388,9 +387,11 @@ def killing_vector_system(w: Polynomial):
     Columns are ordered (ax, ay, az, bx, by, bz); one row per coordinate
     monomial of the expanded condition.
     """
-    zero = Fraction(0)
-    rows = coefficient_rows(_killing_generators(w))
-    return [[row.get(i, zero) for i in range(6)] for row in rows.values()]
+    rows: dict[tuple[int, ...], list[Fraction]] = {}
+    for i, g in enumerate(_killing_generators(w)):
+        for mono, c in g.terms.items():
+            rows.setdefault(mono, [Fraction(0)] * 6)[i] = c
+    return list(rows.values())
 
 
 def _scan_check(w: Polynomial, factors: dict[str, Polynomial], field: str):

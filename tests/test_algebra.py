@@ -15,16 +15,11 @@ from quadint.algebra import (
     NVARS,
     PX,
     PY,
-    PZ,
-    W0,
     X,
     Y,
-    Z,
     ZERO_EXPS,
     Polynomial,
-    _row_dicts,
-    _sparse_rref,
-    coefficient_rows,
+    _rref,
     generators,
     matrix_rank_exact,
     nullspace_exact,
@@ -366,20 +361,6 @@ def test_sorted_and_leading_terms_follow_grlex(p):
     assert p.sorted_terms() == ref
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(polys, max_size=4))
-def test_coefficient_rows_rebuild_inputs_in_sorted_terms_order(ps):
-    rows = coefficient_rows(ps)
-    for i, p in enumerate(ps):
-        rebuilt = {unpack(k): row[i] for k, row in rows.items() if i in row}
-        assert Polynomial(rebuilt) == p and len(rebuilt) == len(p)
-    for row in rows.values():
-        assert list(row) == sorted(row) and all(row.values())
-    # rows ascend in the order sorted_terms descends
-    union = Polynomial({e: 1 for p in ps for e in p.terms})
-    assert [unpack(k) for k in rows] == [e for e, _ in reversed(union.sorted_terms())]
-
-
 def _grlex_divide(p, q):
     """Reference division on the Fraction view, leading terms by _grlex:
     {exponent tuple: Fraction} of the quotient, or None."""
@@ -689,12 +670,12 @@ def degenerate_matrices(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(degenerate_matrices(), st.lists(small_fracs, min_size=6, max_size=6))
-def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
+def test_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
     matrix, ncols, maybe = matrix_ncols_rhs
     ref_rows, ref_pivots = _dense_rref(matrix, ncols)
-    reduced, pivots = _sparse_rref(_row_dicts(matrix))
+    reduced, pivots = _rref(matrix)
     assert pivots == ref_pivots
-    assert reduced == ref_rows
+    assert [{j: v for j, v in enumerate(row) if v} for row in reduced] == ref_rows
     # nullspace_exact: one vector per free column, read off the reduced rows
     ref_basis = []
     for fc in range(ncols):
@@ -709,7 +690,7 @@ def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
     # solve_exact_sparse: a consistent right-hand side pins the solution's
     # own values, and a row left with no unknown but a nonzero right side
     # is an inconsistency that the dense RREF of [A | b] confirms
-    rows = _row_dicts(matrix)
+    rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
     consistent = _apply(rows, solution[:ncols])
     pinned, _, left = _solve(rows, [consistent, maybe], ncols)
     assert all(v[0] == solution[j] for j, v in pinned.items())
@@ -724,25 +705,30 @@ def test_sparse_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
 
 @settings(max_examples=30, deadline=None)
 @given(degenerate_matrices())
-def test_sparse_rref_leaves_its_input_rows_unmodified(matrix_ncols_rhs):
-    matrix, ncols, _ = matrix_ncols_rhs
-    rows = _row_dicts(matrix)
-    before = [dict(r) for r in rows]
-    _sparse_rref(rows)
-    assert rows == before
+def test_nullspace_and_rank_leave_their_matrix_unmodified(matrix_ncols_rhs):
+    matrix, _, _ = matrix_ncols_rhs
+    before = [list(r) for r in matrix]
+    nullspace_exact(matrix)
+    matrix_rank_exact(matrix)
+    assert matrix == before
 
 
-def test_sparse_rref_peels_a_chain_of_two_entry_rows():
+def test_rref_reduces_a_chain_of_two_entry_rows():
     """x2 = 0 turns x1 - x2 into x1 = 0 and then x0 + x1 into x0 = 0 and
     x1 + 2 x3 into x3 = 0, and the last row into x4 = 0; the second unit
     row in column 2 is left empty."""
-    f = Fraction
-    rows = [{0: f(1), 1: f(1)}, {1: f(1), 2: f(-1)}, {2: f(3)}, {2: f(-5)},
-            {1: f(1), 3: f(2)}, {0: f(2), 3: f(1), 4: f(1, 2)}]
-    before = [dict(r) for r in rows]
-    assert _sparse_rref(rows) == (
-        [{0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: 1}], [0, 1, 2, 3, 4])
+    rows = [[1, 1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 3, 0, 0], [0, 0, -5, 0, 0],
+            [0, 1, 0, 2, 0], [2, 0, 0, 1, Fraction(1, 2)]]
+    before = [list(r) for r in rows]
+    assert _rref(rows) == ([[int(i == j) for j in range(5)] for i in range(5)], [0, 1, 2, 3, 4])
     assert rows == before
+
+
+def test_float_entries_are_rejected():
+    with pytest.raises(TypeError):
+        nullspace_exact([[0.5]])
+    with pytest.raises(TypeError):
+        matrix_rank_exact([[0.5]])
 
 
 def test_rational_sqrt():

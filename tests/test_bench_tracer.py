@@ -5,8 +5,6 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import quadint  # noqa: F401  (the package; each owner below is imported by name)
-
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 

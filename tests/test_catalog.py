@@ -303,11 +303,11 @@ def test_singular_lines_exact_at_pythagorean(ctx):
 
 
 def test_param_domain_guards():
-    singular_lines(0.5, 1.0)  # the float 1/2 is the top of the domain
-    with pytest.raises(ParamDomain):
-        singular_lines(math.nextafter(0.5, 1), 1.0)
-    with pytest.raises(ParamDomain):
-        singular_lines(0.7, 1.0)
+    singular_lines(0.7, 1.0)
+    singular_lines(math.nextafter(1.0, 0), 1.0)  # the largest double below 1
+    for a_val in (1.0, Fraction(1), 1.3, 0.0):
+        with pytest.raises(ParamDomain):
+            singular_lines(a_val, 1.0)
     with pytest.raises(ParamDomain):
         singular_lines(0.25, 0.0)
     with pytest.raises(ParamDomain):

@@ -244,9 +244,10 @@ def test_simulate_bad_domain_exit_one(capsys, tmp_path):
     ["plot"],
 ], ids=["simulate", "scan", "plot"])
 def test_domain_error_prints_the_parameter_as_given(capsys, tmp_path, argv):
-    code, _, err = run([*argv, "--a", "0.7", "--out", str(tmp_path / "out")], capsys)
-    assert code == 1
-    assert err == "error: a = 0.7 outside (0, 1/2]\n"
+    for a_val in ("1.0", "1.3"):
+        code, _, err = run([*argv, "--a", a_val, "--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert err == f"error: a = {a_val} outside (0, 1)\n"
 
 
 @pytest.mark.parametrize("option", [["--b", "1e300"], ["--w0", "1e308"]],

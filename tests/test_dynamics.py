@@ -88,7 +88,7 @@ def test_force_raises_on_singular_line(force):
 
 
 def test_param_domain_rejected():
-    for a_val, b_val in ((1.5, 1.0), (0.25, math.inf), (math.nan, 1.0)):
+    for a_val, b_val in ((1.0, 1.0), (1.3, 1.0), (1.5, 1.0), (0.25, math.inf), (math.nan, 1.0)):
         with pytest.raises(ParamDomain):
             compile_force(a_val, b_val, -1.0)
 
@@ -760,6 +760,45 @@ def test_parity_maps_runs_onto_runs_bit_for_bit(integrator, ic):
         assert _bits(row[:1] + row[7:]) == _bits(image[:1] + image[7:])
         assert _signed_bits(row[1:7], -1.0) == _signed_bits(image[1:7], 1.0)
     for field in dataclasses.fields(RunOutcome):
+        value, image = getattr(outcome, field.name), getattr(mirror_outcome, field.name)
+        if isinstance(value, float):
+            assert _bits([value]) == _bits([image]), field.name
+        else:
+            assert value == image, field.name
+
+
+def _swap_xz(v):
+    return (v[2], v[1], v[0])
+
+
+@pytest.mark.parametrize("ic", [
+    ((0.0, 0.0, 0.5), (0.0, 0.0, 0.4)),      # documented orbit 0
+    *scan_initial_conditions(0, 10),
+], ids=["orbit0", *(f"scan0-ic{k}" for k in range(10))])
+def test_mirror_maps_leapfrog_runs_onto_runs_bit_for_bit(ic):
+    """u(a; x, y, z) = u(1 - a; z, y, x), so (a, x, z) -> (1 - a, z, x),
+    with the momenta to match, is a symmetry of H; at a = 1/4 and 3/4,
+    1 - a is exact.  Every operation of the leapfrog kernel commutes with
+    the swap: the mirrored run has the same t, H, u and d_sing and the
+    swapped q and p in every row, and an equal outcome in every field but
+    drift_X1 and drift_X2, bit for bit.  X1 and X2 are not
+    mirror-invariant.  Adaptive runs are not tested: their error norm sums
+    the components from x to pz, so the swap changes its last bits and the
+    step sequences part (ROADMAP item 9's norm reordering, which
+    re-baselines the digest)."""
+    (q0, p0), t_end = ic, 20.0
+    config = SimConfig(a=0.25, b=B0, w0=W0, t_end=t_end, integrator="leapfrog")
+    record, outcome = simulate(config, PhaseState.make(0.0, q0, p0))
+    mirror, mirror_outcome = simulate(dataclasses.replace(config, a=0.75),
+                                      PhaseState.make(0.0, _swap_xz(q0), _swap_xz(p0)))
+    assert len(record.rows) == len(mirror.rows)
+    for row, image in zip(record.rows, mirror.rows):
+        assert _bits(row[:1] + row[7:8] + row[10:]) == _bits(image[:1] + image[7:8] + image[10:])
+        assert _signed_bits(_swap_xz(row[1:4]) + _swap_xz(row[4:7]), 1.0) == \
+            _signed_bits(image[1:7], 1.0)
+    for field in dataclasses.fields(RunOutcome):
+        if field.name in ("drift_X1", "drift_X2"):
+            continue
         value, image = getattr(outcome, field.name), getattr(mirror_outcome, field.name)
         if isinstance(value, float):
             assert _bits([value]) == _bits([image]), field.name

@@ -94,24 +94,32 @@ def test_packed_format_stays_in_algebra():
     assert leaks == []
 
 
-def _unread_imports(tree: ast.Module) -> list[str]:
+def _unread_imports(tree: ast.Module, allowed=frozenset()) -> list[str]:
     """Names a module imports and never reads; ``annotations`` (a compiler
-    flag) is exempt."""
+    flag) and the names in ``allowed`` are exempt."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                if name != "annotations":
+                if name != "annotations" and name not in allowed:
                     imported[name] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in (SRC / "quadint").glob("*.py")
-                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+TESTS = Path(__file__).resolve().parent
+# the acceptance tests are fixed, imports included
+UNREAD_ALLOWED = {"test_acceptance.py": frozenset({"COORDS", "X", "Y", "Z"})}
+
+
+@pytest.mark.parametrize("path", [
+    *sorted(p for p in (SRC / "quadint").glob("*.py") if p.name != "__init__.py"),
+    *sorted(TESTS.glob("*.py")),
+], ids=lambda p: f"tests/{p.name}" if p.parent == TESTS else p.name)
 def test_every_imported_name_is_read(path):
-    """The package's __init__.py imports to re-export; every other module
-    reads each name it imports."""
-    assert _unread_imports(ast.parse(path.read_text(), str(path))) == []
+    """The package's __init__.py imports to re-export; every other module,
+    and every test module, reads each name it imports."""
+    allowed = UNREAD_ALLOWED.get(path.name, frozenset()) if path.parent == TESTS else frozenset()
+    assert _unread_imports(ast.parse(path.read_text(), str(path)), allowed) == []

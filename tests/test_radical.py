@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadint.algebra import NVARS, PX, W0, X, Y, Z, Polynomial, generators
