@@ -315,8 +315,55 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     return parser
 
 
+def _value_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings of ``parser`` and its subcommands that take a value."""
+    names = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                names |= _value_options(sub)
+        elif action.option_strings and action.nargs != 0:
+            names.update(action.option_strings)
+    return names
+
+
+def _is_numeric(text: str) -> bool:
+    """Whether text reads as a number, a 'p/q', or comma-separated numbers."""
+    try:
+        for part in text.split(","):
+            for piece in part.split("/", 1):
+                float(piece)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with each value-taking option (or a prefix of one, which
+    argparse also accepts) that a numeric token starting with '-' follows
+    joined to it as ``--opt=value``.  argparse takes such a token as a value
+    only in the form -1 or -.5; -1e-3, -1/4 or -0.1,0,0.5 it reads as an
+    option name."""
+    options = _value_options(parser)
+
+    def takes_value(token):
+        return token.startswith("--") and any(o.startswith(token) for o in options)
+
+    out = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + argv[i:]
+        if out and takes_value(out[-1]) and token.startswith("-") and _is_numeric(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = _join_negative_values(parser, sys.argv[1:] if argv is None else list(argv))
+    args = parser.parse_args(argv)
     try:
         if args.config:
             args = build_parser(_load_config_file(args.config)).parse_args(argv)

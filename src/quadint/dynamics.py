@@ -6,18 +6,20 @@ F+- = (y -+ k)^2 + (c x +- s z)^2 is the squared distance to singular
 line +-, with c = sqrt(1-a), s = sqrt(a) and k = 3 sqrt(a(1-a)) b.  Near a
 line this keeps the digits that summing the expanded quartic cancels away
 (tests/test_catalog.py checks the identity exactly).  One generated block
-gives u, grad u and min(F+, F-), and one force site (_force_site) checks
-u and gives the force: the force field, ``simulate``'s inlined kernels
-and (u only) the integral evaluator compile it, so they share one force
-law and its guards on u, and use the same u, bit for bit; the rest of H,
-X1, X2 is compiled from the exact catalog polynomials and summed with
-math.fsum.  The adaptive integrator is the Dormand-Prince 8(5,3) pair
-(DOP853); the Dormand-Prince 5(4) pair serves ``dp54_step`` as the
-order-5 oracle.  Both pairs are tableau records, from which one generator
-writes an attempt in Nystrom form: since q'' = F(q), a stage position
-needs only p and the earlier forces, through tables that each record
-derives once (c = A 1, A A and E A), so no stage momentum is formed.  The
-per-step integrators take an abstract force
+gives u and grad u, and one force site (_force_site) checks u and gives
+the force: the force field, ``simulate``'s inlined kernels and (u only)
+the integral evaluator compile it, so they share one force law and its
+guards on u, and use the same u, bit for bit.  The squared distance to
+the nearer line, d2 = min(F+, F-), is not bound at the site: the run
+kernels bind it once per accepted step, from the step's last site.  The
+rest of H, X1, X2 is compiled from the exact catalog polynomials and
+summed with math.fsum.  The adaptive integrator is the Dormand-Prince
+8(5,3) pair (DOP853); the Dormand-Prince 5(4) pair serves ``dp54_step``
+as the order-5 oracle.  Both pairs are tableau records, from which one
+generator writes an attempt in Nystrom form: since q'' = F(q), a stage
+position needs only p and the earlier forces, through tables that each
+record derives once (c = A 1, A A and E A), so no stage momentum is
+formed.  The per-step integrators take an abstract force
 callable so they can be validated against closed-form systems (free
 particle, isotropic oscillator) independently of the potential;
 ``simulate`` runs the same generated step code with the factored force
@@ -134,13 +136,16 @@ def compile_poly_group(polys):
 
 
 def _factored_lines(q, line_constants) -> list[str]:
-    """Source lines that set u, g0, g1, g2 and d2 at the point q (three
-    expressions), for ``line_constants`` = (c, s, k).
+    """Source lines that set u, g0, g1, g2, _fp and _fm at the point q
+    (three expressions), for ``line_constants`` = (c, s, k).
 
-    u = F+ F- with F+- = (y -+ k)^2 + (c x +- s z)^2, grad u = 2 (g0, g1, g2)
-    from grad u = F- grad F+ + F+ grad F-, and d2 = min(F+, F-), the squared
-    distance to the nearer singular line.  On the x- and z-axes F+ == F- bit
-    for bit, so the transverse components of g are exactly 0.0.
+    u = F+ F- with F+- = (y -+ k)^2 + (c x +- s z)^2 (_fp, _fm), and
+    grad u = 2 (g0, g1, g2) from grad u = F- grad F+ + F+ grad F-, whose x-
+    and z-components share the products F- (c x + s z) and F+ (c x - s z).
+    On the x- and z-axes F+ == F- bit for bit, so the transverse components
+    of g are exactly 0.0.  The squared distance to the nearer singular line,
+    d2 = min(F+, F-), is the line _D2_LINE, which a caller appends where it
+    reads d2: the run kernels once per accepted step, not at every stage.
     """
     x, y, z = q
     c, s, k = (repr(v) for v in line_constants)
@@ -154,11 +159,16 @@ def _factored_lines(q, line_constants) -> list[str]:
         "_fp = _yp * _yp + _lp * _lp",
         "_fm = _ym * _ym + _lm * _lm",
         "u = _fp * _fm",
-        f"g0 = {c} * (_fm * _lp + _fp * _lm)",
+        "_mp = _fm * _lp",
+        "_pm = _fp * _lm",
+        f"g0 = {c} * (_mp + _pm)",
         "g1 = _fm * _yp + _fp * _ym",
-        f"g2 = {s} * (_fm * _lp - _fp * _lm)",
-        "d2 = _fp if _fp < _fm else _fm",
+        f"g2 = {s} * (_mp - _pm)",
     ]
+
+
+# d2 = min(F+, F-) from the last _factored_lines run
+_D2_LINE = "d2 = _fp if _fp < _fm else _fm"
 
 
 @functools.cache
@@ -169,7 +179,7 @@ def _factored_block(a, b):
     _check_param_domain(a, b)
     a, b = float(a), float(b)
     consts = (math.sqrt(1.0 - a), math.sqrt(a), 3.0 * math.sqrt(a * (1.0 - a)) * b)
-    body = _factored_lines(("x", "y", "z"), consts)
+    body = [*_factored_lines(("x", "y", "z"), consts), _D2_LINE]
     return consts, _compile(["def _eval(x, y, z):", *_indent(body),
                              "    return u, g0, g1, g2, d2"], "_eval")
 
@@ -186,13 +196,14 @@ def _site_constants(w0, u_floor):
 
 
 def _force_site(line_constants, force=True):
-    """``site(q, f)``: lines that bind u and d2 at the point q (three
-    expressions) from the factored block at ``line_constants`` and, with
-    ``force``, f_0, f_1, f_2 to the force (w0/2) u^(-3/2) grad u, with
-    u^(-3/2) as 1 / (u sqrt(u)), which needs no libm pow.  They
-    raise EvaluationOverflow if u is not finite, SingularPoint if
-    u <= _U_FLOOR, and EvaluationOverflow if _U_FLOOR < u <= _U_CUT, where
-    u^(-3/2) could overflow (names from _site_constants)."""
+    """``site(q, f)``: lines that bind u, _fp and _fm (not d2; see
+    _D2_LINE) at the point q (three expressions) from the factored block at
+    ``line_constants`` and, with ``force``, f_0, f_1, f_2 to the force
+    (w0/2) u^(-3/2) grad u, with u^(-3/2) as 1 / (u sqrt(u)), which needs
+    no libm pow.  They raise EvaluationOverflow if u is not finite,
+    SingularPoint if u <= _U_FLOOR, and EvaluationOverflow if
+    _U_FLOOR < u <= _U_CUT, where u^(-3/2) could overflow (names from
+    _site_constants)."""
     def site(q, f: str = "f") -> list[str]:
         point = f"({', '.join(q)})"
         lines = [
@@ -229,6 +240,7 @@ class ForceField:
         self._eval = evaluate
         self._at = _compile(["def _at(x, y, z):",
                              *_indent(_force_site(line_constants)(("x", "y", "z"))),
+                             f"    {_D2_LINE}",
                              "    return (f_0, f_1, f_2), u, d2"],
                             "_at", **_site_constants(self.w0, u_floor))
 
@@ -497,9 +509,11 @@ def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
     norm = []
     for j in range(6):
         norm += [
-            # max(abs(y), abs(z)): the first unless the second is larger
-            f"a{j} = abs(y{j})",
-            f"b{j} = abs(z{j})",
+            # max(|y|, |z|): the first unless the second is larger; |v| as
+            # a conditional is abs(v) but for the sign of a zero, which
+            # leaves c unchanged
+            f"a{j} = y{j} if y{j} >= 0.0 else -y{j}",
+            f"b{j} = z{j} if z{j} >= 0.0 else -z{j}",
             f"c{j} = atol + rtol * (b{j} if b{j} > a{j} else a{j})",
             f"r{j} = e{j} / c{j}",
             f"l{j} = l{j} / c{j}",
@@ -525,15 +539,22 @@ def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
         "        if err > 1.0:",
         "            floor_accepted += 1",
         "        if h == h_ctl:                # not shortened by the cap",
-        "            e = max(err, 1e-10)",
+        "            e = 1e-10 if err < 1e-10 else err",
         f"            factor = safety * e**{-7 / (10 * order)!r} * err_prev**{4 / (10 * order)!r}",
         "            err_prev = e",
-        "            h_ctl = min(max(h_ctl * min(max(factor, 0.2), 5.0), h_min), h_max)",
+        "            h_ctl *= 0.2 if factor < 0.2 else 5.0 if factor > 5.0 else factor",
+        "            if h_ctl < h_min:",
+        "                h_ctl = h_min",
+        "            if h_ctl > h_max:",
+        "                h_ctl = h_max",
         "        break",
         "    if h <= h_min:",
         "        raise _StepFailure(f'error estimate {err!r} at the step size floor {h:g}')",
         "    rejected += 1",
-        f"    h_ctl = max(h * max(0.2, safety * err**{-1 / order!r}), h_min)",
+        f"    factor = safety * err**{-1 / order!r}",
+        "    h_ctl = h * (factor if factor > 0.2 else 0.2)",
+        "    if h_ctl < h_min:",
+        "        h_ctl = h_min",
         "    if h_ctl >= h:",
         "        h_ctl = 0.5 * h",
         "t = t_new",
@@ -588,16 +609,22 @@ def _compile_kernel(force: ForceField, integrator: str):
     else:
         params, evals = "h_fix", "steps"
         init, step = [], ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)]
-    # the next sample time, the cap of the steps up to it, and the time
-    # from which a step counts as reaching it
+    # d2 at the accepted q, from the last force site the step ran
+    step.append(_D2_LINE)
+    # the next sample time, the cap of the steps up to it (min(next_sample,
+    # t_end)), and the time from which a step counts as reaching it
     next_sample = [
         "next_sample += sample_interval",
-        "t_stop = min(next_sample, t_end)",
+        "t_stop = t_end if t_end < next_sample else next_sample",
         "t_sample = next_sample - 1e-12",
     ]
     counts = f"t, steps, rejected, floor_accepted, {evals}, min_u, min_d2, max_q"
+    constants = _site_constants(force.w0, force.u_floor)
+    # the globals the loop reads, bound as fast locals
+    fast = ", ".join(f"{name}={name}" for name in ("_sqrt", "_inf", "_hypot", "_isfinite",
+                                                    *constants))
     lines = [
-        f"def _run(sample, t, q, p, f, u, d2, t_end, sample_interval, r_max, {params}):",
+        f"def _run(sample, t, q, p, f, u, d2, t_end, sample_interval, r_max, {params}, {fast}):",
         "    y0, y1, y2 = q",
         "    y3, y4, y5 = p",
         "    f0_0, f0_1, f0_2 = f",
@@ -635,7 +662,7 @@ def _compile_kernel(force: ForceField, integrator: str):
         f"        return exc, {counts}",
         f"    return None, {counts}",
     ]
-    return _compile(lines, "_run", _q2_guard=_q2_guard, **_site_constants(force.w0, force.u_floor))
+    return _compile(lines, "_run", _q2_guard=_q2_guard, **constants)
 
 
 def _q2_guard(max_q: float) -> float:
@@ -885,10 +912,6 @@ def distance_to_singular_lines(q, a: float, b: float) -> float:
     return math.sqrt(_factored_block(a, b)[1](float(q[0]), float(q[1]), float(q[2]))[4])
 
 
-def _rel_drift(val: float, ref: float) -> float:
-    return abs(val - ref) / max(abs(ref), 1e-3)
-
-
 def simulate(config: SimConfig, initial: PhaseState):
     """Integrate to t_end or a stop condition, sampling conserved quantities.
 
@@ -915,15 +938,28 @@ def simulate(config: SimConfig, initial: PhaseState):
     # one force site at q0: rejects ICs on/near the singular lines
     f0, u0, d2 = force._at(*q0)
 
-    rows = []
-    drift = [0.0, 0.0, 0.0]
+    h0, x10, x20 = integrals(q0, p0)
+    rows = [(initial.t, *q0, *p0, h0, x10, x20, u0, math.sqrt(d2))]
+    # the relative drift of H, X1 and X2 from row 0: the largest
+    # |v - v0| / max(|v0|, 1e-3) over the rows (a nan term is passed over)
+    scale_h, scale_x1, scale_x2 = (max(abs(v), 1e-3) for v in (h0, x10, x20))
+    drift_h = drift_x1 = drift_x2 = 0.0
+    sqrt = math.sqrt
 
     def sample(t, x, y, z, px, py, pz, u, d2):
+        nonlocal drift_h, drift_x1, drift_x2
         h, x1, x2 = integrals((x, y, z), (px, py, pz))
-        rows.append((t, x, y, z, px, py, pz, h, x1, x2, u, math.sqrt(d2)))
-        drift[:] = map(max, drift, map(_rel_drift, (h, x1, x2), rows[0][7:10]))
+        rows.append((t, x, y, z, px, py, pz, h, x1, x2, u, sqrt(d2)))
+        v = abs(h - h0) / scale_h
+        if v > drift_h:
+            drift_h = v
+        v = abs(x1 - x10) / scale_x1
+        if v > drift_x1:
+            drift_x1 = v
+        v = abs(x2 - x20) / scale_x2
+        if v > drift_x2:
+            drift_x2 = v
 
-    sample(initial.t, *q0, *p0, u0, d2)
     if config.integrator == "leapfrog":
         params = (config.fixed_step,)
     else:
@@ -944,7 +980,7 @@ def simulate(config: SimConfig, initial: PhaseState):
         classification = "completed"
     outcome = RunOutcome(
         classification=classification,
-        drift_H=drift[0], drift_X1=drift[1], drift_X2=drift[2],
+        drift_H=drift_h, drift_X1=drift_x1, drift_X2=drift_x2,
         min_u=min_u, min_dsing=math.sqrt(min_d2), max_q=max_q, t_final=t, detail=detail,
         steps=steps, rejected=rejected, floor_accepted=floor_accepted,
         force_evals=evals + 1,              # and the 1 at q0

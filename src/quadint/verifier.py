@@ -14,7 +14,6 @@ sqrt(a) and sqrt(-1).  Nothing evaluates at sampled parameters.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -538,6 +537,9 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
 
 
 def context_fingerprint(ctx: SystemContext) -> str:
+    # imported here: hashlib loads OpenSSL, and only a report needs it
+    import hashlib
+
     h = hashlib.sha256()
     for p in (
         ctx.u,

@@ -266,6 +266,32 @@ def test_simulate_rejects_a_coefficient_outside_the_double_range(capsys, tmp_pat
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("option", [["--q0", "-0.1,0,0.5"], ["--b", "-1e-3"], ["--w0", "-1e300"]],
+                         ids=["q0", "b", "w0"])
+def test_negative_value_in_exponent_or_vector_form_is_a_value(capsys, tmp_path, option):
+    # argparse alone reads these values as option names and exits 2
+    out_file = tmp_path / "x.csv"
+    argv = ["simulate", "--q0", "0,0,0.5", "--p0", "0,0,0.4", "--t-end", "1",
+            "--out", str(out_file), *option]
+    try:
+        code, _, _ = run(argv, capsys)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1)
+    if option[0] == "--q0":
+        assert float(out_file.read_text().splitlines()[1].split(",")[1]) == -0.1
+
+
+def test_only_numeric_values_of_value_options_are_joined():
+    from quadint.cli import _join_negative_values
+
+    argv = ["simulate", "--a", "-1/4", "--out", "-o.csv", "--strict", "--t-end", "-inf",
+            "--w", "-1e-3", "--", "--b", "-1e3"]
+    assert _join_negative_values(build_parser(), argv) == [
+        "simulate", "--a=-1/4", "--out", "-o.csv", "--strict", "--t-end=-inf",
+        "--w=-1e-3", "--", "--b", "-1e3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify"],
     ["simulate", "--q0", "0,0,0.5", "--p0", "0,0,0.4", "--t-end", "1"],

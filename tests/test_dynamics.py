@@ -1,6 +1,7 @@
 """Integrator validation against closed-form systems, force-field checks,
 and the simulation/scan harness."""
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -804,6 +805,61 @@ def test_mirror_maps_leapfrog_runs_onto_runs_bit_for_bit(ic):
             assert _bits([value]) == _bits([image]), field.name
         else:
             assert value == image, field.name
+
+
+@pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
+@pytest.mark.parametrize("ic", [
+    ((0.0, 0.0, 0.5), (0.0, 0.0, 0.4)),      # documented orbit 0
+    scan_initial_conditions(0, 7)[6],         # passes within u ~ 5e-9
+    ((0.0, 0.0, 0.5), (0.0, 0.0, 1.069045)),  # H0 ~ 3.5e-8, below the 1e-3 floor
+], ids=["orbit0", "scan0-ic6", "h0-below-floor"])
+def test_rows_and_drifts_are_the_integrals_of_each_state(integrator, ic):
+    """Every row's H, X1 and X2 are IntegralEvaluator's at its (q, p), and
+    each drift is max |v - v0| / max(|v0|, 1e-3) over the rows, bit for
+    bit."""
+    q0, p0 = ic
+    config = SimConfig(a=A0, b=B0, w0=W0, t_end=20.0, integrator=integrator)
+    record, outcome = simulate(config, PhaseState.make(0.0, q0, p0))
+    integrals = IntegralEvaluator(A0, B0, W0)
+    assert len(record.rows) > 1
+    for row in record.rows:
+        assert _bits(row[7:10]) == _bits(integrals(row[1:4], row[4:7])), row[0]
+    ref = record.rows[0][7:10]
+    drifts = [max(abs(row[7 + i] - ref[i]) / max(abs(ref[i]), 1e-3) for row in record.rows)
+              for i in range(3)]
+    assert outcome.drift_H > 0.0
+    assert _bits(drifts) == _bits([outcome.drift_H, outcome.drift_X1, outcome.drift_X2])
+
+
+@pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
+def test_kernel_binds_d2_once_per_step_and_calls_no_abs_min_or_max(integrator, monkeypatch):
+    """d2 is read only after a step, so each run kernel binds it once, in
+    the adaptive kernel after its attempt loop (``while True:``), not at
+    every force site; |v|, min and max are conditional expressions."""
+    sources = []
+    compile_ = dynamics._compile
+
+    def capture(lines, name, **names):
+        if name == "_run":
+            sources.append("\n".join(lines))
+        return compile_(lines, name, **names)
+
+    monkeypatch.setattr(dynamics, "_compile", capture)
+    dynamics._compile_kernel.__wrapped__(compile_force(A0, B0, W0), integrator)
+    (tree,) = map(ast.parse, sources)
+
+    def d2_bindings(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Name) and n.id == "d2" and isinstance(n.ctx, ast.Store)]
+
+    attempt_loops = [n for n in ast.walk(tree) if isinstance(n, ast.While)
+                     and isinstance(n.test, ast.Constant) and n.test.value is True]
+    assert len(attempt_loops) == (integrator == "adaptive")
+    assert len(d2_bindings(tree)) == 1
+    assert all(d2_bindings(loop) == [] for loop in attempt_loops)
+    called = {n.func.id for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert called.isdisjoint({"abs", "min", "max"})
 
 
 # -- factored u: accuracy near the lines, axis invariance -----------------

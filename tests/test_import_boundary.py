@@ -41,6 +41,19 @@ def test_exact_path_loads_no_numpy(body):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_setup_loads_no_hashlib_until_a_report():
+    """Building the context loads no hashlib (and so no OpenSSL); the
+    report's fingerprint imports it and is unchanged."""
+    out = run_fresh("""
+        import sys
+        import quadint
+        quadint.build_context()
+        print("hashlib" in sys.modules)
+        print(quadint.run_report(quadint.build_context()).fingerprint)
+    """)
+    assert out.split() == ["False", "70ab71ae33ae0607"]
+
+
 def test_lazy_names_are_the_dynamics_objects():
     out = run_fresh(f"""
         import quadint

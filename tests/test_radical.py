@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import strategies as st
 
 from quadint.algebra import NVARS, PX, W0, X, Y, Z, Polynomial, generators
 from quadint.catalog import build_u
@@ -20,26 +19,6 @@ x, y, z, px, py, pz, a, b, w0 = generators()
 @pytest.fixture(scope="module")
 def ring():
     return RingContext(build_u())
-
-
-# small random elements: polynomial parts with few terms, low degree
-coeffs = st.fractions(
-    min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
-).filter(lambda f: f != 0)
-exponents = st.tuples(*[st.integers(0, 1) for _ in range(NVARS)]).filter(
-    lambda e: sum(e) <= 2
-)
-small_polys = st.lists(st.tuples(exponents, coeffs), min_size=0, max_size=3).map(
-    lambda terms: sum(
-        (Polynomial.monomial(e, c) for e, c in terms), Polynomial.zero()
-    )
-)
-
-
-def elements(ring):
-    return st.tuples(small_polys, small_polys, st.integers(0, 1)).map(
-        lambda t: RadicalElement(ring, t[0], t[1], t[2])
-    )
 
 
 def test_embedding_and_identities(ring):
