@@ -212,7 +212,8 @@ def extract_killing_tensor(leading: Polynomial) -> KillingTensor:
 
 @dataclass(frozen=True)
 class SingularLine:
-    """A line where u vanishes: x = -eps*sqrt(a/(1-a))*z, y = 3*eps*sqrt(a(1-a))*b.
+    """A line where u vanishes: x = -eps*sqrt(a/(1-a))*z, y = 3*eps*sqrt(a(1-a))*b,
+    for eps = 1 or -1 (``singular_lines`` gives eps = 1 first).
 
     ``point`` and ``direction`` are Fractions when the parameters admit
     exact square roots, floats otherwise; the direction is unnormalized
@@ -221,7 +222,6 @@ class SingularLine:
 
     point: tuple
     direction: tuple
-    eps: int
 
 
 def _check_param_domain(a_val, b_val):
@@ -256,7 +256,6 @@ def singular_lines(a_val, b_val) -> tuple[SingularLine, SingularLine]:
             SingularLine(
                 point=(0 * slope, eps * yoff, 0 * slope),
                 direction=(-eps * slope, 0 * slope, 1 if exact else 1.0),
-                eps=eps,
             )
         )
     return tuple(lines)

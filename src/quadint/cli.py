@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import ParamDomain, build_context
-from .plotting import VIEWS, MalformedInput, plot_trajectories
+from .plotting import VIEWS, plot_trajectories
 from .radical import SingularPoint
 from .verifier import __version__, context_fingerprint, run_report
 
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.fn(args)
-    except (ParamDomain, SingularPoint, MalformedInput, ValueError) as exc:
+    except (ParamDomain, SingularPoint, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except Exception as exc:  # noqa: BLE001

@@ -7,25 +7,29 @@ line +-, with c = sqrt(1-a), s = sqrt(a) and k = 3 sqrt(a(1-a)) b.  Near a
 line this keeps the digits that summing the expanded quartic cancels away
 (tests/test_catalog.py checks the identity exactly).  One generated block
 gives u and grad u, and one force site (_force_site) checks u and gives
-the force: the force field, ``simulate``'s inlined kernels and (u only)
-the integral evaluator compile it, so they share one force law and its
-guards on u, and use the same u, bit for bit.  The squared distance to
-the nearer line, d2 = min(F+, F-), is not bound at the site: the run
-kernels bind it once per accepted step, from the step's last site.  The
-rest of H, X1, X2 is compiled from the exact catalog polynomials and
-summed with math.fsum.  The adaptive integrator is the Dormand-Prince
-8(5,3) pair (DOP853); the Dormand-Prince 5(4) pair serves ``dp54_step``
-as the order-5 oracle.  Both pairs are tableau records, from which one
-generator writes an attempt in Nystrom form: since q'' = F(q), a stage
-position needs only p and the earlier forces, through tables that each
-record derives once (c = A 1, A A and E A), so no stage momentum is
+the force: the force field and ``simulate``'s inlined kernels compile it,
+and the integral evaluator its u-only part (_u_site), so they share one
+force law and its guards on u, and use the same u, bit for bit.  The
+squared distance to the nearer line, d2 = min(F+, F-), is not bound at
+the site: the run kernels bind it once per accepted step, from the step's
+last site.  Every constant of the generated code is a literal of its
+source: c, s, k, w0, the floor and cut on u, the tableau weights and the
+step controller's H_INIT, H_MIN, H_MAX and SAFETY.  The rest of H, X1, X2
+is compiled from the exact catalog polynomials and summed with
+math.fsum.  The adaptive integrator is the Dormand-Prince 8(5,3) pair
+(DOP853); the Dormand-Prince 5(4) pair serves ``dp54_step`` as the
+order-5 oracle.  Both pairs are tableau records, from which one generator
+writes an attempt in Nystrom form: since q'' = F(q), a stage position
+needs only p and the earlier forces, through tables that each record
+derives once (c = A 1, A A and E A), so no stage momentum is
 formed.  The per-step integrators take an abstract force
 callable so they can be validated against closed-form systems (free
 particle, isotropic oscillator) independently of the potential;
 ``simulate`` runs the same generated step code with the factored force
 inlined, in one kernel call per run that owns the sample loop and calls
 back for each sample row, and takes min u, min distance to a line and max
-|q| over every accepted step.  Each kernel is compiled on its first run.
+|q| over every accepted step.  A kernel reads its run settings from the
+SimConfig it is called with, and is compiled on its first run.
 
 Portability: no record field depends on a BLAS kernel.  The block and
 the integrators are plain IEEE arithmetic, sqrt is correctly rounded, and
@@ -90,14 +94,14 @@ def _term_exprs(p: Polynomial, order: dict[int, int], powers_used: set) -> str:
     return "(" + ", ".join(exprs) + ("," if len(exprs) == 1 else "") + ")"
 
 
-def _compile(lines, name, **names):
+def _compile(lines, name):
     """Execute generated source and return the function ``name`` it defines."""
     ns = {
         "_fsum": math.fsum, "_sqrt": math.sqrt, "_hypot": math.hypot,
         "_isfinite": math.isfinite, "_inf": math.inf, "_array": np.array,
         "_PhaseState": PhaseState, "_StepFailure": StepFailure,
         "_SingularPoint": SingularPoint, "_EvaluationOverflow": EvaluationOverflow,
-        **names,
+        "_q2_guard": _q2_guard,
     }
     exec(compile("\n".join(lines), f"<generated {name}>", "exec"), ns)
     return ns[name]
@@ -175,13 +179,12 @@ _D2_LINE = "d2 = _fp if _fp < _fm else _fm"
 def _factored_block(a, b):
     """The line constants (c, s, k) = (sqrt(1-a), sqrt(a), 3 sqrt(a(1-a)) b)
     of (a, b), and _factored_lines compiled as ``_eval(x, y, z)`` returning
-    (u, g0, g1, g2, d2); computed once per process for each (a, b)."""
+    (u, d2); computed once per process for each (a, b)."""
     _check_param_domain(a, b)
     a, b = float(a), float(b)
     consts = (math.sqrt(1.0 - a), math.sqrt(a), 3.0 * math.sqrt(a * (1.0 - a)) * b)
     body = [*_factored_lines(("x", "y", "z"), consts), _D2_LINE]
-    return consts, _compile(["def _eval(x, y, z):", *_indent(body),
-                             "    return u, g0, g1, g2, d2"], "_eval")
+    return consts, _compile(["def _eval(x, y, z):", *_indent(body), "    return u, d2"], "_eval")
 
 
 # u^(-3/2) overflows binary64 for u below DBL_MAX**(-2/3) ~ 3.14e-206, and
@@ -190,35 +193,36 @@ def _factored_block(a, b):
 U_POW_MIN = 1e-200
 
 
-def _site_constants(w0, u_floor):
-    # the names a compiled _force_site reads
-    return {"_W0": w0, "_U_FLOOR": u_floor, "_U_CUT": max(u_floor, U_POW_MIN)}
+def _u_site(q, line_constants, u_floor, u_cut) -> list[str]:
+    """Lines that bind u, _fp and _fm (not d2; see _D2_LINE) at the point q
+    (three expressions) from the factored block at ``line_constants``, and
+    raise EvaluationOverflow if u is not finite, SingularPoint if
+    u <= u_floor, and EvaluationOverflow if u_floor < u <= u_cut."""
+    point = f"({', '.join(q)})"
+    return [
+        *_factored_lines(q, line_constants),
+        "if not u < _inf:",
+        f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}")',
+        f"if u <= {u_cut!r}:",
+        f"    if u <= {u_floor!r}:",
+        f'        raise _SingularPoint(f"u = {{u!r}} at q = {{{point}}}")',
+        f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}: u**-1.5 overflows")',
+    ]
 
 
-def _force_site(line_constants, force=True):
-    """``site(q, f)``: lines that bind u, _fp and _fm (not d2; see
-    _D2_LINE) at the point q (three expressions) from the factored block at
-    ``line_constants`` and, with ``force``, f_0, f_1, f_2 to the force
+def _force_site(line_constants, w0, u_floor):
+    """``site(q, f)``: the lines of _u_site at the point q, with the floor
+    ``u_floor`` and the cut max(u_floor, U_POW_MIN), below which u^(-3/2)
+    could overflow, and then f_0, f_1, f_2 bound to the force
     (w0/2) u^(-3/2) grad u, with u^(-3/2) as 1 / (u sqrt(u)), which needs
-    no libm pow.  They raise EvaluationOverflow if u is not finite,
-    SingularPoint if u <= _U_FLOOR, and EvaluationOverflow if
-    _U_FLOOR < u <= _U_CUT, where u^(-3/2) could overflow (names from
-    _site_constants)."""
+    no libm pow.  w0, the floor and the cut are literals of the lines."""
+    w0, u_floor = float(w0), float(u_floor)
+    u_cut = max(u_floor, U_POW_MIN)
+
     def site(q, f: str = "f") -> list[str]:
-        point = f"({', '.join(q)})"
-        lines = [
-            *_factored_lines(q, line_constants),
-            "if not u < _inf:",
-            f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}")',
-            "if u <= _U_CUT:",
-            "    if u <= _U_FLOOR:",
-            f'        raise _SingularPoint(f"u = {{u!r}} at q = {{{point}}}")',
-            f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}: u**-1.5 overflows")',
-        ]
-        if force:
-            lines.append("pref = _W0 / (u * _sqrt(u))")
-            lines += [f"{f}_{j} = pref * g{j}" for j in range(3)]
-        return lines
+        return [*_u_site(q, line_constants, u_floor, u_cut),
+                f"pref = {w0!r} / (u * _sqrt(u))",
+                *(f"{f}_{j} = pref * g{j}" for j in range(3))]
     return site
 
 
@@ -239,10 +243,9 @@ class ForceField:
         self.line_constants = line_constants
         self._eval = evaluate
         self._at = _compile(["def _at(x, y, z):",
-                             *_indent(_force_site(line_constants)(("x", "y", "z"))),
+                             *_indent(_force_site(line_constants, w0, u_floor)(("x", "y", "z"))),
                              f"    {_D2_LINE}",
-                             "    return (f_0, f_1, f_2), u, d2"],
-                            "_at", **_site_constants(self.w0, u_floor))
+                             "    return (f_0, f_1, f_2), u, d2"], "_at")
 
     def u(self, q) -> float:
         return self._eval(q[0], q[1], q[2])[0]
@@ -268,10 +271,10 @@ class IntegralEvaluator:
         subs = {A: Fraction(a), B: Fraction(b), W0: Fraction(w0)}  # binary64 -> exact
         polys = (ctx.H.A, ctx.x1_leading, ctx.m1_numerator, ctx.x2_leading, ctx.m2_numerator)
         self._eval = compile_poly_group([f.specialize(subs) for f in polys])
-        # the u-only force site; sqrt(u) does not overflow, so no limit
-        site = _force_site(_factored_block(a, b)[0], force=False)(("x", "y", "z"))
-        self._u = _compile(["def _u(x, y, z):", *_indent(site), "    return u"], "_u",
-                           _U_FLOOR=0.0, _U_CUT=0.0)
+        # u checked as at a force site, with floor and cut 0.0: sqrt(u)
+        # does not overflow, so u needs no cut above the floor
+        site = _u_site(("x", "y", "z"), _factored_block(a, b)[0], 0.0, 0.0)
+        self._u = _compile(["def _u(x, y, z):", *_indent(site), "    return u"], "_u")
         self.w0 = float(w0)
 
     def __call__(self, q, p) -> tuple[float, float, float]:
@@ -431,6 +434,11 @@ class PhaseState:
 # force at its q; a step leaves its result in the same names.
 
 
+# the step-size controller's initial step, floor, ceiling and safety
+# factor, literals of the generated adaptive steps
+H_INIT, H_MIN, H_MAX, SAFETY = 1e-3, 1e-12, 1.0, 0.9
+
+
 def _call_site(q, f: str) -> list[str]:
     """Force at the point q (three expressions) by a call of ``force``:
     binds f to the returned object and f_0, f_1, f_2 to its components."""
@@ -498,10 +506,10 @@ def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
     exponents 0.7/order and 0.4/order of ``tableau.order``, and 1/order
     after a rejection.  err is Hairer's error norm of the "blended"
     estimator for tolerances atol and rtol, which the controller compares
-    with 1.  An attempt accepted at the floor h_min with err > 1 counts in
-    floor_accepted and a rejected one in rejected.  A step below the floor,
-    one that does not advance t, or a non-finite err at the floor raises
-    StepFailure."""
+    with 1.  H_MIN, H_MAX and SAFETY are literals of the lines.  An attempt
+    accepted at the floor H_MIN with err > 1 counts in floor_accepted and a
+    rejected one in rejected.  A step below the floor, one that does not
+    advance t, or a non-finite err at the floor raises StepFailure."""
     order, last = tableau.order, tableau.last
     # Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of the
     # scaled 5th- and 3rd-order estimates, here with h inside each;
@@ -528,33 +536,34 @@ def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
     return [
         "while True:",
         "    h = cap if cap < h_ctl else h_ctl",
-        "    if h < h_min:",
-        "        raise _StepFailure(f'step size {h:g} below floor {h_min:g}')",
+        f"    if h < {H_MIN!r}:",
+        f"        raise _StepFailure(f'step size {{h:g}} below floor {H_MIN:g}')",
         "    t_new = t + h",
         "    if t_new == t:",
         "        raise _StepFailure(f'step size {h:g} does not advance t = {t!r}')",
         *_indent(_attempt_lines(tableau, site)),
         *_indent(norm),
-        "    if err <= 1.0 or h <= h_min and _isfinite(err):",
+        f"    if err <= 1.0 or h <= {H_MIN!r} and _isfinite(err):",
         "        if err > 1.0:",
         "            floor_accepted += 1",
         "        if h == h_ctl:                # not shortened by the cap",
         "            e = 1e-10 if err < 1e-10 else err",
-        f"            factor = safety * e**{-7 / (10 * order)!r} * err_prev**{4 / (10 * order)!r}",
+        f"            factor = {SAFETY!r} * e**{-7 / (10 * order)!r}"
+        f" * err_prev**{4 / (10 * order)!r}",
         "            err_prev = e",
         "            h_ctl *= 0.2 if factor < 0.2 else 5.0 if factor > 5.0 else factor",
-        "            if h_ctl < h_min:",
-        "                h_ctl = h_min",
-        "            if h_ctl > h_max:",
-        "                h_ctl = h_max",
+        f"            if h_ctl < {H_MIN!r}:",
+        f"                h_ctl = {H_MIN!r}",
+        f"            if h_ctl > {H_MAX!r}:",
+        f"                h_ctl = {H_MAX!r}",
         "        break",
-        "    if h <= h_min:",
+        f"    if h <= {H_MIN!r}:",
         "        raise _StepFailure(f'error estimate {err!r} at the step size floor {h:g}')",
         "    rejected += 1",
-        f"    factor = safety * err**{-1 / order!r}",
+        f"    factor = {SAFETY!r} * err**{-1 / order!r}",
         "    h_ctl = h * (factor if factor > 0.2 else 0.2)",
-        "    if h_ctl < h_min:",
-        "        h_ctl = h_min",
+        f"    if h_ctl < {H_MIN!r}:",
+        f"        h_ctl = {H_MIN!r}",
         "    if h_ctl >= h:",
         "        h_ctl = 0.5 * h",
         "t = t_new",
@@ -587,28 +596,29 @@ def _compile_kernel(force: ForceField, integrator: str):
     """The run kernel of one integrator with ``force`` inlined, compiled on
     the first run of that integrator with that force field.
 
-    ``run(sample, t, q, p, f, u, d2, t_end, sample_interval, r_max, *params)``
-    integrates from t, (q, p) and the force f, u and d2 at q to t_end in one
-    call, with each step capped at the next sample time, and calls
-    ``sample(t, x, y, z, px, py, pz, u, d2)`` at each sample.  It stops after
-    the first step with max |q| > r_max.  min u, min d2 and max |q| =
-    hypot(q) are taken over q and every accepted step.  params are (atol,
-    rtol, h_init, h_min, h_max, safety) for the adaptive integrator and
-    (fixed_step,) for leapfrog.  It returns (exc, t, steps, rejected,
+    ``run(sample, t, q, p, f, u, d2, config)`` integrates from t, (q, p)
+    and the force f, u and d2 at q to ``config.t_end`` in one call, with
+    each step capped at the next sample time, and calls
+    ``sample(t, x, y, z, px, py, pz, u, d2)`` every ``sample_interval``.  It
+    stops after the first step with max |q| > ``r_max``.  min u, min d2 and
+    max |q| = hypot(q) are taken over q and every accepted step.  It reads
+    these settings of the SimConfig once, with its integrator's own: abs_tol
+    and rel_tol for the adaptive integrator, whose step size starts at
+    H_INIT, and fixed_step for leapfrog.  It returns (exc, t, steps, rejected,
     floor_accepted, force_evals, min_u, min_d2, max_q): exc is None or what
     a step or a sample raised (SingularPoint, StepFailure or
     EvaluationOverflow), the rest are those of the last accepted step, and
     force_evals counts the kernel's own force evaluations.
     """
-    site = _force_site(force.line_constants)
+    site = _force_site(force.line_constants, force.w0, force.u_floor)
     if integrator == "adaptive":
-        params = "atol, rtol, h_ctl, h_min, h_max, safety"
         evals = f"{DOP853.last} * (steps + rejected)"
-        init = ["err_prev = 1.0"]
+        init = ["atol, rtol = config.abs_tol, config.rel_tol",
+                f"h_ctl, err_prev = {H_INIT!r}, 1.0"]
         step = _adaptive_step_lines(DOP853, site)
     else:
-        params, evals = "h_fix", "steps"
-        init, step = [], ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)]
+        evals, init = "steps", ["h_fix = config.fixed_step"]
+        step = ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)]
     # d2 at the accepted q, from the last force site the step ran
     step.append(_D2_LINE)
     # the next sample time, the cap of the steps up to it (min(next_sample,
@@ -619,12 +629,11 @@ def _compile_kernel(force: ForceField, integrator: str):
         "t_sample = next_sample - 1e-12",
     ]
     counts = f"t, steps, rejected, floor_accepted, {evals}, min_u, min_d2, max_q"
-    constants = _site_constants(force.w0, force.u_floor)
-    # the globals the loop reads, bound as fast locals
-    fast = ", ".join(f"{name}={name}" for name in ("_sqrt", "_inf", "_hypot", "_isfinite",
-                                                    *constants))
     lines = [
-        f"def _run(sample, t, q, p, f, u, d2, t_end, sample_interval, r_max, {params}, {fast}):",
+        # the globals the loop reads, bound as fast locals
+        "def _run(sample, t, q, p, f, u, d2, config,"
+        " _sqrt=_sqrt, _inf=_inf, _hypot=_hypot, _isfinite=_isfinite):",
+        "    t_end, sample_interval, r_max = config.t_end, config.sample_interval, config.r_max",
         "    y0, y1, y2 = q",
         "    y3, y4, y5 = p",
         "    f0_0, f0_1, f0_2 = f",
@@ -662,7 +671,7 @@ def _compile_kernel(force: ForceField, integrator: str):
         f"        return exc, {counts}",
         f"    return None, {counts}",
     ]
-    return _compile(lines, "_run", _q2_guard=_q2_guard, **constants)
+    return _compile(lines, "_run")
 
 
 def _q2_guard(max_q: float) -> float:
@@ -723,8 +732,7 @@ def _adaptive_step():
     return _compile([
         "def step(self, state, h_cap):",
         "    force = self.force",
-        "    atol, rtol, safety = self.abs_tol, self.rel_tol, self.safety",
-        "    h_min, h_max = self.h_min, self.h_max",
+        "    atol, rtol = self.abs_tol, self.rel_tol",
         "    cap = _inf if h_cap is None else h_cap",
         "    t = state.t",
         "    y0, y1, y2 = state.q.tolist()",
@@ -741,16 +749,13 @@ def _adaptive_step():
     ], "step")
 
 
-# the step-size controller's initial step, floor, ceiling and safety
-# factor: AdaptiveStepper's defaults, and those of every simulate run
-H_INIT, H_MIN, H_MAX, SAFETY = 1e-3, 1e-12, 1.0, 0.9
-
-
 class AdaptiveStepper:
     """The Dormand-Prince 8(5,3) pair (DOP853) with proportional-integral
     step control: the adaptive integrator, step by step.  ``step`` is the
     adaptive run kernel's step (_adaptive_step_lines) with a call of
-    ``force`` where the kernel inlines the factored force.
+    ``force`` where the kernel inlines the factored force, and the same
+    controller constants: ``h`` starts at H_INIT, and the floor H_MIN, the
+    ceiling H_MAX and the safety factor SAFETY are literals of the step.
 
     An attempt takes 12 force evaluations.  A step that ``h_cap`` shortens
     leaves the controller's step size ``h`` and its previous error as they
@@ -759,15 +764,11 @@ class AdaptiveStepper:
     attempts accepted at the step-size floor with an error above 1.
     """
 
-    def __init__(self, force, rel_tol=1e-12, abs_tol=1e-14,
-                 h_init=H_INIT, h_min=H_MIN, h_max=H_MAX, safety=SAFETY):
+    def __init__(self, force, rel_tol=1e-12, abs_tol=1e-14):
         self.force = force
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
-        self.h = h_init
-        self.h_min = h_min
-        self.h_max = h_max
-        self.safety = safety
+        self.h = H_INIT
         self._err_prev = 1.0
         self.rejected = 0
         self.floor_accepted = 0
@@ -909,7 +910,7 @@ class RunOutcome:
 def distance_to_singular_lines(q, a: float, b: float) -> float:
     """Minimum Euclidean distance from q to the two singular lines:
     sqrt(min(F+, F-)) from the factored block."""
-    return math.sqrt(_factored_block(a, b)[1](float(q[0]), float(q[1]), float(q[2]))[4])
+    return math.sqrt(_factored_block(a, b)[1](float(q[0]), float(q[1]), float(q[2]))[1])
 
 
 def simulate(config: SimConfig, initial: PhaseState):
@@ -960,14 +961,9 @@ def simulate(config: SimConfig, initial: PhaseState):
         if v > drift_x2:
             drift_x2 = v
 
-    if config.integrator == "leapfrog":
-        params = (config.fixed_step,)
-    else:
-        params = (config.abs_tol, config.rel_tol, H_INIT, H_MIN, H_MAX, SAFETY)
     run = _compile_kernel(force, config.integrator)
     exc, t, steps, rejected, floor_accepted, evals, min_u, min_d2, max_q = run(
-        sample, initial.t, q0, p0, f0, u0, d2, config.t_end, config.sample_interval,
-        config.r_max, *params)
+        sample, initial.t, q0, p0, f0, u0, d2, config)
     detail = "" if exc is None else str(exc)
     if isinstance(exc, SingularPoint):
         classification = "singularity-approach"

@@ -24,10 +24,6 @@ _ELEVATION = math.radians(25.0)
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-class MalformedInput(Exception):
-    """Trajectory CSV did not match the expected header/shape."""
-
-
 def _project(view: str):
     if view == "xy":
         return lambda x, y, z: (x, y), "x", "y"
@@ -193,12 +189,7 @@ def render_svg(
 def plot_trajectories(csv_paths, out_path, a, b, view="xy", width=640, height=640):
     from .dynamics import TrajectoryRecord
 
-    records = []
-    for path in csv_paths:
-        try:
-            records.append(TrajectoryRecord.read_csv(path))
-        except ValueError as exc:
-            raise MalformedInput(str(exc)) from exc
+    records = [TrajectoryRecord.read_csv(path) for path in csv_paths]
     svg = render_svg(records, a, b, view=view, width=width, height=height)
     with open(out_path, "w") as fh:
         fh.write(svg)

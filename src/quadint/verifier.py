@@ -74,7 +74,6 @@ class VerificationReport:
     results: list[CheckResult]
     fingerprint: str
     total_ms: float
-    version: str = __version__
 
     @property
     def all_passed(self) -> bool:
@@ -82,7 +81,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": __version__,
             "context_fingerprint": self.fingerprint,
             "total_ms": self.total_ms,
             "checks": [
@@ -98,7 +97,7 @@ class VerificationReport:
 
     def to_text(self) -> str:
         lines = [
-            f"quadint verification report (version {self.version})",
+            f"quadint verification report (version {__version__})",
             f"context fingerprint: {self.fingerprint}",
             "",
         ]
@@ -135,16 +134,12 @@ def _poly_summary(p: Polynomial) -> str:
 # -- bracket engine ----------------------------------------------------
 
 
-def _bracket(F, G, out):
-    """out + {F, G} = out + sum_q dF/dq dG/dp - dF/dp dG/dq."""
+def poisson_bracket(F: RadicalElement, G: RadicalElement) -> RadicalElement:
+    """{F, G} = sum_q dF/dq dG/dp - dF/dp dG/dq, sign fixed by {x, px} = +1."""
+    out = F.ring.zero()
     for q, p in CANONICAL_PAIRS:
         out = out + F.diff(q) * G.diff(p) - F.diff(p) * G.diff(q)
     return out
-
-
-def poisson_bracket(F: RadicalElement, G: RadicalElement) -> RadicalElement:
-    """{F, G} = sum_q dF/dq dG/dp - dF/dp dG/dq, sign fixed by {x, px} = +1."""
-    return _bracket(F, G, F.ring.zero())
 
 
 # -- individual checks -------------------------------------------------

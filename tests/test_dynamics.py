@@ -482,10 +482,11 @@ class _Counting:
 
 def test_stepper_force_calls_per_attempt():
     counting = _Counting(_oscillator)
-    # h_init = 1 is far above what rel_tol 1e-12 allows: the first step
-    # is rejected several times before one attempt is accepted; a step
-    # makes one attempt more than it rejects
-    stepper = AdaptiveStepper(counting, rel_tol=1e-12, abs_tol=1e-14, h_init=1.0)
+    # h = 1 is far above what rel_tol 1e-12 allows: the first step is
+    # rejected several times before one attempt is accepted; a step makes
+    # one attempt more than it rejects
+    stepper = AdaptiveStepper(counting, rel_tol=1e-12, abs_tol=1e-14)
+    stepper.h = 1.0
     state = PhaseState.make(0.0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     state, _, _ = stepper.step(state)
     attempts = 1 + stepper.rejected
@@ -533,8 +534,9 @@ def test_stepper_returns_accepted_attempt_error(force):
     for fn in (_oscillator, _free, force):
         rejected = 0
         for y0 in _kernel_states(rng, n=10):
-            # h_init = 1 makes the first steps reject
-            stepper = AdaptiveStepper(fn, rel_tol=1e-12, abs_tol=1e-14, h_init=1.0)
+            # h = 1 makes the first steps reject
+            stepper = AdaptiveStepper(fn, rel_tol=1e-12, abs_tol=1e-14)
+            stepper.h = 1.0
             state = PhaseState.make(0.0, y0[:3], y0[3:])
             for _ in range(3):
                 y = tuple(state.q.tolist() + state.p.tolist())
@@ -683,9 +685,9 @@ def test_integral_evaluator_source_is_byte_identical(params, monkeypatch):
     sources = []
     compile_ = dynamics._compile
 
-    def capture(lines, name, **names):
+    def capture(lines, name):
         sources.append("\n".join(lines))
-        return compile_(lines, name, **names)
+        return compile_(lines, name)
 
     def group(polys):
         with monkeypatch.context() as m:
@@ -839,10 +841,10 @@ def test_kernel_binds_d2_once_per_step_and_calls_no_abs_min_or_max(integrator, m
     sources = []
     compile_ = dynamics._compile
 
-    def capture(lines, name, **names):
+    def capture(lines, name):
         if name == "_run":
             sources.append("\n".join(lines))
-        return compile_(lines, name, **names)
+        return compile_(lines, name)
 
     monkeypatch.setattr(dynamics, "_compile", capture)
     dynamics._compile_kernel.__wrapped__(compile_force(A0, B0, W0), integrator)
@@ -860,6 +862,56 @@ def test_kernel_binds_d2_once_per_step_and_calls_no_abs_min_or_max(integrator, m
     called = {n.func.id for n in ast.walk(tree)
               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     assert called.isdisjoint({"abs", "min", "max"})
+
+
+def test_generated_code_takes_constants_as_literals(monkeypatch):
+    """The force sites, the run kernels and the stepper's step read w0, the
+    u floor and cut and the controller's floor, ceiling and safety factor
+    as literals, and a run kernel takes its settings from the SimConfig."""
+    sources = {}
+    compile_ = dynamics._compile
+
+    def capture(lines, name):
+        sources.setdefault(name, []).append("\n".join(lines))
+        return compile_(lines, name)
+
+    monkeypatch.setattr(dynamics, "_compile", capture)
+    force = compile_force(A0, B0, W0)
+    IntegralEvaluator(A0, B0, W0)
+    dynamics._adaptive_step.__wrapped__()
+    for integrator in dynamics.INTEGRATORS:
+        dynamics._compile_kernel.__wrapped__(force, integrator)
+    assert [len(sources[name]) for name in ("_at", "_u", "step", "_run")] == [1, 1, 1, 2]
+    for name in ("_at", "_u", "step", "_run"):
+        for tree in map(ast.parse, sources[name]):
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            assert read.isdisjoint({"_W0", "_U_FLOOR", "_U_CUT", "h_min", "h_max", "safety"})
+    for tree in map(ast.parse, sources["_run"]):
+        args = tree.body[0].args
+        # the parameters before the builtins bound as defaults
+        unbound = [arg.arg for arg in args.args[:len(args.args) - len(args.defaults)]]
+        assert unbound == ["sample", "t", "q", "p", "f", "u", "d2", "config"]
+
+
+@pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
+def test_numpy_scalar_settings_give_the_same_records(integrator):
+    """w0 and u_floor reach the generated code as literals of their float
+    values: numpy scalars, whose repr is not a literal, give the bits of
+    Python floats."""
+    def run(w0, u_floor):
+        compile_system.cache_clear()      # equal keys would share a system
+        return simulate(SimConfig(w0=w0, u_floor=u_floor, t_end=5.0, integrator=integrator),
+                        PhaseState.make(0.0, *_OFF_AXIS))
+
+    try:
+        scalar_record, scalar_outcome = run(np.float64(-1.0), np.float64(1e-10))
+        record, outcome = run(-1.0, 1e-10)
+    finally:
+        compile_system.cache_clear()
+    assert outcome.classification == "completed"
+    assert _bits([v for row in scalar_record.rows for v in row]) == \
+        _bits([v for row in record.rows for v in row])
+    assert dataclasses.astuple(scalar_outcome) == dataclasses.astuple(outcome)
 
 
 # -- factored u: accuracy near the lines, axis invariance -----------------
@@ -1132,9 +1184,10 @@ def test_state_force_is_the_force_at_its_q(force):
     for _ in range(200):
         state = step_leapfrog(state, 1e-2, force)
         assert _bits(state.f) == _bits(force(state.q))
-    # h_init = 1 makes the first steps reject; the force a step carries is
+    # h = 1 makes the first steps reject; the force a step carries is
     # still the one at the accepted state
-    stepper = AdaptiveStepper(force, rel_tol=1e-12, abs_tol=1e-14, h_init=1.0)
+    stepper = AdaptiveStepper(force, rel_tol=1e-12, abs_tol=1e-14)
+    stepper.h = 1.0
     state = PhaseState.make(0.0, *_OFF_AXIS)
     for _ in range(200):
         state, _, _ = stepper.step(state, h_cap=0.3)
@@ -1263,10 +1316,16 @@ def test_step_counts_are_deterministic():
 def test_floor_accepted_steps_are_counted(monkeypatch):
     # a step-size floor of 1/4 is far above what rel_tol 1e-12 allows, so
     # every step is accepted at the floor over tolerance; 1/4 is exact in
-    # binary, so the sample caps never fall below the floor
+    # binary, so the sample caps never fall below the floor.  The kernel
+    # takes both as literals, so it is compiled afresh with them, and
+    # dropped after
     monkeypatch.setattr(dynamics, "H_INIT", 1 / 4)
     monkeypatch.setattr(dynamics, "H_MIN", 1 / 4)
-    _, outcome = simulate(SimConfig(t_end=2.0), PhaseState.make(0.0, *_OFF_AXIS))
+    dynamics._compile_kernel.cache_clear()
+    try:
+        _, outcome = simulate(SimConfig(t_end=2.0), PhaseState.make(0.0, *_OFF_AXIS))
+    finally:
+        dynamics._compile_kernel.cache_clear()
     assert outcome.classification == "completed"
     assert outcome.steps == 8
     assert outcome.floor_accepted == outcome.steps
@@ -1338,13 +1397,11 @@ def _kernel_step_at(force, integrator, q):
     def sample(*row):
         pytest.fail("the kernel sampled before its first step raised")
 
-    if integrator == "adaptive":
-        params = (1e-14, 1e-12, 1e-3, 1e-12, 1.0, 0.9)
-    else:
-        params = (1e-3,)
+    # r_max: SimConfig takes no inf
+    config = SimConfig(integrator=integrator, t_end=1.0, sample_interval=1.0, r_max=1e308)
     zero = (0.0, 0.0, 0.0)
     exc = dynamics._compile_kernel(force, integrator)(
-        sample, 0.0, q, zero, zero, 1.0, 1.0, 1.0, 1.0, math.inf, *params)[0]
+        sample, 0.0, q, zero, zero, 1.0, 1.0, config)[0]
     return type(exc), str(exc)
 
 
@@ -1464,10 +1521,10 @@ def test_kernels_are_generated_on_first_run(monkeypatch):
     generated = []
     compile_source = dynamics._compile
 
-    def counting(lines, name, **names):
+    def counting(lines, name):
         if name == "_run":
-            generated.append(lines[0])
-        return compile_source(lines, name, **names)
+            generated.append("\n".join(lines[1:]))
+        return compile_source(lines, name)
 
     monkeypatch.setattr(dynamics, "_compile", counting)
     compile_system.cache_clear()
