@@ -17,8 +17,9 @@ where a coefficient is handed out, and in ``nullspace_exact`` and
 ``matrix_rank_exact``, a dense Gauss-Jordan for small rational matrices.
 The packed form is private to this module: other modules read a
 polynomial's ``terms`` or hand ``solve_exact_sparse`` polynomial
-equations, which it matches over x, y, z into rows with polynomial
-entries in the parameters, without reading keys or numerators.  Floats
+equations, which it matches over x, y, z on packed keys (``_collect``)
+into rows with polynomial entries in the parameters; neither reads keys
+or numerators.  Floats
 enter only through ``eval_float``, whose n / d is rounded once, as
 ``float(Fraction(n, d))`` is.
 """
@@ -300,12 +301,7 @@ class Polynomial:
 
         Keys are full-width exponent tuples supported on ``subset``.
         """
-        fields = [(_SHIFTS[v], _UNITS[v]) for v in set(subset)]
-        groups: dict[int, dict[int, int]] = {}
-        for e, c in self.numerators.items():
-            key = sum((e >> s & MAX_DEGREE) * unit for s, unit in fields)
-            groups.setdefault(key, {})[e - key] = c
-        return {unpack(k): _reduced(g, self.denominator) for k, g in groups.items()}
+        return {unpack(k): g for k, g in _collect(self, subset).items()}
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
         """Return q with self == q * divisor, or None if not divisible.
@@ -373,6 +369,25 @@ def _reduced(numerators: dict[int, int], denominator: int) -> Polynomial:
     p.numerators = numerators
     p.denominator = denominator
     return p
+
+
+def _collect(p: Polynomial, subset: Iterable[int]) -> dict[int, Polynomial]:
+    """``p.collect(subset)`` keyed by the monomials' packed keys."""
+    fields = [(_SHIFTS[v], _UNITS[v]) for v in set(subset)]
+    groups: dict[int, dict[int, int]] = {}
+    if len(fields) <= 3:
+        # the key unrolled over three fields, (0, 0) for a missing one: every
+        # subset this package collects over has three variables
+        (s0, u0), (s1, u1), (s2, u2) = fields + [(0, 0)] * (3 - len(fields))
+        for e, c in p.numerators.items():
+            key = ((e >> s0 & MAX_DEGREE) * u0 + (e >> s1 & MAX_DEGREE) * u1
+                   + (e >> s2 & MAX_DEGREE) * u2)
+            groups.setdefault(key, {})[e - key] = c
+    else:
+        for e, c in p.numerators.items():
+            key = sum((e >> s & MAX_DEGREE) * unit for s, unit in fields)
+            groups.setdefault(key, {})[e - key] = c
+    return {k: _reduced(g, p.denominator) for k, g in groups.items()}
 
 
 def _coerce(obj) -> "Polynomial":
@@ -461,9 +476,9 @@ def solve_exact_sparse(equations: Sequence[Sequence[Polynomial]], ncols: int):
     """
     rows: list[tuple[dict[int, Polynomial], list[Polynomial]]] = []
     for eq in equations:
-        matched: dict[tuple[int, ...], dict[int, Polynomial]] = {}
+        matched: dict[int, dict[int, Polynomial]] = {}
         for i, p in enumerate(eq):
-            for mono, coeff in p.collect(COORDS).items():
+            for mono, coeff in _collect(p, COORDS).items():
                 matched.setdefault(mono, {})[i] = coeff
         for row in matched.values():
             rows.append(({j: c for j, c in row.items() if j < ncols},

@@ -6,7 +6,7 @@ F+- = (y -+ k)^2 + (c x +- s z)^2 is the squared distance to singular
 line +-, with c = sqrt(1-a), s = sqrt(a) and k = 3 sqrt(a(1-a)) b.  Near a
 line this keeps the digits that summing the expanded quartic cancels away
 (tests/test_catalog.py checks the identity exactly).  One generated block
-gives u and grad u, and one force site (_force_site) checks u and gives
+gives u, and one force site (_force_site) checks u, adds grad u and gives
 the force: the force field and ``simulate``'s inlined kernels compile it,
 and the integral evaluator its u-only part (_u_site), so they share one
 force law and its guards on u, and use the same u, bit for bit.  The
@@ -140,16 +140,12 @@ def compile_poly_group(polys):
 
 
 def _factored_lines(q, line_constants) -> list[str]:
-    """Source lines that set u, g0, g1, g2, _fp and _fm at the point q
-    (three expressions), for ``line_constants`` = (c, s, k).
-
-    u = F+ F- with F+- = (y -+ k)^2 + (c x +- s z)^2 (_fp, _fm), and
-    grad u = 2 (g0, g1, g2) from grad u = F- grad F+ + F+ grad F-, whose x-
-    and z-components share the products F- (c x + s z) and F+ (c x - s z).
-    On the x- and z-axes F+ == F- bit for bit, so the transverse components
-    of g are exactly 0.0.  The squared distance to the nearer singular line,
-    d2 = min(F+, F-), is the line _D2_LINE, which a caller appends where it
-    reads d2: the run kernels once per accepted step, not at every stage.
+    """Source lines that set u, _fp and _fm at the point q (three
+    expressions), for ``line_constants`` = (c, s, k): u = F+ F- with
+    F+- = (y -+ k)^2 + (c x +- s z)^2 (_fp, _fm).  The squared distance to
+    the nearer singular line, d2 = min(F+, F-), is the line _D2_LINE, which
+    a caller appends where it reads d2: the run kernels once per accepted
+    step, not at every stage.  _gradient_lines continue them to grad u.
     """
     x, y, z = q
     c, s, k = (repr(v) for v in line_constants)
@@ -163,6 +159,17 @@ def _factored_lines(q, line_constants) -> list[str]:
         "_fp = _yp * _yp + _lp * _lp",
         "_fm = _ym * _ym + _lm * _lm",
         "u = _fp * _fm",
+    ]
+
+
+def _gradient_lines(line_constants) -> list[str]:
+    """Source lines that set g0, g1, g2 after _factored_lines: grad u =
+    2 (g0, g1, g2) from grad u = F- grad F+ + F+ grad F-, whose x- and
+    z-components share the products F- (c x + s z) and F+ (c x - s z).  On
+    the x- and z-axes F+ == F- bit for bit, so the transverse components of
+    g are exactly 0.0."""
+    c, s, _ = (repr(v) for v in line_constants)
+    return [
         "_mp = _fm * _lp",
         "_pm = _fp * _lm",
         f"g0 = {c} * (_mp + _pm)",
@@ -213,7 +220,7 @@ def _u_site(q, line_constants, u_floor, u_cut) -> list[str]:
 def _force_site(line_constants, w0, u_floor):
     """``site(q, f)``: the lines of _u_site at the point q, with the floor
     ``u_floor`` and the cut max(u_floor, U_POW_MIN), below which u^(-3/2)
-    could overflow, and then f_0, f_1, f_2 bound to the force
+    could overflow, then _gradient_lines, and f_0, f_1, f_2 bound to the force
     (w0/2) u^(-3/2) grad u, with u^(-3/2) as 1 / (u sqrt(u)), which needs
     no libm pow.  w0, the floor and the cut are literals of the lines."""
     w0, u_floor = float(w0), float(u_floor)
@@ -221,6 +228,7 @@ def _force_site(line_constants, w0, u_floor):
 
     def site(q, f: str = "f") -> list[str]:
         return [*_u_site(q, line_constants, u_floor, u_cut),
+                *_gradient_lines(line_constants),
                 f"pref = {w0!r} / (u * _sqrt(u))",
                 *(f"{f}_{j} = pref * g{j}" for j in range(3))]
     return site
@@ -818,6 +826,9 @@ INTEGRATORS = ("adaptive", "leapfrog")
 # the most sample intervals one simulate call takes: each costs a sample
 # callback and a record row of about 430 bytes, so 10**6 rows take about 0.4 GB
 MAX_SAMPLES = 10**6
+# the most leapfrog steps one simulate call takes, (t_end - t0) / fixed_step:
+# 100 times the 10**6 of a run to t = 1000 at the default fixed_step
+MAX_STEPS = 10**8
 
 
 @dataclass
@@ -920,10 +931,10 @@ def simulate(config: SimConfig, initial: PhaseState):
     which calls back here for every sample row.  Failures are classified
     in the returned RunOutcome, not raised, except for a q or p without 3
     components, a non-finite initial t, q or p, an initial state whose
-    evaluation overflows, or more than MAX_SAMPLES sample intervals
-    (ValueError), or an initial state already inside the singularity
-    cutoff (SingularPoint).  An evaluation that overflows mid-run is
-    classified ``step-failure``.
+    evaluation overflows, more than MAX_SAMPLES sample intervals or, for
+    leapfrog, more than MAX_STEPS steps (ValueError), or an initial state
+    already inside the singularity cutoff (SingularPoint).  An evaluation
+    that overflows mid-run is classified ``step-failure``.
     """
     if initial.q.shape != (3,) or initial.p.shape != (3,):
         raise ValueError(f"q and p must have 3 components, got shapes "
@@ -935,6 +946,11 @@ def simulate(config: SimConfig, initial: PhaseState):
     if samples > MAX_SAMPLES:
         raise ValueError(f"(t_end - t0) / sample_interval = {samples:.3g} sample "
                          f"intervals exceeds MAX_SAMPLES = {MAX_SAMPLES}")
+    if config.integrator == "leapfrog":
+        steps = (config.t_end - initial.t) / config.fixed_step
+        if steps > MAX_STEPS:
+            raise ValueError(f"(t_end - t0) / fixed_step = {steps:.3g} leapfrog steps "
+                             f"exceeds MAX_STEPS = {MAX_STEPS}")
     force, integrals = compile_system(config.a, config.b, config.w0, config.u_floor)
     # one force site at q0: rejects ICs on/near the singular lines
     f0, u0, d2 = force._at(*q0)

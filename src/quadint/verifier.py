@@ -1,5 +1,9 @@
 """Poisson-bracket engine and the battery of exact identity checks.
 
+A bracket is formed from the operands' terms P u^-alpha by the Leibniz
+rule (``poisson_bracket``): one multiply by each u_q and by each power of
+u.  Its result equals the definition's, but its (A, B, m) may differ.
+
 Every check is a pure function returning CheckResult records; failure is
 a reported result, never an exception.  Every identity runs with a, b, w0
 fully symbolic.  The first-order scan and the scalar ansatz solve linear
@@ -134,12 +138,66 @@ def _poly_summary(p: Polynomial) -> str:
 # -- bracket engine ----------------------------------------------------
 
 
-def poisson_bracket(F: RadicalElement, G: RadicalElement) -> RadicalElement:
-    """{F, G} = sum_q dF/dq dG/dp - dF/dp dG/dq, sign fixed by {x, px} = +1."""
-    out = F.ring.zero()
-    for q, p in CANONICAL_PAIRS:
-        out = out + F.diff(q) * G.diff(p) - F.diff(p) * G.diff(q)
+def _accumulate(sums: dict, key, p: Polynomial) -> None:
+    sums[key] = sums[key] + p if key in sums else p
+
+
+def _bracket_terms(E: RadicalElement, sign: int):
+    """Per nonzero term P u^-alpha of E, (A, m) and (B, m + 1/2): 2 alpha,
+    -sign alpha P, and (sign dP/dq, dP/dp) for each canonical pair."""
+    out = []
+    for h, P in enumerate((E.A, E.B)):
+        if P:
+            a2, sP = 2 * E.m + h, P.scale(sign)
+            out.append((a2, sP.scale(Fraction(-a2, 2)),
+                        [(sP.diff(q), P.diff(p)) for q, p in CANONICAL_PAIRS]))
     return out
+
+
+def poisson_bracket(F: RadicalElement, G: RadicalElement) -> RadicalElement:
+    """{F, G} = sum_q dF/dq dG/dp - dF/dp dG/dq, sign fixed by {x, px} = +1.
+
+    By the Leibniz rule on the terms of F and G, with u momentum-free,
+        {P u^-alpha, Q u^-beta} = u^-(alpha + beta) ({P, Q}
+            - u^-1 sum_q u_q (alpha P dQ/dp_q - beta Q dP/dp_q)).
+    The {P, Q} are summed by 2(alpha + beta) and the u_q sums by
+    (2(alpha + beta), q); each u_q sum is multiplied by u_q once, and the
+    sum at each power of u by that power once.  Only products of two
+    nonzero polynomials are formed.  The result is the definition's, over
+    the least power of u these sums need.
+    """
+    F._check(G)
+    levels: dict[int, Polynomial] = {}  # 2(alpha + beta) -> sum
+    grads: dict[tuple[int, int], Polynomial] = {}  # (2(alpha + beta), q) -> sum
+    # G's terms enter negated, so every sum is a sum of products:
+    # {P, Q} = sum dP/dq dQ/dp + dP/dp (-dQ/dq), and the u_q sum, with its
+    # sign, is (-alpha P) dQ/dp + (beta Q) dP/dp
+    g_terms = _bracket_terms(G, -1)
+    for a2, p_alpha, dP in _bracket_terms(F, 1):
+        for b2, q_beta, dQ in g_terms:
+            e = a2 + b2
+            for q, (Pq, Pp), (Qq, Qp) in zip(COORDS, dP, dQ):
+                if Pq and Qp:
+                    _accumulate(levels, e, Pq * Qp)
+                if Pp and Qq:
+                    _accumulate(levels, e, Pp * Qq)
+                if p_alpha and Qp:
+                    _accumulate(grads, (e, q), p_alpha * Qp)
+                if q_beta and Pp:
+                    _accumulate(grads, (e, q), q_beta * Pp)
+    ring = F.ring
+    for (e, q), g in grads.items():
+        _accumulate(levels, e + 2, g * ring.du[q])
+    levels = {e: p for e, p in levels.items() if p}
+    if not levels:
+        return ring.zero()
+    # u^(-e/2) = u^(-m) u^(m - e // 2), times s for odd e
+    m = max(levels) // 2
+    parts: dict[int, Polynomial] = {}  # A at 0, B at 1
+    for e, p in levels.items():
+        _accumulate(parts, e % 2, p * ring.u ** (m - e // 2) if m > e // 2 else p)
+    zero = Polynomial.zero()
+    return RadicalElement(ring, parts.get(0, zero), parts.get(1, zero), m)
 
 
 # -- individual checks -------------------------------------------------

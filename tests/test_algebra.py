@@ -19,6 +19,7 @@ from quadint.algebra import (
     Y,
     ZERO_EXPS,
     Polynomial,
+    _collect,
     _rref,
     generators,
     matrix_rank_exact,
@@ -275,6 +276,22 @@ def test_collect_reassembles(p):
         Polynomial.zero(),
     )
     assert total == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, st.sets(st.integers(0, NVARS - 1), min_size=1, max_size=4))
+def test_collect_round_trip_over_subsets(p, subset):
+    """Subsets of up to three variables take the unrolled key, larger ones
+    the generic sum; both split p into monomials on the subset times
+    groups free of it."""
+    groups = p.collect(subset)
+    total = Polynomial.zero()
+    for mono, group in groups.items():
+        assert all(k == 0 for v, k in enumerate(mono) if v not in subset)
+        assert not group.variables() & subset
+        total = total + Polynomial.monomial(mono) * group
+    assert total == p
+    assert _collect(p, subset) == {pack(mono): g for mono, g in groups.items()}
 
 
 # -- packed form --------------------------------------------------------

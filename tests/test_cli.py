@@ -6,6 +6,7 @@ import json
 import math
 import platform
 import re
+import time
 
 import pytest
 
@@ -290,6 +291,21 @@ def test_only_numeric_values_of_value_options_are_joined():
     assert _join_negative_values(build_parser(), argv) == [
         "simulate", "--a=-1/4", "--out", "-o.csv", "--strict", "--t-end=-inf",
         "--w=-1e-3", "--", "--b", "-1e3"]
+
+
+def test_simulate_over_the_leapfrog_step_budget_exits_one(capsys, tmp_path):
+    out_file = tmp_path / "o.csv"
+    t0 = time.perf_counter()
+    code, _, err = run(
+        ["simulate", "--q0", "0,0,0.5", "--p0", "0,0,0.4", "--t-end", "1",
+         "--integrator", "leapfrog", "--fixed-step", "1e-300", "--out", str(out_file)],
+        capsys,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "MAX_STEPS" in err
+    assert "internal error" not in err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("argv", [

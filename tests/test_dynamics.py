@@ -1438,6 +1438,24 @@ def test_too_many_sample_intervals_rejected(t0, config, monkeypatch):
         simulate(config, PhaseState.make(t0, (0.0, 0.0, 0.5), (0.0, 0.0, 0.4)))
 
 
+@pytest.mark.parametrize("integrator, fixed_step, raised, match", [
+    ("leapfrog", 1e-300, ValueError, "MAX_STEPS = 100000000"),
+    ("leapfrog", 0.9999e-8, ValueError, "MAX_STEPS = 100000000"),
+    # 1.0 / 1e-8 rounds to exactly MAX_STEPS, which the budget allows
+    ("leapfrog", 1e-8, AssertionError, "compiled"),
+    # fixed_step is a leapfrog setting: the adaptive run passes the check
+    ("adaptive", 1e-300, AssertionError, "compiled"),
+], ids=["1e300-steps", "just-over", "at-budget", "adaptive"])
+def test_leapfrog_step_budget(monkeypatch, integrator, fixed_step, raised, match):
+    def no_compile(*args):
+        raise AssertionError("simulate compiled")
+
+    monkeypatch.setattr(dynamics, "compile_system", no_compile)
+    config = SimConfig(t_end=1.0, fixed_step=fixed_step, integrator=integrator)
+    with _alarm(5), pytest.raises(raised, match=match):
+        simulate(config, PhaseState.make(0.0, (0.0, 0.0, 0.5), (0.0, 0.0, 0.4)))
+
+
 # -- the run kernel against the per-step API ------------------------------
 
 

@@ -10,9 +10,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadint.algebra import (
     COORDS,
+    MOMENTA,
     PZ,
     X,
     Y,
@@ -139,6 +142,49 @@ def test_radical_bracket_leibniz(ctx):
     assert (lhs - rhs).is_zero()
 
 
+def _bracket_by_definition(F, G):
+    """The chain-rule oracle: sum_q F.diff(q) G.diff(p) - F.diff(p) G.diff(q)."""
+    out = F.ring.zero()
+    for q, p in zip(COORDS, MOMENTA):
+        out = out + F.diff(q) * G.diff(p) - F.diff(p) * G.diff(q)
+    return out
+
+
+def _term(pairs, coeff):
+    e = [0] * 9
+    for v, k in pairs:
+        e[v] = min(e[v] + k, 2)
+    return coeff * Polynomial.monomial(e)
+
+
+# up to three terms of degree <= 2 in x, y, z, the momenta and a; zero
+# about one time in four
+_parts = st.one_of(
+    st.just(Polynomial.zero()),
+    st.lists(
+        st.builds(_term,
+                  st.lists(st.tuples(st.integers(0, 6), st.integers(1, 2)), max_size=2),
+                  st.integers(-3, 3).filter(bool)),
+        min_size=1, max_size=3,
+    ).map(lambda terms: sum(terms, Polynomial.zero())),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_parts, _parts, st.integers(0, 2), _parts, _parts, st.integers(0, 2))
+def test_bracket_matches_the_definition(ctx, fa, fb, fm, ga, gb, gm):
+    F = RadicalElement(ctx.ring, fa, fb, fm)
+    G = RadicalElement(ctx.ring, ga, gb, gm)
+    assert poisson_bracket(F, G) == _bracket_by_definition(F, G)
+
+
+def test_bracket_matches_the_definition_on_a_broken_pair(ctx):
+    bad = ctx.X2 + ctx.ring.from_poly(x * px)
+    br = poisson_bracket(ctx.X1, bad)
+    assert not br.is_zero()
+    assert br == _bracket_by_definition(ctx.X1, bad)
+
+
 # -- involution ---------------------------------------------------------
 
 
@@ -150,6 +196,15 @@ def test_involution_passes(ctx):
 def test_involution_mutation_alt_ly(alt_ctx):
     results = verify_involution(alt_ctx)
     assert not any(r.passed for r in results)
+
+
+def test_involution_alt_ly_summaries(alt_ctx):
+    # the bracket's (A, B, m) is over the least power of u its sums need
+    assert [r.residual_summary for r in verify_involution(alt_ctx)] == [
+        "nonzero residual: |A|=154 |B|=76 m=1",
+        "nonzero residual: |A|=88 |B|=48 m=1",
+        "nonzero residual: |A|=838 |B|=197 m=1",
+    ]
 
 
 def test_involution_mutation_perturbed_x1(ctx):
