@@ -375,18 +375,9 @@ def _collect(p: Polynomial, subset: Iterable[int]) -> dict[int, Polynomial]:
     """``p.collect(subset)`` keyed by the monomials' packed keys."""
     fields = [(_SHIFTS[v], _UNITS[v]) for v in set(subset)]
     groups: dict[int, dict[int, int]] = {}
-    if len(fields) <= 3:
-        # the key unrolled over three fields, (0, 0) for a missing one: every
-        # subset this package collects over has three variables
-        (s0, u0), (s1, u1), (s2, u2) = fields + [(0, 0)] * (3 - len(fields))
-        for e, c in p.numerators.items():
-            key = ((e >> s0 & MAX_DEGREE) * u0 + (e >> s1 & MAX_DEGREE) * u1
-                   + (e >> s2 & MAX_DEGREE) * u2)
-            groups.setdefault(key, {})[e - key] = c
-    else:
-        for e, c in p.numerators.items():
-            key = sum((e >> s & MAX_DEGREE) * unit for s, unit in fields)
-            groups.setdefault(key, {})[e - key] = c
+    for e, c in p.numerators.items():
+        key = sum((e >> s & MAX_DEGREE) * unit for s, unit in fields)
+        groups.setdefault(key, {})[e - key] = c
     return {k: _reduced(g, p.denominator) for k, g in groups.items()}
 
 
