@@ -74,8 +74,8 @@ def unpack(key: int) -> tuple[int, ...]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: read-only ``numerators`` maps each
-    monomial's key to a nonzero int, over a positive ``denominator``
+    """Immutable sparse polynomial: the private ``_numerators`` maps each
+    monomial's key to a nonzero int, over a positive ``_denominator``
     coprime to their gcd, so the form is canonical.  A key (see ``pack``)
     has a FIELD_BITS-wide field per exponent under one for the total
     degree; a product past MAX_DEGREE raises OverflowError.  ``terms``,
@@ -83,19 +83,19 @@ class Polynomial:
     on each access; operations keep the term order that view's loop gives.
     """
 
-    __slots__ = ("numerators", "denominator")
+    __slots__ = ("_numerators", "_denominator")
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
         """From {exponent tuple: int or Fraction}; zeros are dropped."""
         pairs = [(pack(e), _ratio(c)) for e, c in terms.items()] if terms else ()
         # over the lcm of lowest-terms denominators, numerators and d are coprime
         d = math.lcm(*(den for _, (_, den) in pairs))
-        self.numerators = {e: n * (d // den) for e, (n, den) in pairs if n}
-        self.denominator = d
+        self._numerators = {e: n * (d // den) for e, (n, den) in pairs if n}
+        self._denominator = d
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return {unpack(e): Fraction(c, self.denominator) for e, c in self.numerators.items()}
+        return {unpack(e): Fraction(c, self._denominator) for e, c in self._numerators.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -123,11 +123,12 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d1, d2 = self.denominator, other.denominator
+        d1, d2 = self._denominator, other._denominator
         d = d1 if d1 == d2 else math.lcm(d1, d2)
         f1, f2 = d // d1, d // d2
-        out = {e: c * f1 for e, c in self.numerators.items()} if f1 != 1 else dict(self.numerators)
-        for e, c in other.numerators.items():
+        c1 = self._numerators
+        out = {e: c * f1 for e, c in c1.items()} if f1 != 1 else dict(c1)
+        for e, c in other._numerators.items():
             s = out.get(e, 0) + c * f2
             if s:
                 out[e] = s
@@ -138,7 +139,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _reduced({e: -c for e, c in self.numerators.items()}, self.denominator)
+        return _reduced({e: -c for e, c in self._numerators.items()}, self._denominator)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -158,7 +159,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        small, big = self.numerators, other.numerators
+        small, big = self._numerators, other._numerators
         if not small or not big:
             return Polynomial()
         # a key sum reaches _KEY_LIMIT exactly when the degrees sum past MAX_DEGREE
@@ -166,7 +167,7 @@ class Polynomial:
             raise OverflowError(f"product of total degree above {MAX_DEGREE}")
         if len(small) > len(big):
             small, big = big, small
-        d = self.denominator * other.denominator
+        d = self._denominator * other._denominator
         if len(small) == 1:
             (e1, c1), = small.items()
             return _reduced({e1 + e: c1 * c for e, c in big.items()}, d)
@@ -199,46 +200,46 @@ class Polynomial:
 
     def scale(self, c: Scalar) -> "Polynomial":
         n, d = _ratio(c)
-        out = {e: n * v for e, v in self.numerators.items()} if n else {}
-        return _reduced(out, self.denominator * d)
+        out = {e: n * v for e, v in self._numerators.items()} if n else {}
+        return _reduced(out, self._denominator * d)
 
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.numerators
+        return not self._numerators
 
     def __len__(self) -> int:  # the number of terms; also gives bool()
-        return len(self.numerators)
+        return len(self._numerators)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.numerators == other.numerators and self.denominator == other.denominator
+        return self._numerators == other._numerators and self._denominator == other._denominator
 
     def __hash__(self):
-        return hash((frozenset(self.numerators.items()), self.denominator))
+        return hash((frozenset(self._numerators.items()), self._denominator))
 
     def degree_in(self, v: int) -> int:
-        return max((e >> _SHIFTS[v] & MAX_DEGREE for e in self.numerators), default=0)
+        return max((e >> _SHIFTS[v] & MAX_DEGREE for e in self._numerators), default=0)
 
     def variables(self) -> set[int]:
         return {v for v in range(NVARS) if self.degree_in(v)}
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self.numerators.get(pack(exps), 0), self.denominator)
+        return Fraction(self._numerators.get(pack(exps), 0), self._denominator)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending graded lexicographic order, i.e. key order."""
-        c, d = self.numerators, self.denominator
+        c, d = self._numerators, self._denominator
         return [(unpack(e), Fraction(c[e], d)) for e in sorted(c, reverse=True)]
 
     # -- calculus -----------------------------------------------------
 
     def diff(self, v: int) -> "Polynomial":
         s, unit = _SHIFTS[v], _UNITS[v]
-        out = {e - unit: c * k for e, c in self.numerators.items() if (k := e >> s & MAX_DEGREE)}
-        return _reduced(out, self.denominator)
+        out = {e - unit: c * k for e, c in self._numerators.items() if (k := e >> s & MAX_DEGREE)}
+        return _reduced(out, self._denominator)
 
     # -- evaluation / substitution ------------------------------------
 
@@ -254,8 +255,8 @@ class Polynomial:
         """binary64 evaluation, one product per term, Neumaier-compensated sum."""
         s = 0.0
         comp = 0.0
-        for e, c in self.numerators.items():
-            v = c / self.denominator
+        for e, c in self._numerators.items():
+            v = c / self._denominator
             for i, sh in enumerate(_SHIFTS):
                 k = e >> sh & MAX_DEGREE
                 if k:
@@ -274,8 +275,8 @@ class Polynomial:
 
     def _substitute(self, assignments: Mapping[int, Scalar]) -> tuple[dict[int, int], int]:
         """Unreduced numerators and denominator of self with n_v / d_v for
-        each assigned v, over self.denominator * prod(d_v ** deg_v(self))."""
-        subs, d = [], self.denominator
+        each assigned v, over self._denominator * prod(d_v ** deg_v(self))."""
+        subs, d = [], self._denominator
         for v, val in assignments.items():
             m = self.degree_in(v)
             if m:
@@ -283,7 +284,7 @@ class Polynomial:
                 subs.append((_SHIFTS[v], _UNITS[v], [n**k * dv ** (m - k) for k in range(m + 1)]))
                 d *= dv**m
         out: dict[int, int] = {}
-        for e, c in self.numerators.items():
+        for e, c in self._numerators.items():
             for sh, unit, powers in subs:
                 k = e >> sh & MAX_DEGREE
                 c *= powers[k]
@@ -313,10 +314,10 @@ class Polynomial:
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        g = math.gcd(*divisor.numerators.values())
-        prim = {e: c // g for e, c in divisor.numerators.items()}
+        g = math.gcd(*divisor._numerators.values())
+        prim = {e: c // g for e, c in divisor._numerators.items()}
         de = max(prim)
-        rem = dict(self.numerators)
+        rem = dict(self._numerators)
         quot: dict[int, int] = {}
         while rem:
             le = max(rem)
@@ -333,14 +334,15 @@ class Polynomial:
                     rem[e] = s
                 else:
                     rem.pop(e, None)
-        # self / divisor = (quot * P / self.denominator) / (g * P / divisor.denominator)
-        return _reduced({e: c * divisor.denominator for e, c in quot.items()}, self.denominator * g)
+        # self / divisor = (quot * P / self._denominator) / (g * P / divisor._denominator)
+        d = divisor._denominator
+        return _reduced({e: c * d for e, c in quot.items()}, self._denominator * g)
 
     # -- display ------------------------------------------------------
 
     def canonical_str(self) -> str:
         """Deterministic rendering; used for fingerprints and debugging."""
-        if not self.numerators:
+        if not self._numerators:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -366,8 +368,8 @@ def _reduced(numerators: dict[int, int], denominator: int) -> Polynomial:
         numerators = {e: c // g for e, c in numerators.items()}
         denominator //= g
     p = object.__new__(Polynomial)
-    p.numerators = numerators
-    p.denominator = denominator
+    p._numerators = numerators
+    p._denominator = denominator
     return p
 
 
@@ -375,10 +377,10 @@ def _collect(p: Polynomial, subset: Iterable[int]) -> dict[int, Polynomial]:
     """``p.collect(subset)`` keyed by the monomials' packed keys."""
     fields = [(_SHIFTS[v], _UNITS[v]) for v in set(subset)]
     groups: dict[int, dict[int, int]] = {}
-    for e, c in p.numerators.items():
+    for e, c in p._numerators.items():
         key = sum((e >> s & MAX_DEGREE) * unit for s, unit in fields)
         groups.setdefault(key, {})[e - key] = c
-    return {k: _reduced(g, p.denominator) for k, g in groups.items()}
+    return {k: _reduced(g, p._denominator) for k, g in groups.items()}
 
 
 def _coerce(obj) -> "Polynomial":

@@ -21,8 +21,13 @@ math.fsum.  The adaptive integrator is the Dormand-Prince 8(5,3) pair
 order-5 oracle.  Both pairs are tableau records, from which one generator
 writes an attempt in Nystrom form: since q'' = F(q), a stage position
 needs only p and the earlier forces, through tables that each record
-derives once (c = A 1, A A and E A), so no stage momentum is
-formed.  The per-step integrators take an abstract force
+derives once (c = A 1, A A and E A), so no stage momentum is formed.
+h^2 and h p are formed once per attempt, so a stage position is
+y + (c hp + h^2 (A A) F); a table entry at the rounding level of the
+stored doubles is 0.0 (the zero rule of _Tableau), so its terms are not
+written; and DOP853's 3rd-order momentum estimate is the solution's
+momentum increment less h BHH F, as in Hairer's code.  The per-step
+integrators take an abstract force
 callable so they can be validated against closed-form systems (free
 particle, isotropic oscillator) independently of the potential;
 ``simulate`` runs the same generated step code with the factored force
@@ -298,6 +303,21 @@ class IntegralEvaluator:
 
 # -- integrators -------------------------------------------------------
 
+# the zero rule of _Tableau's derived tables: an entry whose exact value is
+# at most this share of the sum of its terms' magnitudes is 0.0
+_ZERO_SHARE = Fraction(1, 2**50)
+
+
+def _rounded(terms: list) -> float:
+    """The exact sum of ``terms`` (Fractions) rounded once, or 0.0 if it is
+    at most _ZERO_SHARE of the sum of their magnitudes.  The stored doubles
+    are the exact weights to 2^-53 relative, so such an entry is the
+    rounding of the stored doubles, not a weight of the method: sum E5,
+    sum E3 and some rows of A A are 0 for the exact weights."""
+    exact = sum(terms)
+    return 0.0 if abs(exact) <= _ZERO_SHARE * sum(map(abs, terms)) else float(exact)
+
+
 @dataclass(frozen=True, eq=False)
 class _Tableau:
     """An explicit embedded Runge-Kutta pair as the attempt generator reads it.
@@ -310,9 +330,12 @@ class _Tableau:
     embedded weights ``error[0]``; "blended" is Hairer's blend of a
     5th-order (``error[0]``) and a 3rd-order (``error[1]``) estimate.
     ``order`` is the order that sets the step controller's exponents.
-    ``nodes``, ``rows2``, ``error_sums`` and ``error_rows`` are the tables
-    of the attempt's Nystrom form (_attempt_lines), each computed exactly
-    in Fraction from the stored doubles and rounded once.
+    ``nodes``, ``rows2``, ``error_sums``, ``error_rows`` and ``bhh`` are the
+    tables of the attempt's Nystrom form (_attempt_lines), each entry
+    computed exactly in Fraction from the stored doubles and rounded once
+    by _rounded, which sets the entries at the rounding level to 0.0: for
+    DOP853 ``rows2[12][3]``, ``rows2[12][4]`` and both ``error_sums``, for
+    DP54 ``rows2[6][1]`` and ``error_rows[0][1]``.
     """
 
     rows: tuple
@@ -330,14 +353,14 @@ class _Tableau:
         # the row vector w A, exact, each entry rounded once
         a = [[Fraction(c) for c in row] for row in self.rows]
         w = [Fraction(c) for c in weights]
-        return tuple(float(sum(w[j] * a[j][k] for j in range(k + 1, len(w))))
+        return tuple(_rounded([w[j] * a[j][k] for j in range(k + 1, len(w))])
                      for k in range(len(w) - 1))
 
     @functools.cached_property
     def nodes(self) -> tuple:
         """c_s = sum_j a_sj over the weights a_sj of ``rows[s]``: the time of
         stage s in units of h."""
-        return tuple(float(sum(map(Fraction, row))) for row in self.rows)
+        return tuple(_rounded(list(map(Fraction, row))) for row in self.rows)
 
     @functools.cached_property
     def rows2(self) -> tuple:
@@ -347,12 +370,21 @@ class _Tableau:
     @functools.cached_property
     def error_sums(self) -> tuple:
         """sum E of each error row E: its position error's weight on p."""
-        return tuple(float(sum(map(Fraction, row))) for row in self.error)
+        return tuple(_rounded(list(map(Fraction, row))) for row in self.error)
 
     @functools.cached_property
     def error_rows(self) -> tuple:
         """E A of each error row E: its position error's weights on the forces."""
         return tuple(map(self._times_a, self.error))
+
+    @functools.cached_property
+    def bhh(self) -> tuple:
+        """B - E for the solution's weights B and the last error row E: the
+        weights of the lower-order solution that E compares with (Hairer's
+        BHH, for E3), whose momentum error is then the solution's increment
+        less h (BHH . F)."""
+        return tuple(_rounded([Fraction(b), -Fraction(e)])
+                     for b, e in zip(self.rows[-1], self.error[-1]))
 
 
 # Dormand-Prince 5(4): the order-5 oracle of dp54_step
@@ -462,13 +494,18 @@ def _attempt_lines(tableau: _Tableau, site) -> list[str]:
 
     The Nystrom form (Hairer, Norsett & Wanner, Solving ODEs I, II.14) is
     the method with the stage momenta P_s = p + h sum_k a_sk F_k
-    substituted, which q'' = F(q) allows.  Each stage position is
-    y + h (c_s p + h sum_k (A A)_sk F_k), and only the solution's momentum
-    is formed, as p + h sum_k b_k F_k.  A position error of weights E is
-    h (sum E p + h sum_k (E A)_k F_k), a momentum error h sum_k E_k F_k
-    (tables from _Tableau).  Every weighted sum is written out in stage
-    order from its first nonzero term, so the result is bit for bit what
-    summing those terms in a loop gives.
+    substituted, which q'' = F(q) allows.  With hh = h^2 and hp = h p
+    formed once per attempt, each stage position is
+    y + (c_s hp + hh sum_k (A A)_sk F_k), and only the solution's momentum
+    is formed, as p + dp with the increment dp = h sum_k b_k F_k.  A
+    position error of weights E is sum E hp + hh sum_k (E A)_k F_k, whose
+    first term the zero rule of _Tableau drops for DOP853, and a momentum
+    error h sum_k E_k F_k; the "blended" estimator's 3rd-order momentum
+    error is dp - h sum_k BHH_k F_k, as in Hairer's DOP853 (BHH = B - E3,
+    nonzero on 3 stages, against 8 of E3).  Every weighted sum is written
+    out in stage order from its first nonzero term, so the result is bit
+    for bit what summing those terms in a loop gives.  The forces are not
+    scaled by h, so a force site gives the force itself.
     """
     last = tableau.last
 
@@ -480,30 +517,33 @@ def _attempt_lines(tableau: _Tableau, site) -> list[str]:
 
     def displacement(total, weights_a, j):
         # h sum_s w_s P_s[j] for weights w with sum total and w A = weights_a
-        parts = [f"y{j + 3}" if total == 1.0 else f"{total!r}*y{j + 3}"] if total else []
+        parts = [f"hp{j}" if total == 1.0 else f"{total!r}*hp{j}"] if total else []
         inner = forces(weights_a, j)
         if inner:
-            parts.append(f"h * ({inner})")
-        return f"h * ({' + '.join(parts)})"
+            parts.append(f"hh*({inner})")
+        return " + ".join(parts)
 
     def error(i, j):
         if j < 3:
             return displacement(tableau.error_sums[i], tableau.error_rows[i], j)
         return f"h * ({forces(tableau.error[i], j - 3)})"
 
-    lines = []
+    lines = ["hh = h * h", *(f"hp{j} = h * y{j + 3}" for j in range(3))]
     for s in range(1, last + 1):
-        lines += [f"{position(s, j)} = y{j} + {displacement(tableau.nodes[s], tableau.rows2[s], j)}"
-                  for j in range(3)]
+        lines += [f"{position(s, j)} = y{j} + ("
+                  f"{displacement(tableau.nodes[s], tableau.rows2[s], j)})" for j in range(3)]
         lines += site([position(s, j) for j in range(3)], f"f{s}")
-    lines += [f"z{j + 3} = y{j + 3} + h * ({forces(tableau.rows[last], j)})" for j in range(3)]
+    # dp, not d: d2 is the kernels' squared distance to a line
+    lines += [f"dp{j} = h * ({forces(tableau.rows[last], j)})" for j in range(3)]
+    lines += [f"z{j + 3} = y{j + 3} + dp{j}" for j in range(3)]
     for j in range(6):
         if tableau.estimator == "embedded":
             # the solution minus the embedded solution
-            lines.append(f"e{j} = z{j} - (y{j} + {error(0, j)})")
+            lines.append(f"e{j} = z{j} - (y{j} + ({error(0, j)}))")
         else:
             lines.append(f"e{j} = {error(0, j)}")
-            lines.append(f"l{j} = {error(1, j)}")
+            low = error(1, j) if j < 3 else f"dp{j - 3} - h * ({forces(tableau.bhh, j - 3)})"
+            lines.append(f"l{j} = {low}")
     return lines
 
 
@@ -521,7 +561,9 @@ def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
     order, last = tableau.order, tableau.last
     # Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of the
     # scaled 5th- and 3rd-order estimates, here with h inside each;
-    # sqrt(6) sqrt(.) in place of sqrt(6 .), which could overflow
+    # sqrt(6) sqrt(.) in place of sqrt(6 .), which could overflow.  Each sum
+    # of squares pairs x with z and px with pz, so that it is symmetric in
+    # the swap of x and z, bit for bit
     norm = []
     for j in range(6):
         norm += [
@@ -534,8 +576,8 @@ def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
             f"r{j} = e{j} / c{j}",
             f"l{j} = l{j} / c{j}",
         ]
-    err5 = " + ".join(f"r{j}*r{j}" for j in range(6))
-    err3 = " + ".join(f"l{j}*l{j}" for j in range(6))
+    err5, err3 = ("({0}0*{0}0 + {0}2*{0}2) + {0}1*{0}1 + (({0}3*{0}3 + {0}5*{0}5) + {0}4*{0}4)"
+                  .format(v) for v in "rl")
     norm += [
         f"err5 = {err5}",
         f"deno = err5 + 0.01 * ({err3})",

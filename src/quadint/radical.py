@@ -16,6 +16,12 @@ from fractions import Fraction
 from .algebra import MOMENTA, NVARS, Polynomial, Scalar
 
 
+def _mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q, or the zero polynomial with no product formed if either is
+    zero: an element's A or B, or a derivative of one, is often zero."""
+    return p * q if p and q else Polynomial()
+
+
 class SingularPoint(Exception):
     """Numeric evaluation hit the zero set of u."""
 
@@ -88,7 +94,7 @@ class RadicalElement:
         if m == self.m:
             return self.A, self.B
         f = self.ring.u ** (m - self.m)
-        return self.A * f, self.B * f
+        return _mul(self.A, f), _mul(self.B, f)
 
     def __neg__(self):
         return RadicalElement(self.ring, -self.A, -self.B, self.m)
@@ -110,16 +116,16 @@ class RadicalElement:
         u = self.ring.u
         A1, B1, A2, B2 = self.A, self.B, other.A, other.B
         if B1.is_zero() and B2.is_zero():
-            return RadicalElement(self.ring, A1 * A2, Polynomial(), self.m + other.m)
+            return RadicalElement(self.ring, _mul(A1, A2), Polynomial(), self.m + other.m)
         if B1.is_zero() or B2.is_zero():
             return RadicalElement(
-                self.ring, A1 * A2, A1 * B2 + A2 * B1, self.m + other.m
+                self.ring, _mul(A1, A2), _mul(A1, B2) + _mul(A2, B1), self.m + other.m
             )
         # s^2 = 1/u: clear it by one extra power of u in the denominator
         return RadicalElement(
             self.ring,
-            A1 * A2 * u + B1 * B2,
-            (A1 * B2 + A2 * B1) * u,
+            _mul(_mul(A1, A2), u) + B1 * B2,
+            _mul(_mul(A1, B2) + _mul(A2, B1), u),
             self.m + other.m + 1,
         )
 
@@ -152,8 +158,8 @@ class RadicalElement:
         m = self.m
         if m == 0 and self.B.is_zero():
             return RadicalElement(self.ring, dA, Polynomial(), 0)
-        newA = dA * u - self.A.scale(m) * du
-        newB = dB * u - self.B.scale(Fraction(2 * m + 1, 2)) * du
+        newA = _mul(dA, u) - _mul(self.A.scale(m), du)
+        newB = _mul(dB, u) - _mul(self.B.scale(Fraction(2 * m + 1, 2)), du)
         return RadicalElement(self.ring, newA, newB, m + 1)
 
     def grad_coords(self):

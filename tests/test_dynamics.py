@@ -198,39 +198,45 @@ def _weighted(weights, values):
     return acc
 
 
-def _displacement(h, total, weights_a, p, fs, j):
+def _displacement(hh, total, weights_a, hp, fs, j):
     """h sum_s w_s P_s[j] in Nystrom form, for weights w with sum ``total``
-    and w A = ``weights_a``, from p and the stage forces fs."""
+    and w A = ``weights_a``, from hh = h*h, hp = h*p and the stage forces
+    fs, as total*hp + hh * (w A . F)."""
     inner = _weighted(weights_a, [f[j] for f in fs])
-    acc = total * p[j] if total else None
+    acc = total * hp[j] if total else None
     if inner is not None:
-        acc = h * inner if acc is None else acc + h * inner
-    return h * acc
+        acc = hh * inner if acc is None else acc + hh * inner
+    return acc
 
 
 def _attempt_loop(tableau, force, y0, h):
     """(solution, error estimate, low-order estimate or None, stage forces)
     of one attempt of ``tableau`` in Nystrom form, summed in a loop; the
-    solution's position is the last stage's."""
+    solution's position is the last stage's, and the low-order momentum
+    estimate is the solution's increment minus h (BHH . F)."""
     y0 = tuple(y0)
     q, p = y0[:3], y0[3:]
+    hh, hp = h * h, [h * v for v in p]
     fs = [tuple(force(q))]
     for s in range(1, tableau.last + 1):
-        stage = tuple(q[j] + _displacement(h, tableau.nodes[s], tableau.rows2[s], p, fs, j)
+        stage = tuple(q[j] + _displacement(hh, tableau.nodes[s], tableau.rows2[s], hp, fs, j)
                       for j in range(3))
         fs.append(tuple(force(stage)))
     b = tableau.rows[-1]
-    z = stage + tuple(p[j] + h * _weighted(b, [f[j] for f in fs]) for j in range(3))
+    dp = [h * _weighted(b, [f[j] for f in fs]) for j in range(3)]
+    z = stage + tuple(p[j] + dp[j] for j in range(3))
 
     def error(i):
-        dq = [_displacement(h, tableau.error_sums[i], tableau.error_rows[i], p, fs, j)
-              for j in range(3)]
-        return dq + [h * _weighted(tableau.error[i], [f[j] for f in fs]) for j in range(3)]
+        return [_displacement(hh, tableau.error_sums[i], tableau.error_rows[i], hp, fs, j)
+                for j in range(3)]
 
     if tableau.estimator == "embedded":
-        e, low = [z[j] - (y0[j] + d) for j, d in enumerate(error(0))], None
+        moment = [h * _weighted(tableau.error[0], [f[j] for f in fs]) for j in range(3)]
+        e, low = [z[j] - (y0[j] + d) for j, d in enumerate(error(0) + moment)], None
     else:
-        e, low = error(0), tuple(error(1))
+        e = error(0) + [h * _weighted(tableau.error[0], [f[j] for f in fs]) for j in range(3)]
+        low = tuple(error(1) + [dp[j] - h * _weighted(tableau.bhh, [f[j] for f in fs])
+                                for j in range(3)])
     return z, tuple(e), low, fs
 
 
@@ -259,12 +265,15 @@ def _classical_attempt_loop(tableau, force, y0, h):
 
 def _blended_norm_loop(y0, z, e, low, abs_tol, rel_tol):
     """Hairer's DOP853 error norm of an attempt of _attempt_loop over DOP853,
-    summed in a loop."""
+    each sum of squares in the mirror-paired order of the kernel."""
     scale = [abs_tol + rel_tol * max(abs(y0[j]), abs(z[j])) for j in range(6)]
-    err5 = err3 = 0.0
-    for j in range(6):
-        err5 = err5 + (e[j] / scale[j]) * (e[j] / scale[j])
-        err3 = err3 + (low[j] / scale[j]) * (low[j] / scale[j])
+
+    def paired(v):
+        # x with z and px with pz, in the kernel's order
+        qx, qy, qz, px, py, pz = (v[j] / scale[j] for j in range(6))
+        return (qx * qx + qz * qz) + qy * qy + ((px * px + pz * pz) + py * py)
+
+    err5, err3 = paired(e), paired(low)
     deno = err5 + 0.01 * err3
     return err5 / (math.sqrt(6.0) * math.sqrt(deno)) if deno else 0.0
 
@@ -357,36 +366,63 @@ def test_nystrom_attempt_agrees_with_classical_form(tableau, name, force):
 
 
 def test_nystrom_tables_are_exact_values_rounded_once():
-    """c = A 1, the rows of A A, sum E and E A of each tableau are the
-    exact products of its stored doubles, each rounded once, and are
-    derived once per tableau."""
-    for tab in (dynamics.DP54, dynamics.DOP853):
+    """c = A 1, the rows of A A, sum E, E A of each tableau and BHH = B - E3
+    of DOP853 are the exact products of its stored doubles, each rounded
+    once, and are derived once per tableau.  An entry of at most 2^-50 of
+    its terms' magnitudes is 0.0: that zero rule sets exactly six entries,
+    which are 0 for the exact weights, and no others."""
+    zeroed = set()
+    for name in ("DP54", "DOP853"):
+        tab = getattr(dynamics, name)
         n = len(tab.rows)
         a = [[Fraction(row[k]) if k < len(row) else Fraction(0) for k in range(n)]
              for row in tab.rows]
 
-        def times_a(w):
-            return [sum(w[j] * a[j][k] for j in range(n)) for k in range(n)]
+        def rounded(label, terms):
+            exact = sum(terms)
+            if exact and abs(exact) <= Fraction(1, 2**50) * sum(map(abs, terms)):
+                zeroed.add((name, *label))
+                return 0.0
+            return float(exact)
 
-        def rounded(exact, table):
+        def times_a(label, w, width):
             # nonzero only where the table has an entry
-            assert all(v == 0 for v in exact[len(table):])
-            return tuple(float(v) for v in exact[:len(table)])
+            assert all(sum(w[j] * a[j][k] for j in range(n)) == 0 for k in range(width, n))
+            return tuple(rounded((*label, k), [w[j] * a[j][k] for j in range(n)])
+                         for k in range(width))
 
         for s, row in enumerate(a):
-            assert tab.nodes[s] == float(sum(row))
+            assert tab.nodes[s] == rounded(("nodes", s), row)
             assert len(tab.rows2[s]) == max(s - 1, 0)
-            assert tab.rows2[s] == rounded(times_a(row), tab.rows2[s])
+            assert tab.rows2[s] == times_a(("rows2", s), row, len(tab.rows2[s]))
         for i, weights in enumerate(tab.error):
             w = [Fraction(c) for c in weights] + [Fraction(0)] * (n - len(weights))
-            assert tab.error_sums[i] == float(sum(w))
-            assert tab.error_rows[i] == rounded(times_a(w), tab.error_rows[i])
+            assert tab.error_sums[i] == rounded(("error_sums", i), w)
+            assert tab.error_rows[i] == times_a(("error_rows", i), w, len(tab.error_rows[i]))
+        assert tab.bhh == tuple(rounded(("bhh", k), [Fraction(b), -Fraction(e)])
+                                for k, (b, e) in enumerate(zip(tab.rows[-1], tab.error[-1])))
         assert tab.nodes[-1] == 1.0                  # the solution's weights sum to 1
         assert tab.rows2 is tab.rows2 and tab.error_rows is tab.error_rows
+    assert zeroed == {
+        ("DOP853", "rows2", 12, 3), ("DOP853", "rows2", 12, 4),
+        ("DOP853", "error_sums", 0), ("DOP853", "error_sums", 1),
+        ("DP54", "rows2", 6, 1), ("DP54", "error_rows", 0, 1),
+    }
+    # Hairer's BHH: nonzero on stages 0, 8 and 11 only
+    assert [k for k, c in enumerate(dynamics.DOP853.bhh) if c] == [0, 8, 11]
+
+
+def test_dop853_attempt_arithmetic_stays_lean():
+    """The attempt forms h*h and h*p once and leaves out the tables' zero
+    entries: the call-site attempt of DOP853 has 664 binary operations
+    (753 before that grouping), so none quietly comes back."""
+    source = "\n".join(dynamics._attempt_lines(dynamics.DOP853, dynamics._call_site))
+    assert sum(isinstance(n, ast.BinOp) for n in ast.walk(ast.parse(source))) == 664
 
 
 # dp54_step at a few states, recorded as hex floats when the shared
-# attempt generator began to write the Nystrom form
+# attempt generator began to form h*h and h*p once per attempt (of the
+# Nystrom form before it, only the oscillator's y and its error differ)
 def _anharmonic(q):
     x, y, z = q
     return (-x - x * y * z, -y + 0.5 * x * x, -z * (1.0 + z * z))
@@ -394,9 +430,9 @@ def _anharmonic(q):
 
 _DP54_RECORDED = [
     (_oscillator, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0), 0.2,
-     ("0x1.f5cb48be34d98p-1", "0x1.96dff28b140c8p-3", "0x0.0p+0", "-0x1.96dff28b140c8p-3",
+     ("0x1.f5cb48be34d98p-1", "0x1.96dff28b140c7p-3", "0x0.0p+0", "-0x1.96dff28b140c8p-3",
       "0x1.f5cb48be34d98p-1", "0x0.0p+0"),
-     ("-0x1.65575e0000000p-26", "-0x1.152b267f00000p-22", "0x0.0p+0", "0x1.152b267e00000p-22",
+     ("-0x1.65575e0000000p-26", "-0x1.152b267f80000p-22", "0x0.0p+0", "0x1.152b267e00000p-22",
       "-0x1.65575e0000000p-26", "0x0.0p+0")),
     (_free, (0.0, 1.0, -2.0, 0.5, -0.25, 1.0), 0.7,
      ("0x1.6666666666666p-2", "0x1.a666666666666p-1", "-0x1.4cccccccccccdp+0",
@@ -774,23 +810,21 @@ def _swap_xz(v):
     return (v[2], v[1], v[0])
 
 
+@pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
 @pytest.mark.parametrize("ic", [
     ((0.0, 0.0, 0.5), (0.0, 0.0, 0.4)),      # documented orbit 0
     *scan_initial_conditions(0, 10),
 ], ids=["orbit0", *(f"scan0-ic{k}" for k in range(10))])
-def test_mirror_maps_leapfrog_runs_onto_runs_bit_for_bit(ic):
+def test_mirror_maps_runs_onto_runs_bit_for_bit(integrator, ic):
     """u(a; x, y, z) = u(1 - a; z, y, x), so (a, x, z) -> (1 - a, z, x),
     with the momenta to match, is a symmetry of H; at a = 1/4 and 3/4,
-    1 - a is exact.  Every operation of the leapfrog kernel commutes with
-    the swap: the mirrored run has the same t, H, u and d_sing and the
-    swapped q and p in every row, and an equal outcome in every field but
-    drift_X1 and drift_X2, bit for bit.  X1 and X2 are not
-    mirror-invariant.  Adaptive runs are not tested: their error norm sums
-    the components from x to pz, so the swap changes its last bits and the
-    step sequences part (ROADMAP item 9's norm reordering, which
-    re-baselines the digest)."""
+    1 - a is exact.  Every operation of both kernels commutes with the
+    swap, the adaptive error norm too, since it sums x with z and px with
+    pz: the mirrored run has the same t, H, u and d_sing and the swapped q
+    and p in every row, and an equal outcome in every field but drift_X1
+    and drift_X2, bit for bit.  X1 and X2 are not mirror-invariant."""
     (q0, p0), t_end = ic, 20.0
-    config = SimConfig(a=0.25, b=B0, w0=W0, t_end=t_end, integrator="leapfrog")
+    config = SimConfig(a=0.25, b=B0, w0=W0, t_end=t_end, integrator=integrator)
     record, outcome = simulate(config, PhaseState.make(0.0, q0, p0))
     mirror, mirror_outcome = simulate(dataclasses.replace(config, a=0.75),
                                       PhaseState.make(0.0, _swap_xz(q0), _swap_xz(p0)))

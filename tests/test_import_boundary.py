@@ -87,8 +87,21 @@ def test_unknown_name_raises_attribute_error():
     assert out.strip() == "AttributeError module 'quadint' has no attribute 'no_such_name'"
 
 
-PACKED_ATTRIBUTES = {"numerators", "denominator"}
+PACKED_ATTRIBUTES = {"_numerators", "_denominator"}
 PACKED_FUNCTIONS = {"pack", "unpack"}
+
+
+def _packed_leaks(source: str, name: str) -> list[str]:
+    """Where ``source`` reads a polynomial's private numerators or
+    denominator, or imports pack or unpack."""
+    leaks = []
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, ast.Attribute) and node.attr in PACKED_ATTRIBUTES:
+            leaks.append(f"{name}:{node.lineno} .{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            leaks += [f"{name}:{node.lineno} imports {alias.name}"
+                      for alias in node.names if alias.name in PACKED_FUNCTIONS]
+    return leaks
 
 
 def test_packed_format_stays_in_algebra():
@@ -96,15 +109,20 @@ def test_packed_format_stays_in_algebra():
     denominator, or imports the key functions pack and unpack."""
     modules = sorted(p for p in (SRC / "quadint").glob("*.py") if p.name != "algebra.py")
     assert "verifier.py" in {p.name for p in modules}
-    leaks = []
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in PACKED_ATTRIBUTES:
-                leaks.append(f"{path.name}:{node.lineno} .{node.attr}")
-            elif isinstance(node, ast.ImportFrom):
-                leaks += [f"{path.name}:{node.lineno} imports {alias.name}"
-                          for alias in node.names if alias.name in PACKED_FUNCTIONS]
-    assert leaks == []
+    assert [leak for path in modules for leak in _packed_leaks(path.read_text(), path.name)] == []
+
+
+def test_packed_check_flags_the_private_slots_only():
+    """The check flags a polynomial's private slots and the key functions,
+    and passes a Fraction's public numerator and denominator."""
+    source = textwrap.dedent("""
+        from quadint.algebra import pack
+        n, d = c.numerator, c.denominator
+        m = p._numerators
+        e = p._denominator
+    """)
+    assert _packed_leaks(source, "m.py") == [
+        "m.py:2 imports pack", "m.py:4 ._numerators", "m.py:5 ._denominator"]
 
 
 def _unread_imports(tree: ast.Module, allowed=frozenset()) -> list[str]:
