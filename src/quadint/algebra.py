@@ -126,8 +126,8 @@ class Polynomial:
         d1, d2 = self._denominator, other._denominator
         d = d1 if d1 == d2 else math.lcm(d1, d2)
         f1, f2 = d // d1, d // d2
-        c1 = self._numerators
-        out = {e: c * f1 for e, c in c1.items()} if f1 != 1 else dict(c1)
+        out = ({e: c * f1 for e, c in self._numerators.items()} if f1 != 1
+               else dict(self._numerators))
         for e, c in other._numerators.items():
             s = out.get(e, 0) + c * f2
             if s:

@@ -311,9 +311,10 @@ _ZERO_SHARE = Fraction(1, 2**50)
 def _rounded(terms: list) -> float:
     """The exact sum of ``terms`` (Fractions) rounded once, or 0.0 if it is
     at most _ZERO_SHARE of the sum of their magnitudes.  The stored doubles
-    are the exact weights to 2^-53 relative, so such an entry is the
-    rounding of the stored doubles, not a weight of the method: sum E5,
-    sum E3 and some rows of A A are 0 for the exact weights."""
+    are the exact weights to 2^-53 relative, so a sum of their products is
+    the exact weights' to about 2^-52 of that magnitude; an entry within
+    4 times that is the stored doubles' rounding, not a weight of the
+    method (sum E5 and sum E3 are 0 for the exact weights)."""
     exact = sum(terms)
     return 0.0 if abs(exact) <= _ZERO_SHARE * sum(map(abs, terms)) else float(exact)
 

@@ -226,18 +226,15 @@ def _attempt_loop(tableau, force, y0, h):
     dp = [h * _weighted(b, [f[j] for f in fs]) for j in range(3)]
     z = stage + tuple(p[j] + dp[j] for j in range(3))
 
-    def error(i):
+    def dq(i):
         return [_displacement(hh, tableau.error_sums[i], tableau.error_rows[i], hp, fs, j)
                 for j in range(3)]
 
+    est = dq(0) + [h * _weighted(tableau.error[0], [f[j] for f in fs]) for j in range(3)]
     if tableau.estimator == "embedded":
-        moment = [h * _weighted(tableau.error[0], [f[j] for f in fs]) for j in range(3)]
-        e, low = [z[j] - (y0[j] + d) for j, d in enumerate(error(0) + moment)], None
-    else:
-        e = error(0) + [h * _weighted(tableau.error[0], [f[j] for f in fs]) for j in range(3)]
-        low = tuple(error(1) + [dp[j] - h * _weighted(tableau.bhh, [f[j] for f in fs])
-                                for j in range(3)])
-    return z, tuple(e), low, fs
+        return z, tuple(z[j] - (y0[j] + d) for j, d in enumerate(est)), None, fs
+    low = dq(1) + [dp[j] - h * _weighted(tableau.bhh, [f[j] for f in fs]) for j in range(3)]
+    return z, tuple(est), tuple(low), fs
 
 
 def _classical_attempt_loop(tableau, force, y0, h):

@@ -73,6 +73,29 @@ def test_add_multiplies_only_the_operand_with_the_lower_exponent(ring, monkeypat
                             for pair in products for f in pair)
 
 
+def test_zero_parts_form_no_products(ring, monkeypatch):
+    """A product, a derivative and an add of elements whose A or B is zero
+    form no polynomial product with a zero factor, and give the same
+    elements as the products would."""
+    grad = RadicalElement(ring, Polynomial(), x * y, 1)   # the shape of a grad V component
+    poly = ring.from_poly(2 * px + z)
+    cases = [lambda: poly * grad, lambda: grad * grad, lambda: grad.diff(0),
+             lambda: grad + ring.s(), lambda: grad + poly]
+    expected = [case() for case in cases]
+    zero_factors = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        if self.is_zero() or other.is_zero():
+            zero_factors.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    results = [case() for case in cases]
+    assert zero_factors == []
+    assert [(r.A, r.B, r.m) for r in results] == [(e.A, e.B, e.m) for e in expected]
+
+
 def test_context_mismatch_rejected(ring):
     other = RingContext(build_u())
     with pytest.raises(ContextMismatch):
