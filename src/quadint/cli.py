@@ -47,6 +47,15 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def parse_double(text: str) -> float:
+    """An exact entry (see ``parse_rational``) rounded to the nearest
+    double; one beyond the double range is a ValueError."""
+    try:
+        return float(parse_rational(text))
+    except OverflowError:
+        raise ValueError(f"{text.strip()} is beyond the double range") from None
+
+
 def parse_vec3(text: str):
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 3:
@@ -155,14 +164,14 @@ def _check_out(path: str) -> None:
 def build_sim_config(args):
     """The SimConfig of the fields that ``args`` sets; every other field
     keeps SimConfig's default.  ``a``, ``b`` and ``w0`` are exact entries
-    (see ``parse_rational``)."""
+    (see ``parse_double``)."""
     from .dynamics import SimConfig
 
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)
               if hasattr(args, f.name)}
     for name in ("a", "b", "w0"):
         if name in values:
-            values[name] = float(parse_rational(values[name]))
+            values[name] = parse_double(values[name])
     return SimConfig(**values)
 
 
@@ -212,8 +221,8 @@ def cmd_plot(args) -> int:
     plot_trajectories(
         args.trajectories,
         args.out,
-        a=float(parse_rational(args.a)),
-        b=float(parse_rational(args.b)),
+        a=parse_double(args.a),
+        b=parse_double(args.b),
         view=args.view,
         width=args.width,
         height=args.height,

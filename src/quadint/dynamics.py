@@ -869,8 +869,9 @@ INTEGRATORS = ("adaptive", "leapfrog")
 # the most sample intervals one simulate call takes: each costs a sample
 # callback and a record row of about 430 bytes, so 10**6 rows take about 0.4 GB
 MAX_SAMPLES = 10**6
-# the most leapfrog steps one simulate call takes, (t_end - t0) / fixed_step:
-# 100 times the 10**6 of a run to t = 1000 at the default fixed_step
+# the most steps one simulate call may need at its integrator's longest step,
+# (t_end - t0) / fixed_step or H_MAX: 100 times the 10**6 leapfrog steps of a
+# run to t = 1000 at the default fixed_step
 MAX_STEPS = 10**8
 
 
@@ -896,6 +897,11 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        # no stored double meets a relative accuracy finer than binary64's
+        # unit roundoff: the adaptive run would crawl at the step floor
+        if self.rel_tol < 2**-53:
+            raise ValueError(f"rel_tol must be at least 2**-53 = {2**-53:.4g}, the unit "
+                             f"roundoff of binary64, got {self.rel_tol!r}")
         if not (math.isfinite(self.u_floor) and self.u_floor >= 0):
             raise ValueError(f"u_floor must be finite and non-negative, got {self.u_floor!r}")
         for name in ("a", "b", "w0"):
@@ -967,17 +973,27 @@ def distance_to_singular_lines(q, a: float, b: float) -> float:
     return math.sqrt(_factored_block(a, b)[1](float(q[0]), float(q[1]), float(q[2]))[1])
 
 
+def _drift(rows, column: int) -> float:
+    """The relative drift of one column of the record rows from row 0: the
+    largest |v - v0| / max(|v0|, 1e-3) over the rows, a nan term passed over."""
+    v0 = rows[0][column]
+    scale = max(abs(v0), 1e-3)
+    terms = (abs(row[column] - v0) / scale for row in rows)
+    return max((d for d in terms if not math.isnan(d)), default=0.0)
+
+
 def simulate(config: SimConfig, initial: PhaseState):
     """Integrate to t_end or a stop condition, sampling conserved quantities.
 
     The run is one call of the system's generated kernel (_compile_kernel),
-    which calls back here for every sample row.  Failures are classified
-    in the returned RunOutcome, not raised, except for a q or p without 3
-    components, a non-finite initial t, q or p, an initial state whose
-    evaluation overflows, more than MAX_SAMPLES sample intervals or, for
-    leapfrog, more than MAX_STEPS steps (ValueError), or an initial state
-    already inside the singularity cutoff (SingularPoint).  An evaluation
-    that overflows mid-run is classified ``step-failure``.
+    which calls back here for every sample row after row 0.  Failures are
+    classified in the returned RunOutcome, not raised, except for a q or p
+    without 3 components, a non-finite initial t, q or p, an initial state
+    whose evaluation overflows, more than MAX_SAMPLES sample intervals or
+    more than MAX_STEPS steps of the integrator's longest step (ValueError),
+    or an initial state already inside the singularity cutoff
+    (SingularPoint).  An evaluation that overflows mid-run is classified
+    ``step-failure``.
     """
     if initial.q.shape != (3,) or initial.p.shape != (3,):
         raise ValueError(f"q and p must have 3 components, got shapes "
@@ -989,37 +1005,24 @@ def simulate(config: SimConfig, initial: PhaseState):
     if samples > MAX_SAMPLES:
         raise ValueError(f"(t_end - t0) / sample_interval = {samples:.3g} sample "
                          f"intervals exceeds MAX_SAMPLES = {MAX_SAMPLES}")
-    if config.integrator == "leapfrog":
-        steps = (config.t_end - initial.t) / config.fixed_step
-        if steps > MAX_STEPS:
-            raise ValueError(f"(t_end - t0) / fixed_step = {steps:.3g} leapfrog steps "
-                             f"exceeds MAX_STEPS = {MAX_STEPS}")
+    # no step is longer than fixed_step (leapfrog) or H_MAX (adaptive), so
+    # the run takes at least this many steps
+    longest, h_max = (("fixed_step", config.fixed_step) if config.integrator == "leapfrog"
+                      else ("H_MAX", H_MAX))
+    steps = (config.t_end - initial.t) / h_max
+    if steps > MAX_STEPS:
+        raise ValueError(f"(t_end - t0) / {longest} = {steps:.3g} {config.integrator} steps "
+                         f"exceeds MAX_STEPS = {MAX_STEPS}")
     force, integrals = compile_system(config.a, config.b, config.w0, config.u_floor)
     # one force site at q0: rejects ICs on/near the singular lines
     f0, u0, d2 = force._at(*q0)
-
-    h0, x10, x20 = integrals(q0, p0)
-    rows = [(initial.t, *q0, *p0, h0, x10, x20, u0, math.sqrt(d2))]
-    # the relative drift of H, X1 and X2 from row 0: the largest
-    # |v - v0| / max(|v0|, 1e-3) over the rows (a nan term is passed over)
-    scale_h, scale_x1, scale_x2 = (max(abs(v), 1e-3) for v in (h0, x10, x20))
-    drift_h = drift_x1 = drift_x2 = 0.0
+    rows = []
     sqrt = math.sqrt
 
     def sample(t, x, y, z, px, py, pz, u, d2):
-        nonlocal drift_h, drift_x1, drift_x2
-        h, x1, x2 = integrals((x, y, z), (px, py, pz))
-        rows.append((t, x, y, z, px, py, pz, h, x1, x2, u, sqrt(d2)))
-        v = abs(h - h0) / scale_h
-        if v > drift_h:
-            drift_h = v
-        v = abs(x1 - x10) / scale_x1
-        if v > drift_x1:
-            drift_x1 = v
-        v = abs(x2 - x20) / scale_x2
-        if v > drift_x2:
-            drift_x2 = v
+        rows.append((t, x, y, z, px, py, pz, *integrals((x, y, z), (px, py, pz)), u, sqrt(d2)))
 
+    sample(initial.t, *q0, *p0, u0, d2)
     run = _compile_kernel(force, config.integrator)
     exc, t, steps, rejected, floor_accepted, evals, min_u, min_d2, max_q = run(
         sample, initial.t, q0, p0, f0, u0, d2, config)
@@ -1035,7 +1038,8 @@ def simulate(config: SimConfig, initial: PhaseState):
         classification = "completed"
     outcome = RunOutcome(
         classification=classification,
-        drift_H=drift_h, drift_X1=drift_x1, drift_X2=drift_x2,
+        # H, X1 and X2 are columns 7 to 9 of TRAJECTORY_HEADER
+        drift_H=_drift(rows, 7), drift_X1=_drift(rows, 8), drift_X2=_drift(rows, 9),
         min_u=min_u, min_dsing=math.sqrt(min_d2), max_q=max_q, t_final=t, detail=detail,
         steps=steps, rejected=rejected, floor_accepted=floor_accepted,
         force_evals=evals + 1,              # and the 1 at q0
@@ -1063,13 +1067,10 @@ def scan_initial_conditions(seed: int, n: int, q_range: float = 0.5, p_range: fl
 
 
 def _scan_one(config: SimConfig, idx: int, ic):
-    q0, p0 = ic
-    state = PhaseState.make(0.0, q0, p0)
-    record, outcome = simulate(config, state)
-    return (
-        idx, *state.q, *state.p, record.rows[0][7],
-        outcome.min_u, outcome.min_dsing, outcome.classification,
-    )
+    record, outcome = simulate(config, PhaseState.make(0.0, *ic))
+    # x0 .. pz0 and E = H are columns 1 to 7 of row 0
+    return (idx, *record.rows[0][1:8],
+            outcome.min_u, outcome.min_dsing, outcome.classification)
 
 
 def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):

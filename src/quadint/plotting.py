@@ -21,6 +21,10 @@ VIEWS = ("xy", "xz", "yz", "3d")
 _AZIMUTH = math.radians(30.0)
 _ELEVATION = math.radians(25.0)
 
+# the largest width or height in pixels: far beyond any display, and far
+# inside the double range that the coordinates are computed in
+MAX_SIZE = 10**6
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -69,9 +73,17 @@ def render_svg(
     width: int = 640,
     height: int = 640,
 ) -> str:
-    """Render trajectories plus dashed singular lines to an SVG document."""
+    """Render trajectories plus dashed singular lines to an SVG document.
+
+    ``width`` and ``height`` are in pixels: above the plot's two 50-px
+    margins and at most MAX_SIZE."""
     if view not in VIEWS:
         raise ValueError(f"view must be one of {VIEWS}")
+    margin = 50
+    for name, size in (("width", width), ("height", height)):
+        if not 2 * margin < size <= MAX_SIZE:
+            raise ValueError(f"{name} must be above the two {margin}-px margins, "
+                             f"{2 * margin} px, and at most {MAX_SIZE} px, got {size!r}")
     proj, xlabel, ylabel = _project(view)
 
     curves = []
@@ -104,7 +116,6 @@ def render_svg(
                 "padding: the data are too close to the binary64 limit to plot"
             )
 
-    margin = 50
     pw, ph = width - 2 * margin, height - 2 * margin
 
     def to_px(pt):

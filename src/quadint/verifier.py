@@ -624,8 +624,9 @@ def _scalar_ansatz_results(ctx: SystemContext) -> list[CheckResult]:
 def run_report(ctx: SystemContext, only: str | None = None) -> VerificationReport:
     """Run the full check battery in a fixed, deterministic order.
 
-    ``only`` filters by substring of the check-group name.  The report's
-    ``total_ms`` is the wall time of the checks that ran.
+    ``only`` filters by substring of the check-group name; one that
+    matches no group raises ValueError, which names the groups.  The
+    report's ``total_ms`` is the wall time of the checks that ran.
     """
     groups = [
         ("involution", lambda: verify_involution(ctx)),
@@ -639,11 +640,13 @@ def run_report(ctx: SystemContext, only: str | None = None) -> VerificationRepor
         ("factorization", lambda: verify_factorization(ctx)),
         ("scalar_ansatz", lambda: _scalar_ansatz_results(ctx)),
     ]
+    selected = [fn for name, fn in groups if not only or only in name]
+    if not selected:
+        raise ValueError(f"only = {only!r} matches no check group; the groups are "
+                         + ", ".join(name for name, _ in groups))
     results: list[CheckResult] = []
     t0 = time.perf_counter()
-    for name, fn in groups:
-        if only and only not in name:
-            continue
+    for fn in selected:
         results.extend(fn())
     total_ms = (time.perf_counter() - t0) * 1e3
     return VerificationReport(results, context_fingerprint(ctx), total_ms)

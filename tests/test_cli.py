@@ -8,6 +8,9 @@ import platform
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_dynamics import _alarm
 
 from quadint.cli import _load_config_file, build_parser, main, parse_rational, parse_vec3
 
@@ -58,6 +61,14 @@ def test_verify_only_filter(capsys):
     doc = json.loads(out)
     assert len(doc["checks"]) == 3
     assert all(c["name"].startswith("involution") for c in doc["checks"])
+
+
+def test_verify_only_matching_no_group_exits_one(capsys):
+    code, out, err = run(["verify", "--only", "nosuchgroup"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: only = 'nosuchgroup' matches no check group; "
+                          "the groups are involution, m_system, ")
 
 
 def test_verify_alt_ly_fails(capsys):
@@ -266,6 +277,19 @@ def test_simulate_rejects_a_coefficient_outside_the_double_range(capsys, tmp_pat
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--q0", "0,0,0.5", "--p0", "0,0,0.4", "--t-end", "1", "--w0"],
+    ["plot", "--b"],
+], ids=["simulate-w0", "plot-b"])
+def test_exact_entry_beyond_the_double_range_exits_one(capsys, tmp_path, argv):
+    # float() of such a Fraction used to raise OverflowError, an internal error
+    out_file = tmp_path / "out"
+    code, _, err = run([*argv, "-1" + "0" * 400, "--out", str(out_file)], capsys)
+    assert code == 1
+    assert err == f"error: -1{'0' * 400} is beyond the double range\n"
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("option", [["--q0", "-0.1,0,0.5"], ["--b", "-1e-3"], ["--w0", "-1e300"]],
                          ids=["q0", "b", "w0"])
 def test_negative_value_in_exponent_or_vector_form_is_a_value(capsys, tmp_path, option):
@@ -309,6 +333,24 @@ def test_simulate_over_the_leapfrog_step_budget_exits_one(capsys, tmp_path, monk
     assert code == 1
     assert "MAX_STEPS" in err
     assert "internal error" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("option, match", [
+    # an adaptive step is never longer than H_MAX = 1
+    (["--t-end", "1e300", "--sample-interval", "1e299"],
+     "(t_end - t0) / H_MAX = 1e+300 adaptive steps exceeds MAX_STEPS = 100000000"),
+    # no stored double meets a relative accuracy below 2**-53
+    (["--rel-tol", "1e-30", "--abs-tol", "1e-30", "--t-end", "10"],
+     "rel_tol must be at least 2**-53"),
+], ids=["adaptive-step-budget", "rel-tol-floor"])
+def test_simulate_that_cannot_end_exits_one_within_a_second(capsys, tmp_path, option, match):
+    out_file = tmp_path / "o.csv"
+    with _alarm(1):
+        code, _, err = run(["simulate", "--q0", "0.5,0.2,-0.3", "--p0", "0.1,0.1,0.1",
+                            *option, "--out", str(out_file)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and match in err
     assert not out_file.exists()
 
 
@@ -391,6 +433,20 @@ def test_plot_rejects_malformed_row(tmp_path, capsys, row):
     assert code == 1
     assert err.startswith("error: line 3 of ")
     assert not (tmp_path / "o.svg").exists()
+
+
+@pytest.mark.parametrize("option", [
+    ["--width", "0"], ["--height", "100"], ["--width", "-640"],
+    # such a width used to overflow the float pixel coordinates
+    ["--height", "1000001"], ["--width", "1" + "0" * 400],
+], ids=["width-0", "height-100", "width-negative", "height-over-max", "width-1e400"])
+def test_plot_size_outside_its_range_exits_one(tmp_path, capsys, option):
+    out_svg = tmp_path / "o.svg"
+    code, _, err = run(["plot", *option, "--out", str(out_svg)], capsys)
+    assert code == 1
+    assert err == (f"error: {option[0][2:]} must be above the two 50-px margins, 100 px, "
+                   f"and at most 1000000 px, got {option[1]}\n")
+    assert not out_svg.exists()
 
 
 def _one_row_traj(tmp_path, x):
@@ -602,3 +658,61 @@ def test_jobs_environment_variable_is_ignored(monkeypatch, capsys):
     monkeypatch.setenv("QUADINT_JOBS", "x")
     code, _, _ = run(["verify", "--only", "involution"], capsys)
     assert code == 0
+
+
+# -- every numeric option at its extremes ------------------------------
+
+# the values a float or an exact option is drawn from: signed zeros, the
+# least subnormal, 1e+-300, nan, infinities and integers beyond the double range
+_EXTREME_TEXTS = ["0", "-0", "5e-324", "-5e-324", "1e300", "-1e300", "1e-300", "-1e-300",
+                  "nan", "inf", "-inf", "1" + "0" * 400, "-1" + "0" * 400]
+_EXTREME_INTS = [0, -1, 2**63, -2**63, 10**400, -10**400]
+
+
+def _ints(max_value=None):
+    values = [v for v in _EXTREME_INTS if max_value is None or v <= max_value]
+    return st.one_of(st.sampled_from(values), st.integers(max_value=max_value)).map(str)
+
+
+_TEXTS = st.sampled_from(_EXTREME_TEXTS)
+_SIM_OPTIONS = {name: _TEXTS for name in (
+    "--a", "--b", "--w0", "--t-end", "--rel-tol", "--abs-tol", "--fixed-step",
+    "--u-floor", "--r-max", "--sample-interval")}
+# --n and --jobs stay small: the pool forks min(jobs, n) workers at once
+_SCAN_OPTIONS = {**{name: _TEXTS for name in (
+    "--a", "--b", "--w0", "--q-range", "--p-range", "--t-end", "--rel-tol", "--u-floor")},
+    "--n": _ints(4), "--seed": _ints(), "--jobs": _ints(2)}
+_PLOT_OPTIONS = {"--a": _TEXTS, "--b": _TEXTS, "--width": _ints(), "--height": _ints()}
+_BASES = {
+    "simulate-adaptive": (["simulate", "--q0", "0.5,0.2,-0.3", "--p0", "0.1,0.1,0.1",
+                           "--t-end", "1"], _SIM_OPTIONS),
+    "simulate-leapfrog": (["simulate", "--q0", "0.5,0.2,-0.3", "--p0", "0.1,0.1,0.1",
+                           "--t-end", "1", "--integrator", "leapfrog"], _SIM_OPTIONS),
+    "scan": (["scan", "--n", "2", "--t-end", "1"], _SCAN_OPTIONS),
+    "plot": (["plot"], _PLOT_OPTIONS),
+}
+
+
+@st.composite
+def _one_extreme_option(draw, options):
+    name = draw(st.sampled_from(sorted(options)))
+    return name, draw(options[name])
+
+
+@pytest.mark.parametrize("base", sorted(_BASES))
+def test_any_one_numeric_option_exits_zero_or_one_quickly(base, tmp_path, capsys):
+    argv, options = _BASES[base]
+    if base == "plot":
+        argv = [*argv, str(_one_row_traj(tmp_path, "0.5"))]
+    out = tmp_path / "out"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_one_extreme_option(options))
+    def check(option):
+        # the last of two values of one option wins
+        with _alarm(5):
+            code, _, err = run([*argv, *option, "--out", str(out)], capsys)
+        assert code in (0, 1), err
+        assert "internal error" not in err
+
+    check()

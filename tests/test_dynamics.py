@@ -875,6 +875,13 @@ def test_rows_and_drifts_are_the_integrals_of_each_state(integrator, ic):
     assert _bits(drifts) == _bits([outcome.drift_H, outcome.drift_X1, outcome.drift_X2])
 
 
+def test_drift_passes_over_a_nan_row():
+    rows = [(0.0, 2.0), (1.0, math.nan), (2.0, 2.5), (3.0, 1.9)]
+    assert dynamics._drift(rows, 1) == 0.25
+    # a column that is nan from row 0 on has no finite drift to report
+    assert dynamics._drift([(0.0, math.nan), (1.0, 1.0)], 1) == 0.0
+
+
 @pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
 def test_kernel_binds_d2_once_per_step_and_calls_no_abs_min_or_max(integrator, monkeypatch):
     """d2 is read only after a step, so each run kernel binds it once, in
@@ -1098,6 +1105,12 @@ def test_trajectory_csv_rejects_bad_header(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(rel_tol=0.0)
+    # a relative accuracy below binary64's unit roundoff is rejected
+    with pytest.raises(ValueError, match=r"rel_tol must be at least 2\*\*-53 .* got 1e-30"):
+        SimConfig(rel_tol=1e-30)
+    with pytest.raises(ValueError, match="rel_tol must be at least"):
+        SimConfig(rel_tol=math.nextafter(2**-53, 0))
+    assert SimConfig(rel_tol=2**-53).rel_tol == 2**-53
     with pytest.raises(ValueError):
         SimConfig(t_end=-1.0)
     with pytest.raises(ParamDomain):
@@ -1494,6 +1507,22 @@ def test_leapfrog_step_budget(monkeypatch, integrator, fixed_step, raised, match
 
     monkeypatch.setattr(dynamics, "compile_system", no_compile)
     config = SimConfig(t_end=1.0, fixed_step=fixed_step, integrator=integrator)
+    with _alarm(5), pytest.raises(raised, match=match):
+        simulate(config, PhaseState.make(0.0, (0.0, 0.0, 0.5), (0.0, 0.0, 0.4)))
+
+
+@pytest.mark.parametrize("t_end, raised, match", [
+    (1e300, ValueError, r"\(t_end - t0\) / H_MAX = 1e\+300 adaptive steps exceeds "
+                        r"MAX_STEPS = 100000000"),
+    # no adaptive step is longer than H_MAX = 1, so 10**8 steps is the budget
+    (1e8, AssertionError, "compiled"),
+], ids=["1e300", "at-budget"])
+def test_adaptive_step_budget(monkeypatch, t_end, raised, match):
+    def no_compile(*args):
+        raise AssertionError("simulate compiled")
+
+    monkeypatch.setattr(dynamics, "compile_system", no_compile)
+    config = SimConfig(t_end=t_end, sample_interval=t_end / 10)
     with _alarm(5), pytest.raises(raised, match=match):
         simulate(config, PhaseState.make(0.0, (0.0, 0.0, 0.5), (0.0, 0.0, 0.4)))
 

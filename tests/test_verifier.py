@@ -555,6 +555,12 @@ def test_run_report_only_filter(ctx):
     assert all(r.name.startswith("involution") for r in report.results)
 
 
+def test_run_report_only_matching_no_group_raises(ctx):
+    with pytest.raises(ValueError, match="only = 'nosuchgroup' matches no check group; "
+                                         "the groups are involution, m_system, .*, scalar_ansatz$"):
+        run_report(ctx, only="nosuchgroup")
+
+
 def test_run_report_alt_ly_fails(alt_ctx):
     report = run_report(alt_ctx, only="involution")
     assert not report.all_passed
