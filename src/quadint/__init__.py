@@ -6,7 +6,8 @@ The exact half (``algebra``, ``radical``, ``catalog``, ``verifier``) runs
 on ``Fraction`` arithmetic and never imports numpy, so ``import quadint``,
 ``build_context()`` and ``run_report()`` load no numpy.  The dynamics
 names below are served lazily (PEP 562): the first use of one imports
-``quadint.dynamics``, and numpy with it."""
+``quadint.dynamics``, which runs on Python floats and loads numpy only
+for a scan's seeded draw of initial conditions."""
 
 import importlib
 

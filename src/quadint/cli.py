@@ -12,8 +12,10 @@ also record the ``SimConfig`` that ran, as ``sim_config``.
 ``build_sim_config`` passes only the ones set.  ``scan`` keeps two
 defaults of its own, ``--t-end 50`` and ``--rel-tol 1e-10``.
 
-``verify`` and the parser load no numpy: ``simulate``, ``plot`` and ``scan``
-import ``quadint.dynamics`` (and numpy) when they run.
+``verify`` and the parser load neither numpy nor ``quadint.dynamics``;
+``simulate``, ``plot`` and ``scan`` import ``quadint.dynamics`` when they
+run, and of these only ``scan`` loads numpy, for its seeded draw of
+initial conditions.
 """
 
 from __future__ import annotations
@@ -146,11 +148,14 @@ def write_manifest(args, config=None, fingerprint=None):
 
 
 def _check_out(path: str) -> None:
-    """Reject an output path that cannot be written, before any work: its
-    directory must exist, it must not be a directory, and the file, or its
-    directory for a new file, must be writable."""
+    """Reject an output path that cannot be written, before any work: it
+    must not be empty, its directory must exist, it must not be a
+    directory, and the file, or its directory for a new file, must be
+    writable."""
     parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
+    if not path:
+        reason = "the path is empty"
+    elif not os.path.isdir(parent):
         reason = f"no directory {parent}"
     elif os.path.isdir(path):
         reason = "it is a directory"
@@ -376,7 +381,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = build_parser(_load_config_file(args.config)).parse_args(argv)
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:
             _check_out(args.out)
         return args.fn(args)
     except (ParamDomain, SingularPoint, ValueError) as exc:

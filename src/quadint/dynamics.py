@@ -43,17 +43,20 @@ u^(-3/2) as 1 / (u sqrt(u)).  Only the step controller's exponents
 ``**-0.0875``, ``**0.05`` and ``**-0.125`` still go through the C
 library's ``pow``, so adaptive records are bit-identical across hosts only
 where that ``pow`` agrees.
+
+States are Python floats: PhaseState's q and p are Vec3s, 3-tuples whose
+``@`` is the dot product.  numpy is imported only by
+scan_initial_conditions, whose draw is numpy's seeded PCG64 stream.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import A, B, PX, PY, PZ, VARS, W0, X, Y, Z, Polynomial
 from .catalog import ParamDomain, _check_param_domain, build_context
@@ -103,7 +106,7 @@ def _compile(lines, name):
     """Execute generated source and return the function ``name`` it defines."""
     ns = {
         "_fsum": math.fsum, "_sqrt": math.sqrt, "_hypot": math.hypot,
-        "_isfinite": math.isfinite, "_inf": math.inf, "_array": np.array,
+        "_isfinite": math.isfinite, "_inf": math.inf, "_Vec3": Vec3,
         "_PhaseState": PhaseState, "_StepFailure": StepFailure,
         "_SingularPoint": SingularPoint, "_EvaluationOverflow": EvaluationOverflow,
         "_q2_guard": _q2_guard,
@@ -447,11 +450,21 @@ DOP853 = _Tableau(
 )
 
 
+class Vec3(tuple):
+    """A 3-vector of Python floats, as a tuple; ``v @ w`` is the dot
+    product."""
+
+    __slots__ = ()
+
+    def __matmul__(self, other):
+        return self[0] * other[0] + self[1] * other[1] + self[2] * other[2]
+
+
 @dataclass
 class PhaseState:
     t: float
-    q: np.ndarray
-    p: np.ndarray
+    q: Vec3
+    p: Vec3
     # force at q, carried from the step that produced this state so the
     # next step with the same force need not evaluate it again (FSAL);
     # None means unknown
@@ -459,8 +472,14 @@ class PhaseState:
 
     @staticmethod
     def make(t, q, p) -> "PhaseState":
-        return PhaseState(float(t), np.asarray(q, dtype=float).copy(),
-                          np.asarray(p, dtype=float).copy())
+        """The state of t, q and p as Python floats.  A t or a component
+        that is not a number, or a scalar q or p, is a ValueError;
+        simulate rejects a q or p of other than 3 components."""
+        try:
+            return PhaseState(float(t), Vec3(map(float, q)), Vec3(map(float, p)))
+        except TypeError:
+            raise ValueError(f"a state is a number t and q and p of 3 components each, "
+                             f"got t = {t!r}, q = {q!r}, p = {p!r}") from None
 
 
 # -- generated integrator source -----------------------------------------
@@ -775,20 +794,24 @@ def dp54_step(force, y0, h: float):
     return y5, err
 
 
+# the per-step functions' state: t, y0..y5 and the force f0_* (and f0) at
+# q from the PhaseState ``state``, by a call of ``force`` where ``state.f``
+# is None; and the PhaseState of t, y0..y5 and the force named in {}
+_STATE_IN = ["    t, y0, y1, y2, y3, y4, y5 = state.t, *state.q, *state.p",
+             "    f0_0, f0_1, f0_2 = f0 = state.f if state.f is not None else force((y0, y1, y2))"]
+_STATE_OUT = "_PhaseState(t, _Vec3((y0, y1, y2)), _Vec3((y3, y4, y5)), {})"
+
+
 @functools.cache
 def _adaptive_step():
     """AdaptiveStepper.step: _adaptive_step_lines of DOP853 around a force
     call, compiled on first use."""
-    last = DOP853.last
     return _compile([
         "def step(self, state, h_cap):",
         "    force = self.force",
         "    atol, rtol = self.abs_tol, self.rel_tol",
         "    cap = _inf if h_cap is None else h_cap",
-        "    t = state.t",
-        "    y0, y1, y2 = state.q.tolist()",
-        "    y3, y4, y5 = state.p.tolist()",
-        "    f0_0, f0_1, f0_2 = state.f if state.f is not None else force((y0, y1, y2))",
+        *_STATE_IN,
         "    h_ctl, err_prev = self.h, self._err_prev",
         "    rejected, floor_accepted = self.rejected, self.floor_accepted",
         "    try:",
@@ -796,7 +819,7 @@ def _adaptive_step():
         "    finally:",
         "        self.h, self._err_prev = h_ctl, err_prev",
         "        self.rejected, self.floor_accepted = rejected, floor_accepted",
-        f"    return _PhaseState(t, _array((y0, y1, y2)), _array((y3, y4, y5)), f{last}), h, err",
+        f"    return {_STATE_OUT.format(f'f{DOP853.last}')}, h, err",
     ], "step")
 
 
@@ -841,12 +864,9 @@ def _leapfrog_step():
     first use."""
     return _compile([
         "def step_leapfrog(state, h, force):",
-        "    t = state.t",
-        "    y0, y1, y2 = state.q.tolist()",
-        "    y3, y4, y5 = state.p.tolist()",
-        "    f0_0, f0_1, f0_2 = f0 = state.f if state.f is not None else force((y0, y1, y2))",
+        *_STATE_IN,
         *_indent(_leapfrog_step_lines(_call_site)),
-        "    return _PhaseState(t, _array((y0, y1, y2)), _array((y3, y4, y5)), f0)",
+        f"    return {_STATE_OUT.format('f0')}",
     ], "step_leapfrog")
 
 
@@ -927,7 +947,11 @@ class TrajectoryRecord:
     @staticmethod
     def read_csv(path) -> "TrajectoryRecord":
         rows = []
-        with open(path) as fh:
+        try:
+            fh = open(path)
+        except OSError as exc:
+            raise ValueError(f"cannot read trajectory file {path}: {exc.strerror}") from exc
+        with fh:
             header = fh.readline().strip()
             if header != TRAJECTORY_HEADER:
                 raise ValueError(f"malformed trajectory header: {header!r}")
@@ -995,10 +1019,9 @@ def simulate(config: SimConfig, initial: PhaseState):
     (SingularPoint).  An evaluation that overflows mid-run is classified
     ``step-failure``.
     """
-    if initial.q.shape != (3,) or initial.p.shape != (3,):
-        raise ValueError(f"q and p must have 3 components, got shapes "
-                         f"{initial.q.shape} and {initial.p.shape}")
-    q0, p0 = initial.q.tolist(), initial.p.tolist()
+    q0, p0 = initial.q, initial.p
+    if len(q0) != 3 or len(p0) != 3:
+        raise ValueError(f"q and p must have 3 components, got {len(q0)} and {len(p0)}")
     if not all(map(math.isfinite, (initial.t, *q0, *p0))):
         raise ValueError(f"non-finite initial state t = {initial.t}, q = {q0}, p = {p0}")
     samples = (config.t_end - initial.t) / config.sample_interval
@@ -1061,7 +1084,10 @@ def scan_initial_conditions(seed: int, n: int, q_range: float = 0.5, p_range: fl
     for name, value in (("q_range", q_range), ("p_range", p_range)):
         if not 0 <= value <= _MAX_RANGE:  # also false for nan
             raise ValueError(f"{name} must lie in [0, {_MAX_RANGE:.4g}], got {value!r}")
-    rng = np.random.default_rng(seed)
+    # numpy's PCG64 stream: the one use of numpy, imported here
+    from numpy.random import default_rng
+
+    rng = default_rng(seed)
     return [(tuple(rng.uniform(-q_range, q_range, 3).tolist()),
              tuple(rng.uniform(-p_range, p_range, 3).tolist())) for _ in range(n)]
 
@@ -1088,11 +1114,12 @@ def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     # compiled here once, so forked workers inherit them
     force, _ = compile_system(config.a, config.b, config.w0, config.u_floor)
     _compile_kernel(force, config.integrator)
-    if jobs > 1 and len(ics) > 1:
+    # under fork the pool starts every worker at once: no more than ICs or CPUs
+    workers = min(jobs, len(ics), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # under fork the pool starts every worker at once: no more than ICs
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ics))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_scan_one, config, idx, ic)
                 for idx, ic in enumerate(ics)

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from .catalog import singular_lines
 
-if TYPE_CHECKING:  # dynamics imports numpy; VIEWS and the renderer need none
+if TYPE_CHECKING:  # a plot imports dynamics; verify, which reads VIEWS, does not
     from .dynamics import TrajectoryRecord
 
 VIEWS = ("xy", "xz", "yz", "3d")

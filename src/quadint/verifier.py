@@ -534,7 +534,8 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
     """
     t0 = time.perf_counter()
     tensors = _killing_tensors(ctx)
-    u = ctx.u
+    # u and its gradient from the ring that m1, m2 and the solution live in
+    u, grad_u = ctx.ring.u, ctx.ring.du[:3]
     basis = [(dx, dy, dz, 0, 0, 0, 0, 0, 0)
              for dx in range(3) for dy in range(3 - dx) for dz in range(3 - dx - dy)]
     monos = [Polynomial.monomial(e) for e in basis]
@@ -543,7 +544,6 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
     # g = q dq(g) / k for k = deg_q(g) >= 1, so each column is one product
     # by a monomial: dq(g) (u - q dq(u) / (2k)), or g (-1/2 dq(u)) if k = 0
     equations = []  # per coordinate: the columns, then both right-hand sides
-    grad_u = tuple(u.diff(v) for v in COORDS)
     for qi, (qvar, du) in enumerate(zip(COORDS, grad_u)):
         half_q_du = Polynomial.variable(qvar) * du.scale(HALF)
         factors = (du.scale(-HALF), u - half_q_du, u - half_q_du.scale(HALF))

@@ -376,7 +376,43 @@ def test_unwritable_out_exits_one_before_any_work(capsys, tmp_path, monkeypatch,
     assert sorted(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["simulate", "--q0", "0,0,0.5", "--p0", "0,0,0.4", "--t-end", "1"],
+    ["plot"],
+    ["scan", "--n", "1", "--t-end", "1"],
+], ids=["verify", "simulate", "plot", "scan"])
+@pytest.mark.parametrize("form", [["--out="], ["--out", ""]], ids=["joined", "separate"])
+def test_empty_out_exits_one_before_any_work(capsys, tmp_path, monkeypatch, argv, form):
+    """An empty --out used to run the command and then fail to write (exit
+    2), or, for verify, to exit 0 and write nothing."""
+    import quadint.cli as cli
+
+    def no_work(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", no_work)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run([*argv, *form], capsys)
+    assert code == 1
+    assert err == "error: cannot write --out : the path is empty\n"
+    assert sorted(tmp_path.iterdir()) == []
+
+
 # -- plot ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.csv", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing", "directory"])
+def test_plot_of_an_unreadable_file_exits_one(tmp_path, capsys, name, reason):
+    """Such a path used to exit 2 with FileNotFoundError or IsADirectoryError."""
+    path = tmp_path / name
+    code, _, err = run(["plot", str(path), "--out", str(tmp_path / "o.svg")], capsys)
+    assert code == 1
+    assert err == f"error: cannot read trajectory file {path}: {reason}\n"
+    assert not (tmp_path / "o.svg").exists()
 
 
 def _make_traj(tmp_path, capsys, name="t.csv"):

@@ -6,6 +6,8 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+import os
+import re
 import signal
 import struct
 import warnings
@@ -159,11 +161,11 @@ def test_leapfrog_time_reversible():
     for _ in range(50):
         fwd = step_leapfrog(fwd, h, _oscillator)
     # reverse momenta and integrate back
-    back = PhaseState(fwd.t, fwd.q.copy(), -fwd.p)
+    back = PhaseState(fwd.t, fwd.q, dynamics.Vec3(-v for v in fwd.p))
     for _ in range(50):
         back = step_leapfrog(back, h, _oscillator)
     assert np.allclose(back.q, state.q, atol=1e-12)
-    assert np.allclose(-back.p, state.p, atol=1e-12)
+    assert np.allclose([-v for v in back.p], state.p, atol=1e-12)
 
 
 def test_leapfrog_bounded_energy_oscillator():
@@ -546,7 +548,7 @@ def test_fsal_stepping_bitwise_equals_recomputed(force):
         b, hb, _ = fresh.step(PhaseState(b.t, b.q, b.p), h_cap=0.3)
         assert a.f is not None
         assert ha == hb and a.t == b.t
-        assert _bits(a.q.tolist() + a.p.tolist()) == _bits(b.q.tolist() + b.p.tolist())
+        assert _bits([*a.q, *a.p]) == _bits([*b.q, *b.p])
 
 
 def test_leapfrog_reuses_end_of_step_force(force):
@@ -555,7 +557,7 @@ def test_leapfrog_reuses_end_of_step_force(force):
     for _ in range(100):
         a = step_leapfrog(a, 1e-3, counting)
         b = step_leapfrog(PhaseState(b.t, b.q, b.p), 1e-3, force)
-        assert _bits(a.q.tolist() + a.p.tolist()) == _bits(b.q.tolist() + b.p.tolist())
+        assert _bits([*a.q, *a.p]) == _bits([*b.q, *b.p])
     assert counting.calls == 1 + 100
 
 
@@ -572,11 +574,11 @@ def test_stepper_returns_accepted_attempt_error(force):
             stepper.h = 1.0
             state = PhaseState.make(0.0, y0[:3], y0[3:])
             for _ in range(3):
-                y = tuple(state.q.tolist() + state.p.tolist())
+                y = (*state.q, *state.p)
                 state, h, err = stepper.step(state)
                 z, e, low, _ = _attempt_loop(dynamics.DOP853, fn, y, h)
                 assert _bits([err]) == _bits([_blended_norm_loop(y, z, e, low, 1e-14, 1e-12)])
-                assert _bits(state.q.tolist() + state.p.tolist()) == _bits(z)
+                assert _bits([*state.q, *state.p]) == _bits(z)
                 assert err <= 1.0
             rejected += stepper.rejected
         assert fn is _free or rejected > 0
@@ -621,10 +623,44 @@ def test_simulate_rejects_non_finite_initial_state(q0, p0):
     ((0.0, 0.5), (0.0, 0.0, 0.4)),
     ((0.0, 0.0, 0.5), (0.0, 0.0, 0.4, 0.0)),
     (0.5, (0.0, 0.0, 0.4)),
-], ids=["q-2", "p-4", "q-scalar"])
+    ((0.0, None, 0.5), (0.0, 0.0, 0.4)),
+], ids=["q-2", "p-4", "q-scalar", "q-not-a-number"])
 def test_simulate_rejects_wrong_length_state(q0, p0):
     with pytest.raises(ValueError, match="3 components"):
         simulate(SimConfig(t_end=1.0), PhaseState.make(0.0, q0, p0))
+
+
+def _is_float_vec3(v):
+    return type(v) is dynamics.Vec3 and len(v) == 3 and all(type(c) is float for c in v)
+
+
+def test_make_gives_vec3s_of_python_floats():
+    """numpy and int inputs give Vec3s of Python floats, whose @ is the dot
+    product."""
+    state = PhaseState.make(np.int64(2), np.array([1, 2, 3]), (4, np.float64(5.0), -6))
+    assert type(state.t) is float and state.t == 2.0
+    assert _is_float_vec3(state.q) and _is_float_vec3(state.p)
+    assert state.q == (1.0, 2.0, 3.0) and state.p == (4.0, 5.0, -6.0)
+    assert state.q @ state.p == -4.0 and state.q @ state.q == 14.0
+    assert type(state.q @ state.p) is float
+    rng = np.random.default_rng(20261020)
+    for _ in range(20):
+        q, p = rng.uniform(-1.0, 1.0, (2, 3))
+        state = PhaseState.make(0.0, q, p)
+        assert state.q @ state.p == pytest.approx(np.dot(q, p), rel=0.0, abs=1e-15)
+
+
+def test_per_step_functions_return_python_floats(force):
+    """AdaptiveStepper.step and step_leapfrog return states of Vec3s of
+    Python floats, from a state of numpy inputs too."""
+    start = PhaseState.make(0.0, np.array(_OFF_AXIS[0]), np.array(_OFF_AXIS[1]))
+    adaptive, h, err = AdaptiveStepper(force).step(start, h_cap=0.3)
+    leapfrog = step_leapfrog(start, 1e-2, force)
+    for state in (adaptive, leapfrog):
+        assert type(state.t) is float
+        assert _is_float_vec3(state.q) and _is_float_vec3(state.p)
+        assert all(type(c) is float for c in state.f)
+    assert type(h) is float and type(err) is float
 
 
 @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
@@ -1102,6 +1138,17 @@ def test_trajectory_csv_rejects_bad_header(tmp_path):
         TrajectoryRecord.read_csv(path)
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("missing.csv", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing", "directory"])
+def test_trajectory_csv_of_an_unreadable_path_is_a_value_error(tmp_path, name, reason):
+    path = tmp_path / name
+    with pytest.raises(ValueError, match=f"^cannot read trajectory file {re.escape(str(path))}: "
+                                         f"{reason}$"):
+        TrajectoryRecord.read_csv(path)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(rel_tol=0.0)
@@ -1164,11 +1211,10 @@ def test_scan_pool_rows_equal_serial_rows():
     assert bits(scan_singularity(cfg, ics, jobs=2)) == bits(scan_singularity(cfg, ics, jobs=1))
 
 
-@pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (5000, 3)])
-def test_scan_pool_has_at_most_one_worker_per_ic(jobs, workers, monkeypatch):
-    """Under fork the pool starts all its workers up front, so it gets no
-    more than one per IC.  The pool here records max_workers and runs each
-    task in this process: no worker is started."""
+def _recording_pool(monkeypatch, cpus):
+    """Replace the scan's process pool by one that records its max_workers
+    in the returned list and runs each task in this process, so that no
+    worker is started, and report ``cpus`` CPUs."""
     import concurrent.futures
 
     seen = []
@@ -1189,12 +1235,33 @@ def test_scan_pool_has_at_most_one_worker_per_ic(jobs, workers, monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    cfg = SimConfig(t_end=0.5)
-    ics = [((0.5, 0.2, -0.3), (0.1, 0.1, 0.1)),
-           ((0.4, 0.1, -0.2), (0.0, 0.05, 0.0)),
-           ((0.3, -0.1, 0.2), (0.05, 0.0, 0.1))]
-    rows = scan_singularity(cfg, ics, jobs=jobs)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return seen
+
+
+_POOL_ICS = [((0.5, 0.2, -0.3), (0.1, 0.1, 0.1)),
+             ((0.4, 0.1, -0.2), (0.0, 0.05, 0.0)),
+             ((0.3, -0.1, 0.2), (0.05, 0.0, 0.1))]
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (5000, 3)])
+def test_scan_pool_has_at_most_one_worker_per_ic(jobs, workers, monkeypatch):
+    """Under fork the pool starts all its workers up front, so it gets no
+    more than one per IC (on a host of more CPUs than that)."""
+    seen = _recording_pool(monkeypatch, cpus=64)
+    rows = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=jobs)
     assert seen == [workers]
+    assert [r[0] for r in rows] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, []), (None, [])])
+def test_scan_pool_has_at_most_one_worker_per_cpu(cpus, pools, monkeypatch):
+    """--jobs 5000 gets no more workers than os.cpu_count() reports, and
+    no pool at all where that is 1 or unknown (None): the scan runs
+    serially."""
+    seen = _recording_pool(monkeypatch, cpus)
+    rows = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=5000)
+    assert seen == pools
     assert [r[0] for r in rows] == [0, 1, 2]
 
 
@@ -1230,7 +1297,7 @@ def test_float_leapfrog_matches_numpy_kick_drift_kick_bitwise(name, force):
             a = step_leapfrog(a, h, fn)
             b = _leapfrog_numpy(b, h, fn)
             assert a.t == b.t
-            assert _bits(a.q.tolist() + a.p.tolist()) == _bits(b.q.tolist() + b.p.tolist())
+            assert _bits([*a.q, *a.p]) == _bits([*b.q, *b.p])
             assert _bits(a.f) == _bits([float(v) for v in b.f])
 
 
@@ -1265,14 +1332,14 @@ def _replay(config, initial):
     integrals = IntegralEvaluator(config.a, config.b, config.w0)
 
     def row(st):
-        q, p = st.q.tolist(), st.p.tolist()
+        q, p = st.q, st.p
         return (st.t, *q, *p, *integrals(q, p), plain.u(q),
                 distance_to_singular_lines(st.q, config.a, config.b))
 
     # the force at q0 is also the initial state's check
-    state = PhaseState(initial.t, initial.q, initial.p, force(initial.q.tolist()))
+    state = PhaseState(initial.t, initial.q, initial.p, force(initial.q))
     rows = [row(initial)]
-    min_u, max_q = plain.u(initial.q), math.hypot(*initial.q.tolist())
+    min_u, max_q = plain.u(initial.q), math.hypot(*initial.q)
     min_dsing = distance_to_singular_lines(initial.q, config.a, config.b)
     drift = [0.0, 0.0, 0.0]
     stepper = AdaptiveStepper(force, config.rel_tol, config.abs_tol)
@@ -1289,7 +1356,7 @@ def _replay(config, initial):
             steps, evals, rejected = steps + 1, force.calls, stepper.rejected
             min_u = min(min_u, plain.u(state.q))
             min_dsing = min(min_dsing, distance_to_singular_lines(state.q, config.a, config.b))
-            max_q = max(max_q, math.hypot(*state.q.tolist()))
+            max_q = max(max_q, math.hypot(*state.q))
             if max_q > config.r_max:
                 classification = "escape"
                 detail = f"|q| = {max_q:.3g} exceeded r_max at t = {state.t:.6g}"

@@ -1,7 +1,8 @@
 """The exact path loads neither numpy nor ``quadint.dynamics``; the
-dynamics names of ``quadint`` are served lazily.  Each check runs in a
-fresh interpreter, since this test process has imported both.  The packed
-polynomial format stays inside ``quadint.algebra``."""
+dynamics names of ``quadint`` are served lazily; and the dynamics half
+loads numpy only for a scan's draw of initial conditions.  Each check runs
+in a fresh interpreter, since this test process has imported both.  The
+packed polynomial format stays inside ``quadint.algebra``."""
 
 import ast
 import os
@@ -73,7 +74,54 @@ def test_lazy_name_imports_dynamics_on_first_use():
         from quadint import simulate
         print(before, "quadint.dynamics" in sys.modules, "numpy" in sys.modules)
     """)
-    assert out.split() == ["False", "True", "True"]
+    assert out.split() == ["False", "True", "False"]
+
+
+def test_dynamics_loads_numpy_only_for_a_scan_draw(tmp_path):
+    """Importing quadint.dynamics, ``quadint simulate`` and ``quadint plot``
+    load no numpy; drawing a scan's initial conditions does."""
+    csv, svg = str(tmp_path / "t.csv"), str(tmp_path / "t.svg")
+    argv = {
+        "simulate": ["simulate", "--q0", "0.5,0.2,-0.3", "--p0", "0.1,0.1,0.1",
+                     "--t-end", "2", "--out", csv],
+        "plot": ["plot", csv, "--out", svg],
+    }
+    bodies = ["import quadint.dynamics",
+              *(f"import quadint.cli; assert quadint.cli.main({v!r}) == 0" for v in argv.values()),
+              "import quadint.dynamics; quadint.dynamics.scan_initial_conditions(0, 1)"]
+    loaded = []
+    for body in bodies:
+        out = run_fresh(f"""
+            import sys
+            {body}
+            print("numpy" in sys.modules)
+        """)
+        loaded.append(out.splitlines()[-1])
+    assert loaded == ["False", "False", "False", "True"]
+
+
+def _module_level_imports(tree: ast.Module) -> list[str]:
+    """The modules that ``tree`` imports outside any function."""
+    names, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_numpy_at_module_level():
+    modules = sorted((SRC / "quadint").glob("*.py"))
+    assert "dynamics.py" in {p.name for p in modules}
+    found = [f"{path.name}: {name}" for path in modules
+             for name in _module_level_imports(ast.parse(path.read_text(), path.name))
+             if name.split(".")[0] == "numpy"]
+    assert found == []
 
 
 def test_unknown_name_raises_attribute_error():
