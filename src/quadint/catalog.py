@@ -122,7 +122,18 @@ def build_characteristics() -> tuple[Polynomial, Polynomial, Polynomial, Polynom
 
 @dataclass(frozen=True)
 class SystemContext:
-    """Immutable bundle of all exact system objects (a, b, w0 symbolic)."""
+    """Immutable bundle of all exact system objects (a, b, w0 symbolic).
+
+    u is held twice, by design: as ``u`` and as ``ring.u``.  The checks of
+    u itself read ``u``: the u part of invariant_coordinate, rank_R,
+    first_order_scan, factorization and the fingerprint.  Everything that
+    works in the ring reads ``ring``: the RadicalElements H, X1, X2, V, m1,
+    m2 (involution, m_system, the V part of invariant_coordinate) and the
+    scalar ansatz (``ring.u``, ``ring.du``).  ode_reduction,
+    functional_independence and killing_commutator read neither.  So
+    ``dataclasses.replace(ctx, u=...)`` swaps u under the first group only,
+    which is how the mutation tests reach them.
+    """
 
     u: Polynomial
     ring: RingContext
@@ -175,7 +186,8 @@ class KillingTensor:
         def matmul(P, Q):
             return [
                 [
-                    sum((P[i][k] * Q[k][j] for k in range(3)), Polynomial.zero())
+                    sum((P[i][k] * Q[k][j] for k in range(3) if P[i][k] and Q[k][j]),
+                        Polynomial.zero())
                     for j in range(3)
                 ]
                 for i in range(3)

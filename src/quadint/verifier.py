@@ -236,7 +236,8 @@ def verify_m_system(ctx: SystemContext) -> list[CheckResult]:
             def chk(mi=mi, qi=qi, qvar=qvar, row=kt.K[qi]):
                 rhs = ctx.ring.zero()
                 for kpoly, dv in zip(row, grad_v):
-                    rhs = rhs + 2 * kpoly * dv
+                    if kpoly:
+                        rhs = rhs + 2 * kpoly * dv
                 r = mi.diff(qvar) - rhs
                 return r.is_zero(), _residual_summary(r)
 
@@ -298,39 +299,21 @@ def verify_ode_reduction(
     return _timed("ode_reduction", chk)
 
 
-def build_rank_matrix(characteristics):
-    """Antisymmetric coefficient matrix R with R @ grad V = 0.
-
-    R is the cross-product matrix of (N1*D2, N2*D1, D1*D2), the direction
-    annihilated by both characteristic relations (build_characteristics).
-    """
-    n1, d1, n2, d2 = characteristics
-    w = (n1 * d2, n2 * d1, d1 * d2)
-    zero = Polynomial.zero()
-    return (
-        (zero, -w[2], w[1]),
-        (w[2], zero, -w[0]),
-        (-w[1], w[0], zero),
-    ), w
-
-
 def verify_rank_R(ctx: SystemContext) -> CheckResult:
+    """R grad u = w x grad u = 0 for R the cross-product matrix of
+    w = (N1*D2, N2*D1, D1*D2), the direction that both characteristic
+    relations (build_characteristics) annihilate.  R is antisymmetric by
+    construction, so w != 0 gives rank 2."""
     def chk():
-        _, _, n2, _ = characteristics = build_characteristics()
-        R, w = build_rank_matrix(characteristics)
-        # antisymmetry
-        for i in range(3):
-            for j in range(3):
-                if not (R[i][j] + R[j][i]).is_zero():
-                    return False, f"R[{i}][{j}] not antisymmetric"
+        n1, d1, n2, d2 = build_characteristics()
+        wx, wy, wz = n1 * d2, n2 * d1, d1 * d2
         # R annihilates grad u (polynomial identities, parameters symbolic)
-        grad_u = tuple(ctx.u.diff(v) for v in COORDS)
-        for i in range(3):
-            row = sum((R[i][j] * grad_u[j] for j in range(3)), Polynomial.zero())
+        ux, uy, uz = (ctx.u.diff(v) for v in COORDS)
+        for i, row in enumerate((wy * uz - wz * uy, wz * ux - wx * uz, wx * uy - wy * ux)):
             if not row.is_zero():
                 return False, f"row {i} of R @ grad u nonzero ({len(row)} terms)"
-        if all(R[i][j].is_zero() for i in range(3) for j in range(3)):
-            return False, "R vanishes identically"
+        if not (wx or wy or wz):
+            return False, "w = 0"
         # the y^3 source term survives for every parameter choice
         y3 = tuple(3 if i == Y else 0 for i in range(9))
         y3_coeff = n2.collect((X, Y, Z)).get(y3)
@@ -340,15 +323,6 @@ def verify_rank_R(ctx: SystemContext) -> CheckResult:
         return True, "antisymmetric, annihilates grad u, nonzero, so rank 2"
 
     return _timed("rank_R", chk)
-
-
-def momentum_jacobian(ctx: SystemContext):
-    """3x3 matrix of momentum-gradients of (H, X1, X2); entries pure polynomials."""
-    kinetic = ctx.H.A
-    rows = []
-    for obs in (kinetic, ctx.x1_leading, ctx.x2_leading):
-        rows.append(tuple(obs.diff(p) for p in MOMENTA))
-    return rows
 
 
 def _det3(m) -> Polynomial:
@@ -363,10 +337,9 @@ def verify_functional_independence(
     ctx: SystemContext, x2_leading: Polynomial | None = None
 ) -> CheckResult:
     def chk():
-        rows = momentum_jacobian(ctx)
-        if x2_leading is not None:
-            rows[2] = tuple(x2_leading.diff(p) for p in MOMENTA)
-        det = _det3(rows)
+        # momentum gradients of H, X1 and X2, whose leading parts carry all p
+        leading = (ctx.H.A, ctx.x1_leading, ctx.x2_leading if x2_leading is None else x2_leading)
+        det = _det3([[obs.diff(p) for p in MOMENTA] for obs in leading])
         if det.is_zero():
             return False, "determinant identically zero"
         return True, f"determinant nonzero ({len(det)} terms)"
@@ -552,7 +525,8 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
         for kt in tensors:
             rhs_poly = Polynomial.zero()
             for kpoly, dcu in zip(kt.K[qi], grad_u):
-                rhs_poly = rhs_poly - kpoly * dcu
+                if kpoly:
+                    rhs_poly = rhs_poly - kpoly * dcu
             if perturb_rhs is not None and qi == 0:
                 rhs_poly = rhs_poly + perturb_rhs
             polys.append(rhs_poly)
@@ -569,7 +543,8 @@ def solve_scalar_ansatz(ctx: SystemContext, perturb_rhs: Polynomial | None = Non
         if failure:
             elem, passed, summary = None, False, failure
         else:
-            q_poly = sum((pinned[j][idx - 1] * g for j, g in enumerate(monos)), Polynomial.zero())
+            q_poly = sum((c * g for j, g in enumerate(monos) if (c := pinned[j][idx - 1])),
+                         Polynomial.zero())
             elem = RadicalElement(ctx.ring, Polynomial.zero(), w0 * q_poly, 0)
             diff = elem - (ctx.m1 if idx == 1 else ctx.m2)
             # the difference must have zero coordinate-gradient (an additive constant)

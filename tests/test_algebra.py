@@ -600,28 +600,6 @@ def test_solve_leaves_a_row_whose_division_is_not_exact():
     assert solve_exact_sparse([[a * x + b * y]], 1) == ({0: []}, [a], [])
 
 
-def _dense_rref(matrix, ncols):
-    """Plain Gauss-Jordan on a dense copy: columns left to right, the
-    first nonzero row at or below the current one as pivot row."""
-    m = [[Fraction(v) for v in r] for r in matrix]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(c)
-    rows = [{j: v for j, v in enumerate(row) if v} for row in m[: len(pivots)]]
-    return rows, pivots
-
-
 @st.composite
 def degenerate_matrices(draw):
     """Rows drawn at random plus duplicated, scaled, all-zero and
@@ -677,8 +655,14 @@ def degenerate_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(degenerate_matrices(), st.lists(small_fracs, min_size=6, max_size=6))
 def test_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
+    # sympy's RREF as the oracle: the reduced form is unique
+    from sympy import Matrix
+
     matrix, ncols, maybe = matrix_ncols_rhs
-    ref_rows, ref_pivots = _dense_rref(matrix, ncols)
+    ref, ref_pivots = Matrix(matrix).rref()
+    ref_pivots = list(ref_pivots)
+    ref_rows = [{j: Fraction(int(v.p), int(v.q)) for j, v in enumerate(ref.row(i)) if v}
+                for i in range(len(ref_pivots))]
     reduced, pivots = _rref(matrix)
     assert pivots == ref_pivots
     assert [{j: v for j, v in enumerate(row) if v} for row in reduced] == ref_rows
@@ -695,7 +679,7 @@ def test_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
     assert nullspace_exact(matrix) == ref_basis
     # solve_exact_sparse: a consistent right-hand side pins the solution's
     # own values, and a row left with no unknown but a nonzero right side
-    # is an inconsistency that the dense RREF of [A | b] confirms
+    # is an inconsistency that the RREF of [A | b] confirms
     rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
     consistent = _apply(rows, solution[:ncols])
     pinned, _, left = _solve(rows, [consistent, maybe], ncols)
@@ -704,7 +688,7 @@ def test_rref_matches_dense_gauss_jordan(matrix_ncols_rhs, solution):
     inconsistent = any(not entries and r[1] for entries, r in left)
     augmented = [list(r) + [bi] for r, bi in zip(matrix, maybe)]
     if inconsistent:
-        assert ncols in _dense_rref(augmented, ncols + 1)[1]
+        assert ncols in Matrix(augmented).rref()[1]
     if any(not any(r) and bi for r, bi in zip(matrix, maybe)):
         assert inconsistent  # 0 = b_i != 0
 

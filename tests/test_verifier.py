@@ -549,6 +549,70 @@ def test_run_report_deterministic(ctx):
     assert r1.fingerprint == r2.fingerprint
 
 
+REPORT = [
+    ("involution.{H,X1}", True, "residual 0"),
+    ("involution.{H,X2}", True, "residual 0"),
+    ("involution.{X1,X2}", True, "residual 0"),
+    ("m_system.grad_m1_x", True, "residual 0"),
+    ("m_system.grad_m1_y", True, "residual 0"),
+    ("m_system.grad_m1_z", True, "residual 0"),
+    ("m_system.grad_m2_x", True, "residual 0"),
+    ("m_system.grad_m2_y", True, "residual 0"),
+    ("m_system.grad_m2_z", True, "residual 0"),
+    ("invariant_coordinate.x_field", True, "u: residual 0; V: residual 0"),
+    ("invariant_coordinate.y_field", True, "u: residual 0; V: residual 0"),
+    ("ode_reduction", True, "residual 0"),
+    ("rank_R", True, "antisymmetric, annihilates grad u, nonzero, so rank 2"),
+    ("functional_independence", True, "determinant nonzero (112 terms)"),
+    ("killing_commutator", True, "commutator has 6 nonzero entries"),
+    ("first_order_scan.symbolic", True,
+     "rank 6 over Q(a, b), empty nullspace; pivots nonzero unless a(a-1)b(2a-1)(a-2) = 0"),
+    ("first_order_scan.a=1/2", True,
+     "rank 6 over Q(b), empty nullspace; pivots nonzero unless b = 0"),
+    ("factorization.lines", True, "residual 0"),
+    ("factorization.hyperplanes", True, "residual 0"),
+    ("scalar_ansatz.m1", True, "solution unique over Q(a, b), pivots nonzero unless "
+                               "a(a-1)b = 0; difference to catalog m1 is a constant"),
+    ("scalar_ansatz.m2", True, "solution unique over Q(a, b), pivots nonzero unless "
+                               "a(a-1)b = 0; difference to catalog m2 is a constant"),
+]
+
+
+def test_run_report_is_pinned():
+    """The report, timings aside, is a fixed list of 21 checks."""
+    report = run_report(build_context())
+    assert [(r.name, r.passed, r.residual_summary) for r in report.results] == REPORT
+    assert report.fingerprint == "70ab71ae33ae0607"
+
+
+def test_run_report_forms_no_product_with_a_zero_factor(monkeypatch):
+    """No Polynomial product in building the context and running the
+    report has an empty operand: each check skips its zero factors."""
+    zero_factor = []  # per call, whether an operand is empty
+    mul = Polynomial.__mul__
+
+    def recording_mul(p, q):
+        zero_factor.append(not p or not q)
+        return mul(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", recording_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", recording_mul)
+    run_report(build_context())
+    assert zero_factor and not any(zero_factor)
+
+
+def test_a_sphere_u_fails_exactly_the_checks_that_read_u(ctx):
+    """replace(ctx, u=...) swaps u for the checks of u itself; the checks
+    that work in the ring keep the quartic (SystemContext)."""
+    report = run_report(dataclasses.replace(ctx, u=x**2 + y**2 + z**2))
+    assert [r.name for r in report.results if not r.passed] == [
+        "invariant_coordinate.x_field", "invariant_coordinate.y_field", "rank_R",
+        "first_order_scan.symbolic", "first_order_scan.a=1/2",
+        "factorization.lines", "factorization.hyperplanes",
+    ]
+    assert len(report.results) == 21
+
+
 def test_run_report_only_filter(ctx):
     report = run_report(ctx, only="involution")
     assert len(report.results) == 3
