@@ -11,6 +11,7 @@ transcription.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,12 +92,14 @@ def build_m2_numerator() -> Polynomial:
     return x**2 + y**2 + a * (x**2 + z**2) + 9 * a * b**2 * (a + 1)
 
 
+@functools.cache
 def build_characteristics() -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
     """Numerators and denominators of the two characteristic ratios
     grad_x V / grad_z V = N1/D1 and grad_y V / grad_z V = N2/D2.
 
     Signs are fixed so that the y^3 coefficient of N2 is +1; with this
-    convention D2 = -D1.
+    convention D2 = -D1.  Built once per process: the report's checks and
+    its fingerprint share the four polynomials, which are immutable.
     """
     n1 = (1 - a) * (
         9 * a * (a - 1) * b**2 * x

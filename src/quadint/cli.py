@@ -1,10 +1,11 @@
 """Command-line surface: verify, simulate, plot, scan.
 
 Exit codes are uniform across commands: 0 success / all checks pass,
-1 domain or check failure, 2 internal error.  Every output file gets a
-JSON manifest sidecar recording the command, every parsed option, the
-toolkit version, context fingerprint and the Python, platform and numpy
-versions, so any artifact can be reproduced.  ``simulate`` and ``scan``
+1 domain or check failure (or a stdout whose reader has gone), 2 internal
+error.  Every output file gets a JSON manifest sidecar recording the
+command, every parsed option, the toolkit version, context fingerprint
+and the Python, platform and numpy versions, so any artifact can be
+reproduced.  ``simulate`` and ``scan``
 also record the ``SimConfig`` that ran, as ``sim_config``.
 
 ``SimConfig`` holds the run defaults: its fields are options of
@@ -91,9 +92,10 @@ def _parse_flag(text: str) -> bool:
 
 def _apply_config(parsers, config: dict[str, str]):
     """Make the config file's values the defaults of the options of
-    ``parsers``, converted by each option's own type, so that an option
-    given on the command line, in any spelling, still wins.  A key that no
-    option of any parser has is an error; ``help`` is accepted and ignored."""
+    ``parsers``, converted by each option's own type and held to its
+    ``choices``, so that an option given on the command line, in any
+    spelling, still wins.  A key that no option of any parser has is an
+    error; ``help`` is accepted and ignored."""
     values = {key.replace("-", "_"): (key, value) for key, value in config.items()}
     options = [action for parser in parsers for action in parser._actions
                if action.option_strings]
@@ -109,6 +111,8 @@ def _apply_config(parsers, config: dict[str, str]):
         convert = _parse_flag if action.nargs == 0 else action.type or str
         try:
             action.default = convert(value)
+            if action.choices is not None and action.default not in action.choices:
+                raise ValueError(f"expected one of {', '.join(action.choices)}")
         except ValueError as exc:
             raise ValueError(f"config {key} = {value!r}: {exc}") from exc
 
@@ -383,7 +387,15 @@ def main(argv=None) -> int:
             args = build_parser(_load_config_file(args.config)).parse_args(argv)
         if getattr(args, "out", None) is not None:
             _check_out(args.out)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: not an internal error.  stdout now
+        # writes to devnull, so the flush at exit is silent (the SIGPIPE
+        # recipe of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (ParamDomain, SingularPoint, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -25,7 +25,9 @@ derives once (c = A 1, A A and E A), so no stage momentum is formed.
 h^2 and h p are formed once per attempt, so a stage position is
 y + (c hp + h^2 (A A) F); a table entry at the rounding level of the
 stored doubles is 0.0 (the zero rule of _Tableau), so its terms are not
-written; and DOP853's 3rd-order momentum estimate is the solution's
+written; every error row is a row of difference weights E = B - B', so
+an estimate is formed directly and not as the difference of two
+solutions; and DOP853's 3rd-order momentum estimate is the solution's
 momentum increment less h BHH F, as in Hairer's code.  The per-step
 integrators take an abstract force
 callable so they can be validated against closed-form systems (free
@@ -317,7 +319,7 @@ def _rounded(terms: list) -> float:
     are the exact weights to 2^-53 relative, so a sum of their products is
     the exact weights' to about 2^-52 of that magnitude; an entry within
     4 times that is the stored doubles' rounding, not a weight of the
-    method (sum E5 and sum E3 are 0 for the exact weights)."""
+    method (sum E of every error row is 0 for the exact weights)."""
     exact = sum(terms)
     return 0.0 if abs(exact) <= _ZERO_SHARE * sum(map(abs, terms)) else float(exact)
 
@@ -329,22 +331,23 @@ class _Tableau:
     ``rows[s]`` holds the weights of stage s on stages 0..s-1 (``rows[0]``
     is empty), and the last row is the solution's: the last stage is
     evaluated at the solution, so its force is the first stage of the next
-    step (FSAL, first same as last).  ``estimator`` says how the ``error``
-    weights give the error: "embedded" subtracts the solution of the
-    embedded weights ``error[0]``; "blended" is Hairer's blend of a
-    5th-order (``error[0]``) and a 3rd-order (``error[1]``) estimate.
-    ``order`` is the order that sets the step controller's exponents.
+    step (FSAL, first same as last).  Each ``error`` row holds difference
+    weights E = B - B' of the solution's weights B and a lower-order
+    solution's B', so that its error estimate is h sum_k E_k K_k over the
+    stage slopes K_k, as Hairer's DOPRI5 and DOP853 store them: DP54 has one row, against its
+    embedded 4th-order solution; DOP853 has two, E5 and E3, whose 5th- and
+    3rd-order estimates Hairer's error norm blends.  ``order`` is the order
+    that sets the step controller's exponents.
     ``nodes``, ``rows2``, ``error_sums``, ``error_rows`` and ``bhh`` are the
     tables of the attempt's Nystrom form (_attempt_lines), each entry
     computed exactly in Fraction from the stored doubles and rounded once
     by _rounded, which sets the entries at the rounding level to 0.0: for
     DOP853 ``rows2[12][3]``, ``rows2[12][4]`` and both ``error_sums``, for
-    DP54 ``rows2[6][1]`` and ``error_rows[0][1]``.
+    DP54 ``rows2[6][1]``, ``error_sums[0]`` and ``error_rows[0][1]``.
     """
 
     rows: tuple
     error: tuple
-    estimator: str
     order: int
 
     @property
@@ -391,7 +394,8 @@ class _Tableau:
                      for b, e in zip(self.rows[-1], self.error[-1]))
 
 
-# Dormand-Prince 5(4): the order-5 oracle of dp54_step
+# Dormand-Prince 5(4): the order-5 oracle of dp54_step; error weights
+# E = B - B' of the 5th-order solution B and the embedded 4th-order B'
 DP54 = _Tableau(
     rows=(
         (),
@@ -402,8 +406,7 @@ DP54 = _Tableau(
         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     ),
-    error=((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),),
-    estimator="embedded",
+    error=((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),),
     order=5,
 )
 
@@ -445,7 +448,6 @@ DOP853 = _Tableau(
          -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
          0.02265179219836082),
     ),
-    estimator="blended",
     order=8,
 )
 
@@ -509,8 +511,8 @@ def _attempt_lines(tableau: _Tableau, site) -> list[str]:
     """One attempt of ``tableau`` with step h from y0..y5 and the stage-0
     force f0_*, in Nystrom form: sets z0..z5 (the solution, whose position
     is the last stage's), f<n>_* (the force of the last stage n, at z) and
-    e0..e5 (the error estimate), and with the "blended" estimator l0..l5
-    (the 3rd-order estimate).
+    e0..e5 (the error estimate of the first error row), and where the record
+    has a second error row, l0..l5 (Hairer's 3rd-order estimate).
 
     The Nystrom form (Hairer, Norsett & Wanner, Solving ODEs I, II.14) is
     the method with the stage momenta P_s = p + h sum_k a_sk F_k
@@ -519,8 +521,8 @@ def _attempt_lines(tableau: _Tableau, site) -> list[str]:
     y + (c_s hp + hh sum_k (A A)_sk F_k), and only the solution's momentum
     is formed, as p + dp with the increment dp = h sum_k b_k F_k.  A
     position error of weights E is sum E hp + hh sum_k (E A)_k F_k, whose
-    first term the zero rule of _Tableau drops for DOP853, and a momentum
-    error h sum_k E_k F_k; the "blended" estimator's 3rd-order momentum
+    first term the zero rule of _Tableau drops (sum E is 0 for the exact
+    weights), and a momentum error h sum_k E_k F_k; the 3rd-order momentum
     error is dp - h sum_k BHH_k F_k, as in Hairer's DOP853 (BHH = B - E3,
     nonzero on 3 stages, against 8 of E3).  Every weighted sum is written
     out in stage order from its first nonzero term, so the result is bit
@@ -557,11 +559,8 @@ def _attempt_lines(tableau: _Tableau, site) -> list[str]:
     lines += [f"dp{j} = h * ({forces(tableau.rows[last], j)})" for j in range(3)]
     lines += [f"z{j + 3} = y{j + 3} + dp{j}" for j in range(3)]
     for j in range(6):
-        if tableau.estimator == "embedded":
-            # the solution minus the embedded solution
-            lines.append(f"e{j} = z{j} - (y{j} + ({error(0, j)}))")
-        else:
-            lines.append(f"e{j} = {error(0, j)}")
+        lines.append(f"e{j} = {error(0, j)}")
+        if len(tableau.error) > 1:
             low = error(1, j) if j < 3 else f"dp{j - 3} - h * ({forces(tableau.bhh, j - 3)})"
             lines.append(f"l{j} = {low}")
     return lines
@@ -572,12 +571,13 @@ def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
     (_attempt_lines around ``site``) of h = min(h_ctl, cap) until one is
     accepted, with proportional-integral control of h_ctl (Gustafsson) at
     exponents 0.7/order and 0.4/order of ``tableau.order``, and 1/order
-    after a rejection.  err is Hairer's error norm of the "blended"
-    estimator for tolerances atol and rtol, which the controller compares
-    with 1.  H_MIN, H_MAX and SAFETY are literals of the lines.  An attempt
-    accepted at the floor H_MIN with err > 1 counts in floor_accepted and a
-    rejected one in rejected.  A step below the floor, one that does not
-    advance t, or a non-finite err at the floor raises StepFailure."""
+    after a rejection.  err is Hairer's error norm of the 5th- and
+    3rd-order estimates for tolerances atol and rtol, which the controller
+    compares with 1.  H_MIN, H_MAX and SAFETY are literals of the lines.
+    An attempt accepted at the floor H_MIN with err > 1 counts in
+    floor_accepted and a rejected one in rejected.  A step below the floor,
+    one that does not advance t, or a non-finite err at the floor raises
+    StepFailure."""
     order, last = tableau.order, tableau.last
     # Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of the
     # scaled 5th- and 3rd-order estimates, here with h inside each;
@@ -785,9 +785,10 @@ def _attempt_kernel(tableau: _Tableau):
 def dp54_step(force, y0, h: float):
     """One raw Dormand-Prince 5(4) step from the packed state y0 = (q, p).
 
-    Returns (y5, error_estimate) where the estimate is the difference
-    between the 5th- and embedded 4th-order solutions (scales as h^5).
-    States are 6-tuples of floats.
+    Returns (y5, error_estimate) where the estimate is h sum_k E_k K_k
+    for the difference weights E of the 5th- and embedded 4th-order
+    solutions (scales as h^5), formed without subtracting the two
+    solutions.  States are 6-tuples of floats.
     """
     y0 = tuple(y0)
     y5, err, _ = _attempt_kernel(DP54)(force, y0, force(y0[:3]), h)

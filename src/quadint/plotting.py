@@ -92,15 +92,15 @@ def render_svg(
         if pts:
             curves.append(pts)
 
-    # data bounds, including the singular-line offsets so the dashes show
+    # data bounds, including the singular-line offsets so the dashes show;
+    # with them the bounds are never empty
+    singular = singular_lines(a, b)
     xs = [p[0] for c in curves for p in c]
     ys = [p[1] for c in curves for p in c]
-    for line in singular_lines(a, b):
+    for line in singular:
         px, py = proj(*(float(v) for v in line.point))[:2]
         xs.append(px)
         ys.append(py)
-    if not xs:
-        xs, ys = [-1.0, 1.0], [-1.0, 1.0]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     pad_x = 0.1 * max(hi_x - lo_x, 1e-6)
@@ -168,7 +168,7 @@ def render_svg(
     # samples cover the box and every coordinate is finite at any data range
     wx, wy = hi_x - lo_x, hi_y - lo_y
     nsamp = 100
-    for line in singular_lines(a, b):
+    for line in singular:
         cx, cy = proj(*(float(v) for v in line.point))
         dx, dy = proj(*(float(v) for v in line.direction))
         rx, ry = (cx - lo_x) / wx, (cy - lo_y) / wy

@@ -143,14 +143,13 @@ class RadicalElement:
     def diff(self, v: int) -> "RadicalElement":
         """Formal partial derivative.
 
-        For momentum variables u is constant; otherwise the chain rule
+        Where d u/dv is zero (every momentum: RingContext admits only a
+        momentum-free u) s is constant; otherwise the chain rule
         d(s)/dv = -(1/2) (d u/dv) s / u applies, and the u^(-m) prefactor
         contributes -m (d u/dv) / u.
         """
         dA = self.A.diff(v)
         dB = self.B.diff(v)
-        if v in MOMENTA:
-            return RadicalElement(self.ring, dA, dB, self.m)
         du = self.ring.du[v]
         if du.is_zero():
             return RadicalElement(self.ring, dA, dB, self.m)

@@ -266,25 +266,6 @@ def verify_invariant_coordinate(ctx: SystemContext) -> list[CheckResult]:
     ]
 
 
-def _half_power_residual(v_terms: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
-    """Residual of 2*t*v''(t) + 3*v'(t) for v a sum of c * t^p, p half-integer."""
-    out: dict[Fraction, Fraction] = {}
-
-    def add(p, c):
-        if not c:
-            return
-        s = out.get(p, Fraction(0)) + c
-        if s:
-            out[p] = s
-        else:
-            out.pop(p, None)
-
-    for p, c in v_terms.items():
-        add(p - 1, 2 * c * p * (p - 1))  # 2 t v''
-        add(p - 1, 3 * c * p)            # 3 v'
-    return out
-
-
 def verify_ode_reduction(
     v_terms: dict[Fraction, Fraction] | None = None,
 ) -> CheckResult:
@@ -293,7 +274,9 @@ def verify_ode_reduction(
         v_terms = {Fraction(-1, 2): Fraction(1)}
 
     def chk():
-        res = _half_power_residual(v_terms)
+        # 2 t v'' + 3 v' of c t^p is c p (2p + 1) t^(p-1): each power of v
+        # gives its own power of the residual, so none merge
+        res = {p - 1: r for p, c in v_terms.items() if (r := c * p * (2 * p + 1))}
         return not res, ("residual 0" if not res else f"nonzero residual: {len(res)} powers")
 
     return _timed("ode_reduction", chk)

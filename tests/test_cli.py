@@ -4,13 +4,17 @@ import dataclasses
 import importlib.metadata
 import json
 import math
+import os
 import platform
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_dynamics import _alarm
+from test_import_boundary import SRC
 
 from quadint.cli import _load_config_file, build_parser, main, parse_rational, parse_vec3
 
@@ -676,6 +680,39 @@ def test_config_flag_and_jobs(tmp_path, capsys):
     cfg.write_text("strict = maybe\n")
     code, _, err = run(["--config", str(cfg), "verify", "--only", "involution"], capsys)
     assert code == 1 and err.startswith("error: config strict = 'maybe': ")
+
+
+@pytest.mark.parametrize("line, argv, allowed", [
+    ("format = xml", ["verify", "--only", "involution"], "text, json"),
+    ("view = xw", ["plot", "t.csv", "--out", "t.svg"], "xy, xz, yz, 3d"),
+], ids=["format", "view"])
+def test_config_value_outside_its_choices_exits_one(tmp_path, capsys, line, argv, allowed):
+    # the same check as on the command line: a config value outside an
+    # option's choices is rejected before any work, and the allowed
+    # values are named
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    key, _, value = line.partition(" = ")
+    code, out, err = run(["--config", str(cfg), *argv], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: config {key} = {value!r}: expected one of {allowed}\n"
+
+
+def test_closed_stdout_exits_one_without_an_internal_error():
+    # the reader of stdout's pipe is closed before the run: the report's
+    # write fails, which is not an internal error, and the exit is quiet
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadint.cli", "verify", "--only", "involution"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+    finally:
+        os.close(write_end)
+    # nothing on stderr: no "internal error", and no "Exception ignored"
+    # from the flush at exit
+    assert proc.returncode == 1 and proc.stderr == "", proc.stderr
 
 
 def test_zero_denominator_exit_one(tmp_path, capsys):

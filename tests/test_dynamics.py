@@ -233,8 +233,8 @@ def _attempt_loop(tableau, force, y0, h):
                 for j in range(3)]
 
     est = dq(0) + [h * _weighted(tableau.error[0], [f[j] for f in fs]) for j in range(3)]
-    if tableau.estimator == "embedded":
-        return z, tuple(z[j] - (y0[j] + d) for j, d in enumerate(est)), None, fs
+    if len(tableau.error) == 1:
+        return z, tuple(est), None, fs
     low = dq(1) + [dp[j] - h * _weighted(tableau.bhh, [f[j] for f in fs]) for j in range(3)]
     return z, tuple(est), tuple(low), fs
 
@@ -257,8 +257,8 @@ def _classical_attempt_loop(tableau, force, y0, h):
     def error(i):
         return [h * _weighted(tableau.error[i], [k[j] for k in ks]) for j in range(6)]
 
-    if tableau.estimator == "embedded":
-        return z, tuple(z[j] - (y0[j] + d) for j, d in enumerate(error(0))), None
+    if len(tableau.error) == 1:
+        return z, tuple(error(0)), None
     return z, tuple(error(0)), tuple(error(1))
 
 
@@ -368,7 +368,7 @@ def test_nystrom_tables_are_exact_values_rounded_once():
     """c = A 1, the rows of A A, sum E, E A of each tableau and BHH = B - E3
     of DOP853 are the exact products of its stored doubles, each rounded
     once, and are derived once per tableau.  An entry of at most 2^-50 of
-    its terms' magnitudes is 0.0: that zero rule sets exactly six entries,
+    its terms' magnitudes is 0.0: that zero rule sets exactly seven entries,
     which are 0 for the exact weights, and no others."""
     zeroed = set()
     for name in ("DP54", "DOP853"):
@@ -405,7 +405,7 @@ def test_nystrom_tables_are_exact_values_rounded_once():
     assert zeroed == {
         ("DOP853", "rows2", 12, 3), ("DOP853", "rows2", 12, 4),
         ("DOP853", "error_sums", 0), ("DOP853", "error_sums", 1),
-        ("DP54", "rows2", 6, 1), ("DP54", "error_rows", 0, 1),
+        ("DP54", "rows2", 6, 1), ("DP54", "error_rows", 0, 1), ("DP54", "error_sums", 0),
     }
     # Hairer's BHH: nonzero on stages 0, 8 and 11 only
     assert [k for k, c in enumerate(dynamics.DOP853.bhh) if c] == [0, 8, 11]
@@ -414,14 +414,19 @@ def test_nystrom_tables_are_exact_values_rounded_once():
 def test_dop853_attempt_arithmetic_stays_lean():
     """The attempt forms h*h and h*p once and leaves out the tables' zero
     entries: the call-site attempt of DOP853 has 664 binary operations
-    (753 before that grouping), so none quietly comes back."""
-    source = "\n".join(dynamics._attempt_lines(dynamics.DOP853, dynamics._call_site))
-    assert sum(isinstance(n, ast.BinOp) for n in ast.walk(ast.parse(source))) == 664
+    (753 before that grouping), and that of DP54, whose error row holds
+    difference weights, 232 (247 when its estimate subtracted the embedded
+    solution), so none quietly comes back."""
+    for tableau, count in ((dynamics.DOP853, 664), (dynamics.DP54, 232)):
+        source = "\n".join(dynamics._attempt_lines(tableau, dynamics._call_site))
+        assert sum(isinstance(n, ast.BinOp) for n in ast.walk(ast.parse(source))) == count
 
 
 # dp54_step at a few states, recorded as hex floats when the shared
 # attempt generator began to form h*h and h*p once per attempt (of the
-# Nystrom form before it, only the oscillator's y and its error differ)
+# Nystrom form before it, only the oscillator's y and its error differ);
+# the error estimates re-recorded when DP54's error row became the
+# difference weights B - B', the solutions unchanged
 def _anharmonic(q):
     x, y, z = q
     return (-x - x * y * z, -y + 0.5 * x * x, -z * (1.0 + z * z))
@@ -431,8 +436,8 @@ _DP54_RECORDED = [
     (_oscillator, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0), 0.2,
      ("0x1.f5cb48be34d98p-1", "0x1.96dff28b140c7p-3", "0x0.0p+0", "-0x1.96dff28b140c8p-3",
       "0x1.f5cb48be34d98p-1", "0x0.0p+0"),
-     ("-0x1.65575e0000000p-26", "-0x1.152b267f80000p-22", "0x0.0p+0", "0x1.152b267e00000p-22",
-      "-0x1.65575e0000000p-26", "0x0.0p+0")),
+     ("-0x1.65575e1015c2ap-26", "-0x1.152b267f3f42ap-22", "0x0.0p+0", "0x1.152b267f43333p-22",
+      "-0x1.65575e0f5999ap-26", "0x0.0p+0")),
     (_free, (0.0, 1.0, -2.0, 0.5, -0.25, 1.0), 0.7,
      ("0x1.6666666666666p-2", "0x1.a666666666666p-1", "-0x1.4cccccccccccdp+0",
       "0x1.0000000000000p-1", "-0x1.0000000000000p-2", "0x1.0000000000000p+0"),
@@ -441,13 +446,13 @@ _DP54_RECORDED = [
                    0.012557794994664626, 0.011920233993246529, 0.04119174256386531), 0.0371,
      ("0x1.1564c040a4648p-1", "0x1.4c15e1186955ep-3", "-0x1.22c0301e7c300p-2",
       "-0x1.b18c01e379ed8p-8", "0x1.7429238fdc8d4p-7", "0x1.af0964b953b7cp-5"),
-     ("-0x1.7b68000000000p-40", "0x1.5120000000000p-41", "-0x1.078c000000000p-38",
-      "0x1.c349ec0000000p-36", "-0x1.f867660000000p-36", "-0x1.dbe6d00000000p-36")),
+     ("-0x1.7b6da1f210950p-40", "0x1.511f768335bb2p-41", "-0x1.078c1d395167ap-38",
+      "0x1.c349ea79db22dp-36", "-0x1.f86765adfd220p-36", "-0x1.dbe6ceb604189p-36")),
     (_anharmonic, (-0.3, 0.7, 0.1, 0.2, -0.0, 0.4), -0.05,
      ("-0x1.3d06c742d7313p-2", "0x1.65fb44db8e912p-1", "0x1.4732b30ff0f86p-4",
       "0x1.786af2d5e54f8p-3", "0x1.0b9271cd37f62p-5", "0x1.9e3e62e2ddb1fp-2"),
-     ("-0x1.76a8000000000p-41", "0x1.ffba800000000p-36", "0x1.a0dd800000000p-34",
-      "0x1.9297100000000p-34", "-0x1.d52d7a0000000p-34", "-0x1.9e4a600000000p-35")),
+     ("-0x1.76a24a4cccccep-41", "0x1.ffbaa833851edp-36", "0x1.a0dd7f085eb87p-34",
+      "0x1.9297135333334p-34", "-0x1.d52d786666667p-34", "-0x1.9e4a4dccccccdp-35")),
 ]
 
 
@@ -457,6 +462,57 @@ def test_dp54_step_equals_recorded_bits(fn, y0, h, y5_hex, err_hex):
     y5, err = dp54_step(fn, y0, h)
     assert [v.hex() for v in y5] == [float.fromhex(v).hex() for v in y5_hex]
     assert [v.hex() for v in err] == [float.fromhex(v).hex() for v in err_hex]
+
+
+# Dormand and Prince's published DP5(4) weights, exact: the stage rows,
+# whose last is the solution's B, and the embedded 4th-order solution's B'
+_DP54_PUBLISHED_ROWS = [
+    [],
+    [Fraction(1, 5)],
+    [Fraction(3, 40), Fraction(9, 40)],
+    [Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)],
+    [Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561), Fraction(-212, 729)],
+    [Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247), Fraction(49, 176),
+     Fraction(-5103, 18656)],
+    [Fraction(35, 384), 0, Fraction(500, 1113), Fraction(125, 192), Fraction(-2187, 6784),
+     Fraction(11, 84)],
+]
+_DP54_PUBLISHED_EMBEDDED = [Fraction(5179, 57600), 0, Fraction(7571, 16695), Fraction(393, 640),
+                            Fraction(-92097, 339200), Fraction(187, 2100), Fraction(1, 40)]
+
+
+@pytest.mark.parametrize("fn, y0, h", [case[:3] for case in _DP54_RECORDED],
+                         ids=["oscillator", "free", "anharmonic", "anharmonic-back"])
+def test_dp54_error_estimate_is_its_exact_value(fn, y0, h):
+    """Each component of dp54_step's error estimate is within 1e-6 relative
+    of h sum_s (B - B')_s K_s, computed exactly from the published weights
+    and the stage forces that dp54_step's force saw, and exactly 0 where
+    that is 0 (an estimate formed as the difference of the two solutions
+    kept as few as 14 significant bits: 6.0e-5 relative)."""
+    forces = []
+
+    def recording(q):
+        f = fn(q)
+        forces.append([Fraction(v) for v in f])
+        return f
+
+    _, err = dp54_step(recording, y0, h)
+    assert len(forces) == 7
+    weights = [*_DP54_PUBLISHED_ROWS[-1], 0]
+    diff = [b - e for b, e in zip(weights, _DP54_PUBLISHED_EMBEDDED)]
+    hx, p = Fraction(h), [Fraction(v) for v in y0[3:]]
+    for j in range(3):
+        # the stage momenta P_s = p + h sum_k a_sk F_k, then the position
+        # and momentum errors h sum_s E_s P_s and h sum_s E_s F_s
+        momenta = [p[j] + hx * sum(a * f[j] for a, f in zip(row, forces))
+                   for row in _DP54_PUBLISHED_ROWS]
+        exact = (hx * sum(e * m for e, m in zip(diff, momenta)),
+                 hx * sum(e * f[j] for e, f in zip(diff, forces)))
+        for got, want in zip((err[j], err[j + 3]), exact):
+            if want == 0:
+                assert got == 0, (j, got)
+            else:
+                assert abs(Fraction(got) - want) <= Fraction(1, 10**6) * abs(want), (j, got, want)
 
 
 def test_dop853_global_error_is_order_eight():

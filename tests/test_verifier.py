@@ -25,7 +25,7 @@ from quadint.algebra import (
     nullspace_exact,
     solve_exact_sparse,
 )
-from quadint.catalog import build_context, extract_killing_tensor
+from quadint.catalog import build_characteristics, build_context, extract_killing_tensor
 from quadint.radical import RadicalElement
 from quadint.verifier import (
     ANSATZ_FACTORS,
@@ -599,6 +599,14 @@ def test_run_report_forms_no_product_with_a_zero_factor(monkeypatch):
     monkeypatch.setattr(Polynomial, "__rmul__", recording_mul)
     run_report(build_context())
     assert zero_factor and not any(zero_factor)
+
+
+def test_run_report_builds_the_characteristics_once():
+    """invariant_coordinate, rank_R and the fingerprint share one build of
+    the characteristic polynomials."""
+    build_characteristics.cache_clear()
+    run_report(build_context())
+    assert build_characteristics.cache_info().misses == 1
 
 
 def test_a_sphere_u_fails_exactly_the_checks_that_read_u(ctx):
