@@ -47,3 +47,26 @@ def test_host_independent_digests_are_pinned(capsys):
     assert tool.main(["--only", *HOST_INDEPENDENT]) == 0
     lines = capsys.readouterr().out.splitlines()[:-1]  # the total last
     assert lines == [f"{digest}  {name}" for name, digest in HOST_INDEPENDENT.items()]
+
+
+# The ledger of generated sources at the documented parameters.  A change
+# that alters a source updates its hash here.
+SOURCES = {
+    "factored-block": "71d1f872d6d9d2a24c578e3073c8f581f76852506215e6edb4b4fee202f1618a",
+    "force-at": "ac45e3adf3df953ff593fd9d840f1f9d86c15781313c718dd73ef4f615a551b3",
+    "integrals-eval": "509254d8470b29fce28c1516fff57b422fa699354491d84d58c82231b7a1ef6d",
+    "integrals-u": "ba409daf32b8604cb7ecb3f713d13372d478412008feceae05d4e127cdac98fb",
+    "run-adaptive": "7be4952a8d1ac936ed2be83bc25989259e583dc52d2a98a623348d44b1d36614",
+    "run-leapfrog": "10e45c68b7010376cbe1f9b1caf26f1b03cbfa2b9f316674bea6a75db01d41c5",
+    "attempt-DP54": "b033306597bc56609e835490c5640ca9a3fbaa494813a69128a956437fc1b44a",
+    "attempt-DOP853": "bc1ad42e8eafd4cd4cf40ca095154ea6dc57b6265d009cc592fa6377f3984566",
+    "stepper-step": "3a2312abf904a53e650c460dc3dd379f06264089a465f7aad86012341b645f23",
+    "step-leapfrog": "55d15168527b2c53f49e5e9f7a64831d41b997e69d01ef41e10bf7f81e8eac3f",
+}
+
+
+def test_generated_sources_are_pinned(capsys):
+    tool = _load()
+    assert tool.main(["--sources"]) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]  # the total last
+    assert lines == [f"{digest}  {name}" for name, digest in SOURCES.items()]

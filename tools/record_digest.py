@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
     PYTHONPATH=src python tools/record_digest.py [--only NAME ...] [--omit FIELD ...]
+    PYTHONPATH=src python tools/record_digest.py --sources
 
 For each run it prints ``<sha256>  <name>``: the digest of ``float.hex`` of
 every record row (scan rows for the scan runs) and of every ``RunOutcome``
@@ -10,6 +11,11 @@ field, ``detail`` included.  The last line, ``<sha256>  total``, digests the
 lines above it.  Two checkouts that print the same lines produced the same
 bits.  ``--omit`` leaves outcome fields out, so that a checkout can be
 compared with one that lacks a newer field; ``--only`` runs the named runs.
+``--sources`` prints the same lines for the generated sources instead: the
+digest of each source ``quadint.dynamics`` compiles at the documented
+parameters (SimConfig's defaults).  Every literal in them is the repr of a
+value computed by IEEE operations or from Fractions, so these digests do
+not depend on the host.
 
 The set: the three documented orbits to t = 1000 with both integrators
 (documented0-adaptive is also the benchmark's orbit run at seed 0); the
@@ -32,8 +38,11 @@ import dataclasses
 import hashlib
 import sys
 
+from quadint import dynamics
 from quadint.cli import build_parser, build_sim_config
 from quadint.dynamics import (
+    DOP853,
+    DP54,
     INTEGRATORS,
     PhaseState,
     SimConfig,
@@ -101,6 +110,48 @@ def run_lines(kind, config, inputs, omit=()) -> list[str]:
     return lines
 
 
+def run_texts(table, only, omit):
+    """(name, digested text) of each run of ``table``, or of those in ``only``."""
+    for name, (kind, config, inputs) in table.items():
+        if not only or name in only:
+            yield name, "\n".join(run_lines(kind, config, inputs, omit))
+
+
+def sources() -> dict[str, str]:
+    """{name: source} of every source dynamics compiles at the documented
+    parameters, each generated afresh: the factored block, ForceField._at,
+    IntegralEvaluator's _eval and _u, the run kernels, the DP54 and DOP853
+    attempts, AdaptiveStepper.step and step_leapfrog."""
+    config = SimConfig()
+    # cached first, so that IntegralEvaluator does not compile the block again
+    dynamics._factored_block(config.a, config.b)
+    generated = []
+    compile_ = dynamics._compile
+
+    def capture(lines, name):
+        generated.append("\n".join(lines))
+        return compile_(lines, name)
+
+    dynamics._compile = capture
+    try:
+        consts, block = dynamics._factored_block.__wrapped__(config.a, config.b)
+        force = dynamics.ForceField(config.w0, config.u_floor, consts, block)
+        dynamics.IntegralEvaluator(config.a, config.b, config.w0)
+        for integ in INTEGRATORS:
+            dynamics._compile_kernel.__wrapped__(force, integ)
+        for tableau in (DP54, DOP853):
+            dynamics._attempt_kernel.__wrapped__(tableau)
+        dynamics._adaptive_step.__wrapped__()
+        dynamics._leapfrog_step.__wrapped__()
+    finally:
+        dynamics._compile = compile_
+    names = ["factored-block", "force-at", "integrals-eval", "integrals-u",
+             *(f"run-{integ}" for integ in INTEGRATORS), "attempt-DP54", "attempt-DOP853",
+             "stepper-step", "step-leapfrog"]
+    assert len(generated) == len(names), "a source was compiled more or less than once"
+    return dict(zip(names, generated))
+
+
 def main(argv=None) -> int:
     table = runs()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -108,12 +159,15 @@ def main(argv=None) -> int:
                         help="run only these runs")
     parser.add_argument("--omit", nargs="+", default=(), metavar="FIELD",
                         help="RunOutcome fields to leave out of the digests")
+    parser.add_argument("--sources", action="store_true",
+                        help="digest the generated sources instead of the runs")
     args = parser.parse_args(argv)
+    if args.sources:
+        texts = sources().items()
+    else:
+        texts = run_texts(table, args.only, set(args.omit))
     total = hashlib.sha256()
-    for name, (kind, config, inputs) in table.items():
-        if args.only and name not in args.only:
-            continue
-        text = "\n".join(run_lines(kind, config, inputs, set(args.omit)))
+    for name, text in texts:
         line = f"{hashlib.sha256(text.encode()).hexdigest()}  {name}"
         print(line, flush=True)
         total.update((line + "\n").encode())
