@@ -36,7 +36,9 @@ particle, isotropic oscillator) independently of the potential;
 inlined, in one kernel call per run that owns the sample loop and calls
 back for each sample row, and takes min u, min distance to a line and max
 |q| over every accepted step.  A kernel reads its run settings from the
-SimConfig it is called with, and is compiled on its first run.
+SimConfig it is called with, and is compiled on its first run.  Each
+integrator is one entry of INTEGRATORS, which the kernel generator and
+simulate's step budget read.
 
 Portability: no record field depends on a BLAS kernel.  The block and
 the integrators are plain IEEE arithmetic, sqrt is correctly rounded, and
@@ -661,10 +663,28 @@ def _leapfrog_step_lines(site) -> list[str]:
     ]
 
 
+# simulate's integrators by name, each as (the kernel lines that read its
+# settings from the SimConfig ``config``, built when a kernel is compiled,
+# so that they take the controller's constants then; its step from t,
+# y0..y5 and f0_* around a force site, capped at ``cap``; the kernel's count
+# of its force evaluations; the SimConfig field that bounds its step, or
+# None where H_MAX does)
+INTEGRATORS = {
+    "adaptive": (lambda: ["atol, rtol = config.abs_tol, config.rel_tol",
+                          f"h_ctl, err_prev = {H_INIT!r}, 1.0"],
+                 functools.partial(_adaptive_step_lines, DOP853),
+                 f"{DOP853.last} * (steps + rejected)", None),
+    "leapfrog": (lambda: ["h_fix = config.fixed_step"],
+                 lambda site: ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)],
+                 "steps", "fixed_step"),
+}
+
+
 @functools.cache
 def _compile_kernel(force: ForceField, integrator: str):
-    """The run kernel of one integrator with ``force`` inlined, compiled on
-    the first run of that integrator with that force field.
+    """The run kernel of one integrator of INTEGRATORS with ``force``
+    inlined, compiled on the first run of that integrator with that force
+    field.
 
     ``run(sample, t, q, p, f, u, d2, config)`` integrates from t, (q, p)
     and the force f, u and d2 at q to ``config.t_end`` in one call, with
@@ -672,25 +692,15 @@ def _compile_kernel(force: ForceField, integrator: str):
     ``sample(t, x, y, z, px, py, pz, u, d2)`` every ``sample_interval``.  It
     stops after the first step with max |q| > ``r_max``.  min u, min d2 and
     max |q| = hypot(q) are taken over q and every accepted step.  It reads
-    these settings of the SimConfig once, with its integrator's own: abs_tol
-    and rel_tol for the adaptive integrator, whose step size starts at
-    H_INIT, and fixed_step for leapfrog.  It returns (exc, t, steps, rejected,
-    floor_accepted, force_evals, min_u, min_d2, max_q): exc is None or what
-    a step or a sample raised (SingularPoint, StepFailure or
+    its settings from the SimConfig once.  It returns (exc, t, steps,
+    rejected, floor_accepted, force_evals, min_u, min_d2, max_q): exc is
+    None or what a step or a sample raised (SingularPoint, StepFailure or
     EvaluationOverflow), the rest are those of the last accepted step, and
     force_evals counts the kernel's own force evaluations.
     """
-    site = _force_site(force.line_constants, force.w0, force.u_floor)
-    if integrator == "adaptive":
-        evals = f"{DOP853.last} * (steps + rejected)"
-        init = ["atol, rtol = config.abs_tol, config.rel_tol",
-                f"h_ctl, err_prev = {H_INIT!r}, 1.0"]
-        step = _adaptive_step_lines(DOP853, site)
-    else:
-        evals, init = "steps", ["h_fix = config.fixed_step"]
-        step = ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)]
+    settings, step_lines, evals, _ = INTEGRATORS[integrator]
     # d2 at the accepted q, from the last force site the step ran
-    step.append(_D2_LINE)
+    step = [*step_lines(_force_site(force.line_constants, force.w0, force.u_floor)), _D2_LINE]
     # the next sample time, the cap of the steps up to it (min(next_sample,
     # t_end)), and the time from which a step counts as reaching it
     next_sample = [
@@ -707,7 +717,7 @@ def _compile_kernel(force: ForceField, integrator: str):
         "    y0, y1, y2 = q",
         "    y3, y4, y5 = p",
         "    f0_0, f0_1, f0_2 = f",
-        *_indent(init),
+        *_indent(settings()),
         "    steps = rejected = floor_accepted = 0",
         "    min_u, min_d2, max_q = u, d2, _hypot(y0, y1, y2)",
         # -1.0 sends the first step to the r_max test below: an initial |q|
@@ -885,8 +895,6 @@ def step_leapfrog(state: PhaseState, h: float, force) -> PhaseState:
 # -- simulation harness ------------------------------------------------
 
 
-INTEGRATORS = ("adaptive", "leapfrog")
-
 # the most sample intervals one simulate call takes: each costs a sample
 # callback and a record row of about 430 bytes, so 10**6 rows take about 0.4 GB
 MAX_SAMPLES = 10**6
@@ -901,7 +909,7 @@ class SimConfig:
     a: float = 0.25
     b: float = 1.0
     w0: float = -1.0
-    integrator: str = "adaptive"          # "adaptive" (DOP853) | "leapfrog"
+    integrator: str = "adaptive"          # a name of INTEGRATORS
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     fixed_step: float = 1e-3              # leapfrog only
@@ -1029,10 +1037,10 @@ def simulate(config: SimConfig, initial: PhaseState):
     if samples > MAX_SAMPLES:
         raise ValueError(f"(t_end - t0) / sample_interval = {samples:.3g} sample "
                          f"intervals exceeds MAX_SAMPLES = {MAX_SAMPLES}")
-    # no step is longer than fixed_step (leapfrog) or H_MAX (adaptive), so
-    # the run takes at least this many steps
-    longest, h_max = (("fixed_step", config.fixed_step) if config.integrator == "leapfrog"
-                      else ("H_MAX", H_MAX))
+    # no step is longer than the integrator's bound, so the run takes at
+    # least this many steps
+    bound = INTEGRATORS[config.integrator][3]
+    longest, h_max = (bound, getattr(config, bound)) if bound else ("H_MAX", H_MAX)
     steps = (config.t_end - initial.t) / h_max
     if steps > MAX_STEPS:
         raise ValueError(f"(t_end - t0) / {longest} = {steps:.3g} {config.integrator} steps "
