@@ -689,24 +689,27 @@ def _compile_kernel(force: ForceField, integrator: str):
     ``run(sample, t, q, p, f, u, d2, config)`` integrates from t, (q, p)
     and the force f, u and d2 at q to ``config.t_end`` in one call, with
     each step capped at the next sample time, and calls
-    ``sample(t, x, y, z, px, py, pz, u, d2)`` every ``sample_interval``.  It
-    stops after the first step with max |q| > ``r_max``.  min u, min d2 and
-    max |q| = hypot(q) are taken over q and every accepted step.  It reads
-    its settings from the SimConfig once.  It returns (exc, t, steps,
-    rejected, floor_accepted, force_evals, min_u, min_d2, max_q): exc is
-    None or what a step or a sample raised (SingularPoint, StepFailure or
-    EvaluationOverflow), the rest are those of the last accepted step, and
-    force_evals counts the kernel's own force evaluations.
+    ``sample(t, x, y, z, px, py, pz, u, d2)`` at t + k ``sample_interval``
+    (k = 1, 2, ...) and at t_end.  It stops after the first step with
+    max |q| > ``r_max``.  min u, min d2 and max |q| = hypot(q) are taken
+    over q and every accepted step.  It reads its settings from the
+    SimConfig once.  It returns (exc, t, steps, rejected, floor_accepted,
+    force_evals, min_u, min_d2, max_q): exc is None or what a step or a
+    sample raised (SingularPoint, StepFailure or EvaluationOverflow), the
+    rest are those of the last accepted step, and force_evals counts the
+    kernel's own force evaluations.
     """
     settings, step_lines, evals, _ = INTEGRATORS[integrator]
     # d2 at the accepted q, from the last force site the step ran
     step = [*step_lines(_force_site(force.line_constants, force.w0, force.u_floor)), _D2_LINE]
-    # the next sample time, the cap of the steps up to it (min(next_sample,
-    # t_end)), and the time from which a step counts as reaching it
+    # the next sample time t0 + k sample_interval, the cap of the steps up
+    # to it or to t_end (t_stop, the earlier), and the time from which a
+    # step counts as reaching t_stop, so that t_end has a row too
     next_sample = [
-        "next_sample += sample_interval",
+        "k += 1",
+        "next_sample = t0 + k * sample_interval",
         "t_stop = t_end if t_end < next_sample else next_sample",
-        "t_sample = next_sample - 1e-12",
+        "t_sample = t_stop - 1e-12",
     ]
     counts = f"t, steps, rejected, floor_accepted, {evals}, min_u, min_d2, max_q"
     lines = [
@@ -724,7 +727,7 @@ def _compile_kernel(force: ForceField, integrator: str):
         # beyond r_max stops after one step
         "    q2_safe = _q2_guard(max_q) if max_q <= r_max else -1.0",
         "    t_last = t_end - 1e-12",
-        "    next_sample = t",
+        "    t0, k = t, 0",
         *_indent(next_sample),
         "    try:",
         "        while t < t_last:",
@@ -1039,7 +1042,7 @@ def simulate(config: SimConfig, initial: PhaseState):
                          f"intervals exceeds MAX_SAMPLES = {MAX_SAMPLES}")
     # no step is longer than the integrator's bound, so the run takes at
     # least this many steps
-    bound = INTEGRATORS[config.integrator][3]
+    *_, bound = INTEGRATORS[config.integrator]
     longest, h_max = (bound, getattr(config, bound)) if bound else ("H_MAX", H_MAX)
     steps = (config.t_end - initial.t) / h_max
     if steps > MAX_STEPS:
@@ -1083,6 +1086,10 @@ SCAN_HEADER = "idx,x0,y0,z0,px0,py0,pz0,E,min_u,min_dsing,class"
 
 
 _MAX_RANGE = sys.float_info.max / 2  # uniform(-r, r) needs 2 r finite
+# the most ICs one scan takes: all are drawn before the first run and held
+# with their rows until the CSV is written, about 0.7 kB each, so 10**6 ICs
+# take about 0.7 GB
+MAX_SCAN_ICS = 10**6
 
 
 def scan_initial_conditions(seed: int, n: int, q_range: float = 0.5, p_range: float = 0.4):
@@ -1090,6 +1097,8 @@ def scan_initial_conditions(seed: int, n: int, q_range: float = 0.5, p_range: fl
     IC, q then p uniform in [-range, range)^3, as Python floats."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n!r}")
+    if n > MAX_SCAN_ICS:
+        raise ValueError(f"n = {n!r} exceeds MAX_SCAN_ICS = {MAX_SCAN_ICS}")
     for name, value in (("q_range", q_range), ("p_range", p_range)):
         if not 0 <= value <= _MAX_RANGE:  # also false for nan
             raise ValueError(f"{name} must lie in [0, {_MAX_RANGE:.4g}], got {value!r}")

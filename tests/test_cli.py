@@ -581,8 +581,12 @@ def test_scan_rejects_repulsive(capsys, tmp_path):
     (["--q-range", "inf"], "error: q_range must lie in [0, 8.988e+307], got inf"),
     (["--q-range", "1e308"], "error: q_range must lie in [0, 8.988e+307], got 1e+308"),
     (["--p-range", "-0.4"], "error: p_range must lie in [0, 8.988e+307], got -0.4"),
+    (["--n", "1000001"], "error: n = 1000001 exceeds MAX_SCAN_ICS = 1000000"),
 ])
-def test_scan_rejects_bad_counts(capsys, tmp_path, option, message):
+def test_scan_rejects_bad_counts(capsys, tmp_path, monkeypatch, option, message):
+    if option[0] == "--n":
+        # a count is rejected before the draw starts
+        monkeypatch.setattr("numpy.random.default_rng", lambda seed: pytest.fail("drew ICs"))
     out_file = tmp_path / "s.csv"
     code, _, err = run(["scan", *option, "--t-end", "1", "--out", str(out_file)], capsys)
     assert code == 1

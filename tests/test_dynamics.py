@@ -1400,11 +1400,13 @@ def _replay(config, initial):
     drift = [0.0, 0.0, 0.0]
     stepper = AdaptiveStepper(force, config.rel_tol, config.abs_tol)
     steps, evals, rejected = 0, force.calls, 0
-    next_sample = initial.t + config.sample_interval
+    k = 1
     classification, detail = "completed", ""
     try:
         while state.t < config.t_end - 1e-12:
-            cap = min(next_sample, config.t_end) - state.t
+            # sample times t0 + k sample_interval, and t_end
+            t_stop = min(initial.t + k * config.sample_interval, config.t_end)
+            cap = t_stop - state.t
             if config.integrator == "leapfrog":
                 state = step_leapfrog(state, min(config.fixed_step, cap), force)
             else:
@@ -1417,12 +1419,12 @@ def _replay(config, initial):
                 classification = "escape"
                 detail = f"|q| = {max_q:.3g} exceeded r_max at t = {state.t:.6g}"
                 break
-            if state.t >= next_sample - 1e-12:
+            if state.t >= t_stop - 1e-12:
                 rows.append(row(state))
                 for i in range(3):
                     drift[i] = max(drift[i], abs(rows[-1][7 + i] - rows[0][7 + i])
                                    / max(abs(rows[0][7 + i]), 1e-3))
-                next_sample += config.sample_interval
+                k += 1
     except SingularPoint as exc:
         classification, detail = "singularity-approach", str(exc)
     except (StepFailure, EvaluationOverflow) as exc:
@@ -1708,6 +1710,28 @@ def test_kernel_outcome_equals_per_step_replay(config, ic, classification):
     # the attempt cut short by an exception, and only that one, is left
     # out of force_evals
     assert outcome.force_evals <= calls <= outcome.force_evals + 12
+
+
+@pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
+@pytest.mark.parametrize("t_end, interval, rows", [
+    # sample times summed from 0.01 ran 1.9e-12 ahead of the grid by
+    # t = 30, so the step to t_end fell short of the last one and its row
+    # was lost
+    (30.0, 0.01, 3001),
+    (5.5, 1.0, 7),          # t_end between two sample times
+    (5.0, 1e300, 2),        # no sample time before t_end
+], ids=["fine-grid", "partial-interval", "no-interval"])
+def test_rows_lie_on_the_sample_grid_and_at_t_end(integrator, t_end, interval, rows):
+    """Rows are at t0 + k sample_interval and at t_end, so that every run
+    ends with a row at t_end and its drifts cover its last steps."""
+    config = SimConfig(t_end=t_end, sample_interval=interval, integrator=integrator)
+    record, outcome = simulate(config, PhaseState.make(0.0, (0.3, 0.1, 0.2), (0.1, 0.0, 0.2)))
+    times = [row[0] for row in record.rows]
+    assert outcome.classification == "completed"
+    assert len(times) == rows
+    assert all(abs(t - k * interval) <= 1e-12 for k, t in enumerate(times[:-1]))
+    assert times[-1] == outcome.t_final and abs(times[-1] - t_end) <= 1e-12
+    assert outcome.drift_H > 0.0
 
 
 @pytest.mark.parametrize("t0, config", [

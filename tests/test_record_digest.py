@@ -56,8 +56,8 @@ SOURCES = {
     "force-at": "ac45e3adf3df953ff593fd9d840f1f9d86c15781313c718dd73ef4f615a551b3",
     "integrals-eval": "509254d8470b29fce28c1516fff57b422fa699354491d84d58c82231b7a1ef6d",
     "integrals-u": "ba409daf32b8604cb7ecb3f713d13372d478412008feceae05d4e127cdac98fb",
-    "run-adaptive": "7be4952a8d1ac936ed2be83bc25989259e583dc52d2a98a623348d44b1d36614",
-    "run-leapfrog": "10e45c68b7010376cbe1f9b1caf26f1b03cbfa2b9f316674bea6a75db01d41c5",
+    "run-adaptive": "9f8650cea0abdc69a634e873489e8e5345e61440b193b7acb2f33ebdf603b218",
+    "run-leapfrog": "ececde9d42ce430cc0ff68db97a91aa769ecb48eb615612b1c15b97b61db73b9",
     "attempt-DP54": "b033306597bc56609e835490c5640ca9a3fbaa494813a69128a956437fc1b44a",
     "attempt-DOP853": "bc1ad42e8eafd4cd4cf40ca095154ea6dc57b6265d009cc592fa6377f3984566",
     "stepper-step": "3a2312abf904a53e650c460dc3dd379f06264089a465f7aad86012341b645f23",
