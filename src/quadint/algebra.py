@@ -20,8 +20,8 @@ polynomial's ``terms`` or hand ``solve_exact_sparse`` polynomial
 equations, which it matches over x, y, z on packed keys (``_collect``)
 into rows with polynomial entries in the parameters; neither reads keys
 or numerators.  Floats
-enter only through ``eval_float``, whose n / d is rounded once, as
-``float(Fraction(n, d))`` is.
+enter only through ``eval_float``, which is ``eval_exact`` at the floats'
+exact values rounded once to binary64.
 """
 
 from __future__ import annotations
@@ -252,22 +252,11 @@ class Polynomial:
         return Fraction(out.get(0, 0), d)
 
     def eval_float(self, point: Mapping[int, float]) -> float:
-        """binary64 evaluation, one product per term, Neumaier-compensated sum."""
-        s = 0.0
-        comp = 0.0
-        for e, c in self._numerators.items():
-            v = c / self._denominator
-            for i, sh in enumerate(_SHIFTS):
-                k = e >> sh & MAX_DEGREE
-                if k:
-                    v *= point[i] ** k
-            t = s + v
-            if abs(s) >= abs(v):
-                comp += (s - t) + v
-            else:
-                comp += (v - t) + s
-            s = t
-        return s + comp
+        """The exact value at ``point`` (``eval_exact`` of each coordinate's
+        exact value) rounded once to binary64.  An infinite coordinate or a
+        value beyond binary64 raises OverflowError, a nan coordinate
+        ValueError."""
+        return float(self.eval_exact({v: Fraction(x) for v, x in point.items()}))
 
     def specialize(self, assignments: Mapping[int, Scalar]) -> "Polynomial":
         """Substitute exact rational values for a subset of the variables."""

@@ -568,19 +568,20 @@ def _attempt_lines(tableau: _Tableau, site) -> list[str]:
     return lines
 
 
-def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
+def _adaptive_step_lines(site) -> list[str]:
     """One accepted adaptive step from t, y0..y5, f0_*: attempts
     (_attempt_lines around ``site``) of h = min(h_ctl, cap) until one is
     accepted, with proportional-integral control of h_ctl (Gustafsson) at
-    exponents 0.7/order and 0.4/order of ``tableau.order``, and 1/order
+    exponents 0.7/order and 0.4/order of DOP853's order, and 1/order
     after a rejection.  err is Hairer's error norm of the 5th- and
     3rd-order estimates for tolerances atol and rtol, which the controller
     compares with 1.  H_MIN, H_MAX and SAFETY are literals of the lines.
     An attempt accepted at the floor H_MIN with err > 1 counts in
     floor_accepted and a rejected one in rejected.  A step below the floor,
     one that does not advance t, or a non-finite err at the floor raises
-    StepFailure."""
-    order, last = tableau.order, tableau.last
+    StepFailure.  The tableau is DOP853: the norm reads the 3rd-order
+    estimate l0..l5, which only a pair with two error rows forms."""
+    order, last = DOP853.order, DOP853.last
     # Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of the
     # scaled 5th- and 3rd-order estimates, here with h inside each;
     # sqrt(6) sqrt(.) in place of sqrt(6 .), which could overflow.  Each sum
@@ -613,7 +614,7 @@ def _adaptive_step_lines(tableau: _Tableau, site) -> list[str]:
         "    t_new = t + h",
         "    if t_new == t:",
         "        raise _StepFailure(f'step size {h:g} does not advance t = {t!r}')",
-        *_indent(_attempt_lines(tableau, site)),
+        *_indent(_attempt_lines(DOP853, site)),
         *_indent(norm),
         f"    if err <= 1.0 or h <= {H_MIN!r} and _isfinite(err):",
         "        if err > 1.0:",
@@ -668,14 +669,16 @@ def _leapfrog_step_lines(site) -> list[str]:
 # so that they take the controller's constants then; its step from t,
 # y0..y5 and f0_* around a force site, capped at ``cap``; the kernel's count
 # of its force evaluations; the SimConfig field that bounds its step, or
-# None where H_MAX does)
+# None where H_MAX does).  A fixed step stretches to a cap below
+# 1.0001 fixed_step, so that a sample time the summed steps fall just short
+# of is reached in one step, not by a sliver step after it
 INTEGRATORS = {
     "adaptive": (lambda: ["atol, rtol = config.abs_tol, config.rel_tol",
                           f"h_ctl, err_prev = {H_INIT!r}, 1.0"],
-                 functools.partial(_adaptive_step_lines, DOP853),
+                 _adaptive_step_lines,
                  f"{DOP853.last} * (steps + rejected)", None),
-    "leapfrog": (lambda: ["h_fix = config.fixed_step"],
-                 lambda site: ["h = cap if cap < h_fix else h_fix", *_leapfrog_step_lines(site)],
+    "leapfrog": (lambda: ["h_fix = config.fixed_step", "h_reach = h_fix * 1.0001"],
+                 lambda site: ["h = cap if cap < h_reach else h_fix", *_leapfrog_step_lines(site)],
                  "steps", "fixed_step"),
 }
 
@@ -829,7 +832,7 @@ def _adaptive_step():
         "    h_ctl, err_prev = self.h, self._err_prev",
         "    rejected, floor_accepted = self.rejected, self.floor_accepted",
         "    try:",
-        *_indent(_adaptive_step_lines(DOP853, _call_site), 2),
+        *_indent(_adaptive_step_lines(_call_site), 2),
         "    finally:",
         "        self.h, self._err_prev = h_ctl, err_prev",
         "        self.rejected, self.floor_accepted = rejected, floor_accepted",
@@ -1040,8 +1043,9 @@ def simulate(config: SimConfig, initial: PhaseState):
     if samples > MAX_SAMPLES:
         raise ValueError(f"(t_end - t0) / sample_interval = {samples:.3g} sample "
                          f"intervals exceeds MAX_SAMPLES = {MAX_SAMPLES}")
-    # no step is longer than the integrator's bound, so the run takes at
-    # least this many steps
+    # no step is longer than the integrator's bound, but for a fixed step's
+    # stretch of at most 1e-4 of it once per sample, so the run takes at
+    # least about this many steps
     *_, bound = INTEGRATORS[config.integrator]
     longest, h_max = (bound, getattr(config, bound)) if bound else ("H_MAX", H_MAX)
     steps = (config.t_end - initial.t) / h_max

@@ -234,6 +234,21 @@ def test_eval_float_matches_exact(p, pt):
     assert abs(approx - float(exact)) <= 1e-12 * scale
 
 
+def test_eval_float_rounds_a_cancelling_sum_once():
+    """x^2 - y^2 at x = 1 + 2^-30, y = 1 is exactly 2^-29 + 2^-60, which
+    binary64 holds; a float sum of the rounded terms loses the 2^-60."""
+    value = (x**2 - y**2).eval_float({X: 1 + 2**-30, Y: 1.0})
+    assert value == 2**-29 + 2**-60
+
+
+@pytest.mark.parametrize("bad, error", [(math.inf, OverflowError), (-math.inf, OverflowError),
+                                        (math.nan, ValueError),
+                                        (1e200, OverflowError)])  # a value beyond binary64
+def test_eval_float_raises_on_a_non_finite_coordinate_or_value(bad, error):
+    with pytest.raises(error):
+        (x**2 - y**2).eval_float({X: bad, Y: 1.0})
+
+
 def test_specialize_partial_substitution():
     p = a * x**2 + b * y
     q = p.specialize({A: Fraction(1, 4), B: 2})

@@ -1408,7 +1408,9 @@ def _replay(config, initial):
             t_stop = min(initial.t + k * config.sample_interval, config.t_end)
             cap = t_stop - state.t
             if config.integrator == "leapfrog":
-                state = step_leapfrog(state, min(config.fixed_step, cap), force)
+                # a fixed step stretches to a cap below 1.0001 fixed_step
+                h = cap if cap < config.fixed_step * 1.0001 else config.fixed_step
+                state = step_leapfrog(state, h, force)
             else:
                 state = stepper.step(state, h_cap=cap)[0]
             steps, evals, rejected = steps + 1, force.calls, stepper.rejected
@@ -1732,6 +1734,28 @@ def test_rows_lie_on_the_sample_grid_and_at_t_end(integrator, t_end, interval, r
     assert all(abs(t - k * interval) <= 1e-12 for k, t in enumerate(times[:-1]))
     assert times[-1] == outcome.t_final and abs(times[-1] - t_end) <= 1e-12
     assert outcome.drift_H > 0.0
+
+
+@pytest.mark.parametrize("t_end, interval, ic, steps", [
+    # t summed from 1e-3 steps fell over 1e-12 short of four sample times,
+    # and each was reached by a sliver step of that gap: 30004 steps
+    (30.0, 0.01, ((0.3, 0.1, 0.2), (0.1, 0.0, 0.2)), 30000),
+    # the benchmark's Verlet run: 100036 steps with slivers
+    (100.0, 1.0, ((0.0, 0.0, 0.5), (0.0, 0.0, 0.4)), 100000),
+], ids=["fine-grid", "bench-verlet"])
+def test_fixed_steps_reach_sample_times_without_sliver_steps(t_end, interval, ic, steps):
+    """A fixed step stretches by up to 1e-4 to reach a sample time the
+    summed steps fall just short of, so a run takes (t_end - t0) /
+    fixed_step steps and each row lies on its sample time."""
+    config = SimConfig(t_end=t_end, sample_interval=interval, integrator="leapfrog",
+                       fixed_step=1e-3)
+    record, outcome = simulate(config, PhaseState.make(0.0, *ic))
+    times = [row[0] for row in record.rows]
+    assert outcome.classification == "completed"
+    assert outcome.steps == steps
+    assert len(times) == round(t_end / interval) + 1
+    assert times[:-1] == [k * interval for k in range(len(times) - 1)]
+    assert times[-1] == t_end
 
 
 @pytest.mark.parametrize("t0, config", [

@@ -33,12 +33,12 @@ def test_digest_is_deterministic_on_one_run(capsys):
 # libm pow (the adaptive step controller does), and their details hold no
 # CPython error text (overflow-1e90-leapfrog's does, from math.fsum).
 HOST_INDEPENDENT = {
-    "bench-verlet": "eeb3c869f38ad0f0f1533b2dc472234bbc6250838ab11c8c55b23348fe32042a",
-    "floor1e-3-ic0-leapfrog": "93839703c0e14bd1f8647d22ec0c21df9c10808e86f156e0e560eab37f702e5c",
+    "bench-verlet": "256acde2d02f468d3e2e22d449a8f0a2ad4b3bb920460d30d39643e9c29648e9",
+    "floor1e-3-ic0-leapfrog": "3f704985e4d6e82b96126b3f20efc9c02b67ddc0ef851462c017784210cc6f09",
     "floor1e-3-ic1-leapfrog": "b21107dcbcb3077cb9e7a8f771e1c1db8643d31e1e1b7f8db4e66cd701db57ec",
-    "floor1e-3-ic2-leapfrog": "fd55eaf0492229b3236613914ed72442c1f52661f0f4e1db33eb13938b69b338",
-    "floor1e-3-ic3-leapfrog": "d9b431f2d8a4b180064c88af7bf4b732a1688f8de42517f780aa7e47cc5224f1",
-    "escape-leapfrog": "636452061b0f4a0f3fa30ada882be4da6a817c125471fd06dc91c6f3e8a780ed",
+    "floor1e-3-ic2-leapfrog": "6509115fa9916d09272bb969de731ce1b7535b9b6387c85454f9659a6ab3c763",
+    "floor1e-3-ic3-leapfrog": "b0bcb52279747ab713b2e34231b9c68b39bfc06f024172fc433c8323b78dd578",
+    "escape-leapfrog": "1e31029aab7c281eed797b60910378748476da13bc66498cfca76ea9e74ab021",
 }
 
 
@@ -57,7 +57,7 @@ SOURCES = {
     "integrals-eval": "509254d8470b29fce28c1516fff57b422fa699354491d84d58c82231b7a1ef6d",
     "integrals-u": "ba409daf32b8604cb7ecb3f713d13372d478412008feceae05d4e127cdac98fb",
     "run-adaptive": "9f8650cea0abdc69a634e873489e8e5345e61440b193b7acb2f33ebdf603b218",
-    "run-leapfrog": "ececde9d42ce430cc0ff68db97a91aa769ecb48eb615612b1c15b97b61db73b9",
+    "run-leapfrog": "3d0fea52454fd17d713bd23b3e07a0cad0e9728c8bde525914dc16116e82d249",
     "attempt-DP54": "b033306597bc56609e835490c5640ca9a3fbaa494813a69128a956437fc1b44a",
     "attempt-DOP853": "bc1ad42e8eafd4cd4cf40ca095154ea6dc57b6265d009cc592fa6377f3984566",
     "stepper-step": "3a2312abf904a53e650c460dc3dd379f06264089a465f7aad86012341b645f23",

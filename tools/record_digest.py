@@ -92,8 +92,8 @@ def runs():
 
 
 def _enc(v) -> str:
-    if isinstance(v, float):              # numpy float64 included
-        return float(v).hex()
+    if isinstance(v, float):
+        return v.hex()
     return repr(v) if isinstance(v, str) else str(v)
 
 
