@@ -38,13 +38,16 @@ back for each sample row, and takes min u, min distance to a line and max
 |q| over every accepted step.  A kernel reads its run settings from the
 SimConfig it is called with, and is compiled on its first run.  Each
 integrator is one entry of INTEGRATORS, which the kernel generator and
-simulate's step budget read.
+simulate's step budget read.  The step controller is proportional-integral,
+and after a rejection predictive (Gustafsson), until it predicts growth;
+see _adaptive_step_lines.
 
 Portability: no record field depends on a BLAS kernel.  The block and
 the integrators are plain IEEE arithmetic, sqrt is correctly rounded, and
 math.fsum and math.hypot are CPython's own code; the force takes
-u^(-3/2) as 1 / (u sqrt(u)).  Only the step controller's exponents
-``**-0.0875``, ``**0.05`` and ``**-0.125`` still go through the C
+u^(-3/2) as 1 / (u sqrt(u)), and the predictive factor's 1/8 power is
+three square roots.  Only the exponents of the PI and rejection factors,
+``**-0.0875``, ``**0.05`` and ``**-0.125``, still go through the C
 library's ``pow``, so adaptive records are bit-identical across hosts only
 where that ``pow`` agrees.
 
@@ -216,16 +219,19 @@ def _u_site(q, line_constants, u_floor, u_cut) -> list[str]:
     """Lines that bind u, _fp and _fm (not d2; see _D2_LINE) at the point q
     (three expressions) from the factored block at ``line_constants``, and
     raise EvaluationOverflow if u is not finite, SingularPoint if
-    u <= u_floor, and EvaluationOverflow if u_floor < u <= u_cut."""
+    u <= u_floor, and EvaluationOverflow if u_floor < u <= u_cut (lines
+    written only where the cut is above the floor)."""
     point = f"({', '.join(q)})"
+    singular = [f"if u <= {u_floor!r}:",
+                f'    raise _SingularPoint(f"u = {{u!r}} at q = {{{point}}}")']
+    if u_cut > u_floor:
+        singular = [f"if u <= {u_cut!r}:", *_indent(singular),
+                    f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}: u**-1.5 overflows")']
     return [
         *_factored_lines(q, line_constants),
         "if not u < _inf:",
         f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}")',
-        f"if u <= {u_cut!r}:",
-        f"    if u <= {u_floor!r}:",
-        f'        raise _SingularPoint(f"u = {{u!r}} at q = {{{point}}}")',
-        f'    raise _EvaluationOverflow({point}, f"u = {{u!r}}: u**-1.5 overflows")',
+        *singular,
     ]
 
 
@@ -580,8 +586,24 @@ def _adaptive_step_lines(site) -> list[str]:
     floor_accepted and a rejected one in rejected.  A step below the floor,
     one that does not advance t, or a non-finite err at the floor raises
     StepFailure.  The tableau is DOP853: the norm reads the 3rd-order
-    estimate l0..l5, which only a pair with two error rows forms."""
+    estimate l0..l5, which only a pair with two error rows forms.
+
+    A rejection turns on a predictive mode (pc), where h_prev, the last
+    accepted step that updated the controller, is set (not 0.0): the next
+    accepted uncapped attempt takes Gustafsson's predictive factor
+    SAFETY (h/h_prev) (err_prev/e^2)^(1/order), which follows a step size
+    that declines geometrically, as near a singular line, where the PI
+    factor lags and rejects every other attempt.  The mode stays on while
+    it predicts a decline (factor < 1) and turns off when it predicts
+    growth.  Every accepted uncapped attempt stores e and h as err_prev
+    and h_prev; a capped one changes no controller state.  At a steady
+    step the PI controller settles at err = SAFETY^(1/0.0375), about 0.06,
+    and the predictive mode at err = SAFETY^8, about 0.43.  A run without
+    a rejection never enters the mode.  The 1/8 power is three square
+    roots, which are correctly rounded, so it needs no libm pow; the PI
+    and rejection factors go through pow."""
     order, last = DOP853.order, DOP853.last
+    assert order == 8, "the predictive factor's 1/order power is three square roots"
     # Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of the
     # scaled 5th- and 3rd-order estimates, here with h inside each;
     # sqrt(6) sqrt(.) in place of sqrt(6 .), which could overflow.  Each sum
@@ -621,9 +643,14 @@ def _adaptive_step_lines(site) -> list[str]:
         "            floor_accepted += 1",
         "        if h == h_ctl:                # not shortened by the cap",
         "            e = 1e-10 if err < 1e-10 else err",
-        f"            factor = {SAFETY!r} * e**{-7 / (10 * order)!r}"
+        "            if pc:",
+        f"                factor = {SAFETY!r} * (h / h_prev)"
+        " * _sqrt(_sqrt(_sqrt(err_prev / (e * e))))",
+        "                pc = factor < 1.0",
+        "            else:",
+        f"                factor = {SAFETY!r} * e**{-7 / (10 * order)!r}"
         f" * err_prev**{4 / (10 * order)!r}",
-        "            err_prev = e",
+        "            err_prev, h_prev = e, h",
         "            h_ctl *= 0.2 if factor < 0.2 else 5.0 if factor > 5.0 else factor",
         f"            if h_ctl < {H_MIN!r}:",
         f"                h_ctl = {H_MIN!r}",
@@ -633,6 +660,7 @@ def _adaptive_step_lines(site) -> list[str]:
         f"    if h <= {H_MIN!r}:",
         "        raise _StepFailure(f'error estimate {err!r} at the step size floor {h:g}')",
         "    rejected += 1",
+        "    pc = h_prev > 0.0",
         f"    factor = {SAFETY!r} * err**{-1 / order!r}",
         "    h_ctl = h * (factor if factor > 0.2 else 0.2)",
         f"    if h_ctl < {H_MIN!r}:",
@@ -674,7 +702,7 @@ def _leapfrog_step_lines(site) -> list[str]:
 # of is reached in one step, not by a sliver step after it
 INTEGRATORS = {
     "adaptive": (lambda: ["atol, rtol = config.abs_tol, config.rel_tol",
-                          f"h_ctl, err_prev = {H_INIT!r}, 1.0"],
+                          f"h_ctl, err_prev, h_prev, pc = {H_INIT!r}, 1.0, 0.0, False"],
                  _adaptive_step_lines,
                  f"{DOP853.last} * (steps + rejected)", None),
     "leapfrog": (lambda: ["h_fix = config.fixed_step", "h_reach = h_fix * 1.0001"],
@@ -829,12 +857,12 @@ def _adaptive_step():
         "    atol, rtol = self.abs_tol, self.rel_tol",
         "    cap = _inf if h_cap is None else h_cap",
         *_STATE_IN,
-        "    h_ctl, err_prev = self.h, self._err_prev",
+        "    h_ctl, err_prev, h_prev, pc = self.h, self._err_prev, self._h_prev, self._pc",
         "    rejected, floor_accepted = self.rejected, self.floor_accepted",
         "    try:",
         *_indent(_adaptive_step_lines(_call_site), 2),
         "    finally:",
-        "        self.h, self._err_prev = h_ctl, err_prev",
+        "        self.h, self._err_prev, self._h_prev, self._pc = h_ctl, err_prev, h_prev, pc",
         "        self.rejected, self.floor_accepted = rejected, floor_accepted",
         f"    return {_STATE_OUT.format(f'f{DOP853.last}')}, h, err",
     ], "step")
@@ -842,15 +870,18 @@ def _adaptive_step():
 
 class AdaptiveStepper:
     """The Dormand-Prince 8(5,3) pair (DOP853) with proportional-integral
-    step control: the adaptive integrator, step by step.  ``step`` is the
-    adaptive run kernel's step (_adaptive_step_lines) with a call of
-    ``force`` where the kernel inlines the factored force, and the same
-    controller constants: ``h`` starts at H_INIT, and the floor H_MIN, the
-    ceiling H_MAX and the safety factor SAFETY are literals of the step.
+    step control, predictive after a rejection: the adaptive integrator,
+    step by step.  ``step`` is the adaptive run kernel's step
+    (_adaptive_step_lines) with a call of ``force`` where the kernel
+    inlines the factored force, and the same controller constants: ``h``
+    starts at H_INIT, and the floor H_MIN, the ceiling H_MAX and the
+    safety factor SAFETY are literals of the step.  The controller's state
+    is ``h``, ``_err_prev``, ``_h_prev`` (the last accepted step that
+    updated it, 0.0 before one) and ``_pc`` (the predictive mode).
 
     An attempt takes 12 force evaluations.  A step that ``h_cap`` shortens
-    leaves the controller's step size ``h`` and its previous error as they
-    were, so a sample time does not shrink the steps after it.
+    leaves the controller's state as it was, so a sample time does not
+    shrink the steps after it.
     ``rejected`` counts rejected attempts and ``floor_accepted`` the
     attempts accepted at the step-size floor with an error above 1.
     """
@@ -861,6 +892,8 @@ class AdaptiveStepper:
         self.abs_tol = abs_tol
         self.h = H_INIT
         self._err_prev = 1.0
+        self._h_prev = 0.0
+        self._pc = False
         self.rejected = 0
         self.floor_accepted = 0
 

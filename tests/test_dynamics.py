@@ -550,15 +550,54 @@ def test_capped_step_leaves_the_controller_state(force):
     state = PhaseState.make(0.0, *_OFF_AXIS)
     for _ in range(5):
         state, _, _ = stepper.step(state)
-    h_ctl, err_prev = stepper.h, stepper._err_prev
+    h_ctl, err_prev, h_prev, pc = stepper.h, stepper._err_prev, stepper._h_prev, stepper._pc
     # a step shortened by the cap is accepted at the cap and changes neither
-    # h_ctl nor the PI controller's previous error
+    # h_ctl nor the controller's previous error, previous step or mode
     state, h, _ = stepper.step(state, h_cap=0.5 * h_ctl)
     assert h == 0.5 * h_ctl and stepper.rejected == 0
-    assert (stepper.h, stepper._err_prev) == (h_ctl, err_prev)
-    # an uncapped step moves both
+    assert (stepper.h, stepper._err_prev, stepper._h_prev, stepper._pc) == (
+        h_ctl, err_prev, h_prev, pc)
+    # an uncapped step moves all but the mode, which only a rejection sets
     stepper.step(state)
     assert stepper.h != h_ctl and stepper._err_prev != err_prev
+    assert stepper._h_prev == h_ctl and stepper._pc is pc is False
+
+
+def test_rejection_turns_on_predictive_control_until_it_predicts_growth(force):
+    """After a rejection the controller predicts the step from the last
+    two accepted ones, SAFETY (h/h_prev) (err_prev/e^2)^(1/8), until that
+    factor is at least 1; otherwise, and before any step is accepted, it
+    is the PI controller.  Every factor is checked bit for bit."""
+    stepper = AdaptiveStepper(force, rel_tol=1e-12, abs_tol=1e-14)
+    # h = 1 makes the first step reject; with no accepted step to predict
+    # from, the mode stays off
+    stepper.h = 1.0
+    state, _, _ = stepper.step(PhaseState.make(0.0, *_OFF_AXIS))
+    assert stepper.rejected > 0 and stepper._pc is False
+    for _ in range(5):
+        state, _, _ = stepper.step(state)
+    # 4 h_ctl is far above what the error allows: the next attempt rejects
+    stepper.h *= 4.0
+    modes = []
+    for _ in range(40):
+        h_prev, err_prev, pc, rejected = (stepper._h_prev, stepper._err_prev, stepper._pc,
+                                          stepper.rejected)
+        state, h, err = stepper.step(state)
+        e = max(err, 1e-10)
+        if pc or stepper.rejected > rejected:
+            factor = dynamics.SAFETY * (h / h_prev) * math.sqrt(math.sqrt(math.sqrt(
+                err_prev / (e * e))))
+            assert stepper._pc is (factor < 1.0)
+        else:
+            factor = dynamics.SAFETY * e**-0.0875 * err_prev**0.05
+            assert stepper._pc is False
+        assert stepper.h == h * min(max(factor, 0.2), 5.0)
+        assert (stepper._h_prev, stepper._err_prev) == (h, e)
+        modes.append((stepper.rejected > rejected, pc, stepper._pc))
+    # the first step rejects and its retry predicts; a later predicted step
+    # finds growth and hands back to the PI controller
+    assert modes[0][0] and not modes[0][1]
+    assert (False, True, False) in modes and modes[-1] == (False, False, False)
 
 
 class _Counting:
@@ -1373,6 +1412,18 @@ def test_state_force_is_the_force_at_its_q(force):
     assert stepper.rejected > 0
 
 
+def test_near_line_scan_rejects_few_attempts():
+    """On the seed-0 scan ICs, whose orbits pass near the singular lines,
+    at most 5% of the DOP853 attempts are rejected: the predictive mode
+    follows the geometric decline of the step size there, where the PI
+    controller alone rejected 10-15% of them."""
+    config = SimConfig(t_end=50.0, rel_tol=1e-10)
+    for k, ic in enumerate(scan_initial_conditions(0, 10)):
+        _, outcome = simulate(config, PhaseState.make(0.0, *ic))
+        assert outcome.classification == "completed", k
+        assert outcome.rejected <= 0.05 * (outcome.steps + outcome.rejected), k
+
+
 def _replay(config, initial):
     """simulate's run, step by step through the per-step API (AdaptiveStepper.step,
     step_leapfrog) with a force field wrapped to count its calls.
@@ -1585,6 +1636,17 @@ def _kernel_step_at(force, integrator, q):
     exc = dynamics._compile_kernel(force, integrator)(
         sample, 0.0, q, zero, zero, 1.0, 1.0, config)[0]
     return type(exc), str(exc)
+
+
+def test_u_site_writes_the_overflow_test_only_above_the_floor(force):
+    """Where the cut on u equals the floor, as for every floor from
+    U_POW_MIN up, no u in (floor, cut] exists to raise EvaluationOverflow."""
+    def site(u_floor, u_cut):
+        return "\n".join(dynamics._u_site(("x", "y", "z"), force.line_constants, u_floor, u_cut))
+
+    assert "u**-1.5 overflows" not in site(1e-10, 1e-10)
+    assert "u**-1.5 overflows" not in site(0.0, 0.0)
+    assert "u**-1.5 overflows" in site(0.0, dynamics.U_POW_MIN)
 
 
 @pytest.mark.parametrize("config, q, cls, text", [

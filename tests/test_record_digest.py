@@ -53,14 +53,14 @@ def test_host_independent_digests_are_pinned(capsys):
 # that alters a source updates its hash here.
 SOURCES = {
     "factored-block": "71d1f872d6d9d2a24c578e3073c8f581f76852506215e6edb4b4fee202f1618a",
-    "force-at": "ac45e3adf3df953ff593fd9d840f1f9d86c15781313c718dd73ef4f615a551b3",
+    "force-at": "8064f35ec80fcbad4d33777cc7ba4b62b4e6047a8899fe90cc7399b99578c7df",
     "integrals-eval": "509254d8470b29fce28c1516fff57b422fa699354491d84d58c82231b7a1ef6d",
-    "integrals-u": "ba409daf32b8604cb7ecb3f713d13372d478412008feceae05d4e127cdac98fb",
-    "run-adaptive": "9f8650cea0abdc69a634e873489e8e5345e61440b193b7acb2f33ebdf603b218",
-    "run-leapfrog": "3d0fea52454fd17d713bd23b3e07a0cad0e9728c8bde525914dc16116e82d249",
+    "integrals-u": "744a06d009e934d7509525bf2fd18508ffa0a3efacf77b4021b52b3f0b4d6841",
+    "run-adaptive": "841c847a4cd6021265088e7700e188541bcd5b11be9c59940a6773ecaa0125d6",
+    "run-leapfrog": "d70a9dec38e35e0966dd73711292e5fd9e6ef622667a3c3216e5cb5667807fcd",
     "attempt-DP54": "b033306597bc56609e835490c5640ca9a3fbaa494813a69128a956437fc1b44a",
     "attempt-DOP853": "bc1ad42e8eafd4cd4cf40ca095154ea6dc57b6265d009cc592fa6377f3984566",
-    "stepper-step": "3a2312abf904a53e650c460dc3dd379f06264089a465f7aad86012341b645f23",
+    "stepper-step": "7ce93bb579578c033edf9d93e43621b854e42ae40bc60f1b606d7e7258a524d1",
     "step-leapfrog": "55d15168527b2c53f49e5e9f7a64831d41b997e69d01ef41e10bf7f81e8eac3f",
 }
 
