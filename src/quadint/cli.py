@@ -6,7 +6,9 @@ error.  Every output file gets a JSON manifest sidecar recording the
 command, every parsed option, the toolkit version, context fingerprint
 and the Python, platform and numpy versions, so any artifact can be
 reproduced.  ``simulate`` and ``scan``
-also record the ``SimConfig`` that ran, as ``sim_config``.
+also record the ``SimConfig`` that ran, as ``sim_config``: for ``scan``
+that of its runs, on the regularized integrator and sampled at t = 0 and
+t_end only (``scan_sim_config``).
 
 ``SimConfig`` holds the run defaults: its fields are options of
 ``simulate`` and ``scan`` that are left unset unless given, and
@@ -242,13 +244,13 @@ def cmd_plot(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .dynamics import scan_initial_conditions, scan_singularity, write_scan_csv
+    from .dynamics import scan_initial_conditions, scan_sim_config, scan_singularity, write_scan_csv
 
     config = build_sim_config(args)
     ics = scan_initial_conditions(args.seed, args.n, args.q_range, args.p_range)
     table = scan_singularity(config, ics, jobs=args.jobs)
     write_scan_csv(table, args.out)
-    write_manifest(args, config)
+    write_manifest(args, scan_sim_config(config))
     print(f"wrote {args.out} ({len(table)} rows)")
     return EXIT_OK
 

@@ -40,15 +40,26 @@ SimConfig it is called with, and is compiled on its first run.  Each
 integrator is one entry of INTEGRATORS, which the kernel generator and
 simulate's step budget read.  The step controller is proportional-integral,
 and after a rejection predictive (Gustafsson), until it predicts growth;
-see _adaptive_step_lines.
+see _adaptive_step_lines.  The adaptive kernels also end a run whose
+attempts reach MAX_STEPS.
+
+For w0 < 0 the regularized integrator (_regularized_step_lines) is the
+logarithmic-Hamiltonian leapfrog, whose time transform dt = ds / (T + B),
+B = -E0, follows a pass near a singular line, where V is about -k/d, in
+a few steps of fictitious time; each attempt extrapolates it over 2, 4,
+..., 12 substeps in h^2 (Gragg-Bulirsch-Stoer), and the step lands on a
+sample time by an aimed attempt and a closing leapfrog step in physical
+time.  Its kick is p -= (h/u) g, h F / U with U = -V, which needs no
+u^(-3/2).  ``scan_singularity`` runs every IC on it.
 
 Portability: no record field depends on a BLAS kernel.  The block and
 the integrators are plain IEEE arithmetic, sqrt is correctly rounded, and
 math.fsum and math.hypot are CPython's own code; the force takes
 u^(-3/2) as 1 / (u sqrt(u)), and the predictive factor's 1/8 power is
 three square roots.  Only the exponents of the PI and rejection factors,
-``**-0.0875``, ``**0.05`` and ``**-0.125``, still go through the C
-library's ``pow``, so adaptive records are bit-identical across hosts only
+``**-0.0875``, ``**0.05`` and ``**-0.125``, and the regularized
+controller's ``**(1/11)`` still go through the C library's ``pow``, so
+adaptive and regularized records are bit-identical across hosts only
 where that ``pow`` agrees.
 
 States are Python floats: PhaseState's q and p are Vec3s, 3-tuples whose
@@ -62,7 +73,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import A, B, PX, PY, PZ, VARS, W0, X, Y, Z, Polynomial
@@ -113,7 +124,7 @@ def _compile(lines, name):
     """Execute generated source and return the function ``name`` it defines."""
     ns = {
         "_fsum": math.fsum, "_sqrt": math.sqrt, "_hypot": math.hypot,
-        "_isfinite": math.isfinite, "_inf": math.inf, "_Vec3": Vec3,
+        "_isfinite": math.isfinite, "_inf": math.inf, "_nan": math.nan, "_Vec3": Vec3,
         "_PhaseState": PhaseState, "_StepFailure": StepFailure,
         "_SingularPoint": SingularPoint, "_EvaluationOverflow": EvaluationOverflow,
         "_q2_guard": _q2_guard,
@@ -574,6 +585,25 @@ def _attempt_lines(tableau: _Tableau, site) -> list[str]:
     return lines
 
 
+def _tolerance_lines(j) -> list[str]:
+    """Lines that set c<j> = atol + rtol max(|y<j>|, |z<j>|), the scale of
+    component j of an error estimate from y to z."""
+    return [
+        # max(|y|, |z|): the first unless the second is larger; |v| as a
+        # conditional is abs(v) but for the sign of a zero, which leaves c
+        # unchanged
+        f"a{j} = y{j} if y{j} >= 0.0 else -y{j}",
+        f"b{j} = z{j} if z{j} >= 0.0 else -z{j}",
+        f"c{j} = atol + rtol * (b{j} if b{j} > a{j} else a{j})",
+    ]
+
+
+# the sum of squares of the scaled components <v>0..<v>5 of an error
+# estimate, with x paired with z and px with pz, so that it is symmetric in
+# the swap of x and z, bit for bit
+_PAIRED_SQUARES = "({0}0*{0}0 + {0}2*{0}2) + {0}1*{0}1 + (({0}3*{0}3 + {0}5*{0}5) + {0}4*{0}4)"
+
+
 def _adaptive_step_lines(site) -> list[str]:
     """One accepted adaptive step from t, y0..y5, f0_*: attempts
     (_attempt_lines around ``site``) of h = min(h_ctl, cap) until one is
@@ -606,23 +636,11 @@ def _adaptive_step_lines(site) -> list[str]:
     assert order == 8, "the predictive factor's 1/order power is three square roots"
     # Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of the
     # scaled 5th- and 3rd-order estimates, here with h inside each;
-    # sqrt(6) sqrt(.) in place of sqrt(6 .), which could overflow.  Each sum
-    # of squares pairs x with z and px with pz, so that it is symmetric in
-    # the swap of x and z, bit for bit
+    # sqrt(6) sqrt(.) in place of sqrt(6 .), which could overflow
     norm = []
     for j in range(6):
-        norm += [
-            # max(|y|, |z|): the first unless the second is larger; |v| as
-            # a conditional is abs(v) but for the sign of a zero, which
-            # leaves c unchanged
-            f"a{j} = y{j} if y{j} >= 0.0 else -y{j}",
-            f"b{j} = z{j} if z{j} >= 0.0 else -z{j}",
-            f"c{j} = atol + rtol * (b{j} if b{j} > a{j} else a{j})",
-            f"r{j} = e{j} / c{j}",
-            f"l{j} = l{j} / c{j}",
-        ]
-    err5, err3 = ("({0}0*{0}0 + {0}2*{0}2) + {0}1*{0}1 + (({0}3*{0}3 + {0}5*{0}5) + {0}4*{0}4)"
-                  .format(v) for v in "rl")
+        norm += [*_tolerance_lines(j), f"r{j} = e{j} / c{j}", f"l{j} = l{j} / c{j}"]
+    err5, err3 = (_PAIRED_SQUARES.format(v) for v in "rl")
     norm += [
         f"err5 = {err5}",
         f"deno = err5 + 0.01 * ({err3})",
@@ -692,22 +710,212 @@ def _leapfrog_step_lines(site) -> list[str]:
     ]
 
 
+# the regularized step's substep counts: n = 2, 4, ..., 12 for a LogH
+# attempt (42 force evaluations), and 2, 4, 6 for the physical-time step
+# that closes the gap to a sample time (12)
+_LOGH_SEQUENCE = (2, 4, 6, 8, 10, 12)
+_CLOSE_SEQUENCE = (2, 4, 6)
+
+
+def _gbs_lines(sequence, names, start, kick_drift) -> list[str]:
+    """A Gragg-Bulirsch-Stoer attempt of a symmetric leapfrog in drift-kick-
+    drift form with the middle drifts merged: for each n of ``sequence``,
+    ``start`` (hs = step / n, hd = hs / 2 and the first half drift from
+    y0..y5 to x0..x5) and ``kick_drift`` n times, with dl = hs but for the
+    last drift's dl = hd; then the Aitken-Neville table in (step / n)^2 of
+    the values of ``names`` after each sequence (T<i>0<v> after the i-th),
+    with T<i><j><v> = T<i><j-1><v> + (T<i><j-1><v> - T<i-1><j-1><v>) /
+    ((n_i / n_(i-j))^2 - 1), each divisor rounded once from its exact value.
+    Sets z0..z5 to the last diagonal entry and e0..e5 to its difference
+    from the entry before it."""
+    lines = ["ends = []", f"for n in {sequence!r}:", *_indent(start),
+             "    for dl in (hs,) * (n - 1) + (hd,):", *_indent(kick_drift, 2),
+             f"    ends.append(({', '.join(names)}))"]
+    for i in range(len(sequence)):
+        lines.append(f"{', '.join(f'T{i}0{v}' for v in names)} = ends[{i}]")
+        for j in range(1, i + 1):
+            divisor = float(Fraction(sequence[i], sequence[i - j]) ** 2 - 1)
+            lines += [f"T{i}{j}{v} = T{i}{j - 1}{v} + (T{i}{j - 1}{v} - T{i - 1}{j - 1}{v})"
+                      f" / {divisor!r}" for v in names]
+    k = len(sequence) - 1
+    lines += [f"z{j} = T{k}{k}x{j}" for j in range(6)]
+    lines += [f"e{j} = z{j} - T{k}{k - 1}x{j}" for j in range(6)]
+    return lines
+
+
+_STATE = tuple(f"x{j}" for j in range(6))
+
+
+def _logh_attempt_lines(kick) -> list[str]:
+    """One attempt of the logarithmic-Hamiltonian (LogH) leapfrog over the
+    fictitious-time step S from y0..y5 (Mikkola & Tanikawa 1999; Preto &
+    Tremaine 1999), extrapolated over _LOGH_SEQUENCE (_gbs_lines): sets
+    dte, the extrapolated time step, besides z0..z5 and e0..e5.  A drift of
+    dl is dt = dl / (T + B), with T = ((px^2 + pz^2) + py^2) / 2 and
+    B = -E0, then q += dt p; a kick of hs is p -= (hs / u) g at the force
+    site ``kick``, which binds u and g = grad u / 2, so that the kick is
+    hs F / U with U = -V.  Where T + B is at or below 0, dt would be
+    negative or infinite: at y that raises StepFailure, since no S helps;
+    after a kick the drift is not taken and s, the substeps' summed time,
+    becomes nan, so that dte is nan and the attempt is rejected."""
+    def t_plus_b(p):
+        # w = T + B at the momenta p3..p5
+        return f"w = 0.5 * (({p}3 * {p}3 + {p}5 * {p}5) + {p}4 * {p}4) + B"
+
+    start = ["hs = S / n", "hd = 0.5 * hs", "dt = hd / wy", "s = dt",
+             *(f"x{j} = y{j} + dt * y{j + 3}" for j in range(3)),
+             *(f"x{j + 3} = y{j + 3}" for j in range(3))]
+    kick_drift = [*kick(_STATE[:3]), "hu = hs / u",
+                  *(f"x{j + 3} = x{j + 3} - hu * g{j}" for j in range(3)),
+                  t_plus_b("x"), "if not w > 0.0:", "    w, s = _inf, _nan",
+                  "dt = dl / w", "s = s + dt",
+                  *(f"x{j} = x{j} + dt * x{j + 3}" for j in range(3))]
+    k = len(_LOGH_SEQUENCE) - 1
+    # T + B at y, the same for the first drift of every sequence
+    return [t_plus_b("y"), "if not w > 0.0:",
+            "    raise _StepFailure(f'T + B = {w!r} is not positive at t = {t!r}')", "wy = w",
+            *_gbs_lines(_LOGH_SEQUENCE, ("s", *_STATE), start, kick_drift), f"dte = T{k}{k}s"]
+
+
+def _closing_attempt_lines(site) -> list[str]:
+    """One attempt of the leapfrog in physical time over h from y0..y5,
+    extrapolated over _CLOSE_SEQUENCE (_gbs_lines): a drift of dl is
+    q += dl p, a kick of hs is p += hs f at the force site ``site``."""
+    start = ["hs = h / n", "hd = 0.5 * hs",
+             *(f"x{j} = y{j} + hd * y{j + 3}" for j in range(3)),
+             *(f"x{j + 3} = y{j + 3}" for j in range(3))]
+    kick_drift = [*site(_STATE[:3]), *(f"x{j + 3} = x{j + 3} + hs * f_{j}" for j in range(3)),
+                  *(f"x{j} = x{j} + dl * x{j + 3}" for j in range(3))]
+    return _gbs_lines(_CLOSE_SEQUENCE, _STATE, start, kick_drift)
+
+
+def _rms_norm_lines() -> list[str]:
+    """err: the root mean square of e0..e5, each scaled by _tolerance_lines."""
+    lines = []
+    for j in range(6):
+        lines += [*_tolerance_lines(j), f"r{j} = e{j} / c{j}"]
+    return [*lines, f"err = _sqrt(({_PAIRED_SQUARES.format('r')}) / 6.0)"]
+
+
+def _regularized_step_lines(force) -> list[str]:
+    """One accepted step of the regularized integrator from t, y0..y5, for
+    w0 < 0: LogH attempts (_logh_attempt_lines) of the fictitious-time step
+    S_ctl, accepted where the root-mean-square error err <= 1, after which
+    S_ctl *= min(0.94 (0.65/err)^(1/11), 4); a rejected attempt of S sets
+    S_ctl = S max(0.94 (0.65/err)^(1/11), 0.2).  A non-finite or
+    non-positive time step dte counts as err = inf.
+
+    Landing on t_stop = t + cap: rho is S / dte of the last accepted
+    attempt, or of the last that passed t_stop (inf before either).  An
+    attempt is aimed at 0.98 cap where that is shorter than S_ctl's
+    predicted step (S = 0.98 cap rho < S_ctl).  An attempt that passes
+    t_stop is rejected.  After an accepted aimed attempt, the next attempt
+    closes the gap to t_stop with one leapfrog step of h = cap in physical
+    time (_closing_attempt_lines, with the full force site); where that
+    fails the norm, the step aims again.  Aimed and closing attempts leave
+    S_ctl unchanged.
+
+    The kicks test u against the floor with no cut (they take no
+    u^(-3/2)), and so does the u at the accepted q, which binds u, _fp and
+    _fm there.  au and ad, the least u and F+- over an attempt's force
+    sites, go into min_u and min_d2 when it is accepted, since the steps
+    are long and their ends far from a close pass.  A step that does not
+    advance t, and an accepted controller step whose time step is below
+    the floor H_MIN, as the adaptive step's, raise StepFailure.  evals
+    counts 42 force evaluations per LogH and 12 per closing attempt."""
+    consts, u_floor = force.line_constants, float(force.u_floor)
+    # the attempt's least u and F+-, over its force sites
+    extrema = ["if u < au:", "    au = u",
+               "if _fp < ad:", "    ad = _fp", "if _fm < ad:", "    ad = _fm"]
+    full = _inlined_site(force)
+
+    def kick(q):
+        return [*_u_site(q, consts, u_floor, u_floor), *extrema, *_gradient_lines(consts)]
+
+    def site(q):
+        return [*full(q), *extrema]
+
+    return [
+        "while True:",
+        "    if t_close == t_stop:",
+        "        t_close = _inf",
+        "        h, au, ad = cap, _inf, _inf",
+        *_indent(_closing_attempt_lines(site), 2),
+        *_indent(_rms_norm_lines(), 2),
+        f"        evals += {sum(_CLOSE_SEQUENCE)}",
+        "        if err <= 1.0:",
+        "            t_new = t + h",
+        "            break",
+        "        rejected += 1",
+        "    S, au, ad = 0.98 * cap * rho, _inf, _inf",
+        "    aim = S < S_ctl",
+        "    if not aim:",
+        "        S = S_ctl",
+        *_indent(_logh_attempt_lines(kick)),
+        *_indent(_rms_norm_lines()),
+        f"    evals += {sum(_LOGH_SEQUENCE)}",
+        "    if not 0.0 < dte < _inf:",  # nan too
+        "        err = _inf",
+        "    if err <= 1.0:",
+        "        t_new = t + dte",
+        "        rho = S / dte",
+        "        if t_new > t_stop:",
+        "            rejected += 1",
+        "            continue",
+        "        if t_new == t:",
+        "            raise _StepFailure(f'time step {dte:g} does not advance t = {t!r}')",
+        "        if aim:",
+        "            t_close = t_stop",
+        f"        elif dte < {H_MIN!r}:",
+        f"            raise _StepFailure(f'time step {{dte:g}} below floor {H_MIN:g}')",
+        "        else:",
+        "            e = 1e-10 if err < 1e-10 else err",
+        f"            factor = 0.94 * (0.65 / e)**{1 / (2 * len(_LOGH_SEQUENCE) - 1)!r}",
+        "            S_ctl *= 4.0 if factor > 4.0 else factor",
+        "        break",
+        "    rejected += 1",
+        f"    factor = 0.94 * (0.65 / err)**{1 / (2 * len(_LOGH_SEQUENCE) - 1)!r}",
+        "    S_ctl = S * (factor if factor > 0.2 else 0.2)",
+        "t = t_new",
+        "y0, y1, y2, y3, y4, y5 = z0, z1, z2, z3, z4, z5",
+        "if au < min_u:",
+        "    min_u = au",
+        "if ad < min_d2:",
+        "    min_d2 = ad",
+        *_u_site(("y0", "y1", "y2"), consts, u_floor, u_floor),
+    ]
+
+
+def _inlined_site(force: "ForceField"):
+    """The force site of ``force``'s run kernels (_force_site)."""
+    return _force_site(force.line_constants, force.w0, force.u_floor)
+
+
 # simulate's integrators by name, each as (the kernel lines that read its
-# settings from the SimConfig ``config``, built when a kernel is compiled,
-# so that they take the controller's constants then; its step from t,
-# y0..y5 and f0_* around a force site, capped at ``cap``; the kernel's count
-# of its force evaluations; the SimConfig field that bounds its step, or
-# None where H_MAX does).  A fixed step stretches to a cap below
-# 1.0001 fixed_step, so that a sample time the summed steps fall just short
-# of is reached in one step, not by a sliver step after it
+# settings from the SimConfig ``config``, built from the force field when a
+# kernel is compiled, so that they take the controller's constants then;
+# its step from t, y0..y5 and f0_* with the force field inlined, capped at
+# ``cap``; the kernel's count of its force evaluations; the SimConfig field
+# that bounds its step, or None for the adaptive entries, whose step count
+# the kernel bounds by MAX_STEPS attempts).  A fixed step stretches to a
+# cap below 1.0001 fixed_step, so that a sample time the summed steps fall
+# just short of is reached in one step, not by a sliver step after it.
+# The regularized entry takes B = -E0 from the initial p and u, and its
+# first fictitious-time step is H_INIT
 INTEGRATORS = {
-    "adaptive": (lambda: ["atol, rtol = config.abs_tol, config.rel_tol",
-                          f"h_ctl, err_prev, h_prev, pc = {H_INIT!r}, 1.0, 0.0, False"],
-                 _adaptive_step_lines,
+    "adaptive": (lambda force: ["atol, rtol = config.abs_tol, config.rel_tol",
+                                f"h_ctl, err_prev, h_prev, pc = {H_INIT!r}, 1.0, 0.0, False"],
+                 lambda force: _adaptive_step_lines(_inlined_site(force)),
                  f"{DOP853.last} * (steps + rejected)", None),
-    "leapfrog": (lambda: ["h_fix = config.fixed_step", "h_reach = h_fix * 1.0001"],
-                 lambda site: ["h = cap if cap < h_reach else h_fix", *_leapfrog_step_lines(site)],
+    "leapfrog": (lambda force: ["h_fix = config.fixed_step", "h_reach = h_fix * 1.0001"],
+                 lambda force: ["h = cap if cap < h_reach else h_fix",
+                                *_leapfrog_step_lines(_inlined_site(force))],
                  "steps", "fixed_step"),
+    "regularized": (lambda force: [
+        "atol, rtol = config.abs_tol, config.rel_tol",
+        f"B = -(0.5 * ((y3 * y3 + y5 * y5) + y4 * y4) + {force.w0!r} / _sqrt(u))",
+        f"S_ctl, rho, t_close, evals = {H_INIT!r}, _inf, _inf, 0"],
+        _regularized_step_lines, "evals", None),
 }
 
 
@@ -723,16 +931,25 @@ def _compile_kernel(force: ForceField, integrator: str):
     ``sample(t, x, y, z, px, py, pz, u, d2)`` at t + k ``sample_interval``
     (k = 1, 2, ...) and at t_end.  It stops after the first step with
     max |q| > ``r_max``.  min u, min d2 and max |q| = hypot(q) are taken
-    over q and every accepted step.  It reads its settings from the
-    SimConfig once.  It returns (exc, t, steps, rejected, floor_accepted,
-    force_evals, min_u, min_d2, max_q): exc is None or what a step or a
-    sample raised (SingularPoint, StepFailure or EvaluationOverflow), the
-    rest are those of the last accepted step, and force_evals counts the
-    kernel's own force evaluations.
+    over q and every accepted step (the regularized step adds its accepted
+    attempts' force sites to min u and min d2).  The adaptive entries'
+    kernels raise StepFailure before a step once the accepted plus
+    rejected attempts reach MAX_STEPS, a literal of the kernel.  It reads
+    its settings from the SimConfig once.  It returns (exc, t, steps,
+    rejected, floor_accepted, force_evals, min_u, min_d2, max_q): exc is
+    None or what a step or a sample raised (SingularPoint, StepFailure or
+    EvaluationOverflow), the rest are those of the last accepted step, and
+    force_evals counts the kernel's own force evaluations.
     """
-    settings, step_lines, evals, _ = INTEGRATORS[integrator]
+    settings, step_lines, evals, bound = INTEGRATORS[integrator]
     # d2 at the accepted q, from the last force site the step ran
-    step = [*step_lines(_force_site(force.line_constants, force.w0, force.u_floor)), _D2_LINE]
+    step = [*step_lines(force), _D2_LINE]
+    # the adaptive entries' attempt budget (Hairer's NMAX), checked before
+    # each step; a fixed step's count is bounded up front
+    budget = [] if bound else [
+        f"if steps + rejected >= {MAX_STEPS!r}:",
+        f"    raise _StepFailure(f'{{steps + rejected}} attempts reach MAX_STEPS = {MAX_STEPS}')",
+    ]
     # the next sample time t0 + k sample_interval, the cap of the steps up
     # to it or to t_end (t_stop, the earlier), and the time from which a
     # step counts as reaching t_stop, so that t_end has a row too
@@ -751,7 +968,7 @@ def _compile_kernel(force: ForceField, integrator: str):
         "    y0, y1, y2 = q",
         "    y3, y4, y5 = p",
         "    f0_0, f0_1, f0_2 = f",
-        *_indent(settings()),
+        *_indent(settings(force)),
         "    steps = rejected = floor_accepted = 0",
         "    min_u, min_d2, max_q = u, d2, _hypot(y0, y1, y2)",
         # -1.0 sends the first step to the r_max test below: an initial |q|
@@ -762,6 +979,7 @@ def _compile_kernel(force: ForceField, integrator: str):
         *_indent(next_sample),
         "    try:",
         "        while t < t_last:",
+        *_indent(budget, 3),
         "            cap = t_stop - t",
         *_indent(step, 3),
         "            steps += 1",
@@ -948,7 +1166,7 @@ class SimConfig:
     a: float = 0.25
     b: float = 1.0
     w0: float = -1.0
-    integrator: str = "adaptive"          # a name of INTEGRATORS
+    integrator: str = "adaptive"          # a name of INTEGRATORS; regularized needs w0 < 0
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     fixed_step: float = 1e-3              # leapfrog only
@@ -977,6 +1195,9 @@ class SimConfig:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         _check_param_domain(self.a, self.b)
+        # the LogH transform divides by U = -V = -w0 / sqrt(u)
+        if self.integrator == "regularized" and not self.w0 < 0:
+            raise ValueError(f"the regularized integrator needs w0 < 0, got {self.w0!r}")
 
 
 TRAJECTORY_HEADER = "t,x,y,z,px,py,pz,H,X1,X2,u,d_sing"
@@ -1031,11 +1252,12 @@ class RunOutcome:
     t_final: float
     detail: str = ""
     steps: int = 0                         # accepted steps
-    rejected: int = 0                      # rejected DOP853 attempts
+    rejected: int = 0                      # rejected DOP853 or regularized attempts
     floor_accepted: int = 0                # DOP853 steps accepted at h_min with error > 1
     # factored u + grad u evaluations: those of the accepted and rejected
     # attempts and the 1 at the initial state; an attempt cut short by a
-    # singularity approach or a step failure is not counted
+    # singularity approach or a step failure is not counted, nor is the u
+    # of a regularized step's accepted state
     force_evals: int = 0
 
 
@@ -1078,7 +1300,8 @@ def simulate(config: SimConfig, initial: PhaseState):
                          f"intervals exceeds MAX_SAMPLES = {MAX_SAMPLES}")
     # no step is longer than the integrator's bound, but for a fixed step's
     # stretch of at most 1e-4 of it once per sample, so the run takes at
-    # least about this many steps
+    # least about this many steps (H_MAX is a nominal step of the
+    # regularized integrator, whose kernel counts its attempts)
     *_, bound = INTEGRATORS[config.integrator]
     longest, h_max = (bound, getattr(config, bound)) if bound else ("H_MAX", H_MAX)
     steps = (config.t_end - initial.t) / h_max
@@ -1154,18 +1377,29 @@ def _scan_one(config: SimConfig, idx: int, ic):
             outcome.min_u, outcome.min_dsing, outcome.classification)
 
 
+def scan_sim_config(config: SimConfig) -> SimConfig:
+    """The SimConfig that scan_singularity runs for ``config``: the
+    regularized integrator, sampling only t0 = 0 and t_end."""
+    return replace(config, integrator="regularized", sample_interval=config.t_end)
+
+
 def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     """Batch simulations probing approach to the singular lines (w0 < 0).
 
     Purely exploratory: reports min u and min singular-line distance per
     run, with no claim about reachability.  Rows are ordered by input
-    index regardless of completion order.
+    index regardless of completion order.  Each IC runs through
+    ``simulate`` at ``scan_sim_config(config)``: the scan ignores
+    ``config.integrator``, ``fixed_step`` and ``sample_interval``, and
+    writes no trajectory.  min u and min d_sing are taken over the same
+    points: the initial state and the end of every accepted step.
     """
     if config.w0 >= 0:
         raise ParamDomain("singularity scan requires w0 < 0")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     ics = list(initial_conditions)
+    config = scan_sim_config(config)
     # compiled here once, so forked workers inherit them
     force, _ = compile_system(config.a, config.b, config.w0, config.u_floor)
     _compile_kernel(force, config.integrator)

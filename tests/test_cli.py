@@ -551,17 +551,20 @@ def test_scan_writes_table(tmp_path, capsys):
 
 
 def test_scan_manifest_records_the_config_that_ran(tmp_path, capsys):
+    """The scan runs the regularized integrator, sampling t = 0 and t_end
+    only, and its manifest records that config."""
     from quadint.dynamics import SimConfig
 
     out_file = tmp_path / "scan.csv"
-    code, _, _ = run(["scan", "--n", "1", "--t-end", "1", "--rel-tol", "1e-8",
+    code, _, _ = run(["scan", "--n", "1", "--t-end", "2", "--rel-tol", "1e-8",
                       "--u-floor", "1e-6", "--out", str(out_file)], capsys)
     assert code == 0
     manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
     assert manifest["parameters"]["rel_tol"] == 1e-8
     assert manifest["parameters"]["u_floor"] == 1e-6
     assert manifest["sim_config"] == dataclasses.asdict(
-        SimConfig(t_end=1.0, rel_tol=1e-8, u_floor=1e-6))
+        SimConfig(t_end=2.0, rel_tol=1e-8, u_floor=1e-6, integrator="regularized",
+                  sample_interval=2.0))
 
 
 def test_scan_rejects_repulsive(capsys, tmp_path):

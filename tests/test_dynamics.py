@@ -906,14 +906,14 @@ def _signed_bits(values, sign):
     return _bits([sign * v + 0.0 for v in values])
 
 
-@pytest.mark.parametrize("integrator", ["adaptive", "leapfrog"])
+@pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
 @pytest.mark.parametrize("ic", [
     ((0.0, 0.0, 0.5), (0.0, 0.0, 0.4)),      # documented orbit 0, far from the lines
     *(scan_initial_conditions(0, 7)[k] for k in (1, 6)),  # pass within u ~ 1e-7, 5e-9
 ], ids=["orbit0", "scan0-ic1", "scan0-ic6"])
 def test_parity_maps_runs_onto_runs_bit_for_bit(integrator, ic):
     """(q, p, b) -> (-q, -p, -b) is a symmetry of H, X1 and X2, and every
-    operation of both kernels is odd or even under it: the mirrored run
+    operation of each kernel is odd or even under it: the mirrored run
     has the same t, H, X1, X2, u and d_sing, the negated q and p, in every
     row, and an equal outcome in every field, bit for bit."""
     (q0, p0), t_end = ic, 20.0
@@ -954,12 +954,17 @@ def test_mirror_maps_adaptive_runs_onto_runs_bit_for_bit(ic):
     _check_mirror("adaptive", ic)
 
 
+@_MIRROR_ICS
+def test_mirror_maps_regularized_runs_onto_runs_bit_for_bit(ic):
+    _check_mirror("regularized", ic)
+
+
 def _check_mirror(integrator, ic):
     """u(a; x, y, z) = u(1 - a; z, y, x), so (a, x, z) -> (1 - a, z, x),
     with the momenta to match, is a symmetry of H; at a = 1/4 and 3/4,
-    1 - a is exact.  Every operation of both kernels commutes with the
-    swap, the adaptive error norm too, since it sums x with z and px with
-    pz: the mirrored run has the same t, H, u and d_sing and the swapped q
+    1 - a is exact.  Every operation of each kernel commutes with the
+    swap, the error norms and the regularized step's T too, since they sum
+    x with z and px with pz: the mirrored run has the same t, H, u and d_sing and the swapped q
     and p in every row, and an equal outcome in every field but drift_X1
     and drift_X2, bit for bit.  X1 and X2 are not mirror-invariant."""
     (q0, p0), t_end = ic, 20.0
@@ -1016,8 +1021,9 @@ def test_drift_passes_over_a_nan_row():
 @pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
 def test_kernel_binds_d2_once_per_step_and_calls_no_abs_min_or_max(integrator, monkeypatch):
     """d2 is read only after a step, so each run kernel binds it once, in
-    the adaptive kernel after its attempt loop (``while True:``), not at
-    every force site; |v|, min and max are conditional expressions."""
+    the adaptive and regularized kernels after their attempt loop
+    (``while True:``), not at every force site; |v|, min and max are
+    conditional expressions."""
     sources = []
     compile_ = dynamics._compile
 
@@ -1036,7 +1042,7 @@ def test_kernel_binds_d2_once_per_step_and_calls_no_abs_min_or_max(integrator, m
 
     attempt_loops = [n for n in ast.walk(tree) if isinstance(n, ast.While)
                      and isinstance(n.test, ast.Constant) and n.test.value is True]
-    assert len(attempt_loops) == (integrator == "adaptive")
+    assert len(attempt_loops) == (integrator != "leapfrog")
     assert len(d2_bindings(tree)) == 1
     assert all(d2_bindings(loop) == [] for loop in attempt_loops)
     called = {n.func.id for n in ast.walk(tree)
@@ -1061,7 +1067,8 @@ def test_generated_code_takes_constants_as_literals(monkeypatch):
     dynamics._adaptive_step.__wrapped__()
     for integrator in dynamics.INTEGRATORS:
         dynamics._compile_kernel.__wrapped__(force, integrator)
-    assert [len(sources[name]) for name in ("_at", "_u", "step", "_run")] == [1, 1, 1, 2]
+    assert [len(sources[name]) for name in ("_at", "_u", "step", "_run")] == \
+        [1, 1, 1, len(dynamics.INTEGRATORS)]
     for name in ("_at", "_u", "step", "_run"):
         for tree in map(ast.parse, sources[name]):
             read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -1284,26 +1291,36 @@ def test_scan_table_shape_and_order():
 
 
 def test_scan_min_dsing_covers_every_step():
-    # this IC passes within 1.2e-4 of a line between the samples at t = 1
-    # and t = 2, whose rows are more than 0.5 away
+    # this IC passes within 1.2e-4 of a line between t = 1 and t = 2; the
+    # scan's run has rows at t = 0 and t = 2 only, more than 0.5 away
     cfg = SimConfig(t_end=2.0)
     ic = scan_initial_conditions(0, 2)[1]
     (row,) = scan_singularity(cfg, [ic])
-    record, outcome = simulate(cfg, PhaseState.make(0.0, *ic))
+    record, outcome = simulate(dynamics.scan_sim_config(cfg), PhaseState.make(0.0, *ic))
+    assert len(record.rows) == 2
     assert row[8:10] == (outcome.min_u, outcome.min_dsing)
     assert outcome.min_dsing < 1e-3 * min(r[11] for r in record.rows)
 
 
 def test_scan_pool_rows_equal_serial_rows():
+    """The pool's rows equal the serial rows bit for bit, and each is the
+    row of its IC's own simulate run at the scan's config, on ICs far
+    from the lines and on the seed-0 ICs that pass near them."""
     cfg = SimConfig(t_end=2.0)
     ics = [((0.5, 0.2, -0.3), (0.1, 0.1, 0.1)),
            ((0.4, 0.1, -0.2), (0.0, 0.05, 0.0)),
-           ((0.3, -0.1, 0.2), (0.05, 0.0, 0.1))]
+           ((0.3, -0.1, 0.2), (0.05, 0.0, 0.1)),
+           *scan_initial_conditions(0, 10)]
 
     def bits(rows):
         return [(r[0], _bits([float(v) for v in r[1:10]]), r[10]) for r in rows]
 
-    assert bits(scan_singularity(cfg, ics, jobs=2)) == bits(scan_singularity(cfg, ics, jobs=1))
+    serial = scan_singularity(cfg, ics, jobs=1)
+    assert bits(scan_singularity(cfg, ics, jobs=2)) == bits(serial)
+    for ic, row in zip(ics, serial):
+        _, outcome = simulate(dynamics.scan_sim_config(cfg), PhaseState.make(0.0, *ic))
+        assert bits([row]) == bits([(row[0], *row[1:8], outcome.min_u, outcome.min_dsing,
+                                     outcome.classification)])
 
 
 def _recording_pool(monkeypatch, cpus):
@@ -1664,6 +1681,9 @@ def test_u_guards_raise_the_same_at_every_force_site(config, q, cls, text):
     assert _raised(force.potential, q) == expected
     assert _raised(simulate, config, PhaseState.make(0.0, q, (0.0, 0.0, 0.0))) == expected
     for integrator in dynamics.INTEGRATORS:
+        # the regularized kick takes grad u / u, not u^(-3/2): it has no cut
+        if integrator == "regularized" and text == ": u**-1.5 overflows":
+            continue
         assert _kernel_step_at(force, integrator, q) == expected
 
 

@@ -6,7 +6,8 @@ import pathlib
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "work_precision.py"
 # 2 ICs, the first of each scan seed, at t = 2
-ARGS = ["--n", "1", "--orbits", "--t-end", "2", "--rel-tols", "1e-10"]
+ARGS = ["--n", "1", "--orbits", "--t-end", "2", "--rel-tols", "1e-10",
+        "--integrators", "adaptive", "regularized"]
 
 
 def _load():
@@ -36,6 +37,8 @@ def test_two_runs_write_equal_work_counts(tmp_path):
     for record in runs.values():
         assert record["class"] == "completed" and record["t_final"] == 2.0
         assert record["force_evals"] == 12 * (record["steps"] + record["rejected"]) + 1
+    regularized = first["runs"]["regularized"]["rel_tol=1e-10"]
+    assert [r["class"] for r in regularized.values()] == ["completed"] * 2
     assert _without_wall(first["runs"]) == _without_wall(again["runs"])
     totals = first["totals"]["adaptive"]["rel_tol=1e-10"]["scan"]
     assert totals["runs"] == 2 and totals["classes"] == {"completed": 2}

@@ -5,8 +5,8 @@ Usage, from the repository root:
     PYTHONPATH=src python tools/work_precision.py OUT.json
         [--integrators NAME ...] [--rel-tols TOL ...] [--n N] [--orbits I ...] [--t-end T]
 
-For each integrator (the adaptive pair at each rel_tol, leapfrog at its
-default fixed_step) it runs the first N scan initial conditions of seeds
+For each integrator (the adaptive and regularized ones at each rel_tol,
+leapfrog at its default fixed_step) it runs the first N scan initial conditions of seeds
 0 and 1 (``quadint scan --seed SEED``'s draw, in its default config:
 t = 50, u_floor 1e-10) and the documented orbits to t = 1000, or both
 to T, and writes JSON to OUT.json:
@@ -93,12 +93,13 @@ def summarise(records: list[dict]) -> dict:
 
 
 def work_precision(integrators, rel_tols, table) -> dict:
-    """{"runs": ..., "totals": ...} over ``table`` for each integrator, the
-    adaptive one at each of ``rel_tols``."""
+    """{"runs": ..., "totals": ...} over ``table`` for each integrator: one
+    whose step a SimConfig field bounds (leapfrog) at that field's default,
+    the others at each of ``rel_tols``."""
     runs, totals = {}, {}
     for integ in integrators:
-        field, values = ("rel_tol", rel_tols) if integ == "adaptive" else (
-            "fixed_step", [SimConfig.fixed_step])
+        bound = INTEGRATORS[integ][3]
+        field, values = (bound, [getattr(SimConfig, bound)]) if bound else ("rel_tol", rel_tols)
         for value in values:
             key = f"{field}={value!r}"
             configs = [dataclasses.replace(config, integrator=integ, **{field: value})
@@ -123,7 +124,7 @@ def main(argv=None) -> int:
     parser.add_argument("--integrators", nargs="+", choices=list(INTEGRATORS),
                         default=["adaptive"], metavar="NAME")
     parser.add_argument("--rel-tols", nargs="+", type=float, default=[1e-10, 1e-11, 1e-12],
-                        metavar="TOL", help="rel_tol values of the adaptive runs")
+                        metavar="TOL", help="rel_tol values of the adaptive and regularized runs")
     parser.add_argument("--n", type=int, default=10, help="scan ICs per seed")
     parser.add_argument("--orbits", nargs="*", type=int, default=[0, 1, 2],
                         choices=range(len(DOCUMENTED_ICS)), metavar="I",
