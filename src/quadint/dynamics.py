@@ -48,9 +48,11 @@ logarithmic-Hamiltonian leapfrog, whose time transform dt = ds / (T + B),
 B = -E0, follows a pass near a singular line, where V is about -k/d, in
 a few steps of fictitious time; each attempt extrapolates it over 2, 4,
 ..., 12 substeps in h^2 (Gragg-Bulirsch-Stoer), and the step lands on a
-sample time by an aimed attempt and a closing leapfrog step in physical
+sample time by an aimed attempt and a closing DOP853 attempt in physical
 time.  Its kick is p -= (h/u) g, h F / U with U = -V, which needs no
-u^(-3/2).  ``scan_singularity`` runs every IC on it.
+u^(-3/2).  Its long steps step over a close pass, so min u and min d2
+also take the pass's closest approach, estimated from the two-body
+motion across the nearer line.  ``scan_singularity`` runs every IC on it.
 
 Portability: no record field depends on a BLAS kernel.  The block and
 the integrators are plain IEEE arithmetic, sqrt is correctly rounded, and
@@ -604,6 +606,24 @@ def _tolerance_lines(j) -> list[str]:
 _PAIRED_SQUARES = "({0}0*{0}0 + {0}2*{0}2) + {0}1*{0}1 + (({0}3*{0}3 + {0}5*{0}5) + {0}4*{0}4)"
 
 
+def _blended_norm_lines() -> list[str]:
+    """err: Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of
+    the 5th- and 3rd-order estimates e0..e5 and l0..l5 of an attempt from
+    y to z (_attempt_lines), each scaled by _tolerance_lines; h is inside
+    each estimate, and sqrt(6) sqrt(.) stands in place of sqrt(6 .), which
+    could overflow."""
+    norm = []
+    for j in range(6):
+        norm += [*_tolerance_lines(j), f"r{j} = e{j} / c{j}", f"l{j} = l{j} / c{j}"]
+    err5, err3 = (_PAIRED_SQUARES.format(v) for v in "rl")
+    return [
+        *norm,
+        f"err5 = {err5}",
+        f"deno = err5 + 0.01 * ({err3})",
+        f"err = err5 / ({math.sqrt(6.0)!r} * _sqrt(deno)) if deno else 0.0",
+    ]
+
+
 def _adaptive_step_lines(site) -> list[str]:
     """One accepted adaptive step from t, y0..y5, f0_*: attempts
     (_attempt_lines around ``site``) of h = min(h_ctl, cap) until one is
@@ -634,18 +654,6 @@ def _adaptive_step_lines(site) -> list[str]:
     and rejection factors go through pow."""
     order, last = DOP853.order, DOP853.last
     assert order == 8, "the predictive factor's 1/order power is three square roots"
-    # Hairer's DOP853 norm |h| E5^2 / sqrt(6 (E5^2 + 0.01 E3^2)) of the
-    # scaled 5th- and 3rd-order estimates, here with h inside each;
-    # sqrt(6) sqrt(.) in place of sqrt(6 .), which could overflow
-    norm = []
-    for j in range(6):
-        norm += [*_tolerance_lines(j), f"r{j} = e{j} / c{j}", f"l{j} = l{j} / c{j}"]
-    err5, err3 = (_PAIRED_SQUARES.format(v) for v in "rl")
-    norm += [
-        f"err5 = {err5}",
-        f"deno = err5 + 0.01 * ({err3})",
-        f"err = err5 / ({math.sqrt(6.0)!r} * _sqrt(deno)) if deno else 0.0",
-    ]
     return [
         "while True:",
         "    h = cap if cap < h_ctl else h_ctl",
@@ -655,7 +663,7 @@ def _adaptive_step_lines(site) -> list[str]:
         "    if t_new == t:",
         "        raise _StepFailure(f'step size {h:g} does not advance t = {t!r}')",
         *_indent(_attempt_lines(DOP853, site)),
-        *_indent(norm),
+        *_indent(_blended_norm_lines()),
         f"    if err <= 1.0 or h <= {H_MIN!r} and _isfinite(err):",
         "        if err > 1.0:",
         "            floor_accepted += 1",
@@ -711,15 +719,13 @@ def _leapfrog_step_lines(site) -> list[str]:
 
 
 # the regularized step's substep counts: n = 2, 4, ..., 12 for a LogH
-# attempt (42 force evaluations), and 2, 4, 6 for the physical-time step
-# that closes the gap to a sample time (12)
+# attempt (42 force evaluations)
 _LOGH_SEQUENCE = (2, 4, 6, 8, 10, 12)
-_CLOSE_SEQUENCE = (2, 4, 6)
 
 
-def _gbs_lines(sequence, names, start, kick_drift) -> list[str]:
+def _gbs_lines(names, start, kick_drift) -> list[str]:
     """A Gragg-Bulirsch-Stoer attempt of a symmetric leapfrog in drift-kick-
-    drift form with the middle drifts merged: for each n of ``sequence``,
+    drift form with the middle drifts merged: for each n of _LOGH_SEQUENCE,
     ``start`` (hs = step / n, hd = hs / 2 and the first half drift from
     y0..y5 to x0..x5) and ``kick_drift`` n times, with dl = hs but for the
     last drift's dl = hd; then the Aitken-Neville table in (step / n)^2 of
@@ -728,6 +734,7 @@ def _gbs_lines(sequence, names, start, kick_drift) -> list[str]:
     ((n_i / n_(i-j))^2 - 1), each divisor rounded once from its exact value.
     Sets z0..z5 to the last diagonal entry and e0..e5 to its difference
     from the entry before it."""
+    sequence = _LOGH_SEQUENCE
     lines = ["ends = []", f"for n in {sequence!r}:", *_indent(start),
              "    for dl in (hs,) * (n - 1) + (hd,):", *_indent(kick_drift, 2),
              f"    ends.append(({', '.join(names)}))"]
@@ -774,19 +781,7 @@ def _logh_attempt_lines(kick) -> list[str]:
     # T + B at y, the same for the first drift of every sequence
     return [t_plus_b("y"), "if not w > 0.0:",
             "    raise _StepFailure(f'T + B = {w!r} is not positive at t = {t!r}')", "wy = w",
-            *_gbs_lines(_LOGH_SEQUENCE, ("s", *_STATE), start, kick_drift), f"dte = T{k}{k}s"]
-
-
-def _closing_attempt_lines(site) -> list[str]:
-    """One attempt of the leapfrog in physical time over h from y0..y5,
-    extrapolated over _CLOSE_SEQUENCE (_gbs_lines): a drift of dl is
-    q += dl p, a kick of hs is p += hs f at the force site ``site``."""
-    start = ["hs = h / n", "hd = 0.5 * hs",
-             *(f"x{j} = y{j} + hd * y{j + 3}" for j in range(3)),
-             *(f"x{j + 3} = y{j + 3}" for j in range(3))]
-    kick_drift = [*site(_STATE[:3]), *(f"x{j + 3} = x{j + 3} + hs * f_{j}" for j in range(3)),
-                  *(f"x{j} = x{j} + dl * x{j + 3}" for j in range(3))]
-    return _gbs_lines(_CLOSE_SEQUENCE, _STATE, start, kick_drift)
+            *_gbs_lines(("s", *_STATE), start, kick_drift), f"dte = T{k}{k}s"]
 
 
 def _rms_norm_lines() -> list[str]:
@@ -797,52 +792,123 @@ def _rms_norm_lines() -> list[str]:
     return [*lines, f"err = _sqrt(({_PAIRED_SQUARES.format('r')}) / 6.0)"]
 
 
+# the two-body estimate of a pass holds where the state is within a tenth
+# of the other line's distance (F < 0.01 F_other), so that the other
+# factor of u changes little over the pass
+_PASS_NEAR = 0.01
+
+
+def _pass_lines(consts, w0, u_floor, v, first=False) -> list[str]:
+    """Lines that estimate, at the state v0..v5 after _u_site there, the
+    closest approach of the pass that state is on across each singular
+    line, and, unless ``first``, take the pass that the step to v0..v5
+    made into min_u and min_d2.
+
+    Near line +- V = w0 / sqrt(F+ F-) is -k / d, with d = sqrt(F+-) and
+    k = -w0 / sqrt(F-+): a two-body attraction in the plane across the
+    line, spanned by y and (c, 0, +-s), where the position is
+    (y -+ k, c x +- s z) (_yp, _lp or _ym, _lm) and the velocity
+    (py, c px +- s pz).  With the angular momentum L and the energy
+    E = v^2 / 2 - k / d of that motion, the pericentre is
+    r_p = L^2 / (k + sqrt(k^2 + 2 E L^2)); its u is r_p^2 F-+.  The
+    estimate is taken only where 0 < F+- < _PASS_NEAR F-+, and is inf
+    elsewhere (F+- = 0 is on the line, where u = 0 is at or below any
+    floor).  _rate_<line> is half the rate of F+- (positive outward),
+    and _f_, _u_, _d2_<line> the state's F+- and estimate.  A step passes
+    a line where its rate turns from negative to positive; the pass's u
+    and r_p^2 are then the estimate at whichever end of the step lies
+    nearer that line, and that u is tested against the floor, raising
+    SingularPoint at or below it."""
+    c, s, _ = (repr(x) for x in consts)
+    lines = []
+    for name, op, eta, xi, f, g in (("p", "+", "_yp", "_lp", "_fp", "_fm"),
+                                    ("m", "-", "_ym", "_lm", "_fm", "_fp")):
+        lines += [
+            f"_v = {c} * {v}3 {op} {s} * {v}5",
+            f"_rate = {eta} * {v}4 + {xi} * _v",
+            f"if 0.0 < {f} < {_PASS_NEAR!r} * {g}:",
+            f"    _L = {eta} * _v - {xi} * {v}4",
+            "    _L2 = _L * _L",
+            f"    _k = {-float(w0)!r} / _sqrt({g})",
+            f"    _disc = _k * _k + 2.0 * (0.5 * ({v}4 * {v}4 + _v * _v) - _k / _sqrt({f})) * _L2",
+            "    _rp = _L2 / (_k + _sqrt(_disc if _disc > 0.0 else 0.0))",
+            "    _d2p = _rp * _rp",
+            f"    _up = _d2p * {g}",
+            "else:",
+            "    _up = _d2p = _inf",
+        ]
+        if not first:
+            lines += [
+                f"if _rate_{name} < 0.0 < _rate:",
+                f"    if {f} < _f_{name}:",
+                "        _pu, _pd = _up, _d2p",
+                "    else:",
+                f"        _pu, _pd = _u_{name}, _d2_{name}",
+                f"    if _pu <= {float(u_floor)!r}:",
+                f'        raise _SingularPoint(f"u = {{_pu!r}} at the closest approach to line '
+                f'{op} in the step to q = {{({v}0, {v}1, {v}2)}}")',
+                "    if _pu < min_u:",
+                "        min_u = _pu",
+                "    if _pd < min_d2:",
+                "        min_d2 = _pd",
+            ]
+        lines.append(f"_rate_{name}, _f_{name}, _u_{name}, _d2_{name} = _rate, {f}, _up, _d2p")
+    return lines
+
+
 def _regularized_step_lines(force) -> list[str]:
     """One accepted step of the regularized integrator from t, y0..y5, for
     w0 < 0: LogH attempts (_logh_attempt_lines) of the fictitious-time step
     S_ctl, accepted where the root-mean-square error err <= 1, after which
-    S_ctl *= min(0.94 (0.65/err)^(1/11), 4); a rejected attempt of S sets
-    S_ctl = S max(0.94 (0.65/err)^(1/11), 0.2).  A non-finite or
-    non-positive time step dte counts as err = inf.
+    S_ctl *= min(0.94 (0.65/err)^(1/11), 4); a rejected attempt of S, aimed
+    or not, sets S_ctl = S max(0.94 (0.65/err)^(1/11), 0.2).  A non-finite
+    or non-positive time step dte counts as err = inf.
 
     Landing on t_stop = t + cap: rho is S / dte of the last accepted
     attempt, or of the last that passed t_stop (inf before either).  An
     attempt is aimed at 0.98 cap where that is shorter than S_ctl's
     predicted step (S = 0.98 cap rho < S_ctl).  An attempt that passes
     t_stop is rejected.  After an accepted aimed attempt, the next attempt
-    closes the gap to t_stop with one leapfrog step of h = cap in physical
-    time (_closing_attempt_lines, with the full force site); where that
-    fails the norm, the step aims again.  Aimed and closing attempts leave
-    S_ctl unchanged.
+    closes the gap to t_stop with one DOP853 attempt of h = cap in physical
+    time (_attempt_lines, from the force at y, through calls of the force
+    field's site), accepted where Hairer's norm (_blended_norm_lines) is at
+    most 1; where it is not, the step aims again.  An accepted aimed or
+    closing attempt leaves S_ctl unchanged.
 
     The kicks test u against the floor with no cut (they take no
     u^(-3/2)), and so does the u at the accepted q, which binds u, _fp and
     _fm there.  au and ad, the least u and F+- over an attempt's force
-    sites, go into min_u and min_d2 when it is accepted, since the steps
-    are long and their ends far from a close pass.  A step that does not
-    advance t, and an accepted controller step whose time step is below
-    the floor H_MIN, as the adaptive step's, raise StepFailure.  evals
-    counts 42 force evaluations per LogH and 12 per closing attempt."""
+    sites, go into min_u and min_d2 when it is accepted, and so does the
+    two-body estimate of a close pass the step made (_pass_lines), since
+    the steps are long and a close pass falls between their force sites.
+    A step that does not advance t, and an accepted controller step whose
+    time step is below the floor H_MIN, as the adaptive step's, raise
+    StepFailure.  evals counts 42 force evaluations per LogH and 13 per
+    closing attempt."""
     consts, u_floor = force.line_constants, float(force.u_floor)
     # the attempt's least u and F+-, over its force sites
     extrema = ["if u < au:", "    au = u",
                "if _fp < ad:", "    ad = _fp", "if _fm < ad:", "    ad = _fm"]
-    full = _inlined_site(force)
 
     def kick(q):
         return [*_u_site(q, consts, u_floor, u_floor), *extrema, *_gradient_lines(consts)]
 
-    def site(q):
-        return [*full(q), *extrema]
+    def site(q, f):
+        # the force field's own site (ForceField._at, the kernel's global
+        # _force_at): the inlined site's bits and raises, in one line, since
+        # a closing attempt runs once per sample
+        return [f"({f}_0, {f}_1, {f}_2), u, _d2s = _force_at({', '.join(q)})",
+                "if u < au:", "    au = u", "if _d2s < ad:", "    ad = _d2s"]
 
     return [
         "while True:",
         "    if t_close == t_stop:",
         "        t_close = _inf",
         "        h, au, ad = cap, _inf, _inf",
-        *_indent(_closing_attempt_lines(site), 2),
-        *_indent(_rms_norm_lines(), 2),
-        f"        evals += {sum(_CLOSE_SEQUENCE)}",
+        *_indent(site(("y0", "y1", "y2"), "f0"), 2),
+        *_indent(_attempt_lines(DOP853, site), 2),
+        *_indent(_blended_norm_lines(), 2),
+        f"        evals += {DOP853.last + 1}",
         "        if err <= 1.0:",
         "            t_new = t + h",
         "            break",
@@ -876,13 +942,14 @@ def _regularized_step_lines(force) -> list[str]:
         "    rejected += 1",
         f"    factor = 0.94 * (0.65 / err)**{1 / (2 * len(_LOGH_SEQUENCE) - 1)!r}",
         "    S_ctl = S * (factor if factor > 0.2 else 0.2)",
+        *_u_site(("z0", "z1", "z2"), consts, u_floor, u_floor),
+        *_pass_lines(consts, force.w0, u_floor, "z"),
         "t = t_new",
         "y0, y1, y2, y3, y4, y5 = z0, z1, z2, z3, z4, z5",
         "if au < min_u:",
         "    min_u = au",
         "if ad < min_d2:",
         "    min_d2 = ad",
-        *_u_site(("y0", "y1", "y2"), consts, u_floor, u_floor),
     ]
 
 
@@ -900,8 +967,9 @@ def _inlined_site(force: "ForceField"):
 # the kernel bounds by MAX_STEPS attempts).  A fixed step stretches to a
 # cap below 1.0001 fixed_step, so that a sample time the summed steps fall
 # just short of is reached in one step, not by a sliver step after it.
-# The regularized entry takes B = -E0 from the initial p and u, and its
-# first fictitious-time step is H_INIT
+# The regularized entry takes B = -E0 from the initial p and u, and the
+# state's pass estimates (_pass_lines) from the initial q and p; its first
+# fictitious-time step is H_INIT
 INTEGRATORS = {
     "adaptive": (lambda force: ["atol, rtol = config.abs_tol, config.rel_tol",
                                 f"h_ctl, err_prev, h_prev, pc = {H_INIT!r}, 1.0, 0.0, False"],
@@ -914,6 +982,8 @@ INTEGRATORS = {
     "regularized": (lambda force: [
         "atol, rtol = config.abs_tol, config.rel_tol",
         f"B = -(0.5 * ((y3 * y3 + y5 * y5) + y4 * y4) + {force.w0!r} / _sqrt(u))",
+        *_factored_lines(("y0", "y1", "y2"), force.line_constants),
+        *_pass_lines(force.line_constants, force.w0, force.u_floor, "y", first=True),
         f"S_ctl, rho, t_close, evals = {H_INIT!r}, _inf, _inf, 0"],
         _regularized_step_lines, "evals", None),
 }
@@ -932,7 +1002,8 @@ def _compile_kernel(force: ForceField, integrator: str):
     (k = 1, 2, ...) and at t_end.  It stops after the first step with
     max |q| > ``r_max``.  min u, min d2 and max |q| = hypot(q) are taken
     over q and every accepted step (the regularized step adds its accepted
-    attempts' force sites to min u and min d2).  The adaptive entries'
+    attempts' force sites and its estimated closest approaches to min u
+    and min d2).  The adaptive entries'
     kernels raise StepFailure before a step once the accepted plus
     rejected attempts reach MAX_STEPS, a literal of the kernel.  It reads
     its settings from the SimConfig once.  It returns (exc, t, steps,
@@ -1003,7 +1074,10 @@ def _compile_kernel(force: ForceField, integrator: str):
         f"        return exc, {counts}",
         f"    return None, {counts}",
     ]
-    return _compile(lines, "_run")
+    run = _compile(lines, "_run")
+    # the force field whose site the regularized closing attempt calls
+    run.__globals__["_force_at"] = force._at
+    return run
 
 
 def _q2_guard(max_q: float) -> float:
@@ -1392,7 +1466,10 @@ def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     ``simulate`` at ``scan_sim_config(config)``: the scan ignores
     ``config.integrator``, ``fixed_step`` and ``sample_interval``, and
     writes no trajectory.  min u and min d_sing are taken over the same
-    points: the initial state and the end of every accepted step.
+    points: the initial state, the end of every accepted step, every force
+    site of the accepted attempts, and the closest approach of each pass
+    across a line that a step makes, estimated from the two-body motion
+    across the nearer line (_pass_lines), which also runs the floor test.
     """
     if config.w0 >= 0:
         raise ParamDomain("singularity scan requires w0 < 0")

@@ -58,7 +58,7 @@ SOURCES = {
     "integrals-u": "744a06d009e934d7509525bf2fd18508ffa0a3efacf77b4021b52b3f0b4d6841",
     "run-adaptive": "36ba0d179524560b544611a2b6d71411e9a4844e5dcc11ed8eb1abe0345985bf",
     "run-leapfrog": "d70a9dec38e35e0966dd73711292e5fd9e6ef622667a3c3216e5cb5667807fcd",
-    "run-regularized": "96fa0f3011bea177197ba564f8784b262fa5a3168a1d1040567cea3bb2b50f3e",
+    "run-regularized": "6b0f6d4a478176dcc726ed8ca8b2901cd442f59ceb6a8a7339233a07d55d9206",
     "attempt-DP54": "b033306597bc56609e835490c5640ca9a3fbaa494813a69128a956437fc1b44a",
     "attempt-DOP853": "bc1ad42e8eafd4cd4cf40ca095154ea6dc57b6265d009cc592fa6377f3984566",
     "stepper-step": "7ce93bb579578c033edf9d93e43621b854e42ae40bc60f1b606d7e7258a524d1",

@@ -180,24 +180,6 @@ class _Oracle:
         z = best[1:]
         return best[0], z, self.norm(y, z, [v - w for v, w in zip(z, prev[1:])])
 
-    def closing(self, y, h):
-        """(z, err) of one physical-time leapfrog step of h from y."""
-        sequence = (2, 4, 6)
-        rows = []
-        for n in sequence:
-            hs = h / n
-            hd = 0.5 * hs
-            q = [y[j] + hd * y[j + 3] for j in range(3)]
-            p = list(y[3:])
-            for i in range(n):
-                u, g = self.u_g(q)
-                pref = self.w0 / (u * math.sqrt(u))
-                p = [p[j] + hs * (pref * g[j]) for j in range(3)]
-                q = [q[j] + (hs if i < n - 1 else hd) * p[j] for j in range(3)]
-            rows.append([*q, *p])
-        z, prev = self.extrapolate(rows, sequence)
-        return z, self.norm(y, z, [v - w for v, w in zip(z, prev)])
-
 
 def _first_attempt(config, ic):
     oracle = _Oracle(config)
@@ -225,20 +207,23 @@ def test_one_attempt_equals_plain_loop_oracle_bitwise(ic):
 def test_one_landing_equals_plain_loop_oracle_bitwise():
     """A run to half the first attempt's time step: that attempt passes
     t_end and is rejected; the step aims at 0.98 of the gap with
-    S = 0.98 t_end (S / dte), then closes the gap with one physical-time
-    step, and lands on t_end exactly."""
+    S = 0.98 t_end (S / dte), then closes the gap with one DOP853 attempt
+    in physical time, and lands on t_end exactly.  The closing attempt is
+    the adaptive integrator's own (checked in tests/test_dynamics.py), run
+    here through the force callable."""
     config = SimConfig(integrator="regularized", rel_tol=1e-10)
     oracle, y, B, (dte, _, _) = _first_attempt(config, _OFF_AXIS)
     t_end = 0.5 * dte
     S = 0.98 * t_end * (dynamics.H_INIT / dte)
     dte2, z2, err2 = oracle.logh(y, S, B)
     assert err2 <= 1.0 and dte2 < t_end
-    z3, err3 = oracle.closing(z2, t_end - dte2)
-    assert err3 <= 1.0
+    force, _ = compile_system(config.a, config.b, config.w0, config.u_floor)
+    z3, _, _ = dynamics._attempt_kernel(dynamics.DOP853)(
+        force, tuple(z2), force(z2[:3]), t_end - dte2)
     record, outcome = simulate(dataclasses.replace(config, t_end=t_end),
                                PhaseState.make(0.0, *_OFF_AXIS))
     assert (outcome.classification, outcome.steps, outcome.rejected) == ("completed", 2, 1)
-    assert outcome.force_evals == 1 + 42 + 42 + 12
+    assert outcome.force_evals == 1 + 42 + 42 + 13
     assert record.rows[-1][0] == outcome.t_final == t_end
     assert _bits(record.rows[-1][1:7]) == _bits(z3)
     assert record.rows[-1][10] == oracle.u_g(z3[:3])[0]
@@ -318,6 +303,73 @@ def test_leapfrog_kernel_has_no_attempt_budget(monkeypatch):
         dynamics._compile_kernel.__wrapped__(force, integrator)
     assert ["MAX_STEPS" in src for src in sources] == [
         integrator != "leapfrog" for integrator in dynamics.INTEGRATORS]
+
+
+# -- the closest approach of a pass ------------------------------------------
+
+
+def _kepler_state(e, theta, k=0.7, p=1e-3):
+    """Position and velocity at true anomaly theta on the two-body orbit of
+    eccentricity e, semi-latus rectum p and attraction k / r."""
+    r = p / (1.0 + e * math.cos(theta))
+    vr, vt = math.sqrt(k / p) * e * math.sin(theta), math.sqrt(k / p) * (1.0 + e * math.cos(theta))
+    pos = (r * math.cos(theta), r * math.sin(theta))
+    vel = (vr * math.cos(theta) - vt * math.sin(theta), vr * math.sin(theta) + vt * math.cos(theta))
+    return pos, vel, r * vr
+
+
+@pytest.mark.parametrize("e, theta", [
+    (0.5, -2.0), (0.5, 0.0), (0.5, 1.0), (0.999999, -0.5), (1.0, -2.0), (1.0, 0.3),
+    (3.0, -1.5), (3.0, 1.0)])
+def test_pass_estimate_is_the_two_body_pericentre(e, theta):
+    """The emitted estimate at a state on a two-body orbit across line +
+    (V = -k/d, k = -w0 / sqrt(F-)) is that orbit's pericentre p / (1 + e),
+    whatever the state's place on the orbit; line -, far away, gets none."""
+    k, p, f_other = 0.7, 1e-3, 4.0
+    c, s = 0.8, 0.6
+    (eta, xi), (v_eta, v_xi), rate = _kepler_state(e, theta, k, p)
+    ns = {"_sqrt": math.sqrt, "_inf": math.inf, "_yp": eta, "_lp": xi,
+          "_fp": eta * eta + xi * xi, "_ym": 2.0, "_lm": 0.0, "_fm": f_other,
+          "z3": v_xi / c, "z4": v_eta, "z5": 0.0}
+    w0 = -k * math.sqrt(f_other)
+    exec("\n".join(dynamics._pass_lines((c, s, 1.3), w0, 1e-10, "z", first=True)), {}, ns)
+    r_p = p / (1.0 + e)
+    assert ns["_d2_p"] == pytest.approx(r_p * r_p, rel=1e-12)
+    assert ns["_u_p"] == pytest.approx(r_p * r_p * f_other, rel=1e-12)
+    assert ns["_rate_p"] == pytest.approx(rate, rel=1e-12, abs=1e-18)
+    assert ns["_u_m"] == ns["_d2_m"] == math.inf
+
+
+# the factor within which a scan row's min u lies of a DOP853 run at
+# rel_tol 1e-13, whose steps shrink near a line; measured 0.90 to 1.6 on
+# these 20 ICs
+_APPROACH_FACTOR = 2.0
+
+
+def test_scan_rows_follow_dop853_closest_approach():
+    """On the 20 seed-0/1 scan ICs to t = 50 the scan's row minima of u lie
+    within _APPROACH_FACTOR of those of a DOP853 run at rel_tol 1e-13
+    sampled at t0 and t_end, and each row has its class."""
+    config = SimConfig(t_end=50.0, rel_tol=1e-10)
+    reference = dataclasses.replace(config, rel_tol=1e-13, sample_interval=config.t_end)
+    for seed in (0, 1):
+        ics = scan_initial_conditions(seed, 10)
+        for ic, row in zip(ics, scan_singularity(config, ics)):
+            _, outcome = simulate(reference, PhaseState.make(0.0, *ic))
+            assert row[10] == outcome.classification
+            if row[10] == "completed":
+                ratio = row[8] / outcome.min_u
+                assert 1 / _APPROACH_FACTOR < ratio < _APPROACH_FACTOR, (seed, row[0], ratio)
+
+
+def test_estimated_pass_below_the_floor_is_a_singularity_approach():
+    """Seed-1 scan IC 7 passes within the 1e-10 floor between force sites:
+    the estimate of that pass, not a force site, ends the run."""
+    config = scan_sim_config(SimConfig(t_end=50.0, rel_tol=1e-10))
+    _, outcome = simulate(config, PhaseState.make(0.0, *scan_initial_conditions(1, 8)[7]))
+    assert outcome.classification == "singularity-approach"
+    assert " at the closest approach to line " in outcome.detail
+    assert float(outcome.detail.split()[2]) <= config.u_floor < outcome.min_u
 
 
 # -- the scan -------------------------------------------------------------
