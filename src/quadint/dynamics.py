@@ -95,6 +95,11 @@ class EvaluationOverflow(ValueError):
 
     def __init__(self, q, exc):
         super().__init__(f"evaluation overflowed at q = {tuple(q)}: {exc}")
+        self._made_from = (tuple(q), exc)
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, so that a scan's worker can send it
+        return type(self), self._made_from
 
 
 _SLOT_NAMES = ("x", "y", "z", "px", "py", "pz")
@@ -1470,6 +1475,13 @@ def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     site of the accepted attempts, and the closest approach of each pass
     across a line that a step makes, estimated from the two-body motion
     across the nearer line (_pass_lines), which also runs the floor test.
+
+    ``jobs`` workers share the ICs by stride, worker k taking
+    ``ics[k::workers]`` with ``workers = min(jobs, len(ics), os.cpu_count())``.
+    The calling process is worker 0; each other worker is a forked child
+    (``fanout.fork_map``).  The failure at the lowest index is raised
+    here, from a child too, with the type and message the serial scan
+    gives.  Where ``os.fork`` does not exist the scan runs serially.
     """
     if config.w0 >= 0:
         raise ParamDomain("singularity scan requires w0 < 0")
@@ -1480,18 +1492,14 @@ def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     # compiled here once, so forked workers inherit them
     force, _ = compile_system(config.a, config.b, config.w0, config.u_floor)
     _compile_kernel(force, config.integrator)
-    # under fork the pool starts every worker at once: no more than ICs or CPUs
+    # a worker beyond the ICs has no share, and one beyond the CPUs only adds a fork
     workers = min(jobs, len(ics), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    run = functools.partial(_scan_one, config)
+    if workers > 1 and hasattr(os, "fork"):
+        from .fanout import fork_map
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_one, config, idx, ic)
-                for idx, ic in enumerate(ics)
-            ]
-            return [f.result() for f in futures]
-    return [_scan_one(config, idx, ic) for idx, ic in enumerate(ics)]
+        return fork_map(run, ics, workers)
+    return [run(idx, ic) for idx, ic in enumerate(ics)]
 
 
 def write_scan_csv(table, path):

@@ -550,6 +550,19 @@ def test_scan_writes_table(tmp_path, capsys):
                               "step-failure")
 
 
+def test_scan_csv_from_two_workers_equals_serial_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tables = []
+    for jobs in ("1", "2"):
+        out_file = tmp_path / f"scan{jobs}.csv"
+        with _alarm(30):
+            code, _, _ = run(["scan", "--n", "20", "--jobs", jobs, "--out", str(out_file)],
+                             capsys)
+        assert code == 0
+        tables.append(out_file.read_text())
+    assert tables[0] == tables[1] and tables[0].count("\n") == 21
+
+
 def test_scan_manifest_records_the_config_that_ran(tmp_path, capsys):
     """The scan runs the regularized integrator, sampling t = 0 and t_end
     only, and its manifest records that config."""
@@ -758,7 +771,8 @@ _TEXTS = st.sampled_from(_EXTREME_TEXTS)
 _SIM_OPTIONS = {name: _TEXTS for name in (
     "--a", "--b", "--w0", "--t-end", "--rel-tol", "--abs-tol", "--fixed-step",
     "--u-floor", "--r-max", "--sample-interval")}
-# --n and --jobs stay small: the pool forks min(jobs, n) workers at once
+# --n and --jobs stay small: this process is one of the min(jobs, n, CPUs)
+# workers, which share the ICs by stride, and it forks the others at once
 _SCAN_OPTIONS = {**{name: _TEXTS for name in (
     "--a", "--b", "--w0", "--q-range", "--p-range", "--t-end", "--rel-tol", "--u-floor")},
     "--n": _ints(4), "--seed": _ints(), "--jobs": _ints(2)}

@@ -10,6 +10,7 @@ import os
 import re
 import signal
 import struct
+import time
 import warnings
 from fractions import Fraction
 
@@ -1302,10 +1303,33 @@ def test_scan_min_dsing_covers_every_step():
     assert outcome.min_dsing < 1e-3 * min(r[11] for r in record.rows)
 
 
-def test_scan_pool_rows_equal_serial_rows():
-    """The pool's rows equal the serial rows bit for bit, and each is the
-    row of its IC's own simulate run at the scan's config, on ICs far
-    from the lines and on the seed-0 ICs that pass near them."""
+def _counting_forks(monkeypatch, cpus):
+    """Record in the returned list the pid of each child the real os.fork
+    starts, and report ``cpus`` CPUs."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return forks
+
+
+def _assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_pool_rows_equal_serial_rows(monkeypatch):
+    """Rows from 2 and from 3 workers (13 ICs, in shares of 7 and 6, and
+    of 5, 4 and 4) equal the serial rows bit for bit, and each is the row of
+    its IC's own simulate run at the scan's config, on ICs far from the
+    lines and on the seed-0 ICs that pass near them."""
     cfg = SimConfig(t_end=2.0)
     ics = [((0.5, 0.2, -0.3), (0.1, 0.1, 0.1)),
            ((0.4, 0.1, -0.2), (0.0, 0.05, 0.0)),
@@ -1315,40 +1339,17 @@ def test_scan_pool_rows_equal_serial_rows():
     def bits(rows):
         return [(r[0], _bits([float(v) for v in r[1:10]]), r[10]) for r in rows]
 
+    forks = _counting_forks(monkeypatch, cpus=3)
     serial = scan_singularity(cfg, ics, jobs=1)
-    assert bits(scan_singularity(cfg, ics, jobs=2)) == bits(serial)
+    assert forks == []
+    for jobs in (2, 3):
+        assert bits(scan_singularity(cfg, ics, jobs=jobs)) == bits(serial)
+        _assert_no_child_left()
+    assert len(forks) == 1 + 2
     for ic, row in zip(ics, serial):
         _, outcome = simulate(dynamics.scan_sim_config(cfg), PhaseState.make(0.0, *ic))
         assert bits([row]) == bits([(row[0], *row[1:8], outcome.min_u, outcome.min_dsing,
                                      outcome.classification)])
-
-
-def _recording_pool(monkeypatch, cpus):
-    """Replace the scan's process pool by one that records its max_workers
-    in the returned list and runs each task in this process, so that no
-    worker is started, and report ``cpus`` CPUs."""
-    import concurrent.futures
-
-    seen = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return seen
 
 
 _POOL_ICS = [((0.5, 0.2, -0.3), (0.1, 0.1, 0.1)),
@@ -1358,23 +1359,125 @@ _POOL_ICS = [((0.5, 0.2, -0.3), (0.1, 0.1, 0.1)),
 
 @pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (5000, 3)])
 def test_scan_pool_has_at_most_one_worker_per_ic(jobs, workers, monkeypatch):
-    """Under fork the pool starts all its workers up front, so it gets no
-    more than one per IC (on a host of more CPUs than that)."""
-    seen = _recording_pool(monkeypatch, cpus=64)
+    """A worker beyond the ICs would have no share, so there is no more
+    than one per IC (on a host of more CPUs than that): this process and
+    workers - 1 forked children."""
+    serial = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=1)
+    forks = _counting_forks(monkeypatch, cpus=64)
     rows = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=jobs)
-    assert seen == [workers]
-    assert [r[0] for r in rows] == [0, 1, 2]
+    assert len(forks) == workers - 1
+    assert rows == serial and [r[0] for r in rows] == [0, 1, 2]
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, []), (None, [])])
 def test_scan_pool_has_at_most_one_worker_per_cpu(cpus, pools, monkeypatch):
     """--jobs 5000 gets no more workers than os.cpu_count() reports, and
-    no pool at all where that is 1 or unknown (None): the scan runs
-    serially."""
-    seen = _recording_pool(monkeypatch, cpus)
+    forks nothing where that is 1 or unknown (None): the scan runs
+    serially.  ``pools`` lists the worker counts of the scan's fan-outs,
+    each worker but the calling process a fork."""
+    serial = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=1)
+    forks = _counting_forks(monkeypatch, cpus)
     rows = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=5000)
-    assert seen == pools
-    assert [r[0] for r in rows] == [0, 1, 2]
+    assert len(forks) == sum(workers - 1 for workers in pools)
+    assert rows == serial and [r[0] for r in rows] == [0, 1, 2]
+    _assert_no_child_left()
+
+
+def test_scan_without_fork_runs_serially(monkeypatch):
+    """Where os.fork does not exist, --jobs 2 runs the serial scan."""
+    serial = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=2) == serial
+    _assert_no_child_left()
+
+
+def _on_line(t):
+    """An IC at rest at t along the singular line y = k, c x + s z = 0 of
+    a = 1/4, b = 1 (see _near_line_points)."""
+    return ((-0.5 * t, 3 * math.sqrt(0.1875), math.sqrt(0.75) * t), (0.0, 0.0, 0.0))
+
+
+_OVERFLOWING = ((1e90, 0.0, 1e90), (0.0, 0.0, 0.0))   # u = inf at q0
+
+
+@pytest.mark.parametrize("failing", [
+    {1: _on_line(0.0)},
+    {1: _on_line(0.0), 2: _on_line(0.6)},
+    {2: _on_line(0.6)},
+    {1: _OVERFLOWING},
+    {0: _on_line(0.0), 1: _OVERFLOWING},
+], ids=["child", "child-before-parent", "parent-after-0", "child-overflow", "parent-at-0"])
+def test_scan_failure_is_the_serial_one(failing, monkeypatch):
+    """With ICs that raise at the given indices of 4 (2 workers: this
+    process runs 0 and 2, the child 1 and 3), the scan raises what the
+    serial scan raises, type and message: the failure at the lowest
+    index, sent back from the child where it is the child's, an
+    EvaluationOverflow included."""
+    ics = [failing.get(idx, ic) for idx, ic in enumerate([*_POOL_ICS, _POOL_ICS[0]])]
+    with _alarm(5):
+        with pytest.raises(Exception) as serial:
+            scan_singularity(SimConfig(t_end=0.5), ics, jobs=1)
+        forks = _counting_forks(monkeypatch, cpus=2)
+        with pytest.raises(Exception) as forked:
+            scan_singularity(SimConfig(t_end=0.5), ics, jobs=2)
+    assert len(forks) == 1
+    assert serial.type in (SingularPoint, dynamics.EvaluationOverflow)
+    assert (forked.type, str(forked.value)) == (serial.type, str(serial.value))
+    _assert_no_child_left()
+
+
+def test_scan_child_exit_without_rows_is_child_process_error(monkeypatch):
+    """A child that exits without sending its rows (here by os._exit(3)
+    on IC 1) raises ChildProcessError naming the worker and its wait
+    status, not EOFError, and does not hang."""
+    scan_one = dynamics._scan_one
+
+    def exiting(config, idx, ic):
+        if idx == 1:
+            os._exit(3)
+        return scan_one(config, idx, ic)
+
+    monkeypatch.setattr(dynamics, "_scan_one", exiting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with _alarm(5), pytest.raises(ChildProcessError, match=r"worker 1 .*wait status 768"):
+        scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=2)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("raised, waiting", [
+    (RuntimeError, False), (KeyboardInterrupt, False), (TimeoutError, False), (TimeoutError, True),
+], ids=["RuntimeError", "KeyboardInterrupt", "TimeoutError", "TimeoutError-waiting"])
+def test_scan_parent_share_raising_kills_the_children(raised, waiting, monkeypatch):
+    """When this process's own share raises at its first IC, or a signal
+    handler raises in it (the alarm's TimeoutError) or, ``waiting``, in
+    the wait for the child after the share has returned, the child, which
+    would run for a minute, is killed and reaped at once."""
+    parent, scan_one = os.getpid(), dynamics._scan_one
+
+    def share(config, idx, ic):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif raised is not TimeoutError:
+            raise raised("parent share")
+        elif not waiting:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)   # _alarm's handler raises
+            time.sleep(60)
+        elif idx == 2:   # the last IC of this process's share
+            row = scan_one(config, idx, ic)
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            return row
+        return scan_one(config, idx, ic)
+
+    monkeypatch.setattr(dynamics, "_scan_one", share)
+    forks = _counting_forks(monkeypatch, cpus=2)
+    start = time.monotonic()
+    with _alarm(5), pytest.raises(raised):
+        scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=2)
+    assert len(forks) == 1
+    assert time.monotonic() - start < 3
+    _assert_no_child_left()
 
 
 # -- u from the step's own force call, float Verlet, step counts ----------
