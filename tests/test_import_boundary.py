@@ -1,8 +1,9 @@
-"""The exact path loads neither numpy nor ``quadint.dynamics``; the
-dynamics names of ``quadint`` are served lazily; and the dynamics half
-loads numpy only for a scan's draw of initial conditions.  Each check runs
-in a fresh interpreter, since this test process has imported both.  The
-packed polynomial format stays inside ``quadint.algebra``."""
+"""The exact path loads neither numpy nor ``quadint.dynamics``; setting
+up the exact objects runs no verifier code; the verifier and dynamics
+names of ``quadint`` are served lazily; and the dynamics half loads numpy
+only for a scan's draw of initial conditions.  Each check runs in a fresh
+interpreter, since this test process has imported both.  The packed
+polynomial format stays inside ``quadint.algebra``."""
 
 import ast
 import os
@@ -19,6 +20,23 @@ DYNAMICS_NAMES = (
     "PhaseState", "SimConfig", "compile_force", "compile_system",
     "distance_to_singular_lines", "scan_singularity", "simulate", "step_leapfrog",
 )
+VERIFIER_NAMES = ("CheckResult", "VerificationReport", "__version__", "poisson_bracket",
+                  "run_report")
+
+# Collects in ``runs`` the code objects of verifier.py that run, from the
+# audit event that exec of a code object raises: a module body runs that
+# way whether it is compiled from source or loaded from a bytecode cache.
+COUNT_VERIFIER_RUNS = textwrap.dedent("""
+    import os, sys
+    runs = []
+
+    def hook(event, args):
+        if event == "exec" and getattr(args[0], "co_filename", "").endswith(
+                os.sep + "verifier.py"):
+            runs.append(args[0].co_name)
+
+    sys.addaudithook(hook)
+""")
 
 
 def run_fresh(code: str) -> str:
@@ -55,15 +73,55 @@ def test_setup_loads_no_hashlib_until_a_report():
     assert out.split() == ["False", "70ab71ae33ae0607"]
 
 
-def test_lazy_names_are_the_dynamics_objects():
-    out = run_fresh(f"""
+def _served_names_are(module: str, names) -> list[str]:
+    """Whether each of ``names`` read from quadint is ``module``'s own
+    object, and whether each is in dir(quadint), printed by a fresh
+    interpreter."""
+    return run_fresh(f"""
         import quadint
-        import quadint.dynamics
-        names = {DYNAMICS_NAMES!r}
-        print(all(getattr(quadint, n) is getattr(quadint.dynamics, n) for n in names))
+        import {module}
+        names = {names!r}
+        print(all(getattr(quadint, n) is getattr({module}, n) for n in names))
         print(all(n in dir(quadint) for n in names))
+    """).split()
+
+
+def test_lazy_names_are_the_dynamics_objects():
+    assert _served_names_are("quadint.dynamics", DYNAMICS_NAMES) == ["True", "True"]
+
+
+def test_served_verifier_names_are_the_verifier_objects():
+    assert _served_names_are("quadint.verifier", VERIFIER_NAMES) == ["True", "True"]
+
+
+def test_setup_runs_no_verifier_code():
+    """``import quadint; quadint.build_context()`` runs no code of
+    verifier.py, and leaves quadint.verifier registered in sys.modules,
+    where the benchmark's tracer looks it up."""
+    out = run_fresh(COUNT_VERIFIER_RUNS + textwrap.dedent("""
+        import quadint
+        quadint.build_context()
+        print(len(runs), "quadint.verifier" in sys.modules)
+    """))
+    assert out.split() == ["0", "True"]
+
+
+def test_one_report_runs_the_verifier_module_once():
+    out = run_fresh(COUNT_VERIFIER_RUNS + textwrap.dedent("""
+        import quadint
+        report = quadint.run_report(quadint.build_context())
+        print(runs, len(report.results), quadint.verifier.run_report is quadint.run_report)
+    """))
+    assert out.split() == ["['<module>']", "21", "True"]
+
+
+def test_from_import_of_a_verifier_name():
+    out = run_fresh("""
+        from quadint import run_report
+        from quadint.catalog import build_context
+        print(run_report.__module__, run_report(build_context(), only="involution").results[0].passed)
     """)
-    assert out.split() == ["True", "True"]
+    assert out.split() == ["quadint.verifier", "True"]
 
 
 def test_lazy_name_imports_dynamics_on_first_use():
