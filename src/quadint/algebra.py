@@ -22,6 +22,13 @@ into rows with polynomial entries in the parameters; neither reads keys
 or numerators.  Floats
 enter only through ``eval_float``, which is ``eval_exact`` at the floats'
 exact values rounded once to binary64.
+
+Polynomials are immutable: nothing writes a polynomial's numerators or
+denominator once it is built.  So one shared empty polynomial
+(``Polynomial.zero()``) is the zero that a constructor, a product with a
+zero factor or the solver's missing entries hand out, and an operation
+may return an operand unchanged (``p + 0`` is ``p``) rather than a copy
+of it.
 """
 
 from __future__ import annotations
@@ -81,6 +88,9 @@ class Polynomial:
     degree; a product past MAX_DEGREE raises OverflowError.  ``terms``,
     the {exponent tuple: Fraction} view in the same term order, is built
     on each access; operations keep the term order that view's loop gives.
+    Nothing writes a polynomial after it is built, so ``zero()`` is one
+    shared object, and a sum or difference with a zero operand is the
+    other operand itself (or its negation).
     """
 
     __slots__ = ("_numerators", "_denominator")
@@ -101,12 +111,13 @@ class Polynomial:
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial()
+        """The shared zero polynomial."""
+        return _ZERO
 
     @staticmethod
     def constant(c: Scalar) -> "Polynomial":
         n, d = _ratio(c)
-        return _reduced({0: n}, d) if n else Polynomial()
+        return _reduced({0: n}, d) if n else _ZERO
 
     @staticmethod
     def variable(v: int) -> "Polynomial":
@@ -115,26 +126,13 @@ class Polynomial:
     @staticmethod
     def monomial(exps: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
         n, d = _ratio(coeff)
-        return _reduced({pack(exps): n}, d) if n else Polynomial()
+        return _reduced({pack(exps): n}, d) if n else _ZERO
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d1, d2 = self._denominator, other._denominator
-        d = d1 if d1 == d2 else math.lcm(d1, d2)
-        f1, f2 = d // d1, d // d2
-        out = ({e: c * f1 for e, c in self._numerators.items()} if f1 != 1
-               else dict(self._numerators))
-        for e, c in other._numerators.items():
-            s = out.get(e, 0) + c * f2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _reduced(out, d)
+        return NotImplemented if other is NotImplemented else _add(self, other, 1)
 
     __radd__ = __add__
 
@@ -143,11 +141,11 @@ class Polynomial:
 
     def __sub__(self, other):
         other = _coerce(other)
-        return NotImplemented if other is NotImplemented else self + (-other)
+        return NotImplemented if other is NotImplemented else _add(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
-        return NotImplemented if other is NotImplemented else other + (-self)
+        return NotImplemented if other is NotImplemented else _add(other, self, -1)
 
     def __mul__(self, other) -> "Polynomial":
         """Exact product on ints: a cross term's key is the sum of the
@@ -161,7 +159,7 @@ class Polynomial:
             return NotImplemented
         small, big = self._numerators, other._numerators
         if not small or not big:
-            return Polynomial()
+            return _ZERO
         # a key sum reaches _KEY_LIMIT exactly when the degrees sum past MAX_DEGREE
         if max(small) + max(big) >= _KEY_LIMIT:
             raise OverflowError(f"product of total degree above {MAX_DEGREE}")
@@ -330,13 +328,18 @@ class Polynomial:
     # -- display ------------------------------------------------------
 
     def canonical_str(self) -> str:
-        """Deterministic rendering; used for fingerprints and debugging."""
-        if not self._numerators:
+        """Deterministic rendering; used for fingerprints and debugging.
+        Terms in key order, each coefficient as ``str`` of its Fraction
+        ("n" or "n/m"), written from the numerator and denominator."""
+        c, d = self._numerators, self._denominator
+        if not c:
             return "0"
         parts = []
-        for e, c in self.sorted_terms():
-            factors = [str(c)]
-            for i, k in enumerate(e):
+        for key in sorted(c, reverse=True):
+            n = c[key]
+            g = math.gcd(n, d)
+            factors = [f"{n // g}/{d // g}" if g != d else str(n // g)]
+            for i, k in enumerate(unpack(key)):
                 if k == 1:
                     factors.append(VARS[i])
                 elif k > 1:
@@ -351,6 +354,28 @@ class Polynomial:
         return f"Polynomial({s})"
 
 
+def _add(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
+    """p + q for sign 1, p - q for sign -1: q's numerators, times sign,
+    merge into a copy of p's in q's term order, so p - q has the terms of
+    p + (-q) in the same order.  A zero q gives p itself, and a zero p
+    gives q or -q."""
+    if not q._numerators:
+        return p
+    if not p._numerators:
+        return q if sign == 1 else -q
+    d1, d2 = p._denominator, q._denominator
+    d = d1 if d1 == d2 else math.lcm(d1, d2)
+    f1, f2 = d // d1, sign * (d // d2)
+    out = {e: c * f1 for e, c in p._numerators.items()} if f1 != 1 else dict(p._numerators)
+    for e, c in q._numerators.items():
+        s = out.get(e, 0) + c * f2
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return _reduced(out, d)
+
+
 def _reduced(numerators: dict[int, int], denominator: int) -> Polynomial:
     """Packed nonzero numerators over a positive denominator, reduced."""
     if denominator != 1 and (g := math.gcd(denominator, *numerators.values())) != 1:
@@ -360,6 +385,9 @@ def _reduced(numerators: dict[int, int], denominator: int) -> Polynomial:
     p._numerators = numerators
     p._denominator = denominator
     return p
+
+
+_ZERO = _reduced({}, 1)
 
 
 def _collect(p: Polynomial, subset: Iterable[int]) -> dict[int, Polynomial]:
@@ -464,7 +492,7 @@ def solve_exact_sparse(equations: Sequence[Sequence[Polynomial]], ncols: int):
                 matched.setdefault(mono, {})[i] = coeff
         for row in matched.values():
             rows.append(({j: c for j, c in row.items() if j < ncols},
-                         [row.get(k, Polynomial()) for k in range(ncols, len(eq))]))
+                         [row.get(k, _ZERO) for k in range(ncols, len(eq))]))
     holders: dict[int, set[int]] = {}
     for i, (entries, _) in enumerate(rows):
         for j in entries:

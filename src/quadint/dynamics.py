@@ -1462,6 +1462,14 @@ def scan_sim_config(config: SimConfig) -> SimConfig:
     return replace(config, integrator="regularized", sample_interval=config.t_end)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its CPU affinity set where the OS
+    reports one, else ``os.cpu_count()``, which counts the host's, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     """Batch simulations probing approach to the singular lines (w0 < 0).
 
@@ -1477,7 +1485,9 @@ def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     across the nearer line (_pass_lines), which also runs the floor test.
 
     ``jobs`` workers share the ICs by stride, worker k taking
-    ``ics[k::workers]`` with ``workers = min(jobs, len(ics), os.cpu_count())``.
+    ``ics[k::workers]`` with ``workers = min(jobs, len(ics), cpus)``, where
+    ``cpus`` counts the CPUs this process may run on (_usable_cpus): a
+    worker on no CPU of its own only waits for one.
     The calling process is worker 0; each other worker is a forked child
     (``fanout.fork_map``).  The failure at the lowest index is raised
     here, from a child too, with the type and message the serial scan
@@ -1493,7 +1503,7 @@ def scan_singularity(config: SimConfig, initial_conditions, jobs: int = 1):
     force, _ = compile_system(config.a, config.b, config.w0, config.u_floor)
     _compile_kernel(force, config.integrator)
     # a worker beyond the ICs has no share, and one beyond the CPUs only adds a fork
-    workers = min(jobs, len(ics), os.cpu_count() or 1)
+    workers = min(jobs, len(ics), _usable_cpus())
     run = functools.partial(_scan_one, config)
     if workers > 1 and hasattr(os, "fork"):
         from .fanout import fork_map

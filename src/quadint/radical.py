@@ -15,11 +15,13 @@ from fractions import Fraction
 
 from .algebra import MOMENTA, NVARS, Polynomial, Scalar
 
+_ZERO = Polynomial.zero()
+
 
 def _mul(p: Polynomial, q: Polynomial) -> Polynomial:
     """p * q, or the zero polynomial with no product formed if either is
     zero: an element's A or B, or a derivative of one, is often zero."""
-    return p * q if p and q else Polynomial()
+    return p * q if p and q else _ZERO
 
 
 class SingularPoint(Exception):
@@ -44,14 +46,14 @@ class RingContext:
     def from_poly(self, p: Polynomial | Scalar) -> "RadicalElement":
         if not isinstance(p, Polynomial):
             p = Polynomial.constant(p)
-        return RadicalElement(self, p, Polynomial(), 0)
+        return RadicalElement(self, p, _ZERO, 0)
 
     def s(self) -> "RadicalElement":
         """The radical generator u^(-1/2) itself."""
-        return RadicalElement(self, Polynomial(), Polynomial.constant(1), 0)
+        return RadicalElement(self, _ZERO, Polynomial.constant(1), 0)
 
     def zero(self) -> "RadicalElement":
-        return RadicalElement(self, Polynomial(), Polynomial(), 0)
+        return RadicalElement(self, _ZERO, _ZERO, 0)
 
     def one(self) -> "RadicalElement":
         return self.from_poly(1)
@@ -116,7 +118,7 @@ class RadicalElement:
         u = self.ring.u
         A1, B1, A2, B2 = self.A, self.B, other.A, other.B
         if B1.is_zero() and B2.is_zero():
-            return RadicalElement(self.ring, _mul(A1, A2), Polynomial(), self.m + other.m)
+            return RadicalElement(self.ring, _mul(A1, A2), _ZERO, self.m + other.m)
         if B1.is_zero() or B2.is_zero():
             return RadicalElement(
                 self.ring, _mul(A1, A2), _mul(A1, B2) + _mul(A2, B1), self.m + other.m
@@ -156,7 +158,7 @@ class RadicalElement:
         u = self.ring.u
         m = self.m
         if m == 0 and self.B.is_zero():
-            return RadicalElement(self.ring, dA, Polynomial(), 0)
+            return RadicalElement(self.ring, dA, _ZERO, 0)
         newA = _mul(dA, u) - _mul(self.A.scale(m), du)
         newB = _mul(dB, u) - _mul(self.B.scale(Fraction(2 * m + 1, 2)), du)
         return RadicalElement(self.ring, newA, newB, m + 1)

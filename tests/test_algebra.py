@@ -17,6 +17,7 @@ from quadint.algebra import (
     PY,
     X,
     Y,
+    VARS,
     ZERO_EXPS,
     Polynomial,
     _collect,
@@ -29,6 +30,8 @@ from quadint.algebra import (
     solve_exact_sparse,
     unpack,
 )
+from quadint.catalog import build_context
+from quadint.verifier import run_report
 
 x, y, z, px, py, pz, a, b, w0 = generators()
 
@@ -380,6 +383,116 @@ def test_key_order_is_grlex_order(e1, e2):
 def test_sorted_and_leading_terms_follow_grlex(p):
     ref = sorted(p.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
     assert p.sorted_terms() == ref
+
+
+def _merged(p_terms, q_terms):
+    """Reference sum on the terms view: q's terms merged into a copy of
+    p's in q's order, a term that cancels deleted, as p + q merges."""
+    out = dict(p_terms)
+    for e, c in q_terms.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _negated(terms):
+    return {e: -c for e, c in terms.items()}
+
+
+def _assert_canonical_with_terms(r, terms):
+    """r holds ``terms``, in that order, over a positive denominator in
+    lowest terms and with no stored zero."""
+    assert list(r.terms.items()) == list(terms.items())
+    assert r._denominator > 0 and all(r._numerators.values())
+    assert math.gcd(r._denominator, *r._numerators.values()) == 1
+
+
+@st.composite
+def subtraction_pairs(draw):
+    """(p, q) where q is drawn fresh, is p itself (full cancellation), or
+    is p plus or minus a fresh polynomial (partial cancellation), with
+    coefficients over mixed denominators."""
+    p, r = draw(polys), draw(polys)
+    q = draw(st.sampled_from([r, p, p + r, p - r, r - p]))
+    return p, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(subtraction_pairs())
+def test_subtraction_equals_adding_the_negation(pq):
+    """p - q is p + (-q) term for term and in the same term order; so are
+    q - p and both sums."""
+    p, q = pq
+    _assert_canonical_with_terms(p - q, _merged(p.terms, _negated(q.terms)))
+    _assert_canonical_with_terms(q - p, _merged(q.terms, _negated(p.terms)))
+    _assert_canonical_with_terms(p + q, _merged(p.terms, q.terms))
+    assert p - q == p + (-q) and (p - p).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, st.one_of(st.integers(-5, 5), coeffs))
+def test_scalar_minus_polynomial_equals_adding_the_negation(p, k):
+    """k - p and p - k, for an int or Fraction k (0 included), are
+    k + (-p) and p + (-k), term for term and in order."""
+    const = {ZERO_EXPS: Fraction(k)} if k else {}
+    _assert_canonical_with_terms(k - p, _merged(const, _negated(p.terms)))
+    _assert_canonical_with_terms(p - k, _merged(p.terms, _negated(const)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys.filter(bool))
+def test_a_zero_operand_gives_the_other_operand(p):
+    """For nonzero p, p + 0, 0 + p and p - 0 are p itself and 0 - p is -p,
+    for the shared zero, a fresh Polynomial() and the int 0 alike."""
+    for zero in (Polynomial.zero(), Polynomial(), 0):
+        assert p + zero is p and zero + p is p and p - zero is p
+        _assert_canonical_with_terms(zero - p, _negated(p.terms))
+
+
+def test_every_zero_is_the_shared_zero_and_stays_empty():
+    """Polynomial.zero(), a zero constant or monomial and a product with
+    a zero factor are one object.  After the exact battery, which hands it
+    out as the zeros it forms, it is still the empty polynomial over 1,
+    equal to a fresh Polynomial(): no step wrote into it."""
+    run_report(build_context())
+    zero = Polynomial.zero()
+    assert zero == Polynomial() and zero.terms == {}
+    assert (zero._numerators, zero._denominator) == ({}, 1)
+    assert Polynomial.constant(0) is zero
+    assert Polynomial.monomial((1,) + ZERO_EXPS[1:], Fraction(0)) is zero
+    assert x * zero is zero and zero * 3 is zero
+
+
+def _reference_canonical_str(p):
+    """canonical_str written out on the terms view: terms in descending
+    graded lex order, each as str of its Fraction coefficient and then
+    the variables it holds, ``v`` or ``v^k``."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for e, c in sorted(p.terms.items(), key=lambda t: _grlex(t[0]), reverse=True):
+        factors = [str(Fraction(c))]
+        for i, k in enumerate(e):
+            if k == 1:
+                factors.append(VARS[i])
+            elif k > 1:
+                factors.append(f"{VARS[i]}^{k}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4))
+def test_canonical_str_matches_the_fraction_rendering(p, k):
+    """canonical_str, which writes coefficients from the packed
+    numerators, equals the Fraction rendering, on polynomials with
+    negative coefficients and non-unit denominators, scaled by k (0
+    included, giving the zero polynomial)."""
+    for q in (p, p.scale(k), -p, p + Fraction(1, 7)):
+        assert q.canonical_str() == _reference_canonical_str(q)
 
 
 def _grlex_divide(p, q):

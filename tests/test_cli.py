@@ -552,6 +552,7 @@ def test_scan_writes_table(tmp_path, capsys):
 
 def test_scan_csv_from_two_workers_equals_serial_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     tables = []
     for jobs in ("1", "2"):
         out_file = tmp_path / f"scan{jobs}.csv"

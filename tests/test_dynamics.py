@@ -1303,9 +1303,22 @@ def test_scan_min_dsing_covers_every_step():
     assert outcome.min_dsing < 1e-3 * min(r[11] for r in record.rows)
 
 
-def _counting_forks(monkeypatch, cpus):
+def _give_cpus(monkeypatch, affinity, count=None):
+    """Let this process run on ``affinity`` CPUs of a host of ``count``
+    (default: ``affinity``).  ``affinity`` None: the OS has no affinity
+    call, so the scan falls back to os.cpu_count()."""
+    count = affinity if count is None else count
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
+
+
+def _counting_forks(monkeypatch, cpus, host_cpus=None):
     """Record in the returned list the pid of each child the real os.fork
-    starts, and report ``cpus`` CPUs."""
+    starts, and let this process run on ``cpus`` CPUs (see _give_cpus)."""
     forks, fork = [], os.fork
 
     def counting_fork():
@@ -1315,7 +1328,7 @@ def _counting_forks(monkeypatch, cpus):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _give_cpus(monkeypatch, cpus, host_cpus)
     return forks
 
 
@@ -1372,10 +1385,11 @@ def test_scan_pool_has_at_most_one_worker_per_ic(jobs, workers, monkeypatch):
 
 @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, []), (None, [])])
 def test_scan_pool_has_at_most_one_worker_per_cpu(cpus, pools, monkeypatch):
-    """--jobs 5000 gets no more workers than os.cpu_count() reports, and
-    forks nothing where that is 1 or unknown (None): the scan runs
-    serially.  ``pools`` lists the worker counts of the scan's fan-outs,
-    each worker but the calling process a fork."""
+    """--jobs 5000 gets no more workers than the CPUs this process may run
+    on, and forks nothing where that is 1 or unknown (None: no affinity
+    call and no os.cpu_count()): the scan runs serially.  ``pools`` lists
+    the worker counts of the scan's fan-outs, each worker but the calling
+    process a fork."""
     serial = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=1)
     forks = _counting_forks(monkeypatch, cpus)
     rows = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=5000)
@@ -1384,10 +1398,23 @@ def test_scan_pool_has_at_most_one_worker_per_cpu(cpus, pools, monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("affinity, host_cpus, forked", [(1, 2, 0), (2, 64, 1), (None, 2, 1)])
+def test_scan_pool_follows_the_cpu_affinity(affinity, host_cpus, forked, monkeypatch):
+    """The worker cap counts the CPUs in this process's affinity set, not
+    the host's: pinned to 1 CPU of 2, --jobs 2 forks nothing.  Where the
+    OS has no affinity call (None) it falls back to os.cpu_count()."""
+    serial = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=1)
+    forks = _counting_forks(monkeypatch, affinity, host_cpus)
+    rows = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=2)
+    assert len(forks) == forked
+    assert rows == serial
+    _assert_no_child_left()
+
+
 def test_scan_without_fork_runs_serially(monkeypatch):
     """Where os.fork does not exist, --jobs 2 runs the serial scan."""
     serial = scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _give_cpus(monkeypatch, 2)
     monkeypatch.delattr(os, "fork")
     assert scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=2) == serial
     _assert_no_child_left()
@@ -1440,7 +1467,7 @@ def test_scan_child_exit_without_rows_is_child_process_error(monkeypatch):
         return scan_one(config, idx, ic)
 
     monkeypatch.setattr(dynamics, "_scan_one", exiting)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _give_cpus(monkeypatch, 2)
     with _alarm(5), pytest.raises(ChildProcessError, match=r"worker 1 .*wait status 768"):
         scan_singularity(SimConfig(t_end=0.5), _POOL_ICS, jobs=2)
     _assert_no_child_left()
