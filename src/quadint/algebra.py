@@ -518,16 +518,3 @@ def solve_exact_sparse(equations: Sequence[Sequence[Polynomial]], ncols: int):
                 peel.append(h)
     left = [(entries, rhs) for entries, rhs in rows if entries or any(rhs)]
     return pinned, pivots, left
-
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None

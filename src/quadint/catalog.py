@@ -16,12 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    MOMENTA,
-    Polynomial,
-    generators,
-    rational_sqrt,
-)
+from .algebra import MOMENTA, Polynomial, generators
 from .radical import RadicalElement, RingContext
 
 x, y, z, px, py, pz, a, b, w0 = generators()
@@ -227,16 +222,16 @@ def extract_killing_tensor(leading: Polynomial) -> KillingTensor:
 
 @dataclass(frozen=True)
 class SingularLine:
-    """A line where u vanishes: x = -eps*sqrt(a/(1-a))*z, y = 3*eps*sqrt(a(1-a))*b,
-    for eps = 1 or -1 (``singular_lines`` gives eps = 1 first).
+    """A line where u vanishes: y = eps k and c x + eps s z = 0, for
+    (c, s, k) = ``line_constants(a, b)`` and eps = 1 or -1
+    (``singular_lines`` gives eps = 1 first).
 
-    ``point`` and ``direction`` are Fractions when the parameters admit
-    exact square roots, floats otherwise; the direction is unnormalized
-    (slope, 0, 1).
+    ``point`` is (0, eps k, 0) and ``direction`` the unnormalized
+    (slope, 0, 1) with slope -eps s/c, all floats.
     """
 
-    point: tuple
-    direction: tuple
+    point: tuple[float, float, float]
+    direction: tuple[float, float, float]
 
 
 def _check_param_domain(a_val, b_val):
@@ -246,31 +241,19 @@ def _check_param_domain(a_val, b_val):
         raise ParamDomain(f"b = {b_val} must be finite and nonzero")
 
 
-def singular_lines(a_val, b_val) -> tuple[SingularLine, SingularLine]:
-    """The two real lines along which the potential blows up.
-
-    Accepts floats, or Fractions for an exact result at Pythagorean
-    parameters (sqrt(a) and sqrt(1-a) both rational).
-    """
+def line_constants(a_val, b_val) -> tuple[float, float, float]:
+    """(c, s, k) = (sqrt(1-a), sqrt(a), 3 sqrt(a(1-a)) b) in binary64, so
+    that u = F+ F- with F+- = (y -+ k)^2 + (c x +- s z)^2, the squared
+    distance to singular line +- (tests/test_catalog.py checks the identity
+    exactly).  Both the plotted lines and the numeric kernels take their
+    constants from here."""
     _check_param_domain(a_val, b_val)
-    exact = False
-    if isinstance(a_val, Fraction) and isinstance(b_val, (Fraction, int)):
-        ra = rational_sqrt(a_val)
-        rc = rational_sqrt(1 - a_val)
-        if ra is not None and rc is not None:
-            exact = True
-            slope = ra / rc              # sqrt(a/(1-a))
-            yoff = 3 * ra * rc * Fraction(b_val)   # 3*sqrt(a(1-a))*b
-    if not exact:
-        af, bf = float(a_val), float(b_val)
-        slope = math.sqrt(af / (1.0 - af))
-        yoff = 3.0 * math.sqrt(af * (1.0 - af)) * bf
-    lines = []
-    for eps in (1, -1):
-        lines.append(
-            SingularLine(
-                point=(0 * slope, eps * yoff, 0 * slope),
-                direction=(-eps * slope, 0 * slope, 1 if exact else 1.0),
-            )
-        )
-    return tuple(lines)
+    a_f, b_f = float(a_val), float(b_val)
+    return math.sqrt(1.0 - a_f), math.sqrt(a_f), 3.0 * math.sqrt(a_f * (1.0 - a_f)) * b_f
+
+
+def singular_lines(a_val, b_val) -> tuple[SingularLine, SingularLine]:
+    """The two real lines along which the potential blows up."""
+    c, s, k = line_constants(a_val, b_val)
+    return tuple(SingularLine(point=(0.0, eps * k, 0.0), direction=(-eps * s / c, 0.0, 1.0))
+                 for eps in (1.0, -1.0))

@@ -61,11 +61,19 @@ def parse_double(text: str) -> float:
         raise ValueError(f"{text.strip()} is beyond the double range") from None
 
 
-def parse_vec3(text: str):
-    parts = [float(v) for v in text.split(",")]
+def parse_vec3(text: str, option: str):
+    """Three comma-separated entries of ``option``, each read by
+    ``parse_double``."""
+    texts = text.split(",")
+    try:
+        parts = [parse_double(part) for part in texts]
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
     if len(parts) != 3:
-        raise ValueError(f"expected 3 comma-separated components, got {text!r}")
-    return tuple(parts)
+        raise ValueError(f"{option}: expected 3 comma-separated components, got {text!r}")
+    # an exact entry has no signed zero: "-0" is -0.0, as float() reads it
+    return tuple(-0.0 if v == 0 and part.strip().startswith("-") else v
+                 for v, part in zip(parts, texts))
 
 
 def _load_config_file(path) -> dict[str, str]:
@@ -208,7 +216,7 @@ def cmd_simulate(args) -> int:
     from .dynamics import PhaseState, simulate
 
     config = build_sim_config(args)
-    initial = PhaseState.make(0.0, parse_vec3(args.q0), parse_vec3(args.p0))
+    initial = PhaseState.make(0.0, parse_vec3(args.q0, "--q0"), parse_vec3(args.p0, "--p0"))
     record, outcome = simulate(config, initial)
     record.write_csv(args.out)
     write_manifest(args, config)

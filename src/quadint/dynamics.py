@@ -3,7 +3,8 @@ with conservation monitoring and singularity-proximity tracking.
 
 u and its gradient are evaluated in factored form: u = F+ F-, where
 F+- = (y -+ k)^2 + (c x +- s z)^2 is the squared distance to singular
-line +-, with c = sqrt(1-a), s = sqrt(a) and k = 3 sqrt(a(1-a)) b.  Near a
+line +-, with c = sqrt(1-a), s = sqrt(a) and k = 3 sqrt(a(1-a)) b
+(catalog.line_constants).  Near a
 line this keeps the digits that summing the expanded quartic cancels away
 (tests/test_catalog.py checks the identity exactly).  One generated block
 gives u, and one force site (_force_site) checks u, adds grad u and gives
@@ -79,7 +80,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import A, B, PX, PY, PZ, VARS, W0, X, Y, Z, Polynomial
-from .catalog import ParamDomain, _check_param_domain, build_context
+from .catalog import ParamDomain, _check_param_domain, build_context, line_constants
 from .radical import SingularPoint
 
 
@@ -217,12 +218,11 @@ _D2_LINE = "d2 = _fp if _fp < _fm else _fm"
 
 @functools.cache
 def _factored_block(a, b):
-    """The line constants (c, s, k) = (sqrt(1-a), sqrt(a), 3 sqrt(a(1-a)) b)
-    of (a, b), and _factored_lines compiled as ``_eval(x, y, z)`` returning
-    (u, d2); computed once per process for each (a, b)."""
-    _check_param_domain(a, b)
-    a, b = float(a), float(b)
-    consts = (math.sqrt(1.0 - a), math.sqrt(a), 3.0 * math.sqrt(a * (1.0 - a)) * b)
+    """The line constants (c, s, k) of (a, b), from catalog.line_constants,
+    which also gives the plotted singular lines, and _factored_lines
+    compiled as ``_eval(x, y, z)`` returning (u, d2); computed once per
+    process for each (a, b)."""
+    consts = line_constants(a, b)
     body = [*_factored_lines(("x", "y", "z"), consts), _D2_LINE]
     return consts, _compile(["def _eval(x, y, z):", *_indent(body), "    return u, d2"], "_eval")
 

@@ -98,7 +98,7 @@ def render_svg(
     xs = [p[0] for c in curves for p in c]
     ys = [p[1] for c in curves for p in c]
     for line in singular:
-        px, py = proj(*(float(v) for v in line.point))[:2]
+        px, py = proj(*line.point)
         xs.append(px)
         ys.append(py)
     lo_x, hi_x = min(xs), max(xs)
@@ -169,8 +169,8 @@ def render_svg(
     wx, wy = hi_x - lo_x, hi_y - lo_y
     nsamp = 100
     for line in singular:
-        cx, cy = proj(*(float(v) for v in line.point))
-        dx, dy = proj(*(float(v) for v in line.direction))
+        cx, cy = proj(*line.point)
+        dx, dy = proj(*line.direction)
         rx, ry = (cx - lo_x) / wx, (cy - lo_y) / wy
         nx, ny = dx / wx, dy / wy
         fastest = max(abs(nx), abs(ny)) or 1.0     # 0: the line is seen end-on

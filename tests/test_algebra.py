@@ -26,7 +26,6 @@ from quadint.algebra import (
     matrix_rank_exact,
     nullspace_exact,
     pack,
-    rational_sqrt,
     solve_exact_sparse,
     unpack,
 )
@@ -848,9 +847,3 @@ def test_float_entries_are_rejected():
     with pytest.raises(TypeError):
         matrix_rank_exact([[0.5]])
 
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 25)) == Fraction(3, 5)
-    assert rational_sqrt(Fraction(1, 4)) == Fraction(1, 2)
-    assert rational_sqrt(Fraction(1, 3)) is None
-    assert rational_sqrt(Fraction(0)) == 0

@@ -1,6 +1,7 @@
 """Transcription spot checks for the system catalog."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -268,13 +269,6 @@ def test_singular_lines_reference_parameters():
     assert offsets[0] == pytest.approx(-expect, rel=1e-14)
 
 
-def test_singular_lines_pythagorean_exact():
-    lines = singular_lines(Fraction(9, 25), Fraction(1))
-    ys = sorted(line.point[1] for line in lines)
-    assert ys == [Fraction(-36, 25), Fraction(36, 25)]
-    assert isinstance(ys[0], Fraction)
-
-
 def test_singular_lines_lie_in_zero_set(ctx):
     import numpy as np
 
@@ -291,15 +285,24 @@ def test_singular_lines_lie_in_zero_set(ctx):
                 assert abs(val) < 1e-9 * scale
 
 
-def test_singular_lines_exact_at_pythagorean(ctx):
-    a_val, b_val = Fraction(9, 25), Fraction(2)
-    for line in singular_lines(a_val, b_val):
-        for t in (Fraction(-2), Fraction(0), Fraction(3, 7)):
-            q = [p + t * d for p, d in zip(line.point, line.direction)]
-            val = ctx.u.eval_exact(
-                {X: q[0], Y: q[1], Z: q[2], A: a_val, B: b_val}
-            )
-            assert val == 0
+def test_plotted_lines_are_the_kernels_lines():
+    """singular_lines and the kernels' factored u share one (c, s, k): each
+    line's point is at distance 0.0 from the lines the kernels see, and a
+    point along its direction at most a rounding of |q| away."""
+    from quadint.dynamics import distance_to_singular_lines
+
+    rng = random.Random(0)
+    params = [(0.25, 1.0), (0.36, 1.0), (0.5, -2.0), (1e-9, 3.0),
+              (math.nextafter(1.0, 0), -0.5)]
+    params += [(rng.uniform(1e-6, 1 - 1e-6), rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 3))
+               for _ in range(200)]
+    for a_val, b_val in params:
+        for line in singular_lines(a_val, b_val):
+            assert distance_to_singular_lines(line.point, a_val, b_val) == 0.0
+            for t in (-3.0, 0.5, 7.0):
+                q = [p + t * d for p, d in zip(line.point, line.direction)]
+                bound = 2.0**-50 * max(1.0, math.hypot(*q))
+                assert distance_to_singular_lines(q, a_val, b_val) <= bound, (a_val, b_val, t)
 
 
 def test_param_domain_guards():

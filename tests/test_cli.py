@@ -37,9 +37,18 @@ def test_parse_rational():
 
 
 def test_parse_vec3():
-    assert parse_vec3("0.5,0.2,-0.3") == (0.5, 0.2, -0.3)
-    with pytest.raises(ValueError):
-        parse_vec3("1,2")
+    assert parse_vec3("0.5,0.2,-0.3", "--q0") == (0.5, 0.2, -0.3)
+    assert parse_vec3("1/4, -1/4,3", "--q0") == (0.25, -0.25, 3.0)
+    with pytest.raises(ValueError, match="^--p0: expected 3 comma-separated components"):
+        parse_vec3("1,2", "--p0")
+
+
+@pytest.mark.parametrize("text", ["0.1,-0.2,3e-5", "-0,0,-0.0", "1e-400,-1e-400,5e-324",
+                                  "0.30000000000000004,1e300,-7"])
+def test_parse_vec3_reads_a_decimal_as_float_does(text):
+    # the same doubles, signed zeros included, so records stay bit-identical
+    expect = [float(v).hex() for v in text.split(",")]
+    assert [v.hex() for v in parse_vec3(text, "--q0")] == expect
 
 
 # -- verify -------------------------------------------------------------
@@ -308,6 +317,30 @@ def test_negative_value_in_exponent_or_vector_form_is_a_value(capsys, tmp_path, 
     assert code in (0, 1)
     if option[0] == "--q0":
         assert float(out_file.read_text().splitlines()[1].split(",")[1]) == -0.1
+
+
+@pytest.mark.parametrize("q0, x0", [("1/4,0,0.5", 0.25), ("-1/4,0,0.5", -0.25)],
+                         ids=["quarter", "minus-quarter"])
+def test_vector_option_takes_an_exact_entry(capsys, tmp_path, q0, x0):
+    out_file = tmp_path / "x.csv"
+    code, _, err = run(["simulate", "--q0", q0, "--p0", "0,0,0.4", "--t-end", "1",
+                        "--out", str(out_file)], capsys)
+    assert code == 0, err
+    assert float(out_file.read_text().splitlines()[1].split(",")[1]) == x0
+
+
+@pytest.mark.parametrize("q0, message", [
+    ("1e400,0,0", "--q0: 1e400 is beyond the double range"),
+    ("inf,0,0", "--q0: Invalid literal for Fraction: 'inf'"),
+    ("0,nan,0", "--q0: Invalid literal for Fraction: 'nan'"),
+], ids=["beyond-range", "inf", "nan"])
+def test_vector_component_that_is_not_a_double_exits_one(capsys, tmp_path, q0, message):
+    out_file = tmp_path / "x.csv"
+    code, _, err = run(["simulate", "--q0", q0, "--p0", "0,0,0.4", "--t-end", "1",
+                        "--out", str(out_file)], capsys)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out_file.exists()
 
 
 def test_only_numeric_values_of_value_options_are_joined():
